@@ -111,13 +111,10 @@ class Dataset:
 
 
 def _sigmoid(z):
-    # Split by sign to avoid overflow in exp for large |z|.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows. Per sign this is the same arithmetic as
+    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) for z < 0.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def decode(params, topology: MlpTopology):

@@ -36,6 +36,9 @@ MAD_SCALE = 1.4826
 # Minimum spacing between accepted beats, in seconds.
 REFRACTORY_S = 0.3
 
+# Windows whose absolute deviations the Hampel filter partitions at once.
+_MAD_CHUNK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class Signal:
@@ -99,6 +102,17 @@ def hampel_filter(signal: Signal, half_window: int, n_sigmas: float = 3.0) -> Si
     A sample is an outlier when its deviation from the median of the
     surrounding window exceeds ``n_sigmas * 1.4826 * MAD``. Windows
     shrink at the boundaries instead of padding.
+
+    Interior samples, whose windows have the full odd width
+    ``2 * half_window + 1``, are handled in bulk: one running median
+    filter gives every window's median, and each MAD is the middle order
+    statistic of the window's absolute deviations, partitioned
+    ``_MAD_CHUNK_ROWS`` windows at a time so the scratch memory stays
+    bounded whatever the signal's length. The ``2 * half_window``
+    samples at the ends, whose shrunk windows can have even length, go
+    through a per-sample loop. Both paths pick the same order statistics
+    as a per-sample ``np.median``, so the output is the same up to the
+    sign of a zero-valued replacement.
     """
     if half_window < 1:
         raise ParameterError("half_window must be >= 1")
@@ -107,13 +121,40 @@ def hampel_filter(signal: Signal, half_window: int, n_sigmas: float = 3.0) -> Si
     x = signal.samples
     out = x.copy()
     n = x.size
-    for i in range(n):
+    width = 2 * half_window + 1
+    scale = n_sigmas * MAD_SCALE
+    if n >= width:
+        inner = slice(half_window, n - half_window)
+        med = ndimage.median_filter(x, size=width)[inner]
+        mad = _full_window_mad(x, med, width)
+        outlier = np.abs(x[inner] - med) > scale * mad
+        out[inner][outlier] = med[outlier]
+        edges = (*range(half_window), *range(n - half_window, n))
+    else:
+        edges = range(n)
+    for i in edges:
         window = x[max(0, i - half_window): min(n, i + half_window + 1)]
         med = np.median(window)
         mad = np.median(np.abs(window - med))
-        if abs(x[i] - med) > n_sigmas * MAD_SCALE * mad:
+        if abs(x[i] - med) > scale * mad:
             out[i] = med
     return Signal(out, signal.fs)
+
+
+def _full_window_mad(x: np.ndarray, med: np.ndarray, width: int) -> np.ndarray:
+    """MAD of each full-width window of x, given each window's median."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, width)
+    middle = width // 2
+    mad = np.empty_like(med)
+    scratch = np.empty((min(_MAD_CHUNK_ROWS, med.size), width))
+    for start in range(0, med.size, _MAD_CHUNK_ROWS):
+        stop = min(start + _MAD_CHUNK_ROWS, med.size)
+        dev = scratch[: stop - start]
+        np.subtract(windows[start:stop], med[start:stop, None], out=dev)
+        np.abs(dev, out=dev)
+        dev.partition(middle, axis=1)
+        mad[start:stop] = dev[:, middle]
+    return mad
 
 
 def butterworth_lowpass(signal: Signal, cutoff_hz: float, order: int = 4) -> Signal:

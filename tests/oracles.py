@@ -218,3 +218,42 @@ def sample_std_reference(values):
     """ddof=1 standard deviation, the spread reported across folds."""
     m = sum(values) / len(values)
     return math.sqrt(sum((v - m) ** 2 for v in values) / (len(values) - 1))
+
+
+# ------------------------------------------------------------------
+# Hampel filter and logistic sigmoid, one sample at a time
+# ------------------------------------------------------------------
+
+MAD_SCALE = 1.4826
+
+
+def hampel_reference(x, half_window, n_sigmas=3.0):
+    """The Hampel filter as a per-sample loop over shrinking windows.
+
+    Each sample is compared with the median and MAD of the samples at
+    most half_window away from it; windows are cut short at the ends.
+    """
+    x = np.asarray(x, dtype=float)
+    out = x.copy()
+    n = x.size
+    for i in range(n):
+        window = x[max(0, i - half_window): min(n, i + half_window + 1)]
+        med = np.median(window)
+        mad = np.median(np.abs(window - med))
+        if abs(x[i] - med) > n_sigmas * MAD_SCALE * mad:
+            out[i] = med
+    return out
+
+
+def sigmoid_reference(z):
+    """The logistic function with one branch per sign of z.
+
+    exp only ever sees a non-positive argument, so it never overflows.
+    """
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out

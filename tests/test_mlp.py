@@ -8,6 +8,7 @@ from codel.mlp import (
     CandidateSolution,
     Dataset,
     MlpTopology,
+    _sigmoid,
     classification_error,
     decode,
     encode,
@@ -17,7 +18,7 @@ from codel.mlp import (
     predict,
 )
 
-from oracles import central_difference
+from oracles import central_difference, sigmoid_reference
 
 
 def _random_dataset(rng, n_rows, n_features):
@@ -123,6 +124,27 @@ class TestForward:
         topo = MlpTopology((3, 4, 1))
         with pytest.raises(ShapeError):
             forward(np.zeros(topo.param_count), topo, np.zeros(4))
+
+
+class TestSigmoid:
+
+    def test_bit_identical_to_two_branch_formula(self):
+        tiny = np.finfo(float).tiny
+        special = np.array([
+            0.0, -0.0, 1e-17, -1e-17, 1e-300, -1e-300,
+            tiny / 2, -tiny / 2, 5e-324, -5e-324,
+            745.0, -745.0, 800.0, -800.0,
+        ])
+        draws = np.random.default_rng(5).normal(0.0, 1.0, 1_000_000)
+        for z in (special, draws, draws * 40.0, draws.reshape(1000, 1000)):
+            ours, ref = _sigmoid(z), sigmoid_reference(z)
+            assert ours.shape == ref.shape
+            np.testing.assert_array_equal(ours.view(np.int64), ref.view(np.int64))
+
+    def test_extremes_saturate_without_overflow(self):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out = _sigmoid(np.array([-800.0, 0.0, 800.0]))
+        np.testing.assert_array_equal(out, [0.0, 0.5, 1.0])
 
 
 class TestClassificationError:
