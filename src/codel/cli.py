@@ -31,8 +31,6 @@ from .training import VARIANT_NAMES, build_comparison, evaluate_grid, train_vari
 
 __all__ = ["main"]
 
-WTL_TIE_TOL = 1e-9
-
 
 def _knob_overrides(args):
     knobs = (
@@ -124,27 +122,7 @@ def cmd_train(args) -> None:
                 manifest_rows, comments)
 
 
-def _pair_outcomes(comparison):
-    """Map boosted variant name -> 'win'/'tie'/'loss' per metric index."""
-    outcomes = {}
-    row = {name: i for i, name in enumerate(comparison.names)}
-    for base, boosted in comparison.pairs:
-        per_metric = []
-        for j in range(len(METRIC_NAMES)):
-            diff = comparison.means_pct[row[boosted], j] - comparison.means_pct[row[base], j]
-            if diff > WTL_TIE_TOL:
-                per_metric.append("win")
-            elif abs(diff) <= WTL_TIE_TOL:
-                per_metric.append("tie")
-            else:
-                per_metric.append("loss")
-        outcomes[boosted] = per_metric
-    return outcomes
-
-
 def _write_comparison(args, comparison, comments) -> None:
-    outcomes = _pair_outcomes(comparison)
-
     write_table(
         _out_path(args, "mean_rank.csv"),
         ["algorithm", "mean_rank"],
@@ -183,7 +161,6 @@ def _write_comparison(args, comparison, comments) -> None:
         ],
         comments,
     )
-    return outcomes
 
 
 def cmd_evaluate(args) -> None:
@@ -204,7 +181,7 @@ def cmd_evaluate(args) -> None:
         f"input={args.features_csv}",
     ] + config.manifest_lines()
 
-    outcomes = _write_comparison(args, comparison, comments)
+    _write_comparison(args, comparison, comments)
     for j, metric in enumerate(METRIC_NAMES):
         w, t, l = comparison.wtl_per_metric[metric]
         rows = []
@@ -215,7 +192,7 @@ def cmd_evaluate(args) -> None:
                 s.mean * 100.0, s.std * 100.0, s.min * 100.0,
                 s.max * 100.0, s.median * 100.0,
                 float(comparison.ranks[i, j]),
-                outcomes[name][j] if name in outcomes else "",
+                comparison.outcomes[name][j] if name in comparison.outcomes else "",
             ])
         write_table(
             _out_path(args, f"{metric}.csv"),

@@ -8,7 +8,6 @@ and higher is better for every metric.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .errors import ParameterError
 from .mlp import Dataset
@@ -26,7 +25,9 @@ __all__ = [
     "kfold_split",
     "fold_datasets",
     "cross_validate",
+    "pair_outcomes",
     "wtl",
+    "average_ranks",
     "rank_and_mean_rank",
 ]
 
@@ -257,16 +258,44 @@ def cross_validate(trainer, dataset: Dataset, k: int, seed: int) -> CrossValidat
     return CrossValidationResult(fold_reports=tuple(reports), summaries=summaries)
 
 
-def wtl(base_means, codel_means, tie_tol: float = 1e-9):
-    """Count wins, ties, losses of the boosted variants over their bases."""
+def pair_outcomes(base_means, codel_means, tie_tol: float = 1e-9) -> np.ndarray:
+    """'win', 'tie' or 'loss' of each boosted value over its base.
+
+    A difference within tie_tol either way is a tie; a NaN on either
+    side is a loss.
+    """
     base = np.asarray(base_means, dtype=float)
     codel = np.asarray(codel_means, dtype=float)
     if base.shape != codel.shape:
         raise ParameterError("paired sequences must have equal length")
     diff = codel - base
-    wins = int(np.count_nonzero(diff > tie_tol))
-    ties = int(np.count_nonzero(np.abs(diff) <= tie_tol))
-    return wins, ties, len(diff) - wins - ties
+    return np.where(diff > tie_tol, "win", np.where(np.abs(diff) <= tie_tol, "tie", "loss"))
+
+
+def wtl(base_means, codel_means, tie_tol: float = 1e-9):
+    """Count wins, ties, losses of the boosted variants over their bases."""
+    outcomes = pair_outcomes(base_means, codel_means, tie_tol)
+    return tuple(int(np.count_nonzero(outcomes == o)) for o in ("win", "tie", "loss"))
+
+
+def average_ranks(values) -> np.ndarray:
+    """Ascending ranks 1..n of a 1-D array, ties sharing their mean rank.
+
+    Equal to ``scipy.stats.rankdata(values, method="average")`` bit for
+    bit: every average rank is a whole or half integer, so it is exact.
+    As there, a NaN anywhere makes every rank NaN.
+    """
+    x = np.asarray(values, dtype=float)
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.shape)
+    # Sorted positions start..end-1 hold ranks start+1..end.
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
 
 
 def rank_and_mean_rank(metric_table):
@@ -285,6 +314,6 @@ def rank_and_mean_rank(metric_table):
     if table.ndim != 2 or table.shape[0] < 1 or table.shape[1] < 1:
         raise ParameterError("metric table must be a nonempty 2-D array")
     ranks = np.column_stack(
-        [stats.rankdata(-table[:, j], method="average") for j in range(table.shape[1])]
+        [average_ranks(-table[:, j]) for j in range(table.shape[1])]
     )
     return ranks, ranks.mean(axis=1)

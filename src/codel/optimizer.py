@@ -225,10 +225,9 @@ def kmeans(points: np.ndarray, k: int, rng):
         raise ParameterError(
             f"k must be in [2, {points.shape[0]}], got {k}"
         )
-    centers, assignments = points[:k].copy(), np.zeros(points.shape[0], dtype=int)
-    for centers, assignments in _lloyd_iterations(points, k, rng):
-        pass
-    return centers, assignments
+    # The first round always yields: no assignment equals the initial -1.
+    *_, last = _lloyd_iterations(points, k, rng)
+    return last
 
 
 def cluster_update(pop: Population, config: CodelConfig, objective, rng) -> Population:

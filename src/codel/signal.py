@@ -13,8 +13,6 @@ high-frequency noise.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy import signal as sps
 
 from .errors import InsufficientDataError, ParameterError
 
@@ -118,6 +116,9 @@ def hampel_filter(signal: Signal, half_window: int, n_sigmas: float = 3.0) -> Si
         raise ParameterError("half_window must be >= 1")
     if not (n_sigmas > 0):
         raise ParameterError("n_sigmas must be positive")
+    # Imported here, not at module level, so commands without signal work skip scipy.
+    from scipy import ndimage
+
     x = signal.samples
     out = x.copy()
     n = x.size
@@ -171,6 +172,9 @@ def butterworth_lowpass(signal: Signal, cutoff_hz: float, order: int = 4) -> Sig
         )
     if order not in (2, 4, 6):
         raise ParameterError(f"order must be one of 2, 4, 6, got {order}")
+    # Imported here, not at module level, so commands without signal work skip scipy.
+    from scipy import signal as sps
+
     sos = sps.butter(order, cutoff_hz, btype="low", fs=signal.fs, output="sos")
     return Signal(sps.sosfilt(sos, signal.samples), signal.fs)
 
@@ -188,6 +192,9 @@ def detect_r_peaks(signal: Signal, threshold_fraction: float = 0.4) -> np.ndarra
     n = x.size
     if n < 3:
         return np.array([], dtype=int)
+    # Imported here, not at module level, so commands without signal work skip scipy.
+    from scipy import ndimage
+
     window = max(3, int(round(signal.fs)))
     rolling_mean = ndimage.uniform_filter1d(x, size=window, mode="nearest")
     rolling_max = ndimage.maximum_filter1d(x, size=window, mode="nearest")

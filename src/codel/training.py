@@ -22,6 +22,7 @@ from .evaluation import (
     error_enhancement,
     fold_datasets,
     metrics,
+    pair_outcomes,
     rank_and_mean_rank,
     wtl,
 )
@@ -195,6 +196,7 @@ class Comparison:
     mean_ranks: np.ndarray
     wtl_per_metric: dict
     pairs: tuple
+    outcomes: dict
     ee_table: np.ndarray
 
 
@@ -217,27 +219,25 @@ def build_comparison(names, means_pct) -> Comparison:
     pairs = tuple(paired_methods(names))
     row = {name: i for i, name in enumerate(names)}
 
-    wtl_per_metric = {}
-    for j, metric in enumerate(METRIC_NAMES):
-        base_means = [means_pct[row[b], j] for b, _ in pairs]
-        codel_means = [means_pct[row[c], j] for _, c in pairs]
-        wtl_per_metric[metric] = wtl(base_means, codel_means)
+    base = means_pct[[row[b] for b, _ in pairs]]
+    boosted = means_pct[[row[c] for _, c in pairs]]
+    wtl_per_metric = {
+        metric: wtl(base[:, j], boosted[:, j]) for j, metric in enumerate(METRIC_NAMES)
+    }
+    outcomes = {c: tuple(o.tolist()) for (_, c), o in zip(pairs, pair_outcomes(base, boosted))}
 
-    def safe_ee(base: float, boosted: float) -> float:
+    def safe_ee(base_pct: float, boosted_pct: float) -> float:
         # A perfect base score leaves no error to reduce, so the
         # enhancement is undefined there; nan keeps the table shape
         # without crashing the whole report.
-        if base >= 100.0:
+        if base_pct >= 100.0:
             return float("nan")
-        return error_enhancement(base, boosted)
+        return error_enhancement(base_pct, boosted_pct)
 
     ee_table = np.array([
-        [
-            safe_ee(means_pct[row[b], j], means_pct[row[c], j])
-            for j in range(len(METRIC_NAMES))
-        ]
-        for b, c in pairs
-    ]) if pairs else np.zeros((0, len(METRIC_NAMES)))
+        [safe_ee(b, c) for b, c in zip(base_row, boosted_row)]
+        for base_row, boosted_row in zip(base, boosted)
+    ]).reshape(len(pairs), len(METRIC_NAMES))
 
     return Comparison(
         names=names,
@@ -246,5 +246,6 @@ def build_comparison(names, means_pct) -> Comparison:
         mean_ranks=mean_ranks,
         wtl_per_metric=wtl_per_metric,
         pairs=pairs,
+        outcomes=outcomes,
         ee_table=ee_table,
     )

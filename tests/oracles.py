@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written from the defining formulas with plain Python
-loops, fractions, or explicit DFT sums, deliberately avoiding the code
-paths the library itself uses. A bug would have to be made twice, in two
+loops, fractions, or explicit DFT sums, or taken from scipy where the
+package no longer uses it, deliberately avoiding the code paths the
+library itself uses. A bug would have to be made twice, in two
 different styles, to slip through a comparison against these.
 """
 
@@ -11,6 +12,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
+from scipy.stats import rankdata
 
 
 # ------------------------------------------------------------------
@@ -212,6 +214,11 @@ def descending_ranks_reference(values):
             ranks[order[k]] = avg
         i = j + 1
     return ranks
+
+
+def rankdata_reference(values):
+    """Ascending average ranks as scipy computes them; NaN anywhere gives all NaN."""
+    return rankdata(values, method="average")
 
 
 def sample_std_reference(values):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import codel
 from codel.cli import main
 from codel.datasets import synthetic_heartbeat, two_gaussian_dataset
 from codel.evaluation import METRIC_NAMES
@@ -29,6 +35,17 @@ def _write_features(path, dataset) -> None:
 def _write_xor_features(path) -> None:
     write_table(path, ["a", "b", "label"],
                 [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]])
+
+
+def _write_means(path) -> None:
+    header = ["algorithm", *METRIC_NAMES]
+    rows = [
+        ["rp", 70.0, 80.0, 60.0, 75.0, 72.0, 66.0],
+        ["codel-rp", 74.0, 82.0, 64.0, 77.0, 74.0, 69.0],
+        ["oss", 68.0, 81.0, 58.0, 74.0, 71.0, 65.0],
+        ["codel-oss", 69.0, 83.0, 59.0, 78.0, 75.0, 70.0],
+    ]
+    write_table(path, header, rows)
 
 
 def _snapshot(out_dir, names):
@@ -235,19 +252,9 @@ class TestEvaluate:
 
 class TestCompareTables:
 
-    def _means_file(self, path):
-        header = ["algorithm", *METRIC_NAMES]
-        rows = [
-            ["rp", 70.0, 80.0, 60.0, 75.0, 72.0, 66.0],
-            ["codel-rp", 74.0, 82.0, 64.0, 77.0, 74.0, 69.0],
-            ["oss", 68.0, 81.0, 58.0, 74.0, 71.0, 65.0],
-            ["codel-oss", 69.0, 83.0, 59.0, 78.0, 75.0, 70.0],
-        ]
-        write_table(path, header, rows)
-
     def test_reports(self, tmp_path):
         means = tmp_path / "means.csv"
-        self._means_file(means)
+        _write_means(means)
         out_dir = tmp_path / "out"
         rc = main(["compare-tables", "--means-csv", str(means),
                    "--seed", "1", "--out-dir", str(out_dir)])
@@ -316,3 +323,44 @@ class TestConfigResolution:
                    "--out-csv", "features.csv", "--out-dir", str(out_dir)])
         assert rc == 0
         assert (out_dir / "features.csv").is_file()
+
+
+class TestStartupImports:
+    """Commands without signal work must start without scipy's heavy parts.
+
+    Importing scipy.signal alone pulls in scipy.stats, optimize, sparse
+    and more, over a second of start-up, so only the signal functions
+    that need scipy import it, when first called.
+    """
+
+    SCRIPT = """
+import sys
+from codel.cli import build_parser, main
+
+parser = build_parser()
+parser.parse_args(["train", "--features-csv", "xor.csv", "--seed", "0"])
+parser.parse_args(["evaluate", "--features-csv", "xor.csv", "--seed", "0"])
+parser.parse_args(["compare-tables", "--means-csv", "means.csv", "--seed", "0"])
+assert main(["train", "--features-csv", "xor.csv", "--seed", "0",
+             "--method", "gd", "--hidden", "4", "--nfe", "400",
+             "--population-size", "10", "--epochs", "60",
+             "--out-dir", "train"]) == 0
+assert main(["compare-tables", "--means-csv", "means.csv", "--seed", "0",
+             "--out-dir", "compare"]) == 0
+print("\\n".join(sorted(sys.modules)))
+"""
+
+    def test_train_and_compare_tables_never_load_scipy_subpackages(self, tmp_path):
+        _write_xor_features(tmp_path / "xor.csv")
+        _write_means(tmp_path / "means.csv")
+        src = str(Path(codel.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "train" / "weights.csv").is_file()
+        assert (tmp_path / "compare" / "wtl.csv").is_file()
+        loaded = done.stdout.split()
+        for heavy in ("scipy.signal", "scipy.stats", "scipy.ndimage"):
+            assert not [m for m in loaded if m == heavy or m.startswith(heavy + ".")]

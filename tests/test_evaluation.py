@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from codel.errors import ParameterError
 from codel.evaluation import (
@@ -9,6 +11,7 @@ from codel.evaluation import (
     CrossValidationResult,
     FoldSummary,
     METRIC_NAMES,
+    average_ranks,
     confusion_from_predictions,
     cross_validate,
     error_enhancement,
@@ -25,6 +28,7 @@ from oracles import (
     descending_ranks_reference,
     error_enhancement_reference,
     metric_reference,
+    rankdata_reference,
     sample_std_reference,
 )
 
@@ -357,8 +361,41 @@ class TestRanks:
         np.testing.assert_array_equal(ranks, [[1, 3], [2, 2], [3, 1]])
         np.testing.assert_array_equal(mean_ranks, [2.0, 2.0, 2.0])
 
+    def test_nan_column_ranks_all_nan(self):
+        table = np.array([[3.0, 1.0], [np.nan, 2.0], [1.0, 3.0]])
+        ranks, mean_ranks = rank_and_mean_rank(table)
+        assert np.isnan(ranks[:, 0]).all()
+        np.testing.assert_array_equal(ranks[:, 1], [3.0, 2.0, 1.0])
+        assert np.isnan(mean_ranks).all()
+
     def test_bad_shapes(self):
         with pytest.raises(ParameterError):
             rank_and_mean_rank(np.zeros(4))
         with pytest.raises(ParameterError):
             rank_and_mean_rank(np.zeros((0, 3)))
+
+
+# A few values drawn often, so runs of ties, signed zeros, infinities and
+# NaNs all turn up, mixed with arbitrary doubles.
+_RANK_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=False),
+)
+
+
+class TestAverageRanksMatchScipy:
+
+    @given(st.lists(_RANK_VALUES, min_size=1, max_size=40))
+    @example([7.0])
+    @example([np.nan])
+    @example([0.0, -0.0, 0.0, -0.0])
+    @example([3.0, 3.0, 3.0, 1.0, 1.0, 2.0, 3.0])
+    @example([np.inf, -np.inf, np.inf, 1.0, -np.inf])
+    @example([np.nan, 1.0, 2.0])
+    @example([1.0, np.nan, 2.0])
+    @example([1.0, 2.0, np.nan])
+    def test_bit_identical_to_rankdata(self, values):
+        got = average_ranks(values)
+        want = rankdata_reference(values)
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
