@@ -7,6 +7,7 @@ in order, then that layer's biases.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +51,7 @@ class MlpTopology:
     def n_out(self) -> int:
         return self.layer_sizes[-1]
 
-    @property
+    @cached_property
     def param_count(self) -> int:
         sizes = self.layer_sizes
         return sum(
@@ -110,11 +111,35 @@ class Dataset:
         return Dataset(self.rows[idx], self.labels[idx])
 
 
-def _sigmoid(z):
+def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
+    """The logistic function, written over the float array z."""
     # exp(-|z|) never overflows. Per sign this is the same arithmetic as
-    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) for z < 0.
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) for z < 0:
+    # exp(-|z|) <= 1, so max(z >= 0, exp(-|z|)) is 1 for z >= 0 and
+    # exp(z) below, and NaN stays NaN.
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(z, 0.0, out=z)
+    np.maximum(z, e, out=z)
+    e += 1.0
+    z /= e
+    return z
+
+
+def _sigmoid(z):
+    return _sigmoid_in_place(np.array(z, dtype=float))
+
+
+def _layer(a, w, b) -> np.ndarray:
+    """sigmoid(a @ w.T + b), computed inside the product's own buffer.
+
+    Every temporary array costs an allocation that outweighs its
+    arithmetic at these sizes, so the bias add and the sigmoid reuse it.
+    """
+    z = a @ w.T
+    z += b
+    return _sigmoid_in_place(z)
 
 
 def decode(params, topology: MlpTopology):
@@ -164,7 +189,7 @@ def _forward_activations(params, topology: MlpTopology, inputs):
     activations = [inputs]
     a = inputs
     for w, b in decode(params, topology):
-        a = _sigmoid(a @ w.T + b)
+        a = _layer(a, w, b)
         activations.append(a)
     return activations
 
@@ -182,18 +207,45 @@ def forward(params, topology: MlpTopology, inputs) -> np.ndarray:
     return out[0] if single else out
 
 
+def _output_preactivation(params, topology: MlpTopology, rows) -> np.ndarray:
+    """The single output neuron's pre-activation for a batch of rows."""
+    *hidden, (w, b) = decode(params, topology)
+    a = rows
+    for w_h, b_h in hidden:
+        a = _layer(a, w_h, b_h)
+    z = a @ w.T
+    z += b
+    return z[:, 0]
+
+
+def _classify(z: np.ndarray) -> np.ndarray:
+    """The rule sigmoid(z) >= 0.5, decided by the sign of z.
+
+    The sigmoid rounds to exactly 0.5 for z a little below zero (down to
+    about -4.5e-17 in IEEE doubles), so `z >= 0` alone differs there;
+    inside |z| < 1e-15 the sigmoid itself decides.
+    """
+    out = z >= 0.0
+    near = np.abs(z) < 1e-15
+    if near.any():
+        out[near] = _sigmoid(z[near]) >= 0.5
+    return out
+
+
 def predict(params, topology: MlpTopology, inputs) -> np.ndarray:
     """Binary labels from the single output neuron; 0.5 classifies as 1."""
-    out = forward(params, topology, np.atleast_2d(np.asarray(inputs, dtype=float)))
-    return (out[:, 0] >= 0.5).astype(int)
+    rows = np.atleast_2d(np.asarray(inputs, dtype=float))
+    if rows.ndim != 2 or rows.shape[1] != topology.n_in:
+        raise ShapeError(
+            f"input dimension {rows.shape} does not match n_in={topology.n_in}"
+        )
+    return _classify(_output_preactivation(params, topology, rows)).astype(int)
 
 
 def classification_error(params, topology: MlpTopology, data: Dataset) -> float:
     """Percentage of misclassified samples."""
-    if len(data) == 0:
-        raise ParameterError("classification error needs a nonempty dataset")
-    wrong = np.count_nonzero(predict(params, topology, data.rows) != data.labels)
-    return 100.0 * wrong / len(data)
+    decisions = _classify(_output_preactivation(params, topology, data.rows))
+    return 100.0 * np.count_nonzero(decisions != data.labels) / len(data)
 
 
 def mse_loss(params, topology: MlpTopology, data: Dataset) -> float:

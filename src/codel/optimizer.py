@@ -9,11 +9,11 @@ population jumps through its quasi-opposite counterpart, keeping the
 better half of the union. Termination is by objective-evaluation count.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
+from .errors import ParameterError
 from .mlp import CandidateSolution
 from .streams import named_rng
 
@@ -26,7 +26,6 @@ __all__ = [
     "qobl_population",
     "mutate",
     "binomial_crossover",
-    "select",
     "kmeans",
     "cluster_update",
     "run_codel",
@@ -67,27 +66,45 @@ class CodelConfig:
 
 @dataclass(frozen=True)
 class Population:
-    """Search state: members, spent budget, iteration count, elitist best."""
+    """Search state: one member per row of `vectors`, their fitnesses,
+    the spent budget and the iteration count.
 
-    members: tuple
+    No move ever loses the least fitness, so the elitist best is the
+    first member of least fitness, read from the arrays. `entered`
+    counts the slots that the move which made this population filled
+    with a new point.
+    """
+
+    vectors: np.ndarray
+    fitness: np.ndarray
     nfe: int
     iteration: int
-    best: CandidateSolution
+    entered: int = 0
 
-    def vectors(self) -> np.ndarray:
-        return np.array([m.params for m in self.members])
-
-    def fitnesses(self) -> np.ndarray:
-        return np.array([m.fitness for m in self.members])
+    @property
+    def best(self) -> CandidateSolution:
+        i = int(np.argmin(self.fitness))
+        return CandidateSolution(self.vectors[i], float(self.fitness[i]))
 
 
 @dataclass(frozen=True)
 class CodelResult:
+    """The search's outcome plus where its budget went.
+
+    nfe_by_source splits nfe over init, generation, cluster and qobl
+    (the initial jump included); entered counts the members that cluster
+    centers and quasi-opposites put into the population; trial_wins
+    counts the generation trials that replaced their target.
+    """
+
     best: CandidateSolution
     history: np.ndarray
     nfe_history: np.ndarray
     nfe: int
     iterations: int
+    nfe_by_source: dict
+    entered: dict
+    trial_wins: int
 
 
 def opposite(x, a, b):
@@ -109,20 +126,13 @@ def quasi_opposite(x, a, b, rng):
     return rng.uniform(lo, hi)
 
 
-def select(target: CandidateSolution, trial: CandidateSolution) -> CandidateSolution:
-    """Greedy survivor selection; ties go to the trial vector."""
-    if not target.evaluated() or not trial.evaluated():
-        raise ContractError("selection requires evaluated candidates")
-    return trial if trial.fitness <= target.fitness else target
-
-
 def mutate(vectors: np.ndarray, target_index: int, scale_factor: float,
            lower: float, upper: float, rng) -> np.ndarray:
     """Difference mutation from three distinct other members, clamped."""
     n = vectors.shape[0]
     if n < 4:
         raise ParameterError("mutation needs at least 4 members")
-    others = [i for i in range(n) if i != target_index]
+    others = np.delete(np.arange(n), target_index)
     r1, r2, r3 = rng.choice(others, size=3, replace=False)
     v = vectors[r1] + scale_factor * (vectors[r2] - vectors[r3])
     return np.clip(v, lower, upper)
@@ -138,18 +148,14 @@ def binomial_crossover(target: np.ndarray, mutant: np.ndarray,
     return np.where(take, mutant, target)
 
 
-def _best_member(members) -> CandidateSolution:
-    return min(members, key=lambda m: m.fitness)
+def _evaluate(objective, rows) -> np.ndarray:
+    return np.array([float(objective(v)) for v in rows])
 
 
-def _evaluate_batch(vectors, objective, budget_left: int):
-    """Evaluate at most budget_left vectors, in order."""
-    out = []
-    for v in vectors:
-        if len(out) >= budget_left:
-            break
-        out.append(CandidateSolution(v, float(objective(v))))
-    return out
+def _keep_best(vectors, fitness, k: int):
+    """The k fittest rows; a stable sort gives ties to the earlier row."""
+    keep = np.argsort(fitness, kind="stable")[:k]
+    return keep, vectors[keep], fitness[keep]
 
 
 def qobl_population(pop: Population, config: CodelConfig, objective, rng) -> Population:
@@ -157,26 +163,19 @@ def qobl_population(pop: Population, config: CodelConfig, objective, rng) -> Pop
 
     Each member's quasi-opposite (against the static box bounds) is
     evaluated, and the population becomes the best population_size of
-    the union. Evaluations stop early if the budget runs out.
+    the union, members before their opposites on ties. Evaluations stop
+    early if the budget runs out.
     """
     budget_left = config.nfe_max - pop.nfe
     if budget_left <= 0:
         return pop
-    opposites = [
-        quasi_opposite(m.params, config.lower, config.upper, rng)
-        for m in pop.members
-    ]
-    evaluated = _evaluate_batch(opposites, objective, budget_left)
-    union = sorted(
-        list(pop.members) + evaluated, key=lambda m: m.fitness
-    )[: len(pop.members)]
-    members = tuple(union)
-    return replace(
-        pop,
-        members=members,
-        nfe=pop.nfe + len(evaluated),
-        best=select(pop.best, _best_member(members)),
-    )
+    n = len(pop.fitness)
+    opposites = quasi_opposite(pop.vectors, config.lower, config.upper, rng)[:budget_left]
+    scores = _evaluate(objective, opposites)
+    keep, vectors, fitness = _keep_best(np.concatenate([pop.vectors, opposites]),
+                                        np.concatenate([pop.fitness, scores]), n)
+    return Population(vectors, fitness, pop.nfe + len(scores), pop.iteration,
+                      entered=int(np.count_nonzero(keep >= n)))
 
 
 def _lloyd_iterations(points: np.ndarray, k: int, rng):
@@ -234,86 +233,63 @@ def cluster_update(pop: Population, config: CodelConfig, objective, rng) -> Popu
     """Replace k random non-best members with the k best of centers-plus-them.
 
     k is drawn uniformly from [2, floor(sqrt(population_size))]. Cluster
-    centers are evaluated (spending budget); the incumbent best member
-    is never eligible for replacement.
+    centers are evaluated (spending budget) and win ties against the
+    drawn members; the incumbent best member is never eligible for
+    replacement.
     """
     budget_left = config.nfe_max - pop.nfe
     if budget_left <= 0:
         return pop
-    n = len(pop.members)
+    n = len(pop.fitness)
     k_max = int(np.floor(np.sqrt(n)))
     if k_max < 2:
         return pop
     k = int(rng.integers(2, k_max + 1))
 
-    centers, _ = kmeans(pop.vectors(), k, rng)
-    evaluated_centers = _evaluate_batch(centers, objective, budget_left)
+    centers, _ = kmeans(pop.vectors, k, rng)
+    centers = centers[:budget_left]
+    scores = _evaluate(objective, centers)
 
-    fitnesses = pop.fitnesses()
-    best_index = int(np.argmin(fitnesses))
-    eligible = [i for i in range(n) if i != best_index]
-    replace_idx = rng.choice(eligible, size=k, replace=False)
+    eligible = np.delete(np.arange(n), int(np.argmin(pop.fitness)))
+    slots = rng.choice(eligible, size=k, replace=False)
+    keep, survivors, survivor_fitness = _keep_best(
+        np.concatenate([centers, pop.vectors[slots]]),
+        np.concatenate([scores, pop.fitness[slots]]), k)
 
-    drawn = [pop.members[i] for i in replace_idx]
-    survivors = sorted(
-        evaluated_centers + drawn, key=lambda m: m.fitness
-    )[:k]
-
-    members = list(pop.members)
-    for slot, member in zip(replace_idx, survivors):
-        members[slot] = member
-    members = tuple(members)
-    return replace(
-        pop,
-        members=members,
-        nfe=pop.nfe + len(evaluated_centers),
-        best=select(pop.best, _best_member(members)),
-    )
+    vectors, fitness = pop.vectors.copy(), pop.fitness.copy()
+    vectors[slots], fitness[slots] = survivors, survivor_fitness
+    return Population(vectors, fitness, pop.nfe + len(scores), pop.iteration,
+                      entered=int(np.count_nonzero(keep < len(scores))))
 
 
-def _initial_population(objective, dim: int, config: CodelConfig, rng_init, rng_qobl,
-                        with_opposition: bool) -> Population:
-    vectors = rng_init.uniform(config.lower, config.upper,
-                               size=(config.population_size, dim))
-    members = tuple(_evaluate_batch(vectors, objective, config.nfe_max))
-    pop = Population(
-        members=members,
-        nfe=len(members),
-        iteration=0,
-        best=_best_member(members),
-    )
-    if with_opposition:
-        pop = qobl_population(pop, config, objective, rng_qobl)
-    return pop
+def _initial_population(objective, dim: int, config: CodelConfig, rng) -> Population:
+    vectors = rng.uniform(config.lower, config.upper,
+                          size=(config.population_size, dim))[: config.nfe_max]
+    fitness = _evaluate(objective, vectors)
+    return Population(vectors, fitness, nfe=len(fitness), iteration=0)
 
 
 def _generation(pop: Population, config: CodelConfig, objective, rng) -> Population:
     """One pass of mutate/crossover/select over every member.
 
-    Stops early once the evaluation budget is spent, leaving later
-    members untouched for that iteration.
+    Trials come from the generation-start population, and a trial that
+    scores no worse replaces its target. Stops early once the evaluation
+    budget is spent, leaving later members untouched for that iteration.
     """
-    members = list(pop.members)
-    vectors = pop.vectors()
-    nfe = pop.nfe
-    for i in range(len(members)):
-        if nfe >= config.nfe_max:
-            break
-        mutant = mutate(vectors, i, config.scale_factor,
+    vectors, fitness = pop.vectors.copy(), pop.fitness.copy()
+    trials = max(0, min(len(fitness), config.nfe_max - pop.nfe))
+    wins = 0
+    for i in range(trials):
+        mutant = mutate(pop.vectors, i, config.scale_factor,
                         config.lower, config.upper, rng)
-        trial_vec = binomial_crossover(vectors[i], mutant,
-                                       config.crossover_rate, rng)
-        trial = CandidateSolution(trial_vec, float(objective(trial_vec)))
-        nfe += 1
-        members[i] = select(members[i], trial)
-    members = tuple(members)
-    return replace(
-        pop,
-        members=members,
-        nfe=nfe,
-        iteration=pop.iteration + 1,
-        best=select(pop.best, _best_member(members)),
-    )
+        trial = binomial_crossover(pop.vectors[i], mutant,
+                                   config.crossover_rate, rng)
+        f_trial = float(objective(trial))
+        if f_trial <= fitness[i]:
+            vectors[i], fitness[i] = trial, f_trial
+            wins += 1
+    return Population(vectors, fitness, pop.nfe + trials, pop.iteration + 1,
+                      entered=wins)
 
 
 def _run(objective, dim: int, config: CodelConfig,
@@ -322,17 +298,29 @@ def _run(objective, dim: int, config: CodelConfig,
     rng_gen = named_rng(config.seed, "generation")
     rng_cluster = named_rng(config.seed, "cluster")
     rng_qobl = named_rng(config.seed, "qobl")
+    nfe_by_source = dict.fromkeys(("init", "generation", "cluster", "qobl"), 0)
+    entered = dict.fromkeys(("generation", "cluster", "qobl"), 0)
 
-    pop = _initial_population(objective, dim, config, rng_init, rng_qobl,
-                              with_opposition=opposition)
+    def apply(source, move, pop, rng):
+        after = move(pop, config, objective, rng)
+        spent = after.nfe - pop.nfe
+        nfe_by_source[source] += spent
+        if spent:  # a move that spends nothing returns its input as is
+            entered[source] += after.entered
+        return after
+
+    pop = _initial_population(objective, dim, config, rng_init)
+    nfe_by_source["init"] = pop.nfe
+    if opposition:
+        pop = apply("qobl", qobl_population, pop, rng_qobl)
     history = []
     nfe_history = []
     while pop.nfe < config.nfe_max:
-        pop = _generation(pop, config, objective, rng_gen)
+        pop = apply("generation", _generation, pop, rng_gen)
         if clustering and pop.iteration % config.clustering_period == 0:
-            pop = cluster_update(pop, config, objective, rng_cluster)
+            pop = apply("cluster", cluster_update, pop, rng_cluster)
         if opposition and rng_qobl.random() < config.jumping_rate:
-            pop = qobl_population(pop, config, objective, rng_qobl)
+            pop = apply("qobl", qobl_population, pop, rng_qobl)
         history.append(pop.best.fitness)
         nfe_history.append(pop.nfe)
     return CodelResult(
@@ -341,6 +329,9 @@ def _run(objective, dim: int, config: CodelConfig,
         nfe_history=np.array(nfe_history, dtype=int),
         nfe=pop.nfe,
         iterations=pop.iteration,
+        nfe_by_source=nfe_by_source,
+        entered={"cluster": entered["cluster"], "qobl": entered["qobl"]},
+        trial_wins=entered["generation"],
     )
 
 

@@ -227,10 +227,11 @@ def build_comparison(names, means_pct) -> Comparison:
     outcomes = {c: tuple(o.tolist()) for (_, c), o in zip(pairs, pair_outcomes(base, boosted))}
 
     def safe_ee(base_pct: float, boosted_pct: float) -> float:
-        # A perfect base score leaves no error to reduce, so the
-        # enhancement is undefined there; nan keeps the table shape
-        # without crashing the whole report.
-        if base_pct >= 100.0:
+        # A perfect base score leaves no error to reduce, and a missing
+        # (nan) cell leaves nothing to compare, so the enhancement is
+        # undefined there; nan keeps the table shape without crashing
+        # the whole report.
+        if base_pct >= 100.0 or np.isnan(base_pct) or np.isnan(boosted_pct):
             return float("nan")
         return error_enhancement(base_pct, boosted_pct)
 

@@ -14,6 +14,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.stats import rankdata
 
+from codel.mlp import CandidateSolution, forward
+from codel.streams import named_rng
+
 
 # ------------------------------------------------------------------
 # HRV features, transcribed with scalar loops
@@ -264,3 +267,177 @@ def sigmoid_reference(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+# ------------------------------------------------------------------
+# The global search with a tuple of frozen members, one per object
+# ------------------------------------------------------------------
+
+def _select_reference(target, trial):
+    return trial if trial.fitness <= target.fitness else target
+
+
+def _best_member_reference(members):
+    return min(members, key=lambda m: m.fitness)
+
+
+def _evaluate_batch_reference(vectors, objective, budget_left):
+    out = []
+    for v in vectors:
+        if len(out) >= budget_left:
+            break
+        out.append(CandidateSolution(v, float(objective(v))))
+    return out
+
+
+def _quasi_opposite_reference(x, a, b, rng):
+    mid = (np.asarray(a, dtype=float) + b) / 2.0
+    opp = a + b - np.clip(x, a, b)
+    return rng.uniform(np.minimum(mid, opp), np.maximum(mid, opp))
+
+
+def _kmeans_reference(points, k, rng):
+    """Lloyd's algorithm, reseeding empty clusters with the farthest point."""
+    n = points.shape[0]
+    centers = points[rng.choice(n, size=k, replace=False)].copy()
+    assignments = np.full(n, -1)
+    for _ in range(100):
+        dist = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
+        new_assignments = np.argmin(dist, axis=1)
+        taken = set()
+        for c in range(k):
+            if np.any(new_assignments == c):
+                continue
+            own_dist = dist[np.arange(n), new_assignments].copy()
+            own_dist[list(taken)] = -np.inf
+            far = int(np.argmax(own_dist))
+            taken.add(far)
+            centers[c] = points[far]
+            new_assignments[far] = c
+        if np.array_equal(new_assignments, assignments):
+            break
+        assignments = new_assignments
+        for c in range(k):
+            centers[c] = points[assignments == c].mean(axis=0)
+    return centers
+
+
+def run_codel_reference(objective, dim, config, clustering=True, opposition=True):
+    """Cluster/quasi-opposition DE over a tuple of CandidateSolutions.
+
+    Every member is its own frozen object, every selection compares two
+    of them, and each quasi-opposite is drawn member by member. Returns
+    (best, history, nfe_history, nfe, iterations), with best a
+    CandidateSolution; clustering=opposition=False gives plain DE.
+    A sixth item holds the run's counts: nfe by source, and the members
+    each move put in, counted by object identity.
+    """
+    rng_init = named_rng(config.seed, "init")
+    rng_gen = named_rng(config.seed, "generation")
+    rng_cluster = named_rng(config.seed, "cluster")
+    rng_qobl = named_rng(config.seed, "qobl")
+    state = {}
+    nfe_by_source = dict.fromkeys(("init", "generation", "cluster", "qobl"), 0)
+    entered = dict.fromkeys(("generation", "cluster", "qobl"), 0)
+
+    def counted(source, move, members):
+        nfe, ids = state["nfe"], {id(m) for m in members}
+        out = move(members)
+        nfe_by_source[source] += state["nfe"] - nfe
+        entered[source] += sum(1 for m in out if id(m) not in ids)
+        return out
+
+    def qobl(members):
+        budget_left = config.nfe_max - state["nfe"]
+        if budget_left <= 0:
+            return members
+        opposites = [_quasi_opposite_reference(m.params, config.lower, config.upper,
+                                               rng_qobl) for m in members]
+        evaluated = _evaluate_batch_reference(opposites, objective, budget_left)
+        state["nfe"] += len(evaluated)
+        return tuple(sorted(list(members) + evaluated,
+                            key=lambda m: m.fitness)[: len(members)])
+
+    def cluster(members):
+        budget_left = config.nfe_max - state["nfe"]
+        if budget_left <= 0:
+            return members
+        n = len(members)
+        k_max = int(np.floor(np.sqrt(n)))
+        if k_max < 2:
+            return members
+        k = int(rng_cluster.integers(2, k_max + 1))
+        vectors = np.array([m.params for m in members])
+        centers = _kmeans_reference(vectors, k, rng_cluster)
+        evaluated_centers = _evaluate_batch_reference(centers, objective, budget_left)
+        state["nfe"] += len(evaluated_centers)
+        best_index = int(np.argmin([m.fitness for m in members]))
+        eligible = [i for i in range(n) if i != best_index]
+        replace_idx = rng_cluster.choice(eligible, size=k, replace=False)
+        drawn = [members[i] for i in replace_idx]
+        survivors = sorted(evaluated_centers + drawn, key=lambda m: m.fitness)[:k]
+        out = list(members)
+        for slot, member in zip(replace_idx, survivors):
+            out[slot] = member
+        return tuple(out)
+
+    def generation(members):
+        out = list(members)
+        vectors = np.array([m.params for m in members])
+        for i in range(len(out)):
+            if state["nfe"] >= config.nfe_max:
+                break
+            others = [j for j in range(len(out)) if j != i]
+            r1, r2, r3 = rng_gen.choice(others, size=3, replace=False)
+            mutant = np.clip(vectors[r1] + config.scale_factor * (vectors[r2] - vectors[r3]),
+                             config.lower, config.upper)
+            j_rand = rng_gen.integers(dim)
+            take = rng_gen.random(dim) <= config.crossover_rate
+            take[j_rand] = True
+            trial_vec = np.where(take, mutant, vectors[i])
+            trial = CandidateSolution(trial_vec, float(objective(trial_vec)))
+            state["nfe"] += 1
+            out[i] = _select_reference(out[i], trial)
+        return tuple(out)
+
+    vectors = rng_init.uniform(config.lower, config.upper,
+                               size=(config.population_size, dim))
+    members = tuple(_evaluate_batch_reference(vectors, objective, config.nfe_max))
+    state["nfe"] = nfe_by_source["init"] = len(members)
+    best = _best_member_reference(members)
+    if opposition:
+        members = counted("qobl", qobl, members)
+        best = _select_reference(best, _best_member_reference(members))
+    history, nfe_history = [], []
+    iteration = 0
+    while state["nfe"] < config.nfe_max:
+        members = counted("generation", generation, members)
+        iteration += 1
+        best = _select_reference(best, _best_member_reference(members))
+        if clustering and iteration % config.clustering_period == 0:
+            members = counted("cluster", cluster, members)
+            best = _select_reference(best, _best_member_reference(members))
+        if opposition and rng_qobl.random() < config.jumping_rate:
+            members = counted("qobl", qobl, members)
+            best = _select_reference(best, _best_member_reference(members))
+        history.append(best.fitness)
+        nfe_history.append(state["nfe"])
+    counts = {"nfe_by_source": nfe_by_source,
+              "entered": {"cluster": entered["cluster"], "qobl": entered["qobl"]},
+              "trial_wins": entered["generation"]}
+    return (best, np.array(history), np.array(nfe_history, dtype=int),
+            state["nfe"], iteration, counts)
+
+
+# ------------------------------------------------------------------
+# MLP decisions through the output activation
+# ------------------------------------------------------------------
+
+def predict_reference(params, topology, rows):
+    """Class 1 where the output neuron's sigmoid activation is >= 0.5."""
+    return (forward(params, topology, rows)[:, 0] >= 0.5).astype(int)
+
+
+def classification_error_reference(params, topology, data):
+    wrong = np.count_nonzero(predict_reference(params, topology, data.rows) != data.labels)
+    return 100.0 * wrong / len(data)

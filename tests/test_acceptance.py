@@ -25,7 +25,6 @@ from codel.local_search import METHODS, LocalSearchConfig
 from codel.mlp import Dataset, MlpTopology, mse_loss, mse_loss_and_gradient
 from codel.optimizer import (
     CodelConfig,
-    CandidateSolution,
     Population,
     _lloyd_iterations,
     cluster_update,
@@ -218,19 +217,14 @@ def test_criterion_06_opposition_properties():
     config = CodelConfig(population_size=20, nfe_max=10_000, seed=0)
     for trial in range(100):
         vectors = rng.uniform(config.lower, config.upper, (20, 4))
-        members = tuple(
-            CandidateSolution(v, _sphere(v)) for v in vectors
-        )
-        pop = Population(
-            members=members, nfe=0, iteration=0,
-            best=min(members, key=lambda m: m.fitness),
-        )
+        pop = Population(vectors, np.array([_sphere(v) for v in vectors]),
+                         nfe=0, iteration=0)
         jumped = qobl_population(pop, config, _sphere, rng)
-        if len(jumped.members) != 20:
-            failures.append(f"trial {trial}: population size {len(jumped.members)}")
+        if jumped.vectors.shape != (20, 4) or jumped.fitness.shape != (20,):
+            failures.append(f"trial {trial}: population size {len(jumped.fitness)}")
             break
-        before = np.sort(pop.fitnesses())
-        after = np.sort(jumped.fitnesses())
+        before = np.sort(pop.fitness)
+        after = np.sort(jumped.fitness)
         if not np.all(after <= before + 1e-12):
             failures.append(f"trial {trial}: union selection lost ground")
             break
@@ -270,11 +264,11 @@ def test_criterion_07_optimizer_on_sphere():
     small = CodelConfig(population_size=16, nfe_max=10_000, seed=0)
     for _ in range(30):
         vectors = rng.uniform(small.lower, small.upper, (16, 5))
-        members = tuple(CandidateSolution(v, _sphere(v)) for v in vectors)
-        pop = Population(members, nfe=32, iteration=1,
-                         best=min(members, key=lambda m: m.fitness))
+        pop = Population(vectors, np.array([_sphere(v) for v in vectors]),
+                         nfe=32, iteration=1)
         for op in (qobl_population, cluster_update):
-            if len(op(pop, small, _sphere, rng).members) != 16:
+            out = op(pop, small, _sphere, rng)
+            if out.vectors.shape != (16, 5) or out.fitness.shape != (16,):
                 failures.append(f"{op.__name__} changed the population size")
 
     elapsed = time.perf_counter() - start

@@ -274,6 +274,29 @@ class TestCompareTables:
             pytest.approx(400.0 / 30.0)
         )
 
+    def test_nan_cell_in_a_pair_is_a_loss_not_an_abort(self, tmp_path):
+        """A nan in a paired row leaves its enhancement nan and scores a loss."""
+        means = tmp_path / "means.csv"
+        write_table(means, ["algorithm", *METRIC_NAMES], [
+            ["rp", 70.0, 80.0, 60.0, 75.0, 72.0, 66.0],
+            ["codel-rp", float("nan"), 82.0, 64.0, 77.0, 74.0, 69.0],
+            ["oss", 68.0, 81.0, 58.0, 74.0, 71.0, 65.0],
+        ])
+        out_dir = tmp_path / "out"
+        rc = main(["compare-tables", "--means-csv", str(means),
+                   "--seed", "1", "--out-dir", str(out_dir)])
+        assert rc == 0
+
+        _, ee_rows, _ = read_table(out_dir / "ee.csv")
+        ee = {r[0]: [float(v) for v in r[1:]] for r in ee_rows}["codel-rp"]
+        assert np.isnan(ee[0])
+        assert ee[1] == pytest.approx(10.0)
+
+        _, wtl_rows, _ = read_table(out_dir / "wtl.csv")
+        wtl_by_metric = {r[0]: r[1:] for r in wtl_rows}
+        assert wtl_by_metric["accuracy"] == ["0", "0", "1"]
+        assert wtl_by_metric["sensitivity"] == ["1", "0", "0"]
+
     def test_wrong_header_fails(self, tmp_path, capsys):
         means = tmp_path / "means.csv"
         write_table(means, ["algorithm", "acc"], [["rp", 70.0]])

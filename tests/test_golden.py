@@ -117,6 +117,16 @@ CASES = {
                        "--out-dir", "out"],
     "compare-tables": ["compare-tables", "--means-csv", "means.csv",
                        "--seed", "1", "--out-dir", "out"],
+    # Budgets that run out inside a move: the train search stops two
+    # trials into a generation; the evaluate searches stop inside
+    # generations and inside quasi-opposition jumps.
+    "train-edge": ["train", "--features-csv", "features.csv", "--seed", "3",
+                   "--np", "5", "--nfe", "37", "--hidden", "3",
+                   "--epochs", "5", "--out-dir", "out"],
+    "evaluate-edge": ["evaluate", "--features-csv", "features.csv",
+                      "--seed", "5", "-k", "2", "--np", "4", "--nfe", "60",
+                      "--hidden", "2", "--epochs", "3", "--jobs", "1",
+                      "--out-dir", "out"],
 }
 
 

@@ -2,12 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codel.errors import ParameterError, ShapeError
 from codel.mlp import (
     CandidateSolution,
     Dataset,
     MlpTopology,
+    _classify,
+    _forward_activations,
     _sigmoid,
     classification_error,
     decode,
@@ -18,7 +22,12 @@ from codel.mlp import (
     predict,
 )
 
-from oracles import central_difference, sigmoid_reference
+from oracles import (
+    central_difference,
+    classification_error_reference,
+    predict_reference,
+    sigmoid_reference,
+)
 
 
 def _random_dataset(rng, n_rows, n_features):
@@ -190,6 +199,56 @@ class TestClassificationError:
         data = Dataset(np.zeros((2, 2)), [0, 1])
         with pytest.raises(ShapeError):
             data.subset([])
+
+
+# Output pre-activations where sigmoid(z) >= 0.5 and z >= 0 can disagree:
+# the sigmoid rounds to exactly 0.5 a little below zero.
+EDGE_Z = (0.0, -0.0, 1e-17, -1e-17, 4.5e-17, -4.5e-17, 1e-16, -1e-16, 1e-15, -1e-15)
+
+
+class TestDecisionsMatchSigmoidRule:
+    """Decisions by the sign of z against the reference sigmoid(z) >= 0.5."""
+
+    def test_classify_on_the_edges_and_their_neighbours(self):
+        z = np.array(EDGE_Z + (5.55e-17, -5.55e-17, 5.6e-17, -5.6e-17))
+        z = np.concatenate([z, np.nextafter(z, np.inf), np.nextafter(z, -np.inf),
+                            [np.inf, -np.inf, np.nan]])
+        with np.errstate(invalid="ignore"):
+            np.testing.assert_array_equal(_classify(z), _sigmoid(z) >= 0.5)
+        # The band really is there: z >= 0 alone would read these as 0.
+        assert _classify(np.array([-1e-17, -4.5e-17])).all()
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           z=st.one_of(st.sampled_from(EDGE_Z), st.floats(-1e-14, 1e-14),
+                       st.floats(-50.0, 50.0)),
+           cancel=st.booleans(),
+           n_in=st.integers(1, 4), n_hidden=st.integers(1, 3), n_rows=st.integers(1, 20))
+    @settings(max_examples=300)
+    def test_classification_error_and_predict_match_reference(
+            self, seed, z, cancel, n_in, n_hidden, n_rows):
+        """The output bias is set so the pre-activation lands on or next to z.
+
+        Without `cancel` the output weights are zero, so every row's
+        pre-activation is exactly z (or +0.0 for z = -0.0). With it, the
+        bias cancels one row's weighted sum, leaving that row within a few
+        ulps of the sum's size around z and the other rows spread around.
+        """
+        rng = np.random.default_rng(seed)
+        topo = MlpTopology((n_in, n_hidden, 1))
+        data = Dataset(rng.normal(0, 1, (n_rows, n_in)), rng.integers(0, 2, n_rows))
+        layers = decode(rng.normal(0, 2, topo.param_count), topo)
+        w_out = layers[-1][0]
+        if cancel:
+            hidden = _forward_activations(encode(layers, topo), topo, data.rows)[-2]
+            bias = z - (hidden @ w_out.T)[rng.integers(n_rows), 0]
+        else:
+            w_out, bias = np.zeros_like(w_out), z
+        params = encode(layers[:-1] + [(w_out, np.array([bias]))], topo)
+
+        assert (classification_error(params, topo, data)
+                == classification_error_reference(params, topo, data))
+        np.testing.assert_array_equal(predict(params, topo, data.rows),
+                                      predict_reference(params, topo, data.rows))
 
 
 class TestMseGradient:

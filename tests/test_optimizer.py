@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from codel.errors import ContractError, ParameterError
-from codel.mlp import CandidateSolution
+import codel.optimizer as optimizer
+from codel.errors import ParameterError
+from codel.mlp import Dataset, MlpTopology, classification_error
 from codel.optimizer import (
     CodelConfig,
     Population,
+    _generation,
     _lloyd_iterations,
     binomial_crossover,
     cluster_update,
@@ -16,8 +20,9 @@ from codel.optimizer import (
     quasi_opposite,
     run_codel,
     run_plain_de,
-    select,
 )
+
+from oracles import run_codel_reference
 
 
 def _sphere(v):
@@ -25,12 +30,9 @@ def _sphere(v):
 
 
 def _evaluated_population(vectors, objective, nfe=0, iteration=0):
-    members = tuple(
-        CandidateSolution(np.asarray(v, dtype=float), objective(v))
-        for v in vectors
-    )
-    return Population(members=members, nfe=nfe, iteration=iteration,
-                      best=min(members, key=lambda m: m.fitness))
+    vectors = np.array(vectors, dtype=float)
+    fitness = np.array([objective(v) for v in vectors], dtype=float)
+    return Population(vectors, fitness, nfe=nfe, iteration=iteration)
 
 
 class _FixedChoice:
@@ -101,26 +103,53 @@ class TestQuasiOpposite:
 
 
 class TestSelect:
+    """Selection inside a generation, one trial against member 0."""
+
+    @staticmethod
+    def _one_trial(trial_fitness):
+        rng = np.random.default_rng(30)
+        vectors = rng.uniform(-5, 5, (4, 2))
+        pop = Population(vectors, np.array([20.0, 1.0, 2.0, 3.0]), nfe=4, iteration=0)
+        trials = []
+
+        def objective(v):
+            trials.append(v.copy())
+            return trial_fitness
+
+        # The budget leaves room for exactly one trial.
+        config = CodelConfig(population_size=4, nfe_max=5)
+        out = _generation(pop, config, objective, rng)
+        assert len(trials) == 1 and out.nfe == 5 and out.iteration == 1
+        assert not np.array_equal(trials[0], vectors[0])
+        np.testing.assert_array_equal(pop.vectors, vectors)
+        np.testing.assert_array_equal(out.vectors[1:], vectors[1:])
+        return pop, out, trials[0]
 
     def test_better_trial_wins(self):
-        target = CandidateSolution(np.zeros(2), 20.0)
-        trial = CandidateSolution(np.ones(2), 10.0)
-        assert select(target, trial) is trial
+        _, out, trial = self._one_trial(10.0)
+        np.testing.assert_array_equal(out.vectors[0], trial)
+        assert out.fitness[0] == 10.0 and out.entered == 1
 
     def test_better_target_survives(self):
-        target = CandidateSolution(np.zeros(2), 10.0)
-        trial = CandidateSolution(np.ones(2), 20.0)
-        assert select(target, trial) is target
+        pop, out, _ = self._one_trial(30.0)
+        np.testing.assert_array_equal(out.vectors[0], pop.vectors[0])
+        assert out.fitness[0] == 20.0 and out.entered == 0
 
     def test_tie_goes_to_trial(self):
-        target = CandidateSolution(np.zeros(2), 10.0)
-        trial = CandidateSolution(np.ones(2), 10.0)
-        assert select(target, trial) is trial
+        _, out, trial = self._one_trial(20.0)
+        np.testing.assert_array_equal(out.vectors[0], trial)
+        assert out.fitness[0] == 20.0 and out.entered == 1
 
-    def test_unevaluated_input_rejected(self):
-        target = CandidateSolution(np.zeros(2), 10.0)
-        with pytest.raises(ContractError):
-            select(target, CandidateSolution(np.ones(2)))
+    def test_nan_trial_never_replaces_target(self):
+        pop, out, _ = self._one_trial(float("nan"))
+        np.testing.assert_array_equal(out.vectors[0], pop.vectors[0])
+        assert out.fitness[0] == 20.0 and out.entered == 0
+
+    def test_best_is_first_member_of_least_fitness(self):
+        vectors = np.arange(8.0).reshape(4, 2)
+        pop = Population(vectors, np.array([3.0, 1.0, 1.0, 2.0]), nfe=4, iteration=0)
+        np.testing.assert_array_equal(pop.best.params, vectors[1])
+        assert pop.best.fitness == 1.0
 
 
 class TestMutate:
@@ -194,7 +223,7 @@ class TestQoblPopulation:
         config = CodelConfig(population_size=8, nfe_max=1000)
         out = qobl_population(pop, config, _sphere, rng)
         assert out.best.fitness == 0.0
-        assert min(m.fitness for m in out.members) == 0.0
+        assert out.fitness.min() == 0.0
 
     def test_size_preserved_and_budget_spent(self):
         rng = np.random.default_rng(14)
@@ -202,7 +231,7 @@ class TestQoblPopulation:
                                     nfe=10)
         config = CodelConfig(population_size=10, nfe_max=1000)
         out = qobl_population(pop, config, _sphere, rng)
-        assert len(out.members) == 10
+        assert out.vectors.shape == (10, 4) and out.fitness.shape == (10,)
         assert out.nfe == 20
 
     def test_union_never_worsens_any_rank(self):
@@ -213,8 +242,8 @@ class TestQoblPopulation:
             pop = _evaluated_population(rng.uniform(-10, 10, (12, 3)), _sphere,
                                         nfe=12)
             out = qobl_population(pop, config, _sphere, rng)
-            before = np.sort(pop.fitnesses())
-            after = np.sort(out.fitnesses())
+            before = np.sort(pop.fitness)
+            after = np.sort(out.fitness)
             assert np.all(after <= before)
 
     def test_samples_respect_bounds(self):
@@ -223,7 +252,7 @@ class TestQoblPopulation:
                              lower=-2.0, upper=3.0)
         pop = _evaluated_population(rng.uniform(-2, 3, (6, 5)), _sphere, nfe=6)
         out = qobl_population(pop, config, _sphere, rng)
-        assert np.all(out.vectors() >= -2.0) and np.all(out.vectors() <= 3.0)
+        assert np.all(out.vectors >= -2.0) and np.all(out.vectors <= 3.0)
 
     def test_exhausted_budget_is_a_no_op(self):
         rng = np.random.default_rng(17)
@@ -302,10 +331,10 @@ class TestClusterUpdate:
         pop = self._two_blob_population()
         config = CodelConfig(population_size=8, nfe_max=1000)
         out = cluster_update(pop, config, _sphere, np.random.default_rng(1))
-        assert len(out.members) == 8
+        assert out.vectors.shape == (8, 2) and out.fitness.shape == (8,)
         assert out.nfe == pop.nfe + 2
         assert out.best.fitness == 0.0
-        assert any(np.array_equal(m.params, [0.0, 0.0]) for m in out.members)
+        assert any(np.array_equal(v, [0.0, 0.0]) for v in out.vectors)
 
     def test_best_never_degrades(self):
         rng = np.random.default_rng(22)
@@ -314,7 +343,7 @@ class TestClusterUpdate:
             pop = _evaluated_population(rng.uniform(-10, 10, (16, 3)), _sphere,
                                         nfe=16)
             out = cluster_update(pop, config, _sphere, rng)
-            assert len(out.members) == 16
+            assert out.vectors.shape == (16, 3) and out.fitness.shape == (16,)
             assert out.best.fitness <= pop.best.fitness
             # k is drawn from [2, floor(sqrt(16))]
             assert 2 <= out.nfe - pop.nfe <= 4
@@ -401,3 +430,108 @@ class TestRunCodel:
         for kwargs in bad:
             with pytest.raises(ParameterError):
                 CodelConfig(**kwargs)
+
+
+def _mlp_objective():
+    """Classification error of a 3-2-1 net on 30 rows: many fitness ties."""
+    rng = np.random.default_rng(0)
+    rows = rng.normal(0, 1, (30, 3))
+    data = Dataset(rows, (rows[:, 0] + 0.5 * rows[:, 1] > 0).astype(int))
+    topology = MlpTopology((3, 2, 1))
+    return (lambda v: classification_error(v, topology, data)), topology.param_count
+
+
+OBJECTIVES = {"sphere": (_sphere, 3), "mlp": _mlp_objective()}
+
+# nfe_max per (objective, population size) at seed 7 whose budget runs
+# out partway through the named move; test_budgets_end_inside_named_move
+# checks that each still does.
+BUDGETS = {
+    ("sphere", 4): {"generation": 13, "cluster": 49, "qobl": 71},
+    ("sphere", 5): {"generation": 16, "cluster": 61, "qobl": 73},
+    ("sphere", 12): {"generation": 37, "qobl": 49, "cluster": 205},
+    ("sphere", 50): {"generation": 151, "qobl": 401, "cluster": 751},
+    ("mlp", 4): {"generation": 13, "qobl": 25, "cluster": 65},
+    ("mlp", 5): {"qobl": 16, "generation": 21, "cluster": 91},
+    ("mlp", 12): {"generation": 37, "qobl": 85, "cluster": 181},
+    ("mlp", 50): {"qobl": 151, "generation": 201, "cluster": 851},
+}
+CASES = [(name, size, move, nfe) for (name, size), moves in BUDGETS.items()
+         for move, nfe in moves.items()]
+
+
+class TestMatchesReference:
+    """Bit for bit against the search over a tuple of frozen members."""
+
+    @pytest.mark.parametrize("name,size,move,nfe_max", CASES)
+    @pytest.mark.parametrize("plain", [False, True], ids=["codel", "plain"])
+    def test_same_result_and_counts(self, name, size, move, nfe_max, plain):
+        objective, dim = OBJECTIVES[name]
+        config = CodelConfig(population_size=size, nfe_max=nfe_max, seed=7)
+        run = run_plain_de if plain else run_codel
+        result = run(objective, dim, config)
+        best, history, nfe_history, nfe, iterations, counts = run_codel_reference(
+            objective, dim, config, clustering=not plain, opposition=not plain)
+        np.testing.assert_array_equal(result.best.params, best.params)
+        assert result.best.fitness == best.fitness
+        np.testing.assert_array_equal(result.history, history)
+        np.testing.assert_array_equal(result.nfe_history, nfe_history)
+        assert (result.nfe, result.iterations) == (nfe, iterations)
+        assert result.nfe_by_source == counts["nfe_by_source"]
+        assert result.entered == counts["entered"]
+        assert result.trial_wins == counts["trial_wins"]
+
+    @staticmethod
+    def _spending_moves(monkeypatch, objective, dim, config):
+        """(move, nfe spent) for every move of a run that spent any."""
+        spent = []
+        for source, attr in (("generation", "_generation"), ("cluster", "cluster_update"),
+                             ("qobl", "qobl_population")):
+            def recorded(pop, config, objective, rng,
+                         _move=getattr(optimizer, attr), _source=source):
+                out = _move(pop, config, objective, rng)
+                spent.append((_source, out.nfe - pop.nfe))
+                return out
+            monkeypatch.setattr(optimizer, attr, recorded)
+        optimizer.run_codel(objective, dim, config)
+        monkeypatch.undo()
+        return [s for s in spent if s[1] > 0]
+
+    @pytest.mark.parametrize("name,size,move,nfe_max", CASES)
+    def test_budgets_end_inside_named_move(self, name, size, move, nfe_max, monkeypatch):
+        objective, dim = OBJECTIVES[name]
+        config = CodelConfig(population_size=size, nfe_max=nfe_max, seed=7)
+        moves = self._spending_moves(monkeypatch, objective, dim, config)
+        roomy = self._spending_moves(monkeypatch, objective, dim,
+                                     replace(config, nfe_max=nfe_max + 50))
+        # The runs agree up to the last move, which spends more given room.
+        last, spent = moves[-1]
+        assert last == move
+        assert roomy[: len(moves) - 1] == moves[:-1]
+        assert roomy[len(moves) - 1][0] == move and roomy[len(moves) - 1][1] > spent
+
+
+class TestRunCounts:
+
+    def test_sources_sum_to_nfe(self):
+        for seed in range(3):
+            config = CodelConfig(population_size=12, nfe_max=700, seed=seed)
+            result = run_codel(_sphere, 3, config)
+            assert sum(result.nfe_by_source.values()) == result.nfe
+            assert result.nfe_by_source["init"] == 12
+            assert result.trial_wins <= result.nfe_by_source["generation"]
+            assert result.entered["cluster"] <= result.nfe_by_source["cluster"]
+            assert result.entered["qobl"] <= result.nfe_by_source["qobl"]
+
+    def test_plain_de_spends_only_on_init_and_generations(self):
+        result = run_plain_de(_sphere, 3, CodelConfig(population_size=10, nfe_max=305))
+        assert result.nfe_by_source == {"init": 10, "generation": 295, "cluster": 0, "qobl": 0}
+        assert result.entered == {"cluster": 0, "qobl": 0}
+
+    def test_budget_below_population_evaluates_only_the_budget(self):
+        calls = []
+        result = run_codel(lambda v: calls.append(1) or 1.0, 2,
+                           CodelConfig(population_size=10, nfe_max=6))
+        assert len(calls) == result.nfe == 6
+        assert result.nfe_by_source == {"init": 6, "generation": 0, "cluster": 0, "qobl": 0}
+        assert result.history.size == 0
