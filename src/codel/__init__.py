@@ -6,115 +6,10 @@ globally searching network weights with cluster- and opposition-
 enhanced differential evolution, refining them with one of six
 gradient methods, and scoring everything under stratified k-fold
 cross-validation.
+
+Names are imported from the submodules (`codel.cli`, `codel.training`,
+`codel.local_search`, ...); the package itself exports only
+`__version__`.
 """
 
-from .config import RunConfig, parse_config
-from .errors import (
-    CodelError,
-    ContractError,
-    InsufficientDataError,
-    ParameterError,
-    ShapeError,
-)
-from .evaluation import (
-    METRIC_NAMES,
-    ConfusionMatrix,
-    CrossValidationResult,
-    FoldSummary,
-    MetricReport,
-    confusion_from_predictions,
-    cross_validate,
-    error_enhancement,
-    kfold_split,
-    metrics,
-    rank_and_mean_rank,
-    wtl,
-)
-from .hrv import (
-    FEATURE_NAMES,
-    FeatureRecord,
-    breathing_rate,
-    extract_features,
-    poincare_features,
-    time_domain_features,
-)
-from .local_search import METHODS, LocalSearchConfig, RefineResult, refine
-from .mlp import (
-    CandidateSolution,
-    Dataset,
-    MlpTopology,
-    classification_error,
-    forward,
-    mse_loss_and_gradient,
-    predict,
-)
-from .optimizer import CodelConfig, CodelResult, run_codel, run_plain_de
-from .signal import (
-    RrSeries,
-    Signal,
-    butterworth_lowpass,
-    detect_r_peaks,
-    hampel_filter,
-    rr_from_peaks,
-    signal_to_rr,
-    standardize,
-)
-from .training import VARIANT_NAMES, build_comparison, evaluate_grid, train_variant
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "RunConfig",
-    "parse_config",
-    "CodelError",
-    "ContractError",
-    "InsufficientDataError",
-    "ParameterError",
-    "ShapeError",
-    "METRIC_NAMES",
-    "ConfusionMatrix",
-    "CrossValidationResult",
-    "FoldSummary",
-    "MetricReport",
-    "confusion_from_predictions",
-    "cross_validate",
-    "error_enhancement",
-    "kfold_split",
-    "metrics",
-    "rank_and_mean_rank",
-    "wtl",
-    "FEATURE_NAMES",
-    "FeatureRecord",
-    "breathing_rate",
-    "extract_features",
-    "poincare_features",
-    "time_domain_features",
-    "METHODS",
-    "LocalSearchConfig",
-    "RefineResult",
-    "refine",
-    "CandidateSolution",
-    "Dataset",
-    "MlpTopology",
-    "classification_error",
-    "forward",
-    "mse_loss_and_gradient",
-    "predict",
-    "CodelConfig",
-    "CodelResult",
-    "run_codel",
-    "run_plain_de",
-    "RrSeries",
-    "Signal",
-    "butterworth_lowpass",
-    "detect_r_peaks",
-    "hampel_filter",
-    "rr_from_peaks",
-    "signal_to_rr",
-    "standardize",
-    "VARIANT_NAMES",
-    "build_comparison",
-    "evaluate_grid",
-    "train_variant",
-    "__version__",
-]

@@ -8,11 +8,12 @@ only when every requested output was written.
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import parse_config
+from .config import RunConfig, parse_config
 from .errors import CodelError, ParameterError
 from .evaluation import METRIC_NAMES
 from .hrv import extract_features
@@ -33,12 +34,7 @@ __all__ = ["main"]
 
 
 def _knob_overrides(args):
-    knobs = (
-        "population_size", "nfe_max", "scale_factor", "crossover_rate",
-        "jumping_rate", "clustering_period", "lower", "upper", "folds",
-        "method", "hidden", "epochs", "patience", "learning_rate",
-        "momentum", "jobs",
-    )
+    knobs = (f.name for f in fields(RunConfig) if f.name != "seed")
     return {k: getattr(args, k) for k in knobs if getattr(args, k, None) is not None}
 
 

@@ -40,24 +40,28 @@ def _parse_hidden(text):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every knob a pipeline command can consume, fully resolved."""
+    """Every knob a pipeline command can consume, fully resolved.
+
+    Optimizer and refiner knobs default to their owners' defaults, except
+    `method`: pipeline runs refine with cgpr.
+    """
 
     seed: int | None = None
-    population_size: int = 50
-    nfe_max: int = 25000
-    scale_factor: float = 0.5
-    crossover_rate: float = 0.9
-    jumping_rate: float = 0.3
-    clustering_period: int = 10
-    lower: float = -10.0
-    upper: float = 10.0
+    population_size: int = CodelConfig.population_size
+    nfe_max: int = CodelConfig.nfe_max
+    scale_factor: float = CodelConfig.scale_factor
+    crossover_rate: float = CodelConfig.crossover_rate
+    jumping_rate: float = CodelConfig.jumping_rate
+    clustering_period: int = CodelConfig.clustering_period
+    lower: float = CodelConfig.lower
+    upper: float = CodelConfig.upper
     folds: int = 10
     method: str = "cgpr"
     hidden: tuple = (10,)
-    epochs: int = 500
-    patience: int = 50
-    learning_rate: float = 0.5
-    momentum: float = 0.9
+    epochs: int = LocalSearchConfig.epochs
+    patience: int = LocalSearchConfig.patience
+    learning_rate: float = LocalSearchConfig.learning_rate
+    momentum: float = LocalSearchConfig.momentum
     jobs: int = 1
 
     def __post_init__(self):

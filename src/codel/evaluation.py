@@ -1,4 +1,4 @@
-"""Confusion-matrix metrics, cross-validation, and table aggregation.
+"""Confusion-matrix metrics, cross-validation folds, and table aggregation.
 
 Conventions used throughout: label 1 is the positive class, all six
 metrics live in [0, 1] and are multiplied by 100 only at reporting time,
@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .mlp import Dataset
-from .streams import derive_seed, named_rng
+from .streams import named_rng
 
 __all__ = [
     "METRIC_NAMES",
@@ -24,7 +24,6 @@ __all__ = [
     "error_enhancement",
     "kfold_split",
     "fold_datasets",
-    "cross_validate",
     "pair_outcomes",
     "wtl",
     "average_ranks",
@@ -222,40 +221,6 @@ def fold_datasets(dataset: Dataset, k: int, seed: int):
             )
         )
     return pairs
-
-
-def run_fold(trainer, train: Dataset, test: Dataset, fold_seed: int) -> MetricReport:
-    """Train on one fold's training split and score its test split."""
-    predictor = trainer(train, fold_seed)
-    predictions = predictor(test.rows)
-    return metrics(confusion_from_predictions(test.labels, predictions))
-
-
-def cross_validate(trainer, dataset: Dataset, k: int, seed: int) -> CrossValidationResult:
-    """Stratified k-fold evaluation of a training procedure.
-
-    Args:
-        trainer: callable (train: Dataset, seed: int) -> predictor,
-            where predictor maps a row matrix to 0/1 labels.
-        dataset: full labeled dataset; must contain both classes.
-        k: fold count.
-        seed: root seed; fold splits and per-fold training seeds all
-            derive from it.
-
-    Returns:
-        CrossValidationResult with one MetricReport per fold and a
-        FoldSummary per metric (std uses the sample divisor k-1).
-    """
-    if len(np.unique(dataset.labels)) < 2:
-        raise ParameterError("cross-validation needs both classes present")
-    reports = []
-    for f, (train, test) in enumerate(fold_datasets(dataset, k, seed)):
-        reports.append(run_fold(trainer, train, test, derive_seed(seed, f)))
-    summaries = {
-        name: FoldSummary.from_values([getattr(r, name) for r in reports])
-        for name in METRIC_NAMES
-    }
-    return CrossValidationResult(fold_reports=tuple(reports), summaries=summaries)
 
 
 def pair_outcomes(base_means, codel_means, tie_tol: float = 1e-9) -> np.ndarray:

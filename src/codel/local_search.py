@@ -9,30 +9,13 @@ surrogate; the driver tracks the best iterate by classification error
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError, ParameterError
 from .mlp import Dataset, MlpTopology, classification_error, mse_loss, mse_loss_and_gradient
 
-__all__ = [
-    "METHODS",
-    "LocalSearchConfig",
-    "RefineResult",
-    "RpState",
-    "OssState",
-    "CgprState",
-    "GdaDecision",
-    "step_rp",
-    "step_gd",
-    "step_gdm",
-    "step_gda",
-    "step_oss",
-    "step_cgpr",
-    "backtracking_line_search",
-    "refine",
-]
+__all__ = ["METHODS", "LocalSearchConfig", "RefineResult", "backtracking_line_search", "refine"]
 
 METHODS = ("rp", "oss", "gd", "gdm", "gda", "cgpr")
 
@@ -93,136 +76,142 @@ class LocalSearchConfig:
 
 @dataclass(frozen=True)
 class RefineResult:
-    """Outcome of one refinement run."""
+    """Outcome of one refinement run.
+
+    `stop_reason` is "stationary" (zero gradient), "patience" (no drop in
+    error for `patience` epochs), "line_search" (no step decreased the
+    loss) or "epochs" (the budget ran out).
+    """
 
     params: np.ndarray
     final_train_error: float
     loss_history: np.ndarray
     error_history: np.ndarray
+    stop_reason: str
 
 
-class RpState(NamedTuple):
-    weights: np.ndarray
-    step_sizes: np.ndarray
-    prev_grad: np.ndarray
+def _rp(w, config):
+    """Resilient propagation: per weight, the step size grows while the
+    gradient keeps its sign, shrinks when it flips and holds when either
+    gradient is zero; the weight moves by it against the gradient's sign,
+    whatever the gradient's magnitude."""
+    steps = np.full(w.size, config.rp_step_init)
+    prev_grad = np.zeros_like(w)
+
+    def step(w, loss, grad, loss_at):
+        nonlocal prev_grad
+        product = prev_grad * grad
+        steps[product > 0] = np.minimum(steps[product > 0] * config.rp_increase,
+                                        config.rp_step_max)
+        steps[product < 0] = np.maximum(steps[product < 0] * config.rp_decrease,
+                                        config.rp_step_min)
+        prev_grad = grad
+        return w - np.sign(grad) * steps
+
+    return step
 
 
-class GdmState(NamedTuple):
-    weights: np.ndarray
-    velocity: np.ndarray
+def _gd(w, config):
+    """Plain steepest descent."""
+    return lambda w, loss, grad, loss_at: w - config.learning_rate * grad
 
 
-class GdaDecision(NamedTuple):
-    learning_rate: float
-    accept: bool
+def _gdm(w, config):
+    """Momentum descent; with momentum 0 this is exactly gd."""
+    velocity = np.zeros_like(w)
+
+    def step(w, loss, grad, loss_at):
+        nonlocal velocity
+        velocity = (config.momentum * velocity
+                    + config.learning_rate * (1.0 - config.momentum) * grad)
+        return w - velocity
+
+    return step
 
 
-class OssState(NamedTuple):
-    step: np.ndarray | None
-    grad_change: np.ndarray | None
+def _gda(w, config):
+    """Adaptive rate: grow on improvement, shrink and reject on blow-up;
+    a loss increase within the tolerance band is accepted with the rate
+    unchanged, so the trajectory can cross small ridges."""
+    rate = config.learning_rate
+
+    def step(w, loss, grad, loss_at):
+        nonlocal rate
+        proposed = w - rate * grad
+        loss_now = loss_at(proposed)
+        if loss_now < loss:
+            rate = rate * config.gda_increase
+        elif loss_now > loss * (1.0 + config.gda_max_loss_increase):
+            rate = rate * config.gda_decrease
+            return w
+        return proposed
+
+    return step
 
 
-class CgprState(NamedTuple):
-    prev_grad: np.ndarray | None
-    prev_direction: np.ndarray | None
-    since_restart: int
-    restart_period: int
+def _line_step(w, grad, d, loss_at, config):
+    """(Next weights or None, direction searched): a backtracking step
+    along d, or along -grad when d is not a descent direction."""
+    if float(grad @ d) >= 0:
+        d = -grad
+    a = backtracking_line_search(loss_at, w, d, grad, config)
+    return (None if a == 0.0 else w + a * d), d
 
 
-def step_rp(state: RpState, gradient: np.ndarray, config: LocalSearchConfig) -> RpState:
-    """One resilient-propagation update.
+def _oss(w, config):
+    """One-step secant: the negative gradient mixed with the last step s
+    and gradient change y through the two secant scalars; the first call
+    and degenerate curvature (|s.y| below 1e-12) take steepest descent."""
+    w_prev = grad_prev = None
 
-    Per weight, the step size grows when the gradient keeps its sign,
-    shrinks when it flips, and stays put when either gradient is zero;
-    the weight then moves by the step size against the gradient's sign.
-    Only the sign of the gradient is used, never its magnitude.
-    """
-    product = state.prev_grad * gradient
-    steps = state.step_sizes.copy()
-    steps[product > 0] = np.minimum(steps[product > 0] * config.rp_increase,
-                                    config.rp_step_max)
-    steps[product < 0] = np.maximum(steps[product < 0] * config.rp_decrease,
-                                    config.rp_step_min)
-    weights = state.weights - np.sign(gradient) * steps
-    return RpState(weights, steps, gradient.copy())
+    def step(w, loss, grad, loss_at):
+        nonlocal w_prev, grad_prev
+        d = -grad
+        if w_prev is not None:
+            s, y = w - w_prev, grad - grad_prev
+            sty = float(s @ y)
+            if not abs(sty) < 1e-12:
+                b_c = float(s @ grad) / sty
+                a_c = -(1.0 + float(y @ y) / sty) * b_c + float(y @ grad) / sty
+                d = -grad + a_c * s + b_c * y
+        w_prev, grad_prev = w, grad
+        return _line_step(w, grad, d, loss_at, config)[0]
 
-
-def step_gd(weights: np.ndarray, gradient: np.ndarray, learning_rate: float) -> np.ndarray:
-    """Plain steepest-descent update."""
-    return weights - learning_rate * gradient
-
-
-def step_gdm(state: GdmState, gradient: np.ndarray, learning_rate: float,
-             momentum: float) -> GdmState:
-    """Momentum update; with momentum 0 this is exactly step_gd."""
-    velocity = momentum * state.velocity + learning_rate * (1.0 - momentum) * gradient
-    return GdmState(state.weights - velocity, velocity)
+    return step
 
 
-def step_gda(learning_rate: float, loss_now: float, loss_prev: float,
-             config: LocalSearchConfig) -> GdaDecision:
-    """Adaptive-rate rule: grow on improvement, shrink and reject on blow-up.
+def _cgpr(w, config):
+    """Polak-Ribiere conjugate directions: the mixing coefficient is
+    clipped at zero and the direction resets to steepest descent every
+    `w.size` + 1 steps, so a poorly conditioned history can never push
+    the search uphill for long."""
+    restart_period = w.size
+    prev_grad = prev_d = None
+    since_restart = 0
 
-    A loss increase within the tolerance band is accepted with the rate
-    unchanged, so the trajectory can cross small ridges.
-    """
-    if loss_now < loss_prev:
-        return GdaDecision(learning_rate * config.gda_increase, True)
-    if loss_now > loss_prev * (1.0 + config.gda_max_loss_increase):
-        return GdaDecision(learning_rate * config.gda_decrease, False)
-    return GdaDecision(learning_rate, True)
+    def step(w, loss, grad, loss_at):
+        nonlocal prev_grad, prev_d, since_restart
+        if prev_grad is None or since_restart >= restart_period:
+            d, since_restart = -grad, 0
+        elif (denom := float(prev_grad @ prev_grad)) == 0.0:
+            d, since_restart = np.zeros_like(grad), 0
+        else:
+            beta = max(float((grad - prev_grad) @ grad) / denom, 0.0)
+            d, since_restart = -grad + beta * prev_d, since_restart + 1
+        w_next, taken = _line_step(w, grad, d, loss_at, config)
+        if taken is not d:
+            # Restart: a conjugate direction that fails the descent
+            # test must not stay in the history.
+            since_restart = 0
+        prev_grad, prev_d = grad, taken
+        return w_next
 
-
-def step_oss(state: OssState, gradient: np.ndarray) -> np.ndarray:
-    """One-step secant search direction.
-
-    Combines the negative gradient with the previous step s and gradient
-    change y through the two secant scalars. Degenerate curvature
-    (|s.y| below 1e-12) resets to steepest descent, as does the first
-    call.
-    """
-    if state.step is None or state.grad_change is None:
-        return -gradient
-    s, y = state.step, state.grad_change
-    sty = float(s @ y)
-    if abs(sty) < 1e-12:
-        return -gradient
-    b_c = float(s @ gradient) / sty
-    a_c = -(1.0 + float(y @ y) / sty) * b_c + float(y @ gradient) / sty
-    return -gradient + a_c * s + b_c * y
+    return step
 
 
-def step_cgpr(state: CgprState, gradient: np.ndarray):
-    """Polak-Ribiere conjugate direction with restarts.
-
-    The mixing coefficient is clipped at zero and the direction resets
-    to steepest descent periodically, so a poorly conditioned history
-    can never push the search uphill for long.
-
-    Returns:
-        (direction, next state)
-    """
-    restart = (
-        state.prev_grad is None
-        or state.prev_direction is None
-        or state.since_restart >= state.restart_period
-    )
-    if not restart:
-        denom = float(state.prev_grad @ state.prev_grad)
-        if denom == 0.0:
-            return np.zeros_like(gradient), CgprState(
-                gradient.copy(), np.zeros_like(gradient), 0, state.restart_period
-            )
-        beta = float((gradient - state.prev_grad) @ gradient) / denom
-        beta = max(beta, 0.0)
-        direction = -gradient + beta * state.prev_direction
-    else:
-        direction = -gradient
-    return direction, CgprState(
-        gradient.copy(), direction.copy(),
-        0 if restart else state.since_restart + 1,
-        state.restart_period,
-    )
+# Each method maps (start weights, config) to step(w, loss, grad, loss_at),
+# which returns the next weights, or None when a line search finds no step.
+_STEPPERS = {"rp": _rp, "oss": _oss, "gd": _gd, "gdm": _gdm, "gda": _gda, "cgpr": _cgpr}
 
 
 def backtracking_line_search(f, x: np.ndarray, d: np.ndarray, g: np.ndarray,
@@ -269,8 +258,9 @@ def refine(initial, topology: MlpTopology, data: Dataset,
     The starting point is used exactly as passed, never re-randomized,
     and the returned weights are the best iterate encountered, so the
     result is never worse than the initialization on the training data.
-    Stops early at a stationary point or after `patience` epochs without
-    a drop in classification error.
+    Stops early at a stationary point, when a line search finds no
+    step, or after `patience` epochs without a drop in classification
+    error; `stop_reason` says which.
     """
     w = np.array(initial, dtype=float)
     if w.shape != (topology.param_count,):
@@ -287,57 +277,19 @@ def refine(initial, topology: MlpTopology, data: Dataset,
     loss_history = [loss]
     error_history = [error]
 
-    rp_state = RpState(w, np.full(w.size, config.rp_step_init), np.zeros_like(w))
-    gdm_state = GdmState(w, np.zeros_like(w))
-    oss_state = OssState(None, None)
-    cgpr_state = CgprState(None, None, 0, topology.param_count)
-    gda_rate = config.learning_rate
-
+    step = _STEPPERS[config.method](w, config)
     stale_epochs = 0
+    stop_reason = "epochs"
     for _ in range(config.epochs - 1):
         if np.max(np.abs(grad)) < GRAD_TOL:
+            stop_reason = "stationary"
             break
-
-        if config.method == "rp":
-            rp_state = step_rp(rp_state, grad, config)
-            w_next = rp_state.weights
-        elif config.method == "gd":
-            w_next = step_gd(w, grad, config.learning_rate)
-        elif config.method == "gdm":
-            gdm_state = step_gdm(gdm_state, grad, config.learning_rate,
-                                 config.momentum)
-            w_next = gdm_state.weights
-        elif config.method == "gda":
-            proposed = w - gda_rate * grad
-            decision = step_gda(gda_rate, loss_at(proposed), loss, config)
-            gda_rate = decision.learning_rate
-            w_next = proposed if decision.accept else w
-        elif config.method == "oss":
-            d = step_oss(oss_state, grad)
-            if float(grad @ d) >= 0:
-                d = -grad
-            a = backtracking_line_search(loss_at, w, d, grad, config)
-            if a == 0.0:
-                break
-            w_next = w + a * d
-        else:
-            d, cgpr_state = step_cgpr(cgpr_state, grad)
-            if float(grad @ d) >= 0:
-                # Restart: a conjugate direction that fails the descent
-                # test must not stay in the history.
-                d = -grad
-                cgpr_state = CgprState(grad.copy(), d.copy(), 0,
-                                       cgpr_state.restart_period)
-            a = backtracking_line_search(loss_at, w, d, grad, config)
-            if a == 0.0:
-                break
-            w_next = w + a * d
-
-        loss_next, grad_next = mse_loss_and_gradient(w_next, topology, data)
-        if config.method == "oss":
-            oss_state = OssState(w_next - w, grad_next - grad)
-        w, loss, grad = w_next, loss_next, grad_next
-
+        w_next = step(w, loss, grad, loss_at)
+        if w_next is None:
+            stop_reason = "line_search"
+            break
+        w = w_next
+        loss, grad = mse_loss_and_gradient(w, topology, data)
         error = classification_error(w, topology, data)
         loss_history.append(loss)
         error_history.append(error)
@@ -346,6 +298,7 @@ def refine(initial, topology: MlpTopology, data: Dataset,
         else:
             stale_epochs += 1
             if stale_epochs >= config.patience:
+                stop_reason = "patience"
                 break
 
     return RefineResult(
@@ -353,4 +306,5 @@ def refine(initial, topology: MlpTopology, data: Dataset,
         final_train_error=best.error,
         loss_history=np.array(loss_history),
         error_history=np.array(error_history),
+        stop_reason=stop_reason,
     )

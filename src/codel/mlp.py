@@ -73,9 +73,6 @@ class CandidateSolution:
         params.flags.writeable = False
         object.__setattr__(self, "params", params)
 
-    def evaluated(self) -> bool:
-        return self.fitness is not None
-
 
 @dataclass(frozen=True)
 class Dataset:

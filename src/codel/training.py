@@ -37,7 +37,6 @@ __all__ = [
     "TrainedModel",
     "variant_name",
     "train_variant",
-    "make_trainer",
     "evaluate_grid",
     "paired_methods",
     "Comparison",
@@ -109,17 +108,6 @@ def train_variant(train: Dataset, seed: int, hidden, codel_config: CodelConfig,
         refine_loss=refined.loss_history,
         refine_error=refined.error_history,
     )
-
-
-def make_trainer(hidden, codel_config: CodelConfig, ls_config: LocalSearchConfig,
-                 boosted: bool):
-    """Adapt train_variant to the cross_validate trainer contract."""
-
-    def trainer(train: Dataset, seed: int):
-        return train_variant(train, seed, hidden, codel_config,
-                             ls_config, boosted).predictor()
-
-    return trainer
 
 
 def _grid_task(args):

@@ -10,11 +10,22 @@ different styles, to slip through a comparison against these.
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import rankdata
 
-from codel.mlp import CandidateSolution, forward
+from codel.errors import ContractError, ParameterError
+from codel.local_search import GRAD_TOL, LocalSearchConfig
+from codel.mlp import (
+    CandidateSolution,
+    Dataset,
+    MlpTopology,
+    classification_error,
+    forward,
+    mse_loss,
+    mse_loss_and_gradient,
+)
 from codel.streams import named_rng
 
 
@@ -441,3 +452,262 @@ def predict_reference(params, topology, rows):
 def classification_error_reference(params, topology, data):
     wrong = np.count_nonzero(predict_reference(params, topology, data.rows) != data.labels)
     return 100.0 * wrong / len(data)
+
+
+# ------------------------------------------------------------------
+# Refiners: one state object and one kernel per method, dispatched by
+# method name in a single loop. Returns (params, final error,
+# loss history, error history). The loss functions are looked up here
+# at call time, so a test can swap them in this module and in
+# codel.local_search alike.
+# ------------------------------------------------------------------
+
+class _RpState(NamedTuple):
+    weights: np.ndarray
+    step_sizes: np.ndarray
+    prev_grad: np.ndarray
+
+
+class _GdmState(NamedTuple):
+    weights: np.ndarray
+    velocity: np.ndarray
+
+
+class _GdaDecision(NamedTuple):
+    learning_rate: float
+    accept: bool
+
+
+class _OssState(NamedTuple):
+    step: np.ndarray | None
+    grad_change: np.ndarray | None
+
+
+class _CgprState(NamedTuple):
+    prev_grad: np.ndarray | None
+    prev_direction: np.ndarray | None
+    since_restart: int
+    restart_period: int
+
+
+def _step_rp(state: _RpState, gradient: np.ndarray, config: LocalSearchConfig) -> _RpState:
+    """One resilient-propagation update.
+
+    Per weight, the step size grows when the gradient keeps its sign,
+    shrinks when it flips, and stays put when either gradient is zero;
+    the weight then moves by the step size against the gradient's sign.
+    Only the sign of the gradient is used, never its magnitude.
+    """
+    product = state.prev_grad * gradient
+    steps = state.step_sizes.copy()
+    steps[product > 0] = np.minimum(steps[product > 0] * config.rp_increase,
+                                    config.rp_step_max)
+    steps[product < 0] = np.maximum(steps[product < 0] * config.rp_decrease,
+                                    config.rp_step_min)
+    weights = state.weights - np.sign(gradient) * steps
+    return _RpState(weights, steps, gradient.copy())
+
+
+def _step_gd(weights: np.ndarray, gradient: np.ndarray, learning_rate: float) -> np.ndarray:
+    """Plain steepest-descent update."""
+    return weights - learning_rate * gradient
+
+
+def _step_gdm(state: _GdmState, gradient: np.ndarray, learning_rate: float,
+              momentum: float) -> _GdmState:
+    """Momentum update; with momentum 0 this is exactly _step_gd."""
+    velocity = momentum * state.velocity + learning_rate * (1.0 - momentum) * gradient
+    return _GdmState(state.weights - velocity, velocity)
+
+
+def _step_gda(learning_rate: float, loss_now: float, loss_prev: float,
+              config: LocalSearchConfig) -> _GdaDecision:
+    """Adaptive-rate rule: grow on improvement, shrink and reject on blow-up.
+
+    A loss increase within the tolerance band is accepted with the rate
+    unchanged, so the trajectory can cross small ridges.
+    """
+    if loss_now < loss_prev:
+        return _GdaDecision(learning_rate * config.gda_increase, True)
+    if loss_now > loss_prev * (1.0 + config.gda_max_loss_increase):
+        return _GdaDecision(learning_rate * config.gda_decrease, False)
+    return _GdaDecision(learning_rate, True)
+
+
+def _step_oss(state: _OssState, gradient: np.ndarray) -> np.ndarray:
+    """One-step secant search direction.
+
+    Combines the negative gradient with the previous step s and gradient
+    change y through the two secant scalars. Degenerate curvature
+    (|s.y| below 1e-12) resets to steepest descent, as does the first
+    call.
+    """
+    if state.step is None or state.grad_change is None:
+        return -gradient
+    s, y = state.step, state.grad_change
+    sty = float(s @ y)
+    if abs(sty) < 1e-12:
+        return -gradient
+    b_c = float(s @ gradient) / sty
+    a_c = -(1.0 + float(y @ y) / sty) * b_c + float(y @ gradient) / sty
+    return -gradient + a_c * s + b_c * y
+
+
+def _step_cgpr(state: _CgprState, gradient: np.ndarray):
+    """Polak-Ribiere conjugate direction with restarts.
+
+    The mixing coefficient is clipped at zero and the direction resets
+    to steepest descent periodically, so a poorly conditioned history
+    can never push the search uphill for long.
+
+    Returns:
+        (direction, next state)
+    """
+    restart = (
+        state.prev_grad is None
+        or state.prev_direction is None
+        or state.since_restart >= state.restart_period
+    )
+    if not restart:
+        denom = float(state.prev_grad @ state.prev_grad)
+        if denom == 0.0:
+            return np.zeros_like(gradient), _CgprState(
+                gradient.copy(), np.zeros_like(gradient), 0, state.restart_period
+            )
+        beta = float((gradient - state.prev_grad) @ gradient) / denom
+        beta = max(beta, 0.0)
+        direction = -gradient + beta * state.prev_direction
+    else:
+        direction = -gradient
+    return direction, _CgprState(
+        gradient.copy(), direction.copy(),
+        0 if restart else state.since_restart + 1,
+        state.restart_period,
+    )
+
+
+def _line_search_reference(f, x: np.ndarray, d: np.ndarray, g: np.ndarray,
+                           config: LocalSearchConfig) -> float:
+    """Largest halved step satisfying the sufficient-decrease condition.
+
+    Tries a = 1, then shrinks up to max_backtracks times; returns 0 when
+    even the smallest step fails the test.
+    """
+    slope = float(g @ d)
+    if slope >= 0:
+        raise ContractError("line search requires a descent direction")
+    f0 = f(x)
+    a = 1.0
+    for _ in range(config.max_backtracks + 1):
+        if f(x + a * d) <= f0 + config.armijo_c1 * a * slope:
+            return a
+        a *= config.backtrack_shrink
+    return 0.0
+
+
+class _BestTrackerReference:
+    """Keeps the iterate with the lowest classification error, MSE tiebreak."""
+
+    def __init__(self, params, error, loss):
+        self.params = np.array(params, dtype=float)
+        self.error = error
+        self.loss = loss
+
+    def offer(self, params, error, loss) -> bool:
+        """Record params if better; True when classification error dropped."""
+        improved_error = error < self.error
+        if improved_error or (error == self.error and loss < self.loss):
+            self.params = np.array(params, dtype=float)
+            self.error = error
+            self.loss = loss
+        return improved_error
+
+
+def refine_reference(initial, topology: MlpTopology, data: Dataset,
+                     config: LocalSearchConfig):
+    """Run the configured method from the given weights.
+
+    The starting point is used exactly as passed, never re-randomized,
+    and the returned weights are the best iterate encountered, so the
+    result is never worse than the initialization on the training data.
+    Stops early at a stationary point or after `patience` epochs without
+    a drop in classification error.
+    """
+    w = np.array(initial, dtype=float)
+    if w.shape != (topology.param_count,):
+        raise ParameterError(
+            f"expected {topology.param_count} weights, got {w.shape}"
+        )
+
+    def loss_at(params):
+        return mse_loss(params, topology, data)
+
+    loss, grad = mse_loss_and_gradient(w, topology, data)
+    error = classification_error(w, topology, data)
+    best = _BestTrackerReference(w, error, loss)
+    loss_history = [loss]
+    error_history = [error]
+
+    rp_state = _RpState(w, np.full(w.size, config.rp_step_init), np.zeros_like(w))
+    gdm_state = _GdmState(w, np.zeros_like(w))
+    oss_state = _OssState(None, None)
+    cgpr_state = _CgprState(None, None, 0, topology.param_count)
+    gda_rate = config.learning_rate
+
+    stale_epochs = 0
+    for _ in range(config.epochs - 1):
+        if np.max(np.abs(grad)) < GRAD_TOL:
+            break
+
+        if config.method == "rp":
+            rp_state = _step_rp(rp_state, grad, config)
+            w_next = rp_state.weights
+        elif config.method == "gd":
+            w_next = _step_gd(w, grad, config.learning_rate)
+        elif config.method == "gdm":
+            gdm_state = _step_gdm(gdm_state, grad, config.learning_rate,
+                                  config.momentum)
+            w_next = gdm_state.weights
+        elif config.method == "gda":
+            proposed = w - gda_rate * grad
+            decision = _step_gda(gda_rate, loss_at(proposed), loss, config)
+            gda_rate = decision.learning_rate
+            w_next = proposed if decision.accept else w
+        elif config.method == "oss":
+            d = _step_oss(oss_state, grad)
+            if float(grad @ d) >= 0:
+                d = -grad
+            a = _line_search_reference(loss_at, w, d, grad, config)
+            if a == 0.0:
+                break
+            w_next = w + a * d
+        else:
+            d, cgpr_state = _step_cgpr(cgpr_state, grad)
+            if float(grad @ d) >= 0:
+                # Restart: a conjugate direction that fails the descent
+                # test must not stay in the history.
+                d = -grad
+                cgpr_state = _CgprState(grad.copy(), d.copy(), 0,
+                                        cgpr_state.restart_period)
+            a = _line_search_reference(loss_at, w, d, grad, config)
+            if a == 0.0:
+                break
+            w_next = w + a * d
+
+        loss_next, grad_next = mse_loss_and_gradient(w_next, topology, data)
+        if config.method == "oss":
+            oss_state = _OssState(w_next - w, grad_next - grad)
+        w, loss, grad = w_next, loss_next, grad_next
+
+        error = classification_error(w, topology, data)
+        loss_history.append(loss)
+        error_history.append(error)
+        if best.offer(w, error, loss):
+            stale_epochs = 0
+        else:
+            stale_epochs += 1
+            if stale_epochs >= config.patience:
+                break
+
+    return (best.params, best.error, np.array(loss_history),
+            np.array(error_history))

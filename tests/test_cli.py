@@ -1,13 +1,15 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import codel
-from codel.cli import main
+from codel.cli import _knob_overrides, build_parser, main
+from codel.config import RunConfig, parse_config
 from codel.datasets import synthetic_heartbeat, two_gaussian_dataset
 from codel.evaluation import METRIC_NAMES
 from codel.hrv import FEATURE_NAMES
@@ -329,6 +331,20 @@ class TestConfigResolution:
         assert manifest["population_size"] == "10"
         assert manifest["nfe_max"] == "400"
         assert manifest["seed"] == "5"
+
+    def test_every_knob_flag_reaches_the_config(self):
+        """Each RunConfig field but the seed is a flag of `evaluate`."""
+        args = build_parser().parse_args([
+            "evaluate", "--features-csv", "f.csv", "--np", "6", "--nfe", "90",
+            "--f", "0.6", "--cr", "0.8", "--jr", "0.2", "--cp", "4",
+            "--lower", "-3", "--upper", "3", "-k", "3", "--method", "gd",
+            "--hidden", "2,2", "--epochs", "7", "--patience", "5",
+            "--lr", "0.1", "--momentum", "0.4", "--jobs", "2",
+        ])
+        overrides = _knob_overrides(args)
+        assert set(overrides) == {f.name for f in fields(RunConfig)} - {"seed"}
+        config = parse_config(seed=1, **overrides)
+        assert (config.clustering_period, config.hidden, config.jobs) == (4, (2, 2), 2)
 
     def test_missing_seed_fails(self, tmp_path, capsys):
         features = tmp_path / "xor.csv"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from codel.datasets import two_gaussian_dataset
 from codel.errors import ParameterError
 from codel.evaluation import (
     ConfusionMatrix,
@@ -13,16 +14,17 @@ from codel.evaluation import (
     METRIC_NAMES,
     average_ranks,
     confusion_from_predictions,
-    cross_validate,
     error_enhancement,
     fold_datasets,
     kfold_split,
     metrics,
     rank_and_mean_rank,
-    run_fold,
     wtl,
 )
+from codel.local_search import LocalSearchConfig
 from codel.mlp import Dataset
+from codel.optimizer import CodelConfig
+from codel.training import VARIANT_NAMES, evaluate_grid
 
 from oracles import (
     descending_ranks_reference,
@@ -31,11 +33,6 @@ from oracles import (
     rankdata_reference,
     sample_std_reference,
 )
-
-
-def _threshold_trainer(train, seed):
-    """Predict from the first feature's sign; ignores labels entirely."""
-    return lambda rows: (np.asarray(rows)[:, 0] > 0).astype(int)
 
 
 class TestMetrics:
@@ -257,53 +254,40 @@ class TestFoldDatasets:
             assert max(means) > 0.5
 
 
-class TestRunFold:
-
-    def test_test_labels_never_reach_training(self):
-        """Label-poisoning canary: flipping test labels moves the score
-        but leaves the training inputs untouched."""
-        rng = np.random.default_rng(10)
-        train = Dataset(rng.normal(0, 1, (20, 2)), rng.integers(0, 2, 20))
-        rows = rng.normal(0.5, 1, (10, 2))
-        test = Dataset(rows, (rows[:, 0] > 0.3).astype(int))
-
-        seen = []
-
-        def recording_trainer(split, seed):
-            seen.append((split.rows.copy(), split.labels.copy()))
-            return lambda r: (np.asarray(r)[:, 0] > 0).astype(int)
-
-        a = run_fold(recording_trainer, train, test, fold_seed=0)
-        poisoned = Dataset(test.rows, 1 - test.labels)
-        b = run_fold(recording_trainer, train, poisoned, fold_seed=0)
-
-        assert a.accuracy != b.accuracy
-        np.testing.assert_array_equal(seen[0][0], seen[1][0])
-        np.testing.assert_array_equal(seen[0][1], seen[1][1])
-
-
 class TestCrossValidate:
+    """The k-fold loop, run through evaluate_grid on a tiny dataset."""
+
+    _CODEL = CodelConfig(population_size=8, nfe_max=160, seed=0)
+    _LS = LocalSearchConfig(epochs=20, patience=20)
+
+    def _grid(self, data, k, seed):
+        return evaluate_grid(data, k, seed, (3,), self._CODEL, self._LS)
 
     def test_shapes_and_determinism(self):
-        rng = np.random.default_rng(11)
-        rows = rng.normal(0, 1, (30, 3))
-        labels = (rows[:, 0] + 0.2 * rng.normal(0, 1, 30) > 0).astype(int)
-        data = Dataset(rows, labels)
-        result = cross_validate(_threshold_trainer, data, k=5, seed=3)
-        assert isinstance(result, CrossValidationResult)
-        assert len(result.fold_reports) == 5
-        assert set(result.summaries) == set(METRIC_NAMES)
-        means = result.means()
-        for i, name in enumerate(METRIC_NAMES):
-            assert means[i] == result.summaries[name].mean
+        data = two_gaussian_dataset(n_per_class=15, n_features=3,
+                                    separation=1.0, seed=11)
+        results = self._grid(data, k=5, seed=3)
+        assert tuple(results) == VARIANT_NAMES
+        for result in results.values():
+            assert isinstance(result, CrossValidationResult)
+            assert len(result.fold_reports) == 5
+            assert set(result.summaries) == set(METRIC_NAMES)
+            means = result.means()
+            for i, name in enumerate(METRIC_NAMES):
+                assert means[i] == result.summaries[name].mean
+                assert means[i] == np.mean(
+                    [getattr(r, name) for r in result.fold_reports]
+                )
 
-        again = cross_validate(_threshold_trainer, data, k=5, seed=3)
-        np.testing.assert_array_equal(result.means(), again.means())
+        again = self._grid(data, k=5, seed=3)
+        for name in VARIANT_NAMES:
+            np.testing.assert_array_equal(results[name].means(),
+                                          again[name].means())
 
     def test_single_class_dataset_rejected(self):
         data = Dataset(np.zeros((10, 2)), np.ones(10, dtype=int))
         with pytest.raises(ParameterError):
-            cross_validate(_threshold_trainer, data, k=2, seed=0)
+            self._grid(data, k=2, seed=0)
 
 
 class TestWtl:

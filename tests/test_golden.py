@@ -128,11 +128,20 @@ CASES = {
                       "--hidden", "2", "--epochs", "3", "--jobs", "1",
                       "--out-dir", "out"],
 }
+# Every other refiner on the "train" inputs, with enough epochs to
+# reach each one's own update rule many times.
+REFINER_CASES = {f"train-{method}": [*CASES["train"], "--method", method,
+                                     "--epochs", "60"]
+                 for method in ("rp", "oss", "gd", "gdm", "gda")}
+CASES.update(REFINER_CASES)
+# Cases that run on another case's inputs.
+SHARED_INPUTS = {"evaluate-jobs2": "evaluate",
+                 **{case: "train" for case in REFINER_CASES}}
 
 
 def _run_case(case: str) -> dict:
     """Write the case's inputs into the working directory, run it, hash outputs."""
-    _inputs(case.removesuffix("-jobs2"))
+    _inputs(SHARED_INPUTS.get(case, case))
     assert main(CASES[case]) == 0
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()

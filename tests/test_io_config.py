@@ -17,7 +17,9 @@ from codel.io import (
     write_table,
     write_weights_csv,
 )
+from codel.local_search import LocalSearchConfig
 from codel.mlp import MlpTopology
+from codel.optimizer import CodelConfig
 from codel.streams import derive_seed, named_rng
 
 
@@ -196,6 +198,11 @@ class TestRunConfig:
         assert config.method == "cgpr"
         assert config.hidden == (10,)
         assert config.epochs == 500 and config.patience == 50
+
+    def test_defaults_follow_their_owners(self):
+        config = RunConfig(seed=0)
+        assert config.codel_config() == CodelConfig(seed=0)
+        assert config.local_search_config() == LocalSearchConfig(method="cgpr")
 
     def test_seed_required(self):
         with pytest.raises(ParameterError, match="seed"):

@@ -1,96 +1,121 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import codel.local_search as local_search
+import oracles
 from codel.datasets import two_gaussian_dataset, xor_dataset
 from codel.errors import ContractError, ParameterError
 from codel.local_search import (
-    CgprState,
-    GdmState,
+    _STEPPERS,
     LocalSearchConfig,
     METHODS,
-    OssState,
-    RpState,
     backtracking_line_search,
     refine,
-    step_cgpr,
-    step_gd,
-    step_gda,
-    step_gdm,
-    step_oss,
-    step_rp,
 )
 from codel.mlp import MlpTopology, classification_error, mse_loss
 from codel.optimizer import CodelConfig, run_codel
+from oracles import refine_reference
 
 
 _CFG = LocalSearchConfig()
 
 
+def _stepper(method, size, config=None, **knobs):
+    """A fresh `method` step function for `size` weights."""
+    config = config or LocalSearchConfig(method=method, **knobs)
+    return _STEPPERS[method](np.zeros(size), config)
+
+
+def _linear(grad):
+    """A loss with slope `grad` everywhere: every descent step passes the
+    sufficient-decrease test whole, so a line step moves by exactly d."""
+    return lambda x: float(grad @ x)
+
+
+def _move(step, grad, w=None):
+    """How far one step from w (default 0) moves on the loss _linear(grad)."""
+    grad = np.array(grad, dtype=float)
+    w = np.zeros(grad.size) if w is None else np.array(w, dtype=float)
+    return step(w, 0.0, grad, _linear(grad)) - w
+
+
 class TestStepRp:
 
+    def _primed(self, *grads):
+        """An rp step that has already seen these gradients."""
+        step = _stepper("rp", 1)
+        for g in grads:
+            _move(step, [g])
+        return step
+
     def test_same_sign_grows_step(self):
-        state = RpState(np.array([1.0]), np.array([0.1]), np.array([1.0]))
-        out = step_rp(state, np.array([2.0]), _CFG)
-        assert np.isclose(out.step_sizes[0], 0.12)
-        assert np.isclose(out.weights[0], 1.0 - 0.12)
+        out = self._primed(1.0)(np.array([1.0]), 0.0, np.array([2.0]), None)
+        assert np.isclose(1.0 - out[0], 0.12)
+        assert np.isclose(out[0], 1.0 - 0.12)
 
     def test_sign_flip_shrinks_step(self):
-        state = RpState(np.array([1.0]), np.array([0.12]), np.array([1.0]))
-        out = step_rp(state, np.array([-3.0]), _CFG)
-        assert np.isclose(out.step_sizes[0], 0.06)
-        assert np.isclose(out.weights[0], 1.0 + 0.06)
+        out = self._primed(1.0, 1.0)(np.array([1.0]), 0.0, np.array([-3.0]), None)
+        assert np.isclose(out[0] - 1.0, 0.06)
+        assert np.isclose(out[0], 1.0 + 0.06)
 
     def test_zero_gradient_freezes_weight(self):
-        state = RpState(np.array([1.0]), np.array([0.1]), np.array([1.0]))
-        out = step_rp(state, np.array([0.0]), _CFG)
-        assert out.weights[0] == 1.0
-        assert out.step_sizes[0] == 0.1
+        step = self._primed(1.0)
+        out = step(np.array([1.0]), 0.0, np.array([0.0]), None)
+        assert out[0] == 1.0
+        # The step size held at 0.1: the next move is exactly 0.1.
+        assert _move(step, [1.0])[0] == -0.1
 
     def test_magnitude_is_ignored(self):
         """Only the gradient's sign matters, so huge and tiny gradients of
         the same sign produce the same move."""
-        state = RpState(np.array([0.0]), np.array([0.1]), np.array([1.0]))
-        a = step_rp(state, np.array([1e-9]), _CFG)
-        b = step_rp(state, np.array([1e9]), _CFG)
-        np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.step_sizes, b.step_sizes)
+        a, b = self._primed(1.0), self._primed(1.0)
+        np.testing.assert_array_equal(_move(a, [1e-9]), _move(b, [1e9]))
+        np.testing.assert_array_equal(_move(a, [1.0]), _move(b, [1.0]))
 
     def test_steps_stay_within_limits(self):
         rng = np.random.default_rng(0)
-        state = RpState(np.zeros(4), np.full(4, 0.1), rng.normal(0, 1, 4))
+        step = _stepper("rp", 4)
         for _ in range(80):
-            state = step_rp(state, rng.normal(0, 1, 4), _CFG)
-            assert np.all(state.step_sizes >= _CFG.rp_step_min)
-            assert np.all(state.step_sizes <= _CFG.rp_step_max)
+            size = np.abs(_move(step, rng.normal(0, 1, 4)))
+            assert np.all(size >= _CFG.rp_step_min)
+            assert np.all(size <= _CFG.rp_step_max)
 
     def test_cap_and_floor_reached(self):
-        up = RpState(np.zeros(1), np.array([0.1]), np.array([1.0]))
+        up = _stepper("rp", 1)
         for _ in range(60):
-            up = step_rp(up, np.array([1.0]), _CFG)
-        assert up.step_sizes[0] == _CFG.rp_step_max
+            move = _move(up, [1.0])
+        assert -move[0] == _CFG.rp_step_max
 
-        down = RpState(np.zeros(1), np.array([0.1]), np.array([1.0]))
+        down = _stepper("rp", 1)
         sign = -1.0
         for _ in range(60):
-            down = step_rp(down, np.array([sign]), _CFG)
+            move = _move(down, [sign])
             sign = -sign
-        assert down.step_sizes[0] == _CFG.rp_step_min
+        assert abs(move[0]) == _CFG.rp_step_min
 
 
 class TestStepGd:
 
     def test_arithmetic(self):
-        out = step_gd(np.array([1.0]), np.array([2.0]), 0.1)
+        out = _stepper("gd", 1, learning_rate=0.1)(np.array([1.0]), 0.0, np.array([2.0]), None)
         assert np.isclose(out[0], 0.8)
 
     def test_zero_gradient(self):
+        step = _stepper("gd", 2, learning_rate=0.3)
         np.testing.assert_array_equal(
-            step_gd(np.array([1.0, -2.0]), np.zeros(2), 0.3), [1.0, -2.0]
+            step(np.array([1.0, -2.0]), 0.0, np.zeros(2), None), [1.0, -2.0]
         )
 
     def test_zero_rate(self):
+        # The config rejects a zero rate; the update rule itself holds still.
+        step = _stepper("gd", 1, SimpleNamespace(learning_rate=0.0))
         np.testing.assert_array_equal(
-            step_gd(np.array([1.0]), np.array([5.0]), 0.0), [1.0]
+            step(np.array([1.0]), 0.0, np.array([5.0]), None), [1.0]
         )
 
 
@@ -99,94 +124,130 @@ class TestStepGdm:
     def test_no_momentum_equals_plain_descent(self):
         w = np.array([1.0, -1.0])
         g = np.array([2.0, 4.0])
-        out = step_gdm(GdmState(w, np.zeros(2)), g, 0.1, 0.0)
-        np.testing.assert_array_equal(out.weights, step_gd(w, g, 0.1))
+        gdm = _stepper("gdm", 2, learning_rate=0.1, momentum=0.0)
+        gd = _stepper("gd", 2, learning_rate=0.1)
+        np.testing.assert_array_equal(gdm(w, 0.0, g, None), gd(w, 0.0, g, None))
 
     def test_pure_momentum_term(self):
-        state = GdmState(np.zeros(1), np.array([0.4]))
-        out = step_gdm(state, np.zeros(1), 0.1, 0.9)
-        assert np.isclose(out.velocity[0], 0.36)
+        step = _stepper("gdm", 1, learning_rate=0.1, momentum=0.9)
+        assert np.isclose(-_move(step, [40.0])[0], 0.4)
+        assert np.isclose(-_move(step, [0.0])[0], 0.36)
 
     def test_cold_start_velocity(self):
-        state = GdmState(np.zeros(1), np.zeros(1))
-        out = step_gdm(state, np.array([1.0]), 0.1, 0.9)
-        assert np.isclose(out.velocity[0], 0.01)
-        assert np.isclose(out.weights[0], -0.01)
+        step = _stepper("gdm", 1, learning_rate=0.1, momentum=0.9)
+        assert np.isclose(_move(step, [1.0])[0], -0.01)
 
 
 class TestStepGda:
 
+    def _decide(self, loss_now):
+        """(accepted?, rate of the next proposal) after one proposal that
+        scores loss_now against a current loss of 10, at rate 0.5."""
+        step = _stepper("gda", 1, learning_rate=0.5)
+        w, g = np.array([1.0]), np.array([1.0])
+        out = step(w, 10.0, g, lambda p: loss_now)
+        assert out is w or out[0] == 0.5
+        # An unchanged loss is accepted without touching the rate.
+        follow = step(w, 10.0, g, lambda p: 10.0)
+        return out is not w, 1.0 - follow[0]
+
     def test_improvement_grows_rate(self):
-        decision = step_gda(0.5, 9.0, 10.0, _CFG)
-        assert np.isclose(decision.learning_rate, 0.5 * 1.05)
-        assert decision.accept
+        accepted, rate = self._decide(9.0)
+        assert np.isclose(rate, 0.5 * 1.05)
+        assert accepted
 
     def test_blow_up_shrinks_and_rejects(self):
-        decision = step_gda(0.5, 10.5, 10.0, _CFG)
-        assert np.isclose(decision.learning_rate, 0.5 * 0.7)
-        assert not decision.accept
+        accepted, rate = self._decide(10.5)
+        assert np.isclose(rate, 0.5 * 0.7)
+        assert not accepted
 
     def test_small_increase_tolerated(self):
-        decision = step_gda(0.5, 10.2, 10.0, _CFG)
-        assert decision.learning_rate == 0.5
-        assert decision.accept
+        accepted, rate = self._decide(10.2)
+        assert rate == 0.5
+        assert accepted
 
     def test_boundary_increase_tolerated(self):
-        decision = step_gda(0.5, 10.0 * 1.04, 10.0, _CFG)
-        assert decision.learning_rate == 0.5
-        assert decision.accept
+        accepted, rate = self._decide(10.0 * 1.04)
+        assert rate == 0.5
+        assert accepted
 
 
 class TestStepOss:
 
+    def _after(self, s, y, g):
+        """The direction taken at gradient g, after a step s that
+        changed the gradient by y."""
+        step = _stepper("oss", 2)
+        g = np.array(g, dtype=float)
+        _move(step, g - y)
+        return _move(step, g, w=s)
+
     def test_first_call_is_steepest_descent(self):
-        g = np.array([3.0, -1.0])
-        np.testing.assert_array_equal(step_oss(OssState(None, None), g), -g)
+        np.testing.assert_array_equal(_move(_stepper("oss", 2), [3.0, -1.0]), [-3.0, 1.0])
 
     def test_orthogonal_history_reduces_to_steepest_descent(self):
         """With s = y = (1,0) and g = (0,1) both secant scalars vanish."""
-        state = OssState(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-        g = np.array([0.0, 1.0])
-        np.testing.assert_array_equal(step_oss(state, g), -g)
+        d = self._after([1.0, 0.0], np.array([1.0, 0.0]), [0.0, 1.0])
+        np.testing.assert_array_equal(d, [0.0, -1.0])
 
     def test_degenerate_curvature_resets(self):
-        state = OssState(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        g = np.array([2.0, 5.0])
-        np.testing.assert_array_equal(step_oss(state, g), -g)
+        d = self._after([1.0, 0.0], np.array([0.0, 1.0]), [2.0, 5.0])
+        np.testing.assert_array_equal(d, [-2.0, -5.0])
+
+    def test_secant_direction_mixes_history(self):
+        """A usable s.y bends the direction away from -g."""
+        d = self._after([1.0, 0.0], np.array([2.0, 1.0]), [1.0, 1.0])
+        # s.y = 2, b_c = 1/2, a_c = -(1 + 5/2) / 2 + 3/2 = -1/4.
+        np.testing.assert_array_equal(d, [-1.0 - 0.25 + 1.0, -1.0 + 0.5])
 
 
 class TestStepCgpr:
 
     def test_first_call_is_steepest_descent(self):
-        g = np.array([1.0, 2.0])
-        d, state = step_cgpr(CgprState(None, None, 0, 10), g)
-        np.testing.assert_array_equal(d, -g)
-        np.testing.assert_array_equal(state.prev_grad, g)
-        assert state.since_restart == 0
+        np.testing.assert_array_equal(_move(_stepper("cgpr", 2), [1.0, 2.0]), [-1.0, -2.0])
 
     def test_hand_mixed_direction(self):
-        state = CgprState(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), 0, 10)
-        d, out = step_cgpr(state, np.array([0.0, 1.0]))
-        np.testing.assert_array_equal(d, [-1.0, -1.0])
-        assert out.since_restart == 1
+        step = _stepper("cgpr", 2)
+        _move(step, [1.0, 0.0])
+        np.testing.assert_array_equal(_move(step, [0.0, 1.0]), [-1.0, -1.0])
 
     def test_negative_beta_clipped(self):
-        state = CgprState(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), 0, 10)
-        g = np.array([0.5, 0.0])
-        d, _ = step_cgpr(state, g)
-        np.testing.assert_array_equal(d, -g)
+        step = _stepper("cgpr", 2)
+        _move(step, [1.0, 0.0])
+        np.testing.assert_array_equal(_move(step, [0.5, 0.0]), [-0.5, 0.0])
 
     def test_periodic_restart(self):
-        state = CgprState(np.array([1.0, 0.0]), np.array([-1.0, 0.0]), 3, 3)
-        g = np.array([0.0, 1.0])
-        d, out = step_cgpr(state, g)
-        np.testing.assert_array_equal(d, -g)
-        assert out.since_restart == 0
+        """With 2 weights, every third step after a restart restarts."""
+        step = _stepper("cgpr", 2)
+        _move(step, [1.0, 0.0])
+        np.testing.assert_array_equal(_move(step, [0.0, 1.0]), [-1.0, -1.0])
+        np.testing.assert_array_equal(_move(step, [1.0, 0.0]), [-2.0, -1.0])
+        # Mixing would give (-2, -2) here.
+        np.testing.assert_array_equal(_move(step, [0.0, 1.0]), [0.0, -1.0])
 
-    def test_zero_previous_gradient_signals_convergence(self):
-        state = CgprState(np.zeros(2), np.array([-1.0, 0.0]), 0, 10)
-        d, _ = step_cgpr(state, np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(d, [0.0, 0.0])
+    def test_zero_previous_gradient_signals_convergence(self, monkeypatch):
+        """A zero previous gradient leaves no conjugate direction: the
+        step falls back to -grad and the history restarts from it."""
+        # The real line search refuses the zero direction of a zero
+        # gradient, so take every step whole.
+        monkeypatch.setattr(local_search, "backtracking_line_search",
+                            lambda f, x, d, g, config: 1.0)
+        step = _stepper("cgpr", 2)
+        _move(step, [0.0, 0.0])
+        np.testing.assert_array_equal(_move(step, [1.0, 1.0]), [-1.0, -1.0])
+        # beta = ((2,1) - (1,1)).(2,1) / 2 = 1, mixed with d = (-1,-1).
+        np.testing.assert_array_equal(_move(step, [2.0, 1.0]), [-3.0, -2.0])
+
+    def test_uphill_mix_restarts_history(self):
+        """g1 = (1,0), g2 = (-1,0.1) give beta = 2.01 and an uphill mix;
+        the step takes -g2, and -g2 becomes the history."""
+        g1, g2, g3 = np.array([[1.0, 0.0, 0.0], [-1.0, 0.1, 0.0], [0.5, 0.5, 0.0]])
+        step = _stepper("cgpr", 3)
+        _move(step, g1)
+        assert g2 @ (-g2 + 2.01 * -g1) > 0
+        np.testing.assert_array_equal(_move(step, g2), -g2)
+        beta = float((g3 - g2) @ g3) / float(g2 @ g2)
+        np.testing.assert_array_equal(_move(step, g3), -g3 + beta * -g2)
 
 
 class TestLineSearch:
@@ -224,10 +285,10 @@ class TestCgprOnQuadratic:
         A = np.array([[3.0, 1.0], [1.0, 2.0]])
         b = np.array([1.0, 2.0])
         x = np.zeros(2)
-        state = CgprState(None, None, 0, 10)
+        step = _stepper("cgpr", 2)
         for _ in range(2):
             g = A @ x - b
-            d, state = step_cgpr(state, g)
+            d = _move(step, g)
             alpha = -float(g @ d) / float(d @ A @ d)
             x = x + alpha * d
         assert np.linalg.norm(A @ x - b) < 1e-6
@@ -339,3 +400,137 @@ class TestRefine:
         for kwargs in bad:
             with pytest.raises(ParameterError):
                 LocalSearchConfig(**kwargs)
+
+
+_DATA = two_gaussian_dataset(n_per_class=12, n_features=3, separation=1.0, seed=4)
+_TOPO = MlpTopology((3, 3, 1))
+
+
+def _start(seed):
+    return np.random.default_rng(seed).uniform(-2.0, 2.0, _TOPO.param_count)
+
+
+def _assert_matches_reference(start, topology, data, config):
+    result = refine(start, topology, data, config)
+    params, error, losses, errors = refine_reference(start, topology, data, config)
+    assert result.params.tobytes() == params.tobytes()
+    assert result.final_train_error == error
+    assert result.loss_history.tobytes() == losses.tobytes()
+    assert result.error_history.tobytes() == errors.tobytes()
+    return result
+
+
+class _ScriptedLoss:
+    """Stand-in loss functions whose gradients follow a script.
+
+    Each gradient evaluation returns the next scripted gradient (the last
+    one repeats) and a lower loss; the line-search loss is linear in the
+    latest gradient, so every descent step is taken whole.
+    """
+
+    def __init__(self, gradients):
+        self.gradients = np.array(gradients, dtype=float)
+        self.calls = 0
+
+    def mse_loss_and_gradient(self, params, topology, data):
+        self.grad = self.gradients[min(self.calls, len(self.gradients) - 1)]
+        self.calls += 1
+        return -float(self.calls), self.grad.copy()
+
+    def mse_loss(self, params, topology, data):
+        return float(self.grad @ params)
+
+    def classification_error(self, params, topology, data):
+        return 50.0
+
+    def install(self, monkeypatch, module):
+        for name in ("mse_loss_and_gradient", "mse_loss", "classification_error"):
+            monkeypatch.setattr(module, name, getattr(self, name))
+
+
+class TestRefineMatchesReference:
+    """The method table reproduces the per-method kernels bit for bit."""
+
+    @settings(max_examples=120)
+    @given(method=st.sampled_from(METHODS), seed=st.integers(0, 2 ** 32 - 1),
+           zero_start=st.booleans(), epochs=st.integers(1, 150),
+           patience=st.integers(1, 150), log_rate=st.floats(-12.0, math.log10(50.0)),
+           max_backtracks=st.sampled_from([0, 3, 30]),
+           armijo_c1=st.sampled_from([1e-4, 0.999]))
+    def test_bit_identical_and_never_worse(self, method, seed, zero_start, epochs,
+                                           patience, log_rate, max_backtracks,
+                                           armijo_c1):
+        start = np.zeros(_TOPO.param_count) if zero_start else _start(seed)
+        config = LocalSearchConfig(method=method, epochs=epochs, patience=patience,
+                                   learning_rate=10.0 ** log_rate,
+                                   max_backtracks=max_backtracks, armijo_c1=armijo_c1)
+        result = _assert_matches_reference(start, _TOPO, _DATA, config)
+        assert result.final_train_error <= classification_error(start, _TOPO, _DATA)
+        assert result.final_train_error == classification_error(result.params, _TOPO, _DATA)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_stationary_start(self, method):
+        data, topo = xor_dataset(), MlpTopology((2, 4, 1))
+        result = _assert_matches_reference(np.zeros(topo.param_count), topo, data,
+                                           LocalSearchConfig(method=method, epochs=50))
+        assert result.stop_reason == "stationary"
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_single_epoch(self, method):
+        result = _assert_matches_reference(_start(1), _TOPO, _DATA,
+                                           LocalSearchConfig(method=method, epochs=1))
+        assert result.stop_reason == "epochs"
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_patience_stop(self, method):
+        config = LocalSearchConfig(method=method, epochs=300, patience=3,
+                                   learning_rate=1e-12, rp_step_init=1e-6)
+        result = _assert_matches_reference(_start(2), _TOPO, _DATA, config)
+        assert result.stop_reason == "patience"
+
+    @pytest.mark.parametrize("method, armijo_c1", [("oss", 1e-4), ("cgpr", 0.999)])
+    def test_zero_step_line_search(self, method, armijo_c1):
+        config = LocalSearchConfig(method=method, epochs=100, patience=100,
+                                   max_backtracks=0, armijo_c1=armijo_c1)
+        result = _assert_matches_reference(_start(4), _TOPO, _DATA, config)
+        assert result.stop_reason == "line_search"
+
+    def test_gda_rejections(self):
+        config = LocalSearchConfig(method="gda", epochs=60, patience=60, learning_rate=50.0)
+        result = _assert_matches_reference(_start(0), _TOPO, _DATA, config)
+        # A rejected step stays put, so the loss repeats.
+        assert np.count_nonzero(np.diff(result.loss_history) == 0.0) >= 3
+
+    def test_cgpr_periodic_restarts(self):
+        config = LocalSearchConfig(method="cgpr", epochs=100, patience=100)
+        result = _assert_matches_reference(_start(3), _TOPO, _DATA, config)
+        assert result.loss_history.size > 3 * (_TOPO.param_count + 1)
+
+    def test_cgpr_uphill_mix_restarts(self, monkeypatch):
+        """g1 = (1,0), g2 = (-1,0.1) give beta = 2.01 and an uphill mixed
+        direction; the run must restart its history exactly as before."""
+        gradients = [[1.0, 0.0], [-1.0, 0.1], [0.5, 0.5], [0.3, -0.2], [-0.1, 0.4]]
+        config = LocalSearchConfig(method="cgpr", epochs=8, patience=100)
+        topology = SimpleNamespace(param_count=2)
+        _ScriptedLoss(gradients).install(monkeypatch, local_search)
+        result = refine(np.zeros(2), topology, None, config)
+        _ScriptedLoss(gradients).install(monkeypatch, oracles)
+        params, _, losses, _ = refine_reference(np.zeros(2), topology, None, config)
+        assert result.params.tobytes() == params.tobytes()
+        assert result.loss_history.tobytes() == losses.tobytes()
+        assert result.stop_reason == "epochs"
+
+
+class TestStopReason:
+
+    def test_each_exit_names_itself(self):
+        xor, xor_topo = xor_dataset(), MlpTopology((2, 3, 1))
+        runs = {
+            "stationary": (np.zeros(xor_topo.param_count), xor_topo, xor, dict(method="gd")),
+            "patience": (_start(2), _TOPO, _DATA,
+                         dict(method="gd", learning_rate=1e-12, patience=4)),
+            "line_search": (_start(4), _TOPO, _DATA, dict(method="oss", max_backtracks=0)),
+            "epochs": (_start(5), _TOPO, _DATA, dict(method="rp", epochs=5)),
+        }
+        for reason, (start, topo, data, knobs) in runs.items():
+            assert refine(start, topo, data, LocalSearchConfig(**knobs)).stop_reason == reason

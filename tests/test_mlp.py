@@ -315,8 +315,9 @@ class TestContainers:
             cand.fitness = 3.0
 
     def test_candidate_evaluated(self):
-        assert not CandidateSolution(np.zeros(3)).evaluated()
-        assert CandidateSolution(np.zeros(3), fitness=12.5).evaluated()
+        """A candidate counts as evaluated once it carries a fitness."""
+        assert CandidateSolution(np.zeros(3)).fitness is None
+        assert CandidateSolution(np.zeros(3), fitness=12.5).fitness == 12.5
 
     def test_candidate_must_be_flat(self):
         with pytest.raises(ShapeError):

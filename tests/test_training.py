@@ -1,17 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import codel.training as training
 from codel.datasets import two_gaussian_dataset, xor_dataset
 from codel.errors import ParameterError
 from codel.evaluation import METRIC_NAMES
 from codel.local_search import METHODS, LocalSearchConfig
-from codel.mlp import classification_error
+from codel.mlp import Dataset, classification_error
 from codel.optimizer import CodelConfig
 from codel.training import (
     VARIANT_NAMES,
     build_comparison,
     evaluate_grid,
-    make_trainer,
     paired_methods,
     train_variant,
     variant_name,
@@ -96,14 +98,44 @@ class TestTrainVariant:
         assert model.train_error == 0.0
 
 
-class TestMakeTrainer:
-
-    def test_trainer_contract(self):
-        trainer = make_trainer((3,), _TINY_CODEL, _TINY_LS, boosted=False)
-        predictor = trainer(_TINY_DATA, seed=4)
-        out = predictor(_TINY_DATA.rows)
+    def test_predictor_contract(self):
+        """The predictor maps a row matrix to one 0/1 label per row."""
+        model = train_variant(_TINY_DATA, 4, (3,), _TINY_CODEL, _TINY_LS,
+                              boosted=False)
+        out = model.predictor()(_TINY_DATA.rows)
         assert out.shape == (len(_TINY_DATA.labels),)
         assert set(np.unique(out)) <= {0, 1}
+
+
+class TestGridTask:
+
+    def test_test_labels_never_reach_training(self, monkeypatch):
+        """Label-poisoning canary: flipping test labels moves the score
+        but leaves the training inputs untouched."""
+        rng = np.random.default_rng(10)
+        train = Dataset(rng.normal(0, 1, (20, 2)), rng.integers(0, 2, 20))
+        rows = rng.normal(0.5, 1, (10, 2))
+        test = Dataset(rows, (rows[:, 0] > 0.3).astype(int))
+        poisoned = Dataset(test.rows, 1 - test.labels)
+
+        seen = []
+
+        def recording_train_variant(*args):
+            seen.append(args)
+            return SimpleNamespace(
+                predictor=lambda: lambda r: (np.asarray(r)[:, 0] > 0).astype(int)
+            )
+
+        monkeypatch.setattr(training, "train_variant", recording_train_variant)
+        a, b = (training._grid_task(("gd", False, train, fold, 0, (3,),
+                                     _TINY_CODEL, _TINY_LS))
+                for fold in (test, poisoned))
+
+        assert a.accuracy != b.accuracy
+        assert all(arg is not fold for args in seen for arg in args
+                   for fold in (test, poisoned))
+        np.testing.assert_array_equal(seen[0][0].rows, seen[1][0].rows)
+        np.testing.assert_array_equal(seen[0][0].labels, seen[1][0].labels)
 
 
 class TestEvaluateGrid:
