@@ -149,12 +149,12 @@ def _gda(w, config):
     return step
 
 
-def _line_step(w, grad, d, loss_at, config):
+def _line_step(w, loss, grad, d, loss_at, config):
     """(Next weights or None, direction searched): a backtracking step
     along d, or along -grad when d is not a descent direction."""
     if float(grad @ d) >= 0:
         d = -grad
-    a = backtracking_line_search(loss_at, w, d, grad, config)
+    a = backtracking_line_search(loss_at, w, d, grad, loss, config)
     return (None if a == 0.0 else w + a * d), d
 
 
@@ -175,7 +175,7 @@ def _oss(w, config):
                 a_c = -(1.0 + float(y @ y) / sty) * b_c + float(y @ grad) / sty
                 d = -grad + a_c * s + b_c * y
         w_prev, grad_prev = w, grad
-        return _line_step(w, grad, d, loss_at, config)[0]
+        return _line_step(w, loss, grad, d, loss_at, config)[0]
 
     return step
 
@@ -198,7 +198,7 @@ def _cgpr(w, config):
         else:
             beta = max(float((grad - prev_grad) @ grad) / denom, 0.0)
             d, since_restart = -grad + beta * prev_d, since_restart + 1
-        w_next, taken = _line_step(w, grad, d, loss_at, config)
+        w_next, taken = _line_step(w, loss, grad, d, loss_at, config)
         if taken is not d:
             # Restart: a conjugate direction that fails the descent
             # test must not stay in the history.
@@ -210,21 +210,22 @@ def _cgpr(w, config):
 
 
 # Each method maps (start weights, config) to step(w, loss, grad, loss_at),
-# which returns the next weights, or None when a line search finds no step.
+# which returns the next weights, w itself when it rejects a step, or
+# None when a line search finds no step.
 _STEPPERS = {"rp": _rp, "oss": _oss, "gd": _gd, "gdm": _gdm, "gda": _gda, "cgpr": _cgpr}
 
 
-def backtracking_line_search(f, x: np.ndarray, d: np.ndarray, g: np.ndarray,
+def backtracking_line_search(f, x: np.ndarray, d: np.ndarray, g: np.ndarray, f0: float,
                              config: LocalSearchConfig = LocalSearchConfig()) -> float:
     """Largest halved step satisfying the sufficient-decrease condition.
 
-    Tries a = 1, then shrinks up to max_backtracks times; returns 0 when
-    even the smallest step fails the test.
+    f0 is f(x), which the caller already holds. Tries a = 1, then
+    shrinks up to max_backtracks times; returns 0 when even the smallest
+    step fails the test.
     """
     slope = float(g @ d)
     if slope >= 0:
         raise ContractError("line search requires a descent direction")
-    f0 = f(x)
     a = 1.0
     for _ in range(config.max_backtracks + 1):
         if f(x + a * d) <= f0 + config.armijo_c1 * a * slope:
@@ -288,9 +289,10 @@ def refine(initial, topology: MlpTopology, data: Dataset,
         if w_next is None:
             stop_reason = "line_search"
             break
-        w = w_next
-        loss, grad = mse_loss_and_gradient(w, topology, data)
-        error = classification_error(w, topology, data)
+        if w_next is not w:  # a rejected gda step keeps w, loss, grad and error
+            w = w_next
+            loss, grad = mse_loss_and_gradient(w, topology, data)
+            error = classification_error(w, topology, data)
         loss_history.append(loss)
         error_history.append(error)
         if best.offer(w, error, loss):

@@ -7,6 +7,11 @@ and cluster centers replace randomly chosen (non-best) members when they
 score better, and with some probability per iteration the whole
 population jumps through its quasi-opposite counterpart, keeping the
 better half of the union. Termination is by objective-evaluation count.
+
+A generation is drawn whole: one draw gives every member its three
+donors, one more its crossover mask, and every trial is built from the
+generation-start population, as scipy's `updating='deferred'` does.
+Only the objective is called member by member.
 """
 
 from dataclasses import dataclass
@@ -24,8 +29,6 @@ __all__ = [
     "opposite",
     "quasi_opposite",
     "qobl_population",
-    "mutate",
-    "binomial_crossover",
     "kmeans",
     "cluster_update",
     "run_codel",
@@ -124,28 +127,6 @@ def quasi_opposite(x, a, b, rng):
     lo = np.minimum(mid, opp)
     hi = np.maximum(mid, opp)
     return rng.uniform(lo, hi)
-
-
-def mutate(vectors: np.ndarray, target_index: int, scale_factor: float,
-           lower: float, upper: float, rng) -> np.ndarray:
-    """Difference mutation from three distinct other members, clamped."""
-    n = vectors.shape[0]
-    if n < 4:
-        raise ParameterError("mutation needs at least 4 members")
-    others = np.delete(np.arange(n), target_index)
-    r1, r2, r3 = rng.choice(others, size=3, replace=False)
-    v = vectors[r1] + scale_factor * (vectors[r2] - vectors[r3])
-    return np.clip(v, lower, upper)
-
-
-def binomial_crossover(target: np.ndarray, mutant: np.ndarray,
-                       crossover_rate: float, rng) -> np.ndarray:
-    """Mix mutant into target componentwise; one component always crosses."""
-    dim = target.size
-    j_rand = rng.integers(dim)
-    take = rng.random(dim) <= crossover_rate
-    take[j_rand] = True
-    return np.where(take, mutant, target)
 
 
 def _evaluate(objective, rows) -> np.ndarray:
@@ -269,27 +250,46 @@ def _initial_population(objective, dim: int, config: CodelConfig, rng) -> Popula
     return Population(vectors, fitness, nfe=len(fitness), iteration=0)
 
 
-def _generation(pop: Population, config: CodelConfig, objective, rng) -> Population:
-    """One pass of mutate/crossover/select over every member.
+def _draw_generation(n: int, dim: int, crossover_rate: float, rng):
+    """(donors, take) for a generation of n members of dimension dim.
 
-    Trials come from the generation-start population, and a trial that
-    scores no worse replaces its target. Stops early once the evaluation
-    budget is spent, leaving later members untouched for that iteration.
+    Draw order: a (n, n - 1) matrix of keys, whose three smallest in row
+    i, in increasing order, pick member i's donors (r1, r2, r3) among
+    the other members; a (n, dim) uniform matrix, whose entries at most
+    crossover_rate mark the mutant components; and one j_rand per row,
+    a component that always takes the mutant.
     """
+    if n < 4:
+        raise ParameterError("mutation needs at least 4 members")
+    donors = rng.random((n, n - 1)).argsort(axis=1, kind="stable")[:, :3]
+    donors += donors >= np.arange(n)[:, None]
+    take = rng.random((n, dim)) <= crossover_rate
+    take[np.arange(n), rng.integers(dim, size=n)] = True
+    return donors, take
+
+
+def _generation(pop: Population, config: CodelConfig, objective, rng) -> Population:
+    """One rand/1/bin pass: every member's trial, drawn at once.
+
+    The draws come in a fixed order: the donor keys, the crossover mask,
+    then the j_rand vector (see _draw_generation). Member i's mutant is
+    r1 + F (r2 - r3), clamped to the box, and its trial takes the mutant
+    where its mask is set; all trials come from the generation-start
+    population. A trial that scores no worse replaces its target. Only
+    the first members the evaluation budget can pay for get a trial.
+    """
+    n, dim = pop.vectors.shape
+    donors, take = _draw_generation(n, dim, config.crossover_rate, rng)
+    trials = max(0, min(n, config.nfe_max - pop.nfe))
+    r1, r2, r3 = pop.vectors[donors[:trials].T]
+    mutants = np.clip(r1 + config.scale_factor * (r2 - r3), config.lower, config.upper)
+    candidates = np.where(take[:trials], mutants, pop.vectors[:trials])
+    scores = _evaluate(objective, candidates)
+    won = np.flatnonzero(scores <= pop.fitness[:trials])
     vectors, fitness = pop.vectors.copy(), pop.fitness.copy()
-    trials = max(0, min(len(fitness), config.nfe_max - pop.nfe))
-    wins = 0
-    for i in range(trials):
-        mutant = mutate(pop.vectors, i, config.scale_factor,
-                        config.lower, config.upper, rng)
-        trial = binomial_crossover(pop.vectors[i], mutant,
-                                   config.crossover_rate, rng)
-        f_trial = float(objective(trial))
-        if f_trial <= fitness[i]:
-            vectors[i], fitness[i] = trial, f_trial
-            wins += 1
+    vectors[won], fitness[won] = candidates[won], scores[won]
     return Population(vectors, fitness, pop.nfe + trials, pop.iteration + 1,
-                      entered=wins)
+                      entered=len(won))
 
 
 def _run(objective, dim: int, config: CodelConfig,

@@ -337,7 +337,9 @@ def run_codel_reference(objective, dim, config, clustering=True, opposition=True
     """Cluster/quasi-opposition DE over a tuple of CandidateSolutions.
 
     Every member is its own frozen object, every selection compares two
-    of them, and each quasi-opposite is drawn member by member. Returns
+    of them, and each quasi-opposite is drawn member by member. Each
+    generation makes its three draws up front and then builds the trials
+    member by member and component by component. Returns
     (best, history, nfe_history, nfe, iterations), with best a
     CandidateSolution; clustering=opposition=False gives plain DE.
     A sixth item holds the run's counts: nfe by source, and the members
@@ -393,19 +395,23 @@ def run_codel_reference(objective, dim, config, clustering=True, opposition=True
         return tuple(out)
 
     def generation(members):
+        # The three draws, in order: donor keys, crossover keys, j_rand.
+        n = len(members)
+        donor_keys = rng_gen.random((n, n - 1))
+        crossover_keys = rng_gen.random((n, dim))
+        j_rand = rng_gen.integers(dim, size=n)
         out = list(members)
-        vectors = np.array([m.params for m in members])
-        for i in range(len(out)):
+        for i in range(n):
             if state["nfe"] >= config.nfe_max:
                 break
-            others = [j for j in range(len(out)) if j != i]
-            r1, r2, r3 = rng_gen.choice(others, size=3, replace=False)
-            mutant = np.clip(vectors[r1] + config.scale_factor * (vectors[r2] - vectors[r3]),
-                             config.lower, config.upper)
-            j_rand = rng_gen.integers(dim)
-            take = rng_gen.random(dim) <= config.crossover_rate
-            take[j_rand] = True
-            trial_vec = np.where(take, mutant, vectors[i])
+            others = [j for j in range(n) if j != i]
+            by_key = sorted(range(n - 1), key=lambda j: donor_keys[i][j])
+            r1, r2, r3 = (members[others[j]].params for j in by_key[:3])
+            trial_vec = members[i].params.copy()
+            for d in range(dim):
+                if crossover_keys[i][d] <= config.crossover_rate or d == j_rand[i]:
+                    mutant = float(r1[d]) + config.scale_factor * (float(r2[d]) - float(r3[d]))
+                    trial_vec[d] = min(max(mutant, config.lower), config.upper)
             trial = CandidateSolution(trial_vec, float(objective(trial_vec)))
             state["nfe"] += 1
             out[i] = _select_reference(out[i], trial)

@@ -41,7 +41,8 @@ def _move(step, grad, w=None):
     """How far one step from w (default 0) moves on the loss _linear(grad)."""
     grad = np.array(grad, dtype=float)
     w = np.zeros(grad.size) if w is None else np.array(w, dtype=float)
-    return step(w, 0.0, grad, _linear(grad)) - w
+    loss_at = _linear(grad)
+    return step(w, loss_at(w), grad, loss_at) - w
 
 
 class TestStepRp:
@@ -231,7 +232,7 @@ class TestStepCgpr:
         # The real line search refuses the zero direction of a zero
         # gradient, so take every step whole.
         monkeypatch.setattr(local_search, "backtracking_line_search",
-                            lambda f, x, d, g, config: 1.0)
+                            lambda f, x, d, g, f0, config: 1.0)
         step = _stepper("cgpr", 2)
         _move(step, [0.0, 0.0])
         np.testing.assert_array_equal(_move(step, [1.0, 1.0]), [-1.0, -1.0])
@@ -255,26 +256,26 @@ class TestLineSearch:
     def test_quadratic_needs_one_halving(self):
         f = lambda x: float(x[0] ** 2)
         a = backtracking_line_search(f, np.array([1.0]), np.array([-2.0]),
-                                     np.array([2.0]))
+                                     np.array([2.0]), 1.0)
         assert a == 0.5
 
     def test_linear_accepts_full_step(self):
         f = lambda x: float(x[0])
         a = backtracking_line_search(f, np.array([0.0]), np.array([-1.0]),
-                                     np.array([1.0]))
+                                     np.array([1.0]), 0.0)
         assert a == 1.0
 
     def test_non_descent_direction_rejected(self):
         f = lambda x: float(x[0] ** 2)
         with pytest.raises(ContractError):
             backtracking_line_search(f, np.array([1.0]), np.array([2.0]),
-                                     np.array([2.0]))
+                                     np.array([2.0]), 1.0)
 
     def test_no_acceptable_step_returns_zero(self):
         """A flat objective can never satisfy sufficient decrease."""
         f = lambda x: 0.0
         a = backtracking_line_search(f, np.array([0.0]), np.array([-1.0]),
-                                     np.array([1.0]))
+                                     np.array([1.0]), 0.0)
         assert a == 0.0
 
 
@@ -424,8 +425,8 @@ class _ScriptedLoss:
     """Stand-in loss functions whose gradients follow a script.
 
     Each gradient evaluation returns the next scripted gradient (the last
-    one repeats) and a lower loss; the line-search loss is linear in the
-    latest gradient, so every descent step is taken whole.
+    one repeats); the loss, there and in the line search, is linear in
+    the latest gradient, so every descent step is taken whole.
     """
 
     def __init__(self, gradients):
@@ -435,7 +436,7 @@ class _ScriptedLoss:
     def mse_loss_and_gradient(self, params, topology, data):
         self.grad = self.gradients[min(self.calls, len(self.gradients) - 1)]
         self.calls += 1
-        return -float(self.calls), self.grad.copy()
+        return self.mse_loss(params, topology, data), self.grad.copy()
 
     def mse_loss(self, params, topology, data):
         return float(self.grad @ params)
@@ -495,11 +496,21 @@ class TestRefineMatchesReference:
         result = _assert_matches_reference(_start(4), _TOPO, _DATA, config)
         assert result.stop_reason == "line_search"
 
-    def test_gda_rejections(self):
+    def test_gda_rejections(self, monkeypatch):
+        calls = {"mse_loss_and_gradient": 0, "classification_error": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(local_search, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(local_search, name, counted)
         config = LocalSearchConfig(method="gda", epochs=60, patience=60, learning_rate=50.0)
         result = _assert_matches_reference(_start(0), _TOPO, _DATA, config)
-        # A rejected step stays put, so the loss repeats.
-        assert np.count_nonzero(np.diff(result.loss_history) == 0.0) >= 3
+        # A rejected step stays put, so the loss repeats; the held loss,
+        # gradient and error are reused, with no objective call.
+        rejected = np.count_nonzero(np.diff(result.loss_history) == 0.0)
+        assert rejected >= 3
+        accepted = result.loss_history.size - rejected
+        assert calls == {"mse_loss_and_gradient": accepted, "classification_error": accepted}
 
     def test_cgpr_periodic_restarts(self):
         config = LocalSearchConfig(method="cgpr", epochs=100, patience=100)

@@ -1,7 +1,10 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import codel.optimizer as optimizer
 from codel.errors import ParameterError
@@ -9,12 +12,11 @@ from codel.mlp import Dataset, MlpTopology, classification_error
 from codel.optimizer import (
     CodelConfig,
     Population,
+    _draw_generation,
     _generation,
     _lloyd_iterations,
-    binomial_crossover,
     cluster_update,
     kmeans,
-    mutate,
     opposite,
     qobl_population,
     quasi_opposite,
@@ -35,15 +37,46 @@ def _evaluated_population(vectors, objective, nfe=0, iteration=0):
     return Population(vectors, fitness, nfe=nfe, iteration=iteration)
 
 
-class _FixedChoice:
-    """Stands in for an rng whose choice() is pinned to one answer."""
+class _ScriptedDonors:
+    """Stands in for an rng whose first random() call returns the given
+    donor keys; every later draw comes from a seeded generator."""
 
-    def __init__(self, picks):
-        self.picks = np.asarray(picks)
+    def __init__(self, keys, seed=0):
+        self.keys = np.array(keys, dtype=float)
+        self.rng = np.random.default_rng(seed)
 
-    def choice(self, options, size, replace):
-        assert size == self.picks.size and not replace
-        return self.picks
+    def random(self, shape):
+        if self.keys is None:
+            return self.rng.random(shape)
+        keys, self.keys = self.keys, None
+        assert keys.shape == shape
+        return keys
+
+    def integers(self, high, size):
+        return self.rng.integers(high, size=size)
+
+
+# Donor keys that rank the other members in index order, so member i's
+# (r1, r2, r3) are the first three indices other than i.
+_ASCENDING_KEYS = np.tile([0.1, 0.2, 0.3, 0.4, 0.5], (6, 1))
+
+
+def _trials(vectors, rng, **knobs):
+    """The trial vectors of one generation over `vectors`, in member order.
+
+    The knobs bypass CodelConfig's checks, so a zero scale factor runs.
+    """
+    vectors = np.array(vectors, dtype=float)
+    config = SimpleNamespace(**{**asdict(CodelConfig()), **knobs})
+    seen = []
+    pop = Population(vectors, np.zeros(len(vectors)), nfe=0, iteration=0)
+    _generation(pop, config, lambda v: seen.append(v.copy()) or 0.0, rng)
+    return np.array(seen)
+
+
+def _mutants(vectors, donors, scale_factor=0.5, lower=-10.0, upper=10.0):
+    r1, r2, r3 = (vectors[donors[:, k]] for k in range(3))
+    return np.clip(r1 + scale_factor * (r2 - r3), lower, upper)
 
 
 class TestOpposite:
@@ -107,8 +140,7 @@ class TestSelect:
 
     @staticmethod
     def _one_trial(trial_fitness):
-        rng = np.random.default_rng(30)
-        vectors = rng.uniform(-5, 5, (4, 2))
+        vectors = np.random.default_rng(30).uniform(-5, 5, (4, 2))
         pop = Population(vectors, np.array([20.0, 1.0, 2.0, 3.0]), nfe=4, iteration=0)
         trials = []
 
@@ -118,8 +150,13 @@ class TestSelect:
 
         # The budget leaves room for exactly one trial.
         config = CodelConfig(population_size=4, nfe_max=5)
-        out = _generation(pop, config, objective, rng)
+        out = _generation(pop, config, objective, np.random.default_rng(31))
         assert len(trials) == 1 and out.nfe == 5 and out.iteration == 1
+        # Member 0's trial is the one its row of the generation's draws makes.
+        donors, take = _draw_generation(4, 2, config.crossover_rate,
+                                        np.random.default_rng(31))
+        expected = np.where(take[0], _mutants(vectors, donors)[0], vectors[0])
+        np.testing.assert_array_equal(trials[0], expected)
         assert not np.array_equal(trials[0], vectors[0])
         np.testing.assert_array_equal(pop.vectors, vectors)
         np.testing.assert_array_equal(out.vectors[1:], vectors[1:])
@@ -153,64 +190,102 @@ class TestSelect:
 
 
 class TestMutate:
+    """The difference mutation, read off whole-generation trials at
+    crossover rate 1, where every trial is its mutant."""
 
     def test_difference_arithmetic(self):
         vectors = np.array([[1.0, 1.0], [2.0, 0.0], [0.0, 2.0], [9.0, 9.0]])
-        v = mutate(vectors, 3, 0.5, -10.0, 10.0, _FixedChoice([0, 1, 2]))
-        np.testing.assert_array_equal(v, [2.0, 0.0])
+        trials = _trials(vectors, _ScriptedDonors(_ASCENDING_KEYS[:4, :3]),
+                         crossover_rate=1.0)
+        # Member 3 draws (r1, r2, r3) = (0, 1, 2): (1,1) + 0.5 ((2,0) - (0,2)).
+        np.testing.assert_array_equal(trials[3], [2.0, 0.0])
 
     def test_zero_difference_returns_base(self):
         vectors = np.array([[1.0, 1.0], [3.0, 3.0], [3.0, 3.0], [9.0, 9.0]])
-        v = mutate(vectors, 3, 0.5, -10.0, 10.0, _FixedChoice([0, 1, 2]))
-        np.testing.assert_array_equal(v, [1.0, 1.0])
+        trials = _trials(vectors, _ScriptedDonors(_ASCENDING_KEYS[:4, :3]),
+                         crossover_rate=1.0)
+        np.testing.assert_array_equal(trials[3], [1.0, 1.0])
 
     def test_zero_scale_returns_base(self):
         rng = np.random.default_rng(6)
         vectors = rng.uniform(-5, 5, (6, 3))
-        v = mutate(vectors, 0, 0.0, -10.0, 10.0, _FixedChoice([3, 1, 4]))
-        np.testing.assert_array_equal(v, vectors[3])
+        # Member 0's keys rank members 3, 1, 4 first.
+        keys = np.vstack([[0.2, 0.9, 0.1, 0.3, 0.8], _ASCENDING_KEYS[1:]])
+        trials = _trials(vectors, _ScriptedDonors(keys), crossover_rate=1.0,
+                         scale_factor=0.0)
+        np.testing.assert_array_equal(trials[0], vectors[3])
+
+    def test_donors_are_the_smallest_keys_past_the_target(self):
+        donors, _ = _draw_generation(4, 2, 0.9, _ScriptedDonors(_ASCENDING_KEYS[:4, :3]))
+        np.testing.assert_array_equal(donors, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
     def test_result_clamped_to_bounds(self):
         rng = np.random.default_rng(7)
         vectors = np.array([[1.0], [-1.0], [1.0], [-1.0], [1.0], [-1.0]])
         for _ in range(50):
-            v = mutate(vectors, 0, 2.0, -1.0, 1.0, rng)
-            assert -1.0 <= v[0] <= 1.0
+            trials = _trials(vectors, rng, scale_factor=2.0, lower=-1.0, upper=1.0)
+            assert np.all((trials >= -1.0) & (trials <= 1.0))
 
     def test_needs_four_members(self):
+        pop = Population(np.zeros((3, 2)), np.zeros(3), nfe=3, iteration=0)
         with pytest.raises(ParameterError):
-            mutate(np.zeros((3, 2)), 0, 0.5, -1.0, 1.0, np.random.default_rng(8))
+            _generation(pop, CodelConfig(population_size=4, nfe_max=100), _sphere,
+                        np.random.default_rng(8))
 
 
 class TestBinomialCrossover:
+    """The crossover mask, on whole-generation trials; the draws are
+    replayed from the same seed to name each member's mutant."""
+
+    @staticmethod
+    def _replayed(vectors, seed, crossover_rate):
+        """(trials, mutants, take) of one generation at this seed."""
+        trials = _trials(vectors, np.random.default_rng(seed),
+                         crossover_rate=crossover_rate)
+        donors, take = _draw_generation(*vectors.shape, crossover_rate,
+                                        np.random.default_rng(seed))
+        return trials, _mutants(vectors, donors), take
 
     def test_full_rate_copies_mutant(self):
-        rng = np.random.default_rng(9)
-        target = np.zeros(10)
-        mutant = np.arange(10.0)
-        np.testing.assert_array_equal(
-            binomial_crossover(target, mutant, 1.0, rng), mutant
-        )
+        vectors = np.random.default_rng(9).uniform(-5, 5, (10, 10))
+        trials, mutants, _ = self._replayed(vectors, 9, 1.0)
+        np.testing.assert_array_equal(trials, mutants)
 
     def test_zero_rate_flips_exactly_one_component(self):
-        rng = np.random.default_rng(10)
-        for _ in range(50):
-            u = binomial_crossover(np.zeros(8), np.ones(8), 0.0, rng)
-            assert np.count_nonzero(u) == 1
+        vectors = np.random.default_rng(10).uniform(-5, 5, (8, 8))
+        for seed in range(50):
+            trials, mutants, take = self._replayed(vectors, seed, 0.0)
+            assert np.all(np.count_nonzero(take, axis=1) == 1)
+            np.testing.assert_array_equal(trials[take], mutants[take])
+            np.testing.assert_array_equal(trials[~take], vectors[~take])
 
     def test_identical_parents_are_a_fixed_point(self):
         rng = np.random.default_rng(11)
-        x = np.arange(5.0)
+        vectors = np.tile(np.arange(5.0), (6, 1))
         for cr in (0.0, 0.4, 1.0):
-            np.testing.assert_array_equal(binomial_crossover(x, x, cr, rng), x)
+            np.testing.assert_array_equal(_trials(vectors, rng, crossover_rate=cr), vectors)
 
     def test_components_come_from_a_parent(self):
-        rng = np.random.default_rng(12)
-        target = np.zeros(6)
-        mutant = np.full(6, 7.0)
-        for _ in range(50):
-            u = binomial_crossover(target, mutant, 0.5, rng)
-            assert np.all(np.isin(u, (0.0, 7.0)))
+        vectors = np.random.default_rng(12).uniform(-5, 5, (6, 6))
+        for seed in range(50):
+            trials, mutants, _ = self._replayed(vectors, seed, 0.5)
+            assert np.all((trials == vectors) | (trials == mutants))
+
+
+class TestDrawGeneration:
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(4, 60), dim=st.integers(1, 30),
+           crossover_rate=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_distinct_donors_and_one_mutant_component(self, n, dim, crossover_rate, seed):
+        donors, take = _draw_generation(n, dim, crossover_rate, np.random.default_rng(seed))
+        assert donors.shape == (n, 3) and take.shape == (n, dim)
+        assert np.all((donors >= 0) & (donors < n))
+        assert np.all(donors != np.arange(n)[:, None])
+        assert np.all(donors[:, 0] != donors[:, 1])
+        assert np.all(donors[:, 0] != donors[:, 2])
+        assert np.all(donors[:, 1] != donors[:, 2])
+        assert np.all(take.any(axis=1))
 
 
 class TestQoblPopulation:
