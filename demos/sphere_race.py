@@ -10,8 +10,9 @@ import numpy as np
 from codel.optimizer import CodelConfig, run_codel, run_plain_de
 
 
-def sphere(x) -> float:
-    return float(np.dot(x, x))
+def sphere(X) -> np.ndarray:
+    """x @ x for each row x of the batch X."""
+    return np.einsum("ij,ij->i", X, X)
 
 
 def main() -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .mlp import Dataset, MlpTopology, classification_error, mse_loss, mse_loss_and_gradient
+from .mlp import Dataset, MlpTopology, mse_loss, mse_loss_and_gradient
 
 __all__ = ["METHODS", "LocalSearchConfig", "RefineResult", "backtracking_line_search", "refine"]
 
@@ -272,8 +272,7 @@ def refine(initial, topology: MlpTopology, data: Dataset,
     def loss_at(params):
         return mse_loss(params, topology, data)
 
-    loss, grad = mse_loss_and_gradient(w, topology, data)
-    error = classification_error(w, topology, data)
+    loss, grad, error = mse_loss_and_gradient(w, topology, data)
     best = _BestTracker(w, error, loss)
     loss_history = [loss]
     error_history = [error]
@@ -291,8 +290,7 @@ def refine(initial, topology: MlpTopology, data: Dataset,
             break
         if w_next is not w:  # a rejected gda step keeps w, loss, grad and error
             w = w_next
-            loss, grad = mse_loss_and_gradient(w, topology, data)
-            error = classification_error(w, topology, data)
+            loss, grad, error = mse_loss_and_gradient(w, topology, data)
         loss_history.append(loss)
         error_history.append(error)
         if best.offer(w, error, loss):

@@ -204,15 +204,51 @@ def forward(params, topology: MlpTopology, inputs) -> np.ndarray:
     return out[0] if single else out
 
 
-def _output_preactivation(params, topology: MlpTopology, rows) -> np.ndarray:
-    """The single output neuron's pre-activation for a batch of rows."""
-    *hidden, (w, b) = decode(params, topology)
-    a = rows
-    for w_h, b_h in hidden:
-        a = _layer(a, w_h, b_h)
-    z = a @ w.T
-    z += b
-    return z[:, 0]
+# A chunk of the stacked forward pass holds as many members as keep its
+# first hidden layer near this many doubles (8 members at 400 rows x 10
+# units), so the chunk's activations stay in cache.
+_CHUNK_DOUBLES = 32_768
+
+
+def _output_preactivations(vectors, topology: MlpTopology, rows) -> np.ndarray:
+    """The output neuron's pre-activation of each member on each row, (k, n).
+
+    Row i of `vectors` holds member i's flat parameters. Members go through
+    in chunks. Per hidden layer, one stacked matmul writes a chunk's
+    products into a (rows, members, units) buffer through its (members,
+    rows, units) view, so the bias add and the sigmoid run once over
+    contiguous memory. Every member's product is the same BLAS call on the
+    same shapes as its own `a @ w.T`, so each row of the result equals the
+    member's unstacked pass bit for bit.
+    """
+    if vectors.ndim != 2 or vectors.shape[1] != topology.param_count:
+        raise ShapeError(
+            f"expected (k, {topology.param_count}) parameters for layers "
+            f"{topology.layer_sizes}, got {vectors.shape}"
+        )
+    sizes = topology.layer_sizes
+    n = rows.shape[0]
+    chunk = max(1, _CHUNK_DOUBLES // (n * sizes[1] or 1))
+    out = np.empty((len(vectors), n))
+    for start in range(0, len(vectors), chunk):
+        v = vectors[start: start + chunk]
+        k = len(v)
+        a = rows
+        offset = 0
+        for n_src, n_dst in zip(sizes[:-2], sizes[1:-1]):
+            w = v[:, offset: offset + n_src * n_dst].reshape(k, n_dst, n_src)
+            offset += n_src * n_dst
+            z = np.empty((n, k, n_dst))
+            np.matmul(a, w.transpose(0, 2, 1), out=z.transpose(1, 0, 2))
+            z += v[:, offset: offset + n_dst]
+            offset += n_dst
+            a = _sigmoid_in_place(z).transpose(1, 0, 2)
+        n_src, n_dst = sizes[-2:]
+        w = v[:, offset: offset + n_src * n_dst].reshape(k, n_dst, n_src)
+        z = np.matmul(a, w.transpose(0, 2, 1))
+        bias = v[:, offset + n_src * n_dst, None]
+        np.add(z[:, :, 0], bias, out=out[start: start + k])
+    return out
 
 
 def _classify(z: np.ndarray) -> np.ndarray:
@@ -236,13 +272,20 @@ def predict(params, topology: MlpTopology, inputs) -> np.ndarray:
         raise ShapeError(
             f"input dimension {rows.shape} does not match n_in={topology.n_in}"
         )
-    return _classify(_output_preactivation(params, topology, rows)).astype(int)
+    params = np.asarray(params, dtype=float)[None]
+    return _classify(_output_preactivations(params, topology, rows)[0]).astype(int)
 
 
-def classification_error(params, topology: MlpTopology, data: Dataset) -> float:
-    """Percentage of misclassified samples."""
-    decisions = _classify(_output_preactivation(params, topology, data.rows))
-    return 100.0 * np.count_nonzero(decisions != data.labels) / len(data)
+def classification_error(params, topology: MlpTopology, data: Dataset):
+    """Percentage of misclassified samples.
+
+    params is one flat vector (D,), giving a float, or a stack of them
+    (k, D), giving one percentage per row as a (k,) array.
+    """
+    params = np.asarray(params, dtype=float)
+    decisions = _classify(_output_preactivations(np.atleast_2d(params), topology, data.rows))
+    errors = 100.0 * np.count_nonzero(decisions != data.labels, axis=1) / len(data)
+    return float(errors[0]) if params.ndim == 1 else errors
 
 
 def mse_loss(params, topology: MlpTopology, data: Dataset) -> float:
@@ -252,14 +295,17 @@ def mse_loss(params, topology: MlpTopology, data: Dataset) -> float:
 
 
 def mse_loss_and_gradient(params, topology: MlpTopology, data: Dataset):
-    """Mean squared error against the labels and its gradient.
+    """Mean squared error against the labels, its gradient, and the
+    classification error, all from one forward pass.
 
     The gradient is accumulated layer by layer in reverse, using the
     sigmoid derivative a(1-a), and is returned flat in the same layout
-    as the parameters.
+    as the parameters. The error decides class 1 where the output
+    neuron's sigmoid is >= 0.5, the rule `_classify` implements, so it
+    equals classification_error(params, topology, data) bit for bit.
 
     Returns:
-        (loss, gradient) with gradient.shape == (param_count,).
+        (loss, gradient, error) with gradient.shape == (param_count,).
     """
     if len(data) == 0:
         raise ParameterError("loss needs a nonempty dataset")
@@ -271,6 +317,7 @@ def mse_loss_and_gradient(params, topology: MlpTopology, data: Dataset):
 
     n_terms = out.size
     loss = float(np.sum((out - targets) ** 2) / n_terms)
+    error = 100.0 * np.count_nonzero((out[:, 0] >= 0.5) != data.labels) / len(data)
 
     # delta holds dLoss/dz for the current layer, batch rows first.
     delta = 2.0 * (out - targets) / n_terms * out * (1.0 - out)
@@ -283,4 +330,4 @@ def mse_loss_and_gradient(params, topology: MlpTopology, data: Dataset):
         if l > 0:
             w, _ = layers[l]
             delta = (delta @ w) * a_prev * (1.0 - a_prev)
-    return loss, encode(grads, topology)
+    return loss, encode(grads, topology), error

@@ -11,14 +11,16 @@ better half of the union. Termination is by objective-evaluation count.
 A generation is drawn whole: one draw gives every member its three
 donors, one more its crossover mask, and every trial is built from the
 generation-start population, as scipy's `updating='deferred'` does.
-Only the objective is called member by member.
+The objective scores a whole batch per call, as scipy's
+`vectorized=True` does: the initial population, each generation's
+trials, the cluster centers and the quasi-opposites are one call each.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ContractError, ParameterError
 from .mlp import CandidateSolution
 from .streams import named_rng
 
@@ -130,7 +132,14 @@ def quasi_opposite(x, a, b, rng):
 
 
 def _evaluate(objective, rows) -> np.ndarray:
-    return np.array([float(objective(v)) for v in rows])
+    """The objective's scores of the (k, D) batch rows, one per row."""
+    scores = np.asarray(objective(rows), dtype=float)
+    if scores.shape != (len(rows),):
+        raise ContractError(
+            f"objective must return one score per row, shape ({len(rows)},); "
+            f"got shape {scores.shape}"
+        )
+    return scores
 
 
 def _keep_best(vectors, fitness, k: int):
@@ -321,7 +330,7 @@ def _run(objective, dim: int, config: CodelConfig,
             pop = apply("cluster", cluster_update, pop, rng_cluster)
         if opposition and rng_qobl.random() < config.jumping_rate:
             pop = apply("qobl", qobl_population, pop, rng_qobl)
-        history.append(pop.best.fitness)
+        history.append(float(pop.fitness.min()))
         nfe_history.append(pop.nfe)
     return CodelResult(
         best=pop.best,
@@ -339,8 +348,9 @@ def run_codel(objective, dim: int, config: CodelConfig) -> CodelResult:
     """Run the full global search until the evaluation budget is spent.
 
     Args:
-        objective: callable mapping a parameter vector to a fitness to
-            minimize.
+        objective: callable mapping a (k, dim) batch of parameter
+            vectors, one per row, to a (k,) array of fitnesses to
+            minimize. Each row's fitness must not depend on the others.
         dim: dimensionality of the search space.
         config: search settings; config.seed fixes every random draw.
 

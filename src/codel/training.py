@@ -81,8 +81,8 @@ def train_variant(train: Dataset, seed: int, hidden, codel_config: CodelConfig,
     topology = MlpTopology((train.n_features, *hidden, 1))
 
     if boosted:
-        def objective(params):
-            return classification_error(params, topology, train)
+        def objective(vectors):
+            return classification_error(vectors, topology, train)
 
         search = run_codel(objective, topology.param_count,
                            replace(codel_config, seed=seed))

@@ -292,12 +292,17 @@ def _best_member_reference(members):
     return min(members, key=lambda m: m.fitness)
 
 
+def _score_reference(objective, v):
+    """One member's fitness, from a batch objective given a one-row batch."""
+    return float(objective(np.asarray(v)[None])[0])
+
+
 def _evaluate_batch_reference(vectors, objective, budget_left):
     out = []
     for v in vectors:
         if len(out) >= budget_left:
             break
-        out.append(CandidateSolution(v, float(objective(v))))
+        out.append(CandidateSolution(v, _score_reference(objective, v)))
     return out
 
 
@@ -339,7 +344,8 @@ def run_codel_reference(objective, dim, config, clustering=True, opposition=True
     Every member is its own frozen object, every selection compares two
     of them, and each quasi-opposite is drawn member by member. Each
     generation makes its three draws up front and then builds the trials
-    member by member and component by component. Returns
+    member by member and component by component. The batch objective
+    scores one member per call, as a one-row batch. Returns
     (best, history, nfe_history, nfe, iterations), with best a
     CandidateSolution; clustering=opposition=False gives plain DE.
     A sixth item holds the run's counts: nfe by source, and the members
@@ -412,7 +418,7 @@ def run_codel_reference(objective, dim, config, clustering=True, opposition=True
                 if crossover_keys[i][d] <= config.crossover_rate or d == j_rand[i]:
                     mutant = float(r1[d]) + config.scale_factor * (float(r2[d]) - float(r3[d]))
                     trial_vec[d] = min(max(mutant, config.lower), config.upper)
-            trial = CandidateSolution(trial_vec, float(objective(trial_vec)))
+            trial = CandidateSolution(trial_vec, _score_reference(objective, trial_vec))
             state["nfe"] += 1
             out[i] = _select_reference(out[i], trial)
         return tuple(out)
@@ -648,7 +654,7 @@ def refine_reference(initial, topology: MlpTopology, data: Dataset,
     def loss_at(params):
         return mse_loss(params, topology, data)
 
-    loss, grad = mse_loss_and_gradient(w, topology, data)
+    loss, grad, _ = mse_loss_and_gradient(w, topology, data)
     error = classification_error(w, topology, data)
     best = _BestTrackerReference(w, error, loss)
     loss_history = [loss]
@@ -700,7 +706,7 @@ def refine_reference(initial, topology: MlpTopology, data: Dataset,
                 break
             w_next = w + a * d
 
-        loss_next, grad_next = mse_loss_and_gradient(w_next, topology, data)
+        loss_next, grad_next, _ = mse_loss_and_gradient(w_next, topology, data)
         if config.method == "oss":
             oss_state = _OssState(w_next - w, grad_next - grad)
         w, loss, grad = w_next, loss_next, grad_next

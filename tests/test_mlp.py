@@ -1,10 +1,12 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import codel.mlp as mlp
 from codel.errors import ParameterError, ShapeError
 from codel.mlp import (
     CandidateSolution,
@@ -12,6 +14,7 @@ from codel.mlp import (
     MlpTopology,
     _classify,
     _forward_activations,
+    _output_preactivations,
     _sigmoid,
     classification_error,
     decode,
@@ -251,7 +254,102 @@ class TestDecisionsMatchSigmoidRule:
                                       predict_reference(params, topo, data.rows))
 
 
+def _edge_stack(rng, topo, rows, k, scale, z):
+    """k members with weights at `scale`; each member's output layer is
+    random, zero with bias z (every row's pre-activation is exactly z),
+    or biased so one row's pre-activation lands within a few ulps of z,
+    which sends near-zero rows through _classify's sigmoid fallback."""
+    members = []
+    for mode in rng.integers(0, 3, k):
+        layers = decode(rng.normal(0, scale, topo.param_count), topo)
+        w_out, b_out = layers[-1]
+        if mode == 1:
+            w_out, b_out = np.zeros_like(w_out), np.full_like(b_out, z)
+        elif mode == 2:
+            hidden = _forward_activations(encode(layers, topo), topo, rows)[-2]
+            b_out = z - (hidden @ w_out.T)[rng.integers(len(rows))]
+        members.append(encode(layers[:-1] + [(w_out, b_out)], topo))
+    return np.array(members)
+
+
+def _preactivation_per_member(params, topo, rows):
+    """One member's output pre-activation through its own layer calls."""
+    hidden = _forward_activations(params, topo, rows)[-2]
+    w_out, b_out = decode(params, topo)[-1]
+    z = hidden @ w_out.T
+    z += b_out
+    return z[:, 0]
+
+
+class TestStackedForward:
+    """The stacked kernel against one member at a time, bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           widths=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+           n_in=st.integers(1, 13), n_out=st.integers(1, 2), n_rows=st.integers(1, 499),
+           members_per_chunk=st.one_of(st.none(), st.integers(1, 8)),
+           k_chunks=st.floats(0.01, 3.0), log_scale=st.floats(-3.0, 1.0),
+           z=st.one_of(st.sampled_from(EDGE_Z), st.floats(-1e-14, 1e-14)))
+    @settings(max_examples=200, deadline=None)
+    def test_stack_equals_per_member_calls(self, seed, widths, n_in, n_out, n_rows,
+                                           members_per_chunk, k_chunks, log_scale, z):
+        """k spans zero to three chunks; a drawn chunk size is set through
+        the budget, and None keeps the module's own."""
+        rng = np.random.default_rng(seed)
+        topo = MlpTopology((n_in, *widths, n_out))
+        data = _random_dataset(rng, n_rows, n_in)
+        budget = (mlp._CHUNK_DOUBLES if members_per_chunk is None
+                  else members_per_chunk * n_rows * widths[0])
+        chunk = max(1, budget // (n_rows * widths[0]))
+        k = min(max(1, round(k_chunks * chunk)), 60)
+        stack = _edge_stack(rng, topo, data.rows, k, 10.0 ** log_scale, z)
+
+        with mock.patch.object(mlp, "_CHUNK_DOUBLES", budget):
+            z_stack = _output_preactivations(stack, topo, data.rows)
+            errors = classification_error(stack, topo, data)
+        z_each = np.array([_preactivation_per_member(v, topo, data.rows) for v in stack])
+        assert z_stack.tobytes() == z_each.tobytes()
+        assert errors.shape == (k,)
+        per_member = [classification_error(v, topo, data) for v in stack]
+        assert errors.tobytes() == np.array(per_member).tobytes()
+        assert per_member == [classification_error_reference(v, topo, data) for v in stack]
+
+    def test_one_vector_gives_a_float(self):
+        topo = MlpTopology((2, 3, 1))
+        data = Dataset(np.zeros((4, 2)), [0, 1, 1, 1])
+        error = classification_error(np.zeros(topo.param_count), topo, data)
+        assert type(error) is float and error == 25.0
+        errors = classification_error(np.zeros((1, topo.param_count)), topo, data)
+        assert isinstance(errors, np.ndarray) and errors.tolist() == [25.0]
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 5), (2, 1, 17), ()])
+    def test_wrong_parameter_shape_rejected(self, shape):
+        topo = MlpTopology((2, 3, 1))
+        data = Dataset(np.zeros((4, 2)), [0, 1, 1, 1])
+        with pytest.raises(ShapeError):
+            classification_error(np.zeros(shape), topo, data)
+        with pytest.raises(ShapeError):
+            predict(np.zeros(shape), topo, data.rows)
+
+
 class TestMseGradient:
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           widths=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+           n_in=st.integers(1, 13), n_rows=st.integers(1, 120),
+           log_scale=st.floats(-3.0, 1.0),
+           z=st.one_of(st.sampled_from(EDGE_Z), st.floats(-1e-14, 1e-14)))
+    @settings(max_examples=200, deadline=None)
+    def test_error_equals_classification_error(self, seed, widths, n_in, n_rows,
+                                               log_scale, z):
+        """The error read off the loss's own pass is classification_error's."""
+        rng = np.random.default_rng(seed)
+        topo = MlpTopology((n_in, *widths, 1))
+        data = _random_dataset(rng, n_rows, n_in)
+        params = _edge_stack(rng, topo, data.rows, 1, 10.0 ** log_scale, z)[0]
+        loss, _, error = mse_loss_and_gradient(params, topo, data)
+        assert error == classification_error(params, topo, data)
+        assert loss == mse_loss(params, topo, data)
 
     def test_matches_central_differences(self):
         """Backprop agrees with the finite-difference oracle per component."""
@@ -260,7 +358,7 @@ class TestMseGradient:
         for _ in range(20):
             params = rng.normal(0, 1, topo.param_count)
             data = _random_dataset(rng, 8, 2)
-            _, grad = mse_loss_and_gradient(params, topo, data)
+            _, grad, _ = mse_loss_and_gradient(params, topo, data)
             fd = central_difference(
                 lambda p: mse_loss(p, topo, data), params, h=1e-5
             )
@@ -272,7 +370,7 @@ class TestMseGradient:
         topo = MlpTopology((3, 5, 1))
         params = rng.normal(0, 1, topo.param_count)
         data = _random_dataset(rng, 9, 3)
-        loss, _ = mse_loss_and_gradient(params, topo, data)
+        loss, _, _ = mse_loss_and_gradient(params, topo, data)
         assert np.isclose(loss, mse_loss(params, topo, data), rtol=1e-12)
 
     def test_saturated_fit_has_vanishing_gradient(self):
@@ -280,7 +378,7 @@ class TestMseGradient:
         topo = MlpTopology((1, 1, 1))
         params = np.array([40.0, -20.0, 40.0, -20.0])
         data = Dataset([[0.0], [1.0]], [0, 1])
-        loss, grad = mse_loss_and_gradient(params, topo, data)
+        loss, grad, _ = mse_loss_and_gradient(params, topo, data)
         assert loss < 1e-6
         assert np.linalg.norm(grad) < 1e-6
 
@@ -291,15 +389,15 @@ class TestMseGradient:
         data = _random_dataset(rng, 6, 2)
         doubled = Dataset(np.vstack([data.rows, data.rows]),
                           np.concatenate([data.labels, data.labels]))
-        loss_a, grad_a = mse_loss_and_gradient(params, topo, data)
-        loss_b, grad_b = mse_loss_and_gradient(params, topo, doubled)
+        loss_a, grad_a, _ = mse_loss_and_gradient(params, topo, data)
+        loss_b, grad_b, _ = mse_loss_and_gradient(params, topo, doubled)
         assert np.isclose(loss_a, loss_b, rtol=1e-12)
         np.testing.assert_allclose(grad_a, grad_b, rtol=1e-12)
 
     def test_gradient_length_matches_params(self):
         topo = MlpTopology((4, 3, 2))
         rng = np.random.default_rng(9)
-        _, grad = mse_loss_and_gradient(
+        _, grad, _ = mse_loss_and_gradient(
             rng.normal(0, 1, topo.param_count), topo, _random_dataset(rng, 5, 4)
         )
         assert grad.shape == (topo.param_count,)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codel.optimizer as optimizer
-from codel.errors import ParameterError
+from codel.errors import ContractError, ParameterError
 from codel.mlp import Dataset, MlpTopology, classification_error
 from codel.optimizer import (
     CodelConfig,
@@ -27,13 +27,13 @@ from codel.optimizer import (
 from oracles import run_codel_reference
 
 
-def _sphere(v):
-    return float(np.sum(np.asarray(v) ** 2))
+def _sphere(vectors):
+    return np.sum(np.asarray(vectors) ** 2, axis=1)
 
 
 def _evaluated_population(vectors, objective, nfe=0, iteration=0):
     vectors = np.array(vectors, dtype=float)
-    fitness = np.array([objective(v) for v in vectors], dtype=float)
+    fitness = np.asarray(objective(vectors), dtype=float)
     return Population(vectors, fitness, nfe=nfe, iteration=iteration)
 
 
@@ -70,7 +70,8 @@ def _trials(vectors, rng, **knobs):
     config = SimpleNamespace(**{**asdict(CodelConfig()), **knobs})
     seen = []
     pop = Population(vectors, np.zeros(len(vectors)), nfe=0, iteration=0)
-    _generation(pop, config, lambda v: seen.append(v.copy()) or 0.0, rng)
+    _generation(pop, config, lambda batch: seen.extend(batch.copy()) or np.zeros(len(batch)),
+                rng)
     return np.array(seen)
 
 
@@ -144,9 +145,9 @@ class TestSelect:
         pop = Population(vectors, np.array([20.0, 1.0, 2.0, 3.0]), nfe=4, iteration=0)
         trials = []
 
-        def objective(v):
-            trials.append(v.copy())
-            return trial_fitness
+        def objective(batch):
+            trials.extend(batch.copy())
+            return np.full(len(batch), trial_fitness)
 
         # The budget leaves room for exactly one trial.
         config = CodelConfig(population_size=4, nfe_max=5)
@@ -434,7 +435,7 @@ class TestRunCodel:
 
     def test_constant_objective_gives_flat_zero_history(self):
         config = CodelConfig(population_size=10, nfe_max=300, seed=0)
-        result = run_codel(lambda v: 0.0, 4, config)
+        result = run_codel(lambda batch: np.zeros(len(batch)), 4, config)
         assert result.best.fitness == 0.0
         assert np.all(result.history == 0.0)
 
@@ -445,14 +446,14 @@ class TestRunCodel:
             assert np.all(np.diff(result.history) <= 0.0)
 
     def test_budget_accounting(self):
-        """The counter agrees with actual objective calls and overshoot is
+        """The counter agrees with the rows the objective scored, and overshoot is
         bounded by one generation."""
         calls = 0
 
-        def counted(v):
+        def counted(batch):
             nonlocal calls
-            calls += 1
-            return _sphere(v)
+            calls += len(batch)
+            return _sphere(batch)
 
         config = CodelConfig(population_size=12, nfe_max=500, seed=4)
         result = run_codel(counted, 3, config)
@@ -477,10 +478,10 @@ class TestRunCodel:
     def test_plain_de_baseline_behaves(self):
         calls = 0
 
-        def counted(v):
+        def counted(batch):
             nonlocal calls
-            calls += 1
-            return _sphere(v)
+            calls += len(batch)
+            return _sphere(batch)
 
         config = CodelConfig(population_size=10, nfe_max=500, seed=5)
         result = run_plain_de(counted, 3, config)
@@ -513,7 +514,7 @@ def _mlp_objective():
     rows = rng.normal(0, 1, (30, 3))
     data = Dataset(rows, (rows[:, 0] + 0.5 * rows[:, 1] > 0).astype(int))
     topology = MlpTopology((3, 2, 1))
-    return (lambda v: classification_error(v, topology, data)), topology.param_count
+    return (lambda batch: classification_error(batch, topology, data)), topology.param_count
 
 
 OBJECTIVES = {"sphere": (_sphere, 3), "mlp": _mlp_objective()}
@@ -586,6 +587,33 @@ class TestMatchesReference:
         assert roomy[len(moves) - 1][0] == move and roomy[len(moves) - 1][1] > spent
 
 
+class TestObjectiveContract:
+    """The objective scores a (k, D) batch and returns (k,)."""
+
+    @pytest.mark.parametrize("objective", [
+        lambda batch: 0.0,
+        lambda batch: np.zeros(len(batch) - 1),
+        lambda batch: np.zeros((len(batch), 1)),
+    ], ids=["scalar", "short", "column"])
+    def test_wrong_shape_raises(self, objective):
+        with pytest.raises(ContractError):
+            run_codel(objective, 3, CodelConfig(population_size=10, nfe_max=100))
+
+    def test_one_call_per_move(self, monkeypatch):
+        """Init, each generation, cluster update and jump is one batch of
+        the rows the budget pays for."""
+        batches = []
+
+        def recorded(batch):
+            batches.append(len(batch))
+            return _sphere(batch)
+
+        config = CodelConfig(population_size=10, nfe_max=700, seed=2)
+        moves = TestMatchesReference._spending_moves(monkeypatch, recorded, 3, config)
+        assert {move for move, _ in moves} == {"generation", "cluster", "qobl"}
+        assert batches == [10] + [spent for _, spent in moves]
+
+
 class TestRunCounts:
 
     def test_sources_sum_to_nfe(self):
@@ -605,7 +633,7 @@ class TestRunCounts:
 
     def test_budget_below_population_evaluates_only_the_budget(self):
         calls = []
-        result = run_codel(lambda v: calls.append(1) or 1.0, 2,
+        result = run_codel(lambda batch: calls.extend([1] * len(batch)) or np.ones(len(batch)), 2,
                            CodelConfig(population_size=10, nfe_max=6))
         assert len(calls) == result.nfe == 6
         assert result.nfe_by_source == {"init": 6, "generation": 0, "cluster": 0, "qobl": 0}
