@@ -24,9 +24,9 @@ def main() -> None:
         cfg = CodelConfig(nfe_max=config.nfe_max, seed=seed)
         a = run_codel(sphere, 5, cfg)
         b = run_plain_de(sphere, 5, cfg)
-        enhanced.append(a.best.fitness)
-        plain.append(b.best.fitness)
-        print(f"{seed:>4}  {a.best.fitness:12.3e}  {b.best.fitness:12.3e}")
+        enhanced.append(a.best_fitness)
+        plain.append(b.best_fitness)
+        print(f"{seed:>4}  {a.best_fitness:12.3e}  {b.best_fitness:12.3e}")
 
     print(f"{'med':>4}  {np.median(enhanced):12.3e}  {np.median(plain):12.3e}")
 

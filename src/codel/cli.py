@@ -295,7 +295,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except CodelError as exc:
+    except (CodelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -151,13 +151,16 @@ def read_weights_csv(path):
     if header != ["weight"]:
         raise ParameterError(f"{path}: expected a single `weight` column")
     topology = None
-    for comment in comments:
-        if comment.startswith("topology="):
-            sizes = comment.split("=", 1)[1].split(",")
-            topology = MlpTopology(tuple(int(s) for s in sizes))
+    try:
+        for comment in comments:
+            if comment.startswith("topology="):
+                sizes = comment.split("=", 1)[1].split(",")
+                topology = MlpTopology(tuple(int(s) for s in sizes))
+        params = np.array([float(r[0]) for r in rows])
+    except ValueError as exc:
+        raise ParameterError(f"{path}: bad value ({exc})") from None
     if topology is None:
         raise ParameterError(f"{path}: missing topology comment line")
-    params = np.array([float(r[0]) for r in rows])
     if params.shape != (topology.param_count,):
         raise ParameterError(
             f"{path}: {params.size} weights do not fit topology "

@@ -3,7 +3,9 @@
 All layers use the logistic sigmoid. Weights and biases live in a single
 1-D array so that population-based optimizers can treat a network as a
 point in R^n: per layer, the incoming weights of each destination neuron
-in order, then that layer's biases.
+in order, then that layer's biases. `decode` is the one place that knows
+this layout; the forward passes read their layers through its views, and
+the gradient is written through the views of a fresh vector.
 """
 
 from dataclasses import dataclass
@@ -15,11 +17,8 @@ from .errors import ParameterError, ShapeError
 
 __all__ = [
     "MlpTopology",
-    "CandidateSolution",
     "Dataset",
     "decode",
-    "encode",
-    "forward",
     "predict",
     "classification_error",
     "mse_loss",
@@ -57,21 +56,6 @@ class MlpTopology:
         return sum(
             sizes[l] * sizes[l + 1] + sizes[l + 1] for l in range(len(sizes) - 1)
         )
-
-
-@dataclass(frozen=True)
-class CandidateSolution:
-    """A flat parameter vector with its cached objective value."""
-
-    params: np.ndarray
-    fitness: float | None = None
-
-    def __post_init__(self):
-        params = np.array(self.params, dtype=float)
-        if params.ndim != 1:
-            raise ShapeError("candidate parameters must be a flat vector")
-        params.flags.writeable = False
-        object.__setattr__(self, "params", params)
 
 
 @dataclass(frozen=True)
@@ -140,68 +124,43 @@ def _layer(a, w, b) -> np.ndarray:
 
 
 def decode(params, topology: MlpTopology):
-    """Split a flat vector into per-layer (weights, biases) pairs.
+    """Per-layer (weights, biases) views of a flat vector or a stack of them.
 
-    Weight matrices have one row per destination neuron, so row j of
-    layer l holds the incoming weights of neuron j.
+    params is one vector (D,) or a stack (k, D), one vector per row. Per
+    layer, weights come back as (..., n_dst, n_src) and biases as
+    (..., n_dst), both views into params, so writing through them fills
+    params. Row j of a weight matrix holds the incoming weights of
+    destination neuron j.
     """
     params = np.asarray(params, dtype=float)
-    if params.shape != (topology.param_count,):
+    if params.ndim not in (1, 2) or params.shape[-1] != topology.param_count:
         raise ShapeError(
-            f"expected {topology.param_count} parameters for layers "
-            f"{topology.layer_sizes}, got {params.shape}"
+            f"expected (D,) or (k, D) parameters with D = {topology.param_count} "
+            f"for layers {topology.layer_sizes}, got {params.shape}"
         )
+    lead = params.shape[:-1]
     layers = []
     offset = 0
     sizes = topology.layer_sizes
     for n_src, n_dst in zip(sizes[:-1], sizes[1:]):
-        w = params[offset: offset + n_src * n_dst].reshape(n_dst, n_src)
+        w = params[..., offset: offset + n_src * n_dst].reshape(*lead, n_dst, n_src)
         offset += n_src * n_dst
-        b = params[offset: offset + n_dst]
+        b = params[..., offset: offset + n_dst]
         offset += n_dst
         layers.append((w, b))
     return layers
 
 
-def encode(layers, topology: MlpTopology) -> np.ndarray:
-    """Flatten per-layer (weights, biases) pairs back into one vector."""
-    sizes = topology.layer_sizes
-    if len(layers) != len(sizes) - 1:
-        raise ShapeError(f"expected {len(sizes) - 1} layers, got {len(layers)}")
-    parts = []
-    for (w, b), n_src, n_dst in zip(layers, sizes[:-1], sizes[1:]):
-        w = np.asarray(w, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if w.shape != (n_dst, n_src) or b.shape != (n_dst,):
-            raise ShapeError(
-                f"layer shapes {w.shape}/{b.shape} do not match ({n_dst}, {n_src})"
-            )
-        parts.append(w.ravel())
-        parts.append(b)
-    return np.concatenate(parts)
-
-
 def _forward_activations(params, topology: MlpTopology, inputs):
     """Activations of every layer for a batch, input batch first."""
+    if np.ndim(params) != 1:
+        raise ShapeError(f"expected one flat parameter vector, got shape {np.shape(params)}")
     activations = [inputs]
     a = inputs
     for w, b in decode(params, topology):
         a = _layer(a, w, b)
         activations.append(a)
     return activations
-
-
-def forward(params, topology: MlpTopology, inputs) -> np.ndarray:
-    """Output activations for one input vector or a batch of them."""
-    inputs = np.asarray(inputs, dtype=float)
-    single = inputs.ndim == 1
-    batch = inputs[None, :] if single else inputs
-    if batch.ndim != 2 or batch.shape[1] != topology.n_in:
-        raise ShapeError(
-            f"input dimension {inputs.shape} does not match n_in={topology.n_in}"
-        )
-    out = _forward_activations(params, topology, batch)[-1]
-    return out[0] if single else out
 
 
 # A chunk of the stacked forward pass holds as many members as keep its
@@ -221,33 +180,21 @@ def _output_preactivations(vectors, topology: MlpTopology, rows) -> np.ndarray:
     same shapes as its own `a @ w.T`, so each row of the result equals the
     member's unstacked pass bit for bit.
     """
-    if vectors.ndim != 2 or vectors.shape[1] != topology.param_count:
-        raise ShapeError(
-            f"expected (k, {topology.param_count}) parameters for layers "
-            f"{topology.layer_sizes}, got {vectors.shape}"
-        )
-    sizes = topology.layer_sizes
+    *hidden, (w_out, b_out) = decode(vectors, topology)
     n = rows.shape[0]
-    chunk = max(1, _CHUNK_DOUBLES // (n * sizes[1] or 1))
+    chunk = max(1, _CHUNK_DOUBLES // (n * topology.layer_sizes[1] or 1))
     out = np.empty((len(vectors), n))
     for start in range(0, len(vectors), chunk):
-        v = vectors[start: start + chunk]
-        k = len(v)
+        part = slice(start, start + chunk)
         a = rows
-        offset = 0
-        for n_src, n_dst in zip(sizes[:-2], sizes[1:-1]):
-            w = v[:, offset: offset + n_src * n_dst].reshape(k, n_dst, n_src)
-            offset += n_src * n_dst
-            z = np.empty((n, k, n_dst))
+        for w, b in hidden:
+            w = w[part]
+            z = np.empty((n, *w.shape[:2]))
             np.matmul(a, w.transpose(0, 2, 1), out=z.transpose(1, 0, 2))
-            z += v[:, offset: offset + n_dst]
-            offset += n_dst
+            z += b[part]
             a = _sigmoid_in_place(z).transpose(1, 0, 2)
-        n_src, n_dst = sizes[-2:]
-        w = v[:, offset: offset + n_src * n_dst].reshape(k, n_dst, n_src)
-        z = np.matmul(a, w.transpose(0, 2, 1))
-        bias = v[:, offset + n_src * n_dst, None]
-        np.add(z[:, :, 0], bias, out=out[start: start + k])
+        z = np.matmul(a, w_out[part].transpose(0, 2, 1))
+        np.add(z[:, :, 0], b_out[part, :1], out=out[part])
     return out
 
 
@@ -289,7 +236,7 @@ def classification_error(params, topology: MlpTopology, data: Dataset):
 
 
 def mse_loss(params, topology: MlpTopology, data: Dataset) -> float:
-    out = forward(params, topology, data.rows)
+    out = _forward_activations(params, topology, data.rows)[-1]
     targets = data.labels[:, None].astype(float)
     return float(np.mean((out - targets) ** 2))
 
@@ -309,7 +256,6 @@ def mse_loss_and_gradient(params, topology: MlpTopology, data: Dataset):
     """
     if len(data) == 0:
         raise ParameterError("loss needs a nonempty dataset")
-    params = np.asarray(params, dtype=float)
     layers = decode(params, topology)
     activations = _forward_activations(params, topology, data.rows)
     out = activations[-1]
@@ -321,13 +267,14 @@ def mse_loss_and_gradient(params, topology: MlpTopology, data: Dataset):
 
     # delta holds dLoss/dz for the current layer, batch rows first.
     delta = 2.0 * (out - targets) / n_terms * out * (1.0 - out)
-    grads = [None] * len(layers)
+    gradient = np.empty(topology.param_count)
+    grads = decode(gradient, topology)
     for l in range(len(layers) - 1, -1, -1):
         a_prev = activations[l]
-        grad_w = delta.T @ a_prev
-        grad_b = np.sum(delta, axis=0)
-        grads[l] = (grad_w, grad_b)
+        grad_w, grad_b = grads[l]
+        np.matmul(delta.T, a_prev, out=grad_w)
+        np.sum(delta, axis=0, out=grad_b)
         if l > 0:
             w, _ = layers[l]
             delta = (delta @ w) * a_prev * (1.0 - a_prev)
-    return loss, encode(grads, topology), error
+    return loss, gradient, error

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .mlp import CandidateSolution
 from .streams import named_rng
 
 __all__ = [
@@ -72,12 +71,9 @@ class CodelConfig:
 @dataclass(frozen=True)
 class Population:
     """Search state: one member per row of `vectors`, their fitnesses,
-    the spent budget and the iteration count.
-
-    No move ever loses the least fitness, so the elitist best is the
-    first member of least fitness, read from the arrays. `entered`
-    counts the slots that the move which made this population filled
-    with a new point.
+    the spent budget and the iteration count. `entered` counts the
+    slots that the move which made this population filled with a new
+    point.
     """
 
     vectors: np.ndarray
@@ -86,23 +82,22 @@ class Population:
     iteration: int
     entered: int = 0
 
-    @property
-    def best(self) -> CandidateSolution:
-        i = int(np.argmin(self.fitness))
-        return CandidateSolution(self.vectors[i], float(self.fitness[i]))
-
 
 @dataclass(frozen=True)
 class CodelResult:
     """The search's outcome plus where its budget went.
 
-    nfe_by_source splits nfe over init, generation, cluster and qobl
-    (the initial jump included); entered counts the members that cluster
-    centers and quasi-opposites put into the population; trial_wins
-    counts the generation trials that replaced their target.
+    No move ever loses the least fitness, so the elitist best_params is
+    the final population's first member of least fitness, with fitness
+    best_fitness. nfe_by_source splits nfe over init, generation,
+    cluster and qobl (the initial jump included); entered counts the
+    members that cluster centers and quasi-opposites put into the
+    population; trial_wins counts the generation trials that replaced
+    their target.
     """
 
-    best: CandidateSolution
+    best_params: np.ndarray
+    best_fitness: float
     history: np.ndarray
     nfe_history: np.ndarray
     nfe: int
@@ -303,6 +298,8 @@ def _generation(pop: Population, config: CodelConfig, objective, rng) -> Populat
 
 def _run(objective, dim: int, config: CodelConfig,
          clustering: bool, opposition: bool) -> CodelResult:
+    if dim < 1:
+        raise ParameterError("dimension must be >= 1")
     rng_init = named_rng(config.seed, "init")
     rng_gen = named_rng(config.seed, "generation")
     rng_cluster = named_rng(config.seed, "cluster")
@@ -332,8 +329,10 @@ def _run(objective, dim: int, config: CodelConfig,
             pop = apply("qobl", qobl_population, pop, rng_qobl)
         history.append(float(pop.fitness.min()))
         nfe_history.append(pop.nfe)
+    best = int(np.argmin(pop.fitness))
     return CodelResult(
-        best=pop.best,
+        best_params=pop.vectors[best],
+        best_fitness=float(pop.fitness[best]),
         history=np.array(history),
         nfe_history=np.array(nfe_history, dtype=int),
         nfe=pop.nfe,
@@ -355,16 +354,12 @@ def run_codel(objective, dim: int, config: CodelConfig) -> CodelResult:
         config: search settings; config.seed fixes every random draw.
 
     Returns:
-        CodelResult with the elitist best candidate and the
-        per-iteration best-fitness history (non-increasing).
+        CodelResult with the elitist best_params and best_fitness and
+        the per-iteration best-fitness history (non-increasing).
     """
-    if dim < 1:
-        raise ParameterError("dimension must be >= 1")
     return _run(objective, dim, config, clustering=True, opposition=True)
 
 
 def run_plain_de(objective, dim: int, config: CodelConfig) -> CodelResult:
     """Ablated baseline: the same loop without clustering or opposition."""
-    if dim < 1:
-        raise ParameterError("dimension must be >= 1")
     return _run(objective, dim, config, clustering=False, opposition=False)

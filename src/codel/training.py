@@ -66,9 +66,6 @@ class TrainedModel:
     refine_loss: np.ndarray
     refine_error: np.ndarray
 
-    def predictor(self):
-        return lambda rows: predict(self.params, self.topology, rows)
-
 
 def train_variant(train: Dataset, seed: int, hidden, codel_config: CodelConfig,
                   ls_config: LocalSearchConfig, boosted: bool) -> TrainedModel:
@@ -86,7 +83,7 @@ def train_variant(train: Dataset, seed: int, hidden, codel_config: CodelConfig,
 
         search = run_codel(objective, topology.param_count,
                            replace(codel_config, seed=seed))
-        start = search.best.params
+        start = search.best_params
         nfe_used = search.nfe
         history, nfe_history = search.history, search.nfe_history
     else:
@@ -115,7 +112,7 @@ def _grid_task(args):
      codel_config, ls_config) = args
     model = train_variant(train, task_seed, hidden, codel_config,
                           replace(ls_config, method=method), boosted)
-    predictions = model.predictor()(test.rows)
+    predictions = predict(model.params, model.topology, test.rows)
     return metrics(confusion_from_predictions(test.labels, predictions))
 
 

@@ -18,11 +18,10 @@ from scipy.stats import rankdata
 from codel.errors import ContractError, ParameterError
 from codel.local_search import GRAD_TOL, LocalSearchConfig
 from codel.mlp import (
-    CandidateSolution,
     Dataset,
     MlpTopology,
+    _forward_activations,
     classification_error,
-    forward,
     mse_loss,
     mse_loss_and_gradient,
 )
@@ -284,6 +283,13 @@ def sigmoid_reference(z):
 # The global search with a tuple of frozen members, one per object
 # ------------------------------------------------------------------
 
+class _Member(NamedTuple):
+    """One evaluated member of the reference population."""
+
+    params: np.ndarray
+    fitness: float
+
+
 def _select_reference(target, trial):
     return trial if trial.fitness <= target.fitness else target
 
@@ -302,7 +308,7 @@ def _evaluate_batch_reference(vectors, objective, budget_left):
     for v in vectors:
         if len(out) >= budget_left:
             break
-        out.append(CandidateSolution(v, _score_reference(objective, v)))
+        out.append(_Member(np.array(v, dtype=float), _score_reference(objective, v)))
     return out
 
 
@@ -339,7 +345,7 @@ def _kmeans_reference(points, k, rng):
 
 
 def run_codel_reference(objective, dim, config, clustering=True, opposition=True):
-    """Cluster/quasi-opposition DE over a tuple of CandidateSolutions.
+    """Cluster/quasi-opposition DE over a tuple of _Member objects.
 
     Every member is its own frozen object, every selection compares two
     of them, and each quasi-opposite is drawn member by member. Each
@@ -347,7 +353,7 @@ def run_codel_reference(objective, dim, config, clustering=True, opposition=True
     member by member and component by component. The batch objective
     scores one member per call, as a one-row batch. Returns
     (best, history, nfe_history, nfe, iterations), with best a
-    CandidateSolution; clustering=opposition=False gives plain DE.
+    _Member; clustering=opposition=False gives plain DE.
     A sixth item holds the run's counts: nfe by source, and the members
     each move put in, counted by object identity.
     """
@@ -418,7 +424,7 @@ def run_codel_reference(objective, dim, config, clustering=True, opposition=True
                 if crossover_keys[i][d] <= config.crossover_rate or d == j_rand[i]:
                     mutant = float(r1[d]) + config.scale_factor * (float(r2[d]) - float(r3[d]))
                     trial_vec[d] = min(max(mutant, config.lower), config.upper)
-            trial = CandidateSolution(trial_vec, _score_reference(objective, trial_vec))
+            trial = _Member(trial_vec, _score_reference(objective, trial_vec))
             state["nfe"] += 1
             out[i] = _select_reference(out[i], trial)
         return tuple(out)
@@ -458,7 +464,8 @@ def run_codel_reference(objective, dim, config, clustering=True, opposition=True
 
 def predict_reference(params, topology, rows):
     """Class 1 where the output neuron's sigmoid activation is >= 0.5."""
-    return (forward(params, topology, rows)[:, 0] >= 0.5).astype(int)
+    out = _forward_activations(params, topology, rows)[-1]
+    return (out[:, 0] >= 0.5).astype(int)
 
 
 def classification_error_reference(params, topology, data):

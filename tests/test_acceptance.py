@@ -241,14 +241,14 @@ def test_criterion_07_optimizer_on_sphere():
     plain_best = []
     for seed in range(20):
         result = run_codel(_sphere, 5, CodelConfig(seed=seed))
-        codel_best.append(result.best.fitness)
+        codel_best.append(result.best_fitness)
         if not np.all(np.diff(result.history) <= 0):
             failures.append(f"seed {seed}: best-fitness history increased")
         if result.nfe > config.nfe_max + config.population_size:
             failures.append(f"seed {seed}: nfe {result.nfe} over budget")
         if result.nfe != result.nfe_history[-1]:
             failures.append(f"seed {seed}: nfe history out of step")
-        plain_best.append(run_plain_de(_sphere, 5, CodelConfig(seed=seed)).best.fitness)
+        plain_best.append(run_plain_de(_sphere, 5, CodelConfig(seed=seed)).best_fitness)
 
     codel_median = float(np.median(codel_best))
     plain_median = float(np.median(plain_best))

@@ -136,6 +136,17 @@ class TestExtract:
         assert rc == 2
         assert "absent.csv" in capsys.readouterr().err
 
+    def test_unwritable_output_is_reported(self, tmp_path, capsys):
+        """A file the OS refuses is an `error:` line and exit 2, not a traceback."""
+        rr = tmp_path / "rr.csv"
+        _write_rr(rr, [1000.0] * 60)
+        rc = main(["extract", "--rr-csv", str(rr), "--seed", "1",
+                   "--out-dir", str(tmp_path / "o"), "--out-csv", "sub/f.csv"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "f.csv" in err
+        assert "Traceback" not in err
+
 
 class TestTrain:
 

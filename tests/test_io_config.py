@@ -182,6 +182,18 @@ class TestWeightsCsv:
         with pytest.raises(ParameterError, match="topology"):
             read_weights_csv(path)
 
+    def test_non_numeric_weight_names_file(self, tmp_path):
+        path = tmp_path / "w.csv"
+        write_table(path, ["weight"], [[0.0]] * 12 + [["abc"]], comments=["topology=2,3,1"])
+        with pytest.raises(ParameterError, match="w.csv.*abc"):
+            read_weights_csv(path)
+
+    def test_non_integer_topology_names_file(self, tmp_path):
+        path = tmp_path / "w.csv"
+        write_table(path, ["weight"], [[0.0]] * 13, comments=["topology=2,3.5,1"])
+        with pytest.raises(ParameterError, match="w.csv.*3.5"):
+            read_weights_csv(path)
+
 
 class TestRunConfig:
 

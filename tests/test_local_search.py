@@ -348,9 +348,9 @@ class TestRefine:
             CodelConfig(population_size=10, nfe_max=600, seed=0),
         )
         for method in METHODS:
-            result = refine(searched.best.params, topo, data,
+            result = refine(searched.best_params, topo, data,
                             LocalSearchConfig(method=method, epochs=100))
-            assert result.final_train_error <= searched.best.fitness
+            assert result.final_train_error <= searched.best_fitness
 
     def test_history_bounded_by_epochs(self):
         data = two_gaussian_dataset(n_per_class=10, n_features=3,

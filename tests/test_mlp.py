@@ -1,4 +1,3 @@
-import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 import codel.mlp as mlp
 from codel.errors import ParameterError, ShapeError
 from codel.mlp import (
-    CandidateSolution,
     Dataset,
     MlpTopology,
     _classify,
@@ -18,8 +16,6 @@ from codel.mlp import (
     _sigmoid,
     classification_error,
     decode,
-    encode,
-    forward,
     mse_loss,
     mse_loss_and_gradient,
     predict,
@@ -57,13 +53,20 @@ class TestTopology:
 
 
 class TestEncodeDecode:
+    """decode's views are the one reader and writer of the flat layout."""
 
     def test_round_trip_identity(self):
+        """Layers read from a vector or a stack and written through the
+        views of a fresh array give the same array back."""
         rng = np.random.default_rng(0)
         for sizes in [(2, 3, 1), (5, 4, 4, 2), (1, 1, 1)]:
             topo = MlpTopology(sizes)
-            v = rng.normal(0, 1, topo.param_count)
-            np.testing.assert_array_equal(encode(decode(v, topo), topo), v)
+            for shape in [(topo.param_count,), (3, topo.param_count)]:
+                v = rng.normal(0, 1, shape)
+                out = np.empty(shape)
+                for (w, b), (w_out, b_out) in zip(decode(v, topo), decode(out, topo)):
+                    w_out[...], b_out[...] = w, b
+                np.testing.assert_array_equal(out, v)
 
     def test_layout_is_weights_then_biases_per_layer(self):
         """Row j of a weight block is neuron j's incoming weights."""
@@ -77,16 +80,48 @@ class TestEncodeDecode:
         np.testing.assert_array_equal(w2, [[9, 10, 11]])
         np.testing.assert_array_equal(b2, [12])
 
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ShapeError):
-            decode(np.zeros(12), MlpTopology((2, 3, 1)))
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(1, 9), min_size=3, max_size=5),
+           k=st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_stack_rows_and_marker_order(self, seed, sizes, k):
+        """Layer l of stack row j is layer l of decode(stack[j]), and
+        markers written through a fresh vector's views in the documented
+        order (per layer, weights by destination then source, then
+        biases) fill every slot once, in order."""
+        topo = MlpTopology(tuple(sizes))
+        stack = np.random.default_rng(seed).normal(0, 1, (k, topo.param_count))
+        layers = decode(stack, topo)
+        for j in range(k):
+            for (w, b), (w_j, b_j) in zip(layers, decode(stack[j], topo), strict=True):
+                assert w.shape == (k, *w_j.shape) and b.shape == (k, *b_j.shape)
+                assert np.shares_memory(w, stack) and np.shares_memory(b, stack)
+                assert w[j].tobytes() == w_j.tobytes() and b[j].tobytes() == b_j.tobytes()
 
-    def test_wrong_layer_shape_rejected(self):
+        flat = np.empty(topo.param_count)
+        marker = 0
+        for (w, b), n_src, n_dst in zip(decode(flat, topo), sizes[:-1], sizes[1:], strict=True):
+            assert w.shape == (n_dst, n_src) and b.shape == (n_dst,)
+            for dst in range(n_dst):
+                for src in range(n_src):
+                    w[dst, src] = marker
+                    marker += 1
+            for dst in range(n_dst):
+                b[dst] = marker
+                marker += 1
+        assert marker == topo.param_count
+        np.testing.assert_array_equal(flat, np.arange(topo.param_count))
+
+    def test_wrong_length_rejected(self):
         topo = MlpTopology((2, 3, 1))
-        layers = decode(np.zeros(13), topo)
-        bad = [(layers[0][0].T, layers[0][1]), layers[1]]
-        with pytest.raises(ShapeError):
-            encode(bad, topo)
+        for shape in [(12,), (2, 12), (2, 1, 13), ()]:
+            with pytest.raises(ShapeError):
+                decode(np.zeros(shape), topo)
+
+
+def _outputs(params, topo, rows):
+    """The output layer's activations for a batch of rows."""
+    return _forward_activations(params, topo, np.asarray(rows, dtype=float))[-1]
 
 
 class TestForward:
@@ -94,34 +129,34 @@ class TestForward:
     def test_zero_params_give_half_everywhere(self):
         topo = MlpTopology((4, 5, 2))
         rng = np.random.default_rng(1)
-        out = forward(np.zeros(topo.param_count), topo, rng.normal(0, 3, (6, 4)))
+        out = _outputs(np.zeros(topo.param_count), topo, rng.normal(0, 3, (6, 4)))
         np.testing.assert_array_equal(out, np.full((6, 2), 0.5))
 
     def test_chain_of_unit_neurons(self):
         """w = 1, b = 0 everywhere: input 0 yields sigmoid(1/2) at the top."""
         topo = MlpTopology((1, 1, 1))
-        out = forward(np.array([1.0, 0.0, 1.0, 0.0]), topo, np.array([0.0]))
-        assert np.isclose(out[0], 1.0 / (1.0 + np.exp(-0.5)))
+        out = _outputs([1.0, 0.0, 1.0, 0.0], topo, [[0.0]])
+        assert np.isclose(out[0, 0], 1.0 / (1.0 + np.exp(-0.5)))
 
     def test_saturated_output_neuron(self):
         topo = MlpTopology((1, 1, 1))
-        out = forward(np.array([0.0, 0.0, 1.0, -20.0]), topo, np.array([3.0]))
-        assert out[0] < 1e-8
+        out = _outputs([0.0, 0.0, 1.0, -20.0], topo, [[3.0]])
+        assert out[0, 0] < 1e-8
 
     def test_saturated_hidden_neuron_pins_output_at_half(self):
         topo = MlpTopology((1, 1, 1))
-        out = forward(np.array([1.0, 0.0, 1.0, 0.0]), topo, np.array([-40.0]))
-        assert 0.5 <= out[0] < 0.5 + 1e-12
+        out = _outputs([1.0, 0.0, 1.0, 0.0], topo, [[-40.0]])
+        assert 0.5 <= out[0, 0] < 0.5 + 1e-12
 
     def test_batch_matches_per_row(self):
         rng = np.random.default_rng(2)
         topo = MlpTopology((3, 4, 2))
         params = rng.normal(0, 1, topo.param_count)
         batch = rng.normal(0, 1, (5, 3))
-        out = forward(params, topo, batch)
+        out = _outputs(params, topo, batch)
         for i in range(5):
             # batched and single-row matmuls round differently
-            np.testing.assert_allclose(out[i], forward(params, topo, batch[i]),
+            np.testing.assert_allclose(out[i], _outputs(params, topo, batch[i:i + 1])[0],
                                        rtol=1e-12)
 
     def test_outputs_in_open_unit_interval(self):
@@ -129,13 +164,13 @@ class TestForward:
         topo = MlpTopology((2, 6, 1))
         for _ in range(20):
             params = rng.normal(0, 5, topo.param_count)
-            out = forward(params, topo, rng.normal(0, 2, (8, 2)))
+            out = _outputs(params, topo, rng.normal(0, 2, (8, 2)))
             assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_dimension_mismatch_rejected(self):
         topo = MlpTopology((3, 4, 1))
         with pytest.raises(ShapeError):
-            forward(np.zeros(topo.param_count), topo, np.zeros(4))
+            predict(np.zeros(topo.param_count), topo, np.zeros(4))
 
 
 class TestSigmoid:
@@ -191,9 +226,10 @@ class TestClassificationError:
         for c in (0.2, 3.0, 17.0):
             params = rng.normal(0, 1, topo.param_count)
             data = _random_dataset(rng, 12, 3)
-            layers = decode(params, topo)
-            w, b = layers[-1]
-            scaled = encode(layers[:-1] + [(c * w, c * b)], topo)
+            scaled = params.copy()
+            w, b = decode(scaled, topo)[-1]
+            w *= c
+            b *= c
             assert (classification_error(params, topo, data)
                     == classification_error(scaled, topo, data))
 
@@ -239,14 +275,13 @@ class TestDecisionsMatchSigmoidRule:
         rng = np.random.default_rng(seed)
         topo = MlpTopology((n_in, n_hidden, 1))
         data = Dataset(rng.normal(0, 1, (n_rows, n_in)), rng.integers(0, 2, n_rows))
-        layers = decode(rng.normal(0, 2, topo.param_count), topo)
-        w_out = layers[-1][0]
+        params = rng.normal(0, 2, topo.param_count)
+        w_out, b_out = decode(params, topo)[-1]
         if cancel:
-            hidden = _forward_activations(encode(layers, topo), topo, data.rows)[-2]
-            bias = z - (hidden @ w_out.T)[rng.integers(n_rows), 0]
+            hidden = _forward_activations(params, topo, data.rows)[-2]
+            b_out[0] = z - (hidden @ w_out.T)[rng.integers(n_rows), 0]
         else:
-            w_out, bias = np.zeros_like(w_out), z
-        params = encode(layers[:-1] + [(w_out, np.array([bias]))], topo)
+            w_out[...], b_out[0] = 0.0, z
 
         assert (classification_error(params, topo, data)
                 == classification_error_reference(params, topo, data))
@@ -259,17 +294,16 @@ def _edge_stack(rng, topo, rows, k, scale, z):
     random, zero with bias z (every row's pre-activation is exactly z),
     or biased so one row's pre-activation lands within a few ulps of z,
     which sends near-zero rows through _classify's sigmoid fallback."""
-    members = []
-    for mode in rng.integers(0, 3, k):
-        layers = decode(rng.normal(0, scale, topo.param_count), topo)
-        w_out, b_out = layers[-1]
+    stack = np.empty((k, topo.param_count))
+    for v, mode in zip(stack, rng.integers(0, 3, k)):
+        v[:] = rng.normal(0, scale, topo.param_count)
+        w_out, b_out = decode(v, topo)[-1]
         if mode == 1:
-            w_out, b_out = np.zeros_like(w_out), np.full_like(b_out, z)
+            w_out[...], b_out[...] = 0.0, z
         elif mode == 2:
-            hidden = _forward_activations(encode(layers, topo), topo, rows)[-2]
-            b_out = z - (hidden @ w_out.T)[rng.integers(len(rows))]
-        members.append(encode(layers[:-1] + [(w_out, b_out)], topo))
-    return np.array(members)
+            hidden = _forward_activations(v, topo, rows)[-2]
+            b_out[...] = z - (hidden @ w_out.T)[rng.integers(len(rows))]
+    return stack
 
 
 def _preactivation_per_member(params, topo, rows):
@@ -394,6 +428,14 @@ class TestMseGradient:
         assert np.isclose(loss_a, loss_b, rtol=1e-12)
         np.testing.assert_allclose(grad_a, grad_b, rtol=1e-12)
 
+    def test_parameter_stack_rejected(self):
+        """The losses take one vector; a (k, D) stack is a shape error."""
+        topo = MlpTopology((2, 3, 1))
+        data = Dataset(np.zeros((4, 2)), [0, 1, 1, 0])
+        for loss in (mse_loss, mse_loss_and_gradient):
+            with pytest.raises(ShapeError):
+                loss(np.zeros((2, topo.param_count)), topo, data)
+
     def test_gradient_length_matches_params(self):
         topo = MlpTopology((4, 3, 2))
         rng = np.random.default_rng(9)
@@ -404,22 +446,6 @@ class TestMseGradient:
 
 
 class TestContainers:
-
-    def test_candidate_params_are_frozen(self):
-        cand = CandidateSolution(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            cand.params[0] = 5.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            cand.fitness = 3.0
-
-    def test_candidate_evaluated(self):
-        """A candidate counts as evaluated once it carries a fitness."""
-        assert CandidateSolution(np.zeros(3)).fitness is None
-        assert CandidateSolution(np.zeros(3), fitness=12.5).fitness == 12.5
-
-    def test_candidate_must_be_flat(self):
-        with pytest.raises(ShapeError):
-            CandidateSolution(np.zeros((2, 2)))
 
     def test_dataset_validation(self):
         with pytest.raises(ParameterError):

@@ -184,10 +184,18 @@ class TestSelect:
         assert out.fitness[0] == 20.0 and out.entered == 0
 
     def test_best_is_first_member_of_least_fitness(self):
-        vectors = np.arange(8.0).reshape(4, 2)
-        pop = Population(vectors, np.array([3.0, 1.0, 1.0, 2.0]), nfe=4, iteration=0)
-        np.testing.assert_array_equal(pop.best.params, vectors[1])
-        assert pop.best.fitness == 1.0
+        """A budget of one population ends the search after the initial
+        scores, so the result reads its best off those."""
+        scored = []
+
+        def objective(batch):
+            scored.append(batch.copy())
+            return np.array([3.0, 1.0, 1.0, 2.0])
+
+        result = run_codel(objective, 2, CodelConfig(population_size=4, nfe_max=4))
+        assert len(scored) == 1 and result.nfe == 4
+        np.testing.assert_array_equal(result.best_params, scored[0][1])
+        assert result.best_fitness == 1.0
 
 
 class TestMutate:
@@ -298,7 +306,6 @@ class TestQoblPopulation:
         pop = _evaluated_population(vectors, _sphere, nfe=8)
         config = CodelConfig(population_size=8, nfe_max=1000)
         out = qobl_population(pop, config, _sphere, rng)
-        assert out.best.fitness == 0.0
         assert out.fitness.min() == 0.0
 
     def test_size_preserved_and_budget_spent(self):
@@ -409,7 +416,7 @@ class TestClusterUpdate:
         out = cluster_update(pop, config, _sphere, np.random.default_rng(1))
         assert out.vectors.shape == (8, 2) and out.fitness.shape == (8,)
         assert out.nfe == pop.nfe + 2
-        assert out.best.fitness == 0.0
+        assert out.fitness.min() == 0.0
         assert any(np.array_equal(v, [0.0, 0.0]) for v in out.vectors)
 
     def test_best_never_degrades(self):
@@ -420,7 +427,7 @@ class TestClusterUpdate:
                                         nfe=16)
             out = cluster_update(pop, config, _sphere, rng)
             assert out.vectors.shape == (16, 3) and out.fitness.shape == (16,)
-            assert out.best.fitness <= pop.best.fitness
+            assert out.fitness.min() <= pop.fitness.min()
             # k is drawn from [2, floor(sqrt(16))]
             assert 2 <= out.nfe - pop.nfe <= 4
 
@@ -436,7 +443,7 @@ class TestRunCodel:
     def test_constant_objective_gives_flat_zero_history(self):
         config = CodelConfig(population_size=10, nfe_max=300, seed=0)
         result = run_codel(lambda batch: np.zeros(len(batch)), 4, config)
-        assert result.best.fitness == 0.0
+        assert result.best_fitness == 0.0
         assert np.all(result.history == 0.0)
 
     def test_history_non_increasing(self):
@@ -466,14 +473,14 @@ class TestRunCodel:
         config = CodelConfig(population_size=10, nfe_max=600, seed=7)
         a = run_codel(_sphere, 4, config)
         b = run_codel(_sphere, 4, config)
-        np.testing.assert_array_equal(a.best.params, b.best.params)
-        assert a.best.fitness == b.best.fitness
+        np.testing.assert_array_equal(a.best_params, b.best_params)
+        assert a.best_fitness == b.best_fitness
         np.testing.assert_array_equal(a.history, b.history)
 
     def test_small_sphere_descends(self):
         config = CodelConfig(population_size=20, nfe_max=4000, seed=1)
         result = run_codel(_sphere, 3, config)
-        assert result.best.fitness < 0.1
+        assert result.best_fitness < 0.1
 
     def test_plain_de_baseline_behaves(self):
         calls = 0
@@ -488,9 +495,10 @@ class TestRunCodel:
         assert calls == result.nfe
         assert np.all(np.diff(result.history) <= 0.0)
 
-    def test_dimension_validated(self):
+    @pytest.mark.parametrize("run", [run_codel, run_plain_de], ids=lambda f: f.__name__)
+    def test_dimension_validated(self, run):
         with pytest.raises(ParameterError):
-            run_codel(_sphere, 0, CodelConfig(population_size=10, nfe_max=100))
+            run(_sphere, 0, CodelConfig(population_size=10, nfe_max=100))
 
     def test_config_validation(self):
         bad = [
@@ -548,8 +556,8 @@ class TestMatchesReference:
         result = run(objective, dim, config)
         best, history, nfe_history, nfe, iterations, counts = run_codel_reference(
             objective, dim, config, clustering=not plain, opposition=not plain)
-        np.testing.assert_array_equal(result.best.params, best.params)
-        assert result.best.fitness == best.fitness
+        np.testing.assert_array_equal(result.best_params, best.params)
+        assert result.best_fitness == best.fitness
         np.testing.assert_array_equal(result.history, history)
         np.testing.assert_array_equal(result.nfe_history, nfe_history)
         assert (result.nfe, result.iterations) == (nfe, iterations)

@@ -8,7 +8,7 @@ from codel.datasets import two_gaussian_dataset, xor_dataset
 from codel.errors import ParameterError
 from codel.evaluation import METRIC_NAMES
 from codel.local_search import METHODS, LocalSearchConfig
-from codel.mlp import Dataset, classification_error
+from codel.mlp import Dataset, MlpTopology, classification_error, predict
 from codel.optimizer import CodelConfig
 from codel.training import (
     VARIANT_NAMES,
@@ -99,10 +99,10 @@ class TestTrainVariant:
 
 
     def test_predictor_contract(self):
-        """The predictor maps a row matrix to one 0/1 label per row."""
+        """The model's weights map a row matrix to one 0/1 label per row."""
         model = train_variant(_TINY_DATA, 4, (3,), _TINY_CODEL, _TINY_LS,
                               boosted=False)
-        out = model.predictor()(_TINY_DATA.rows)
+        out = predict(model.params, model.topology, _TINY_DATA.rows)
         assert out.shape == (len(_TINY_DATA.labels),)
         assert set(np.unique(out)) <= {0, 1}
 
@@ -122,9 +122,9 @@ class TestGridTask:
 
         def recording_train_variant(*args):
             seen.append(args)
-            return SimpleNamespace(
-                predictor=lambda: lambda r: (np.asarray(r)[:, 0] > 0).astype(int)
-            )
+            # One hidden unit sigmoid(x0), output bias -0.5: class 1 where x0 >= 0.
+            return SimpleNamespace(params=np.array([1.0, 0.0, 0.0, 1.0, -0.5]),
+                                   topology=MlpTopology((2, 1, 1)))
 
         monkeypatch.setattr(training, "train_variant", recording_train_variant)
         a, b = (training._grid_task(("gd", False, train, fold, 0, (3,),
