@@ -5,7 +5,9 @@ secant (oss), plain gradient descent (gd), gradient descent with
 momentum (gdm), gradient descent with an adaptive rate (gda), and
 Polak-Ribiere conjugate gradients (cgpr). All of them descend the MSE
 surrogate; the driver tracks the best iterate by classification error
-(MSE as tiebreak) and returns that, never the last iterate.
+(MSE as tiebreak) and returns that, never the last iterate. The line
+searches and gda probe through `mse_loss_and_gradient` too, so every
+point costs one pass: an accepted probe is not evaluated again.
 """
 
 from dataclasses import dataclass
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .mlp import Dataset, MlpTopology, mse_loss, mse_loss_and_gradient
+from .mlp import Dataset, MlpTopology, mse_loss_and_gradient
 
 __all__ = ["METHODS", "LocalSearchConfig", "RefineResult", "backtracking_line_search", "refine"]
 
@@ -269,10 +271,22 @@ def refine(initial, topology: MlpTopology, data: Dataset,
             f"expected {topology.param_count} weights, got {w.shape}"
         )
 
-    def loss_at(params):
-        return mse_loss(params, topology, data)
+    # The latest evaluated point's bytes and its (loss, grad, error): a
+    # step accepts the point its line search or gda proposal probed last,
+    # so one pass serves both the probe and the accepted step.
+    latest_key = latest = None
 
-    loss, grad, error = mse_loss_and_gradient(w, topology, data)
+    def evaluate(params):
+        nonlocal latest_key, latest
+        key = params.tobytes()
+        if key != latest_key:
+            latest_key, latest = key, mse_loss_and_gradient(params, topology, data)
+        return latest
+
+    def loss_at(params):
+        return evaluate(params)[0]
+
+    loss, grad, error = evaluate(w)
     best = _BestTracker(w, error, loss)
     loss_history = [loss]
     error_history = [error]
@@ -290,7 +304,7 @@ def refine(initial, topology: MlpTopology, data: Dataset,
             break
         if w_next is not w:  # a rejected gda step keeps w, loss, grad and error
             w = w_next
-            loss, grad, error = mse_loss_and_gradient(w, topology, data)
+            loss, grad, error = evaluate(w)
         loss_history.append(loss)
         error_history.append(error)
         if best.offer(w, error, loss):

@@ -151,13 +151,19 @@ def decode(params, topology: MlpTopology):
     return layers
 
 
-def _forward_activations(params, topology: MlpTopology, inputs):
-    """Activations of every layer for a batch, input batch first."""
+def _vector_layers(params, topology: MlpTopology):
+    """decode's layers of one flat vector; the losses take no stacks."""
     if np.ndim(params) != 1:
         raise ShapeError(f"expected one flat parameter vector, got shape {np.shape(params)}")
+    return decode(params, topology)
+
+
+def _forward_activations(layers, inputs):
+    """Activations of every layer for a batch, input batch first, through
+    the (weights, biases) of one decoded vector."""
     activations = [inputs]
     a = inputs
-    for w, b in decode(params, topology):
+    for w, b in layers:
         a = _layer(a, w, b)
         activations.append(a)
     return activations
@@ -236,7 +242,7 @@ def classification_error(params, topology: MlpTopology, data: Dataset):
 
 
 def mse_loss(params, topology: MlpTopology, data: Dataset) -> float:
-    out = _forward_activations(params, topology, data.rows)[-1]
+    out = _forward_activations(_vector_layers(params, topology), data.rows)[-1]
     targets = data.labels[:, None].astype(float)
     return float(np.mean((out - targets) ** 2))
 
@@ -256,8 +262,8 @@ def mse_loss_and_gradient(params, topology: MlpTopology, data: Dataset):
     """
     if len(data) == 0:
         raise ParameterError("loss needs a nonempty dataset")
-    layers = decode(params, topology)
-    activations = _forward_activations(params, topology, data.rows)
+    layers = _vector_layers(params, topology)
+    activations = _forward_activations(layers, data.rows)
     out = activations[-1]
     targets = data.labels[:, None].astype(float)
 

@@ -4,9 +4,11 @@ A "variant" is one of twelve training procedures: each refinement
 method either from random initial weights (its base form) or from the
 best weights the global search found (its boosted form, prefixed
 "codel-"). The evaluation grid runs every variant over every
-cross-validation fold; tasks are independent, so they can spread over
-worker processes, and results are collected by index so the output
-never depends on completion order.
+cross-validation fold. As in the paper, one global search per fold
+feeds all six boosted refiners of that fold; each base variant refines
+from its own random start. Tasks are independent, so they can spread
+over worker processes, and results are collected by position, so the
+output never depends on the worker count or completion order.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -67,53 +69,59 @@ class TrainedModel:
     refine_error: np.ndarray
 
 
-def train_variant(train: Dataset, seed: int, hidden, codel_config: CodelConfig,
-                  ls_config: LocalSearchConfig, boosted: bool) -> TrainedModel:
-    """Train one variant on one training split.
+def _start(train: Dataset, topology: MlpTopology, seed: int,
+           codel_config: CodelConfig, boosted: bool):
+    """(Starting weights, search result or None) for refinement on train.
 
-    The boosted form minimizes the classification error globally first
-    and refines from its best weights; the base form refines from
+    The boosted form minimizes the classification error globally and
+    starts from the search's best weights; the base form starts from
     uniform random weights inside the same box.
     """
-    topology = MlpTopology((train.n_features, *hidden, 1))
-
-    if boosted:
-        def objective(vectors):
-            return classification_error(vectors, topology, train)
-
-        search = run_codel(objective, topology.param_count,
-                           replace(codel_config, seed=seed))
-        start = search.best_params
-        nfe_used = search.nfe
-        history, nfe_history = search.history, search.nfe_history
-    else:
+    if not boosted:
         rng = named_rng(seed, "init")
-        start = rng.uniform(codel_config.lower, codel_config.upper,
-                            topology.param_count)
-        nfe_used = 0
-        history = np.array([])
-        nfe_history = np.array([], dtype=int)
+        return rng.uniform(codel_config.lower, codel_config.upper,
+                           topology.param_count), None
 
+    def objective(vectors):
+        return classification_error(vectors, topology, train)
+
+    search = run_codel(objective, topology.param_count,
+                       replace(codel_config, seed=seed))
+    return search.best_params, search
+
+
+def train_variant(train: Dataset, seed: int, hidden, codel_config: CodelConfig,
+                  ls_config: LocalSearchConfig, boosted: bool) -> TrainedModel:
+    """Train one variant on one training split: the configured refiner,
+    from the global search's best weights (boosted) or from random ones."""
+    topology = MlpTopology((train.n_features, *hidden, 1))
+    start, search = _start(train, topology, seed, codel_config, boosted)
     refined = refine(start, topology, train, ls_config)
     return TrainedModel(
         params=refined.params,
         topology=topology,
         train_error=refined.final_train_error,
-        nfe_used=nfe_used,
-        search_history=history,
-        search_nfe=nfe_history,
+        nfe_used=search.nfe if search else 0,
+        search_history=search.history if search else np.array([]),
+        search_nfe=search.nfe_history if search else np.array([], dtype=int),
         refine_loss=refined.loss_history,
         refine_error=refined.error_history,
     )
 
 
 def _grid_task(args):
-    (method, boosted, train, test, task_seed, hidden,
+    """One start on one fold's training rows, refined by each of
+    `methods`; one metrics report per method on the fold's test rows."""
+    (methods, boosted, train, test, task_seed, hidden,
      codel_config, ls_config) = args
-    model = train_variant(train, task_seed, hidden, codel_config,
-                          replace(ls_config, method=method), boosted)
-    predictions = predict(model.params, model.topology, test.rows)
-    return metrics(confusion_from_predictions(test.labels, predictions))
+    topology = MlpTopology((train.n_features, *hidden, 1))
+    start, _ = _start(train, topology, task_seed, codel_config, boosted)
+    reports = []
+    for method in methods:
+        refined = refine(start, topology, train, replace(ls_config, method=method))
+        predictions = predict(refined.params, topology, test.rows)
+        reports.append(metrics(confusion_from_predictions(test.labels, predictions)))
+    return reports
 
 
 def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
@@ -121,8 +129,13 @@ def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
                   jobs: int = 1):
     """Cross-validate all twelve variants on one dataset.
 
-    Task seeds derive from (seed, variant index, fold index), so results
-    are identical whatever the worker count or completion order.
+    Each fold runs one global search, seeded from (seed, len(VARIANT_NAMES),
+    fold index), and its best weights start all six boosted refiners of
+    that fold, as in the paper. Each base variant refines from its own
+    random start, seeded from (seed, variant index, fold index). The k
+    search tasks are queued first, since they take longest; results are
+    collected by position, so they are identical whatever the worker
+    count or completion order.
 
     Returns:
         dict variant name -> CrossValidationResult, in VARIANT_NAMES
@@ -131,29 +144,38 @@ def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
     if len(np.unique(dataset.labels)) < 2:
         raise ParameterError("evaluation needs both classes present")
     pairs = fold_datasets(dataset, k, seed)
-    tasks = []
-    for v, name in enumerate(VARIANT_NAMES):
-        method = name.removeprefix("codel-")
-        boosted = name.startswith("codel-")
-        for f, (train, test) in enumerate(pairs):
-            tasks.append((method, boosted, train, test,
-                          derive_seed(seed, v, f), hidden,
-                          codel_config, ls_config))
+    tasks = [
+        (METHODS, True, train, test, derive_seed(seed, len(VARIANT_NAMES), f),
+         hidden, codel_config, ls_config)
+        for f, (train, test) in enumerate(pairs)
+    ]
+    tasks += [
+        ((name,), False, train, test, derive_seed(seed, v, f),
+         hidden, codel_config, ls_config)
+        for v, name in enumerate(VARIANT_NAMES) if name in METHODS
+        for f, (train, test) in enumerate(pairs)
+    ]
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_grid_task, tasks))
+            task_reports = list(pool.map(_grid_task, tasks))
     else:
-        reports = [_grid_task(t) for t in tasks]
+        task_reports = [_grid_task(t) for t in tasks]
+
+    # Every variant's tasks are listed in fold order, so appending keeps
+    # its fold reports in fold order.
+    fold_reports = {name: [] for name in VARIANT_NAMES}
+    for (methods, boosted, *_), reports in zip(tasks, task_reports):
+        for method, report in zip(methods, reports):
+            fold_reports[variant_name(method, boosted)].append(report)
 
     results = {}
-    for v, name in enumerate(VARIANT_NAMES):
-        fold_reports = tuple(reports[v * k: (v + 1) * k])
+    for name, reports in fold_reports.items():
         summaries = {
-            metric: FoldSummary.from_values([getattr(r, metric) for r in fold_reports])
+            metric: FoldSummary.from_values([getattr(r, metric) for r in reports])
             for metric in METRIC_NAMES
         }
-        results[name] = CrossValidationResult(fold_reports, summaries)
+        results[name] = CrossValidationResult(tuple(reports), summaries)
     return results
 
 

@@ -22,6 +22,7 @@ from codel.mlp import (
     MlpTopology,
     _forward_activations,
     classification_error,
+    decode,
     mse_loss,
     mse_loss_and_gradient,
 )
@@ -464,7 +465,7 @@ def run_codel_reference(objective, dim, config, clustering=True, opposition=True
 
 def predict_reference(params, topology, rows):
     """Class 1 where the output neuron's sigmoid activation is >= 0.5."""
-    out = _forward_activations(params, topology, rows)[-1]
+    out = _forward_activations(decode(params, topology), rows)[-1]
     return (out[:, 0] >= 0.5).astype(int)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codel.local_search as local_search
+import codel.mlp as mlp
 import oracles
 from codel.datasets import two_gaussian_dataset, xor_dataset
 from codel.errors import ContractError, ParameterError
@@ -424,23 +425,28 @@ def _assert_matches_reference(start, topology, data, config):
 class _ScriptedLoss:
     """Stand-in loss functions whose gradients follow a script.
 
-    Each gradient evaluation returns the next scripted gradient (the last
-    one repeats); the loss, there and in the line search, is linear in
-    the latest gradient, so every descent step is taken whole.
+    Points are numbered in the order any of the functions first sees
+    them; point n gets the nth scripted gradient (the last one repeats)
+    and the loss -n. The loss falls by one at every new point, so every
+    descent step with a slope above -1e4 passes the sufficient-decrease
+    test whole, and a run that probes through mse_loss_and_gradient sees
+    the same losses and gradients as one that probes through mse_loss.
     """
 
     def __init__(self, gradients):
         self.gradients = np.array(gradients, dtype=float)
-        self.calls = 0
+        self.points = {}
+
+    def _index(self, params):
+        return self.points.setdefault(params.tobytes(), len(self.points))
 
     def mse_loss_and_gradient(self, params, topology, data):
-        self.grad = self.gradients[min(self.calls, len(self.gradients) - 1)]
-        self.calls += 1
-        return (self.mse_loss(params, topology, data), self.grad.copy(),
-                self.classification_error(params, topology, data))
+        n = self._index(params)
+        grad = self.gradients[min(n, len(self.gradients) - 1)]
+        return (float(-n), grad.copy(), self.classification_error(params, topology, data))
 
     def mse_loss(self, params, topology, data):
-        return float(self.grad @ params)
+        return float(-self._index(params))
 
     def classification_error(self, params, topology, data):
         return 50.0
@@ -499,22 +505,25 @@ class TestRefineMatchesReference:
         assert result.stop_reason == "line_search"
 
     def test_gda_rejections(self, monkeypatch):
-        calls = {"mse_loss_and_gradient": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(local_search, name)):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(local_search, name, counted)
+        points = []
+
+        def counted(params, *args, _fn=local_search.mse_loss_and_gradient):
+            points.append(params.tobytes())
+            return _fn(params, *args)
+
+        monkeypatch.setattr(local_search, "mse_loss_and_gradient", counted)
         config = LocalSearchConfig(method="gda", epochs=60, patience=60, learning_rate=50.0)
         result = _assert_matches_reference(_start(0), _TOPO, _DATA, config)
         # A rejected step stays put, so the loss repeats; the held loss,
-        # gradient and error are reused, with no objective call. Each
-        # accepted epoch takes its loss, gradient and error from one pass.
+        # gradient and error are reused. Every epoch probes one proposal
+        # in one pass, which an accepted step takes as its loss, gradient
+        # and error, so the start and each proposal cost one call each.
         rejected = np.count_nonzero(np.diff(result.loss_history) == 0.0)
         assert rejected >= 3
-        accepted = result.loss_history.size - rejected
-        assert calls == {"mse_loss_and_gradient": accepted}
+        assert len(points) == result.loss_history.size
+        assert len(set(points)) == len(points)
         assert not hasattr(local_search, "classification_error")
+        assert not hasattr(local_search, "mse_loss")
 
     def test_cgpr_periodic_restarts(self):
         config = LocalSearchConfig(method="cgpr", epochs=100, patience=100)
@@ -534,6 +543,57 @@ class TestRefineMatchesReference:
         assert result.params.tobytes() == params.tobytes()
         assert result.loss_history.tobytes() == losses.tobytes()
         assert result.stop_reason == "epochs"
+
+
+class TestRefineCallPattern:
+    """Every point refine evaluates costs exactly one
+    mse_loss_and_gradient pass, and mse_loss is never called."""
+
+    # A large gda rate gets rejections; a strict cgpr test gets backtracks.
+    _KNOBS = {"gda": dict(learning_rate=50.0), "cgpr": dict(armijo_c1=0.99)}
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_pass_per_point(self, method, monkeypatch):
+        points, probes, searches = [], [], []
+
+        def counted(params, *args, _fn=local_search.mse_loss_and_gradient):
+            points.append(params.tobytes())
+            return _fn(params, *args)
+
+        def plain_loss(*args, _fn=mlp.mse_loss):
+            points.append("mse_loss")
+            return _fn(*args)
+
+        def recorded_search(f, *args, _fn=local_search.backtracking_line_search):
+            def probe(x):
+                probes.append(x.tobytes())
+                return f(x)
+            searches.append(_fn(probe, *args))
+            return searches[-1]
+
+        monkeypatch.setattr(local_search, "mse_loss_and_gradient", counted)
+        monkeypatch.setattr(mlp, "mse_loss", plain_loss)
+        monkeypatch.setattr(local_search, "backtracking_line_search", recorded_search)
+        start = _start(0)
+        config = LocalSearchConfig(method=method, epochs=60, patience=60,
+                                   **self._KNOBS.get(method, {}))
+        result = _assert_matches_reference(start, _TOPO, _DATA, config)
+
+        assert not hasattr(local_search, "mse_loss")
+        assert "mse_loss" not in points
+        assert len(set(points)) == len(points)
+        assert points[0] == start.tobytes()
+        if method in ("oss", "cgpr"):
+            # Each probe is evaluated once; the accepted one is not
+            # evaluated again, and some searches had to backtrack.
+            assert points == [start.tobytes()] + probes
+            assert len(searches) == result.loss_history.size - 1
+            assert len(probes) > len(searches)
+        else:
+            # The start, then one point per epoch: the next weights, or
+            # gda's proposal whether it is accepted or not.
+            assert len(points) == result.loss_history.size
+            assert len(probes) == 0
 
 
 class TestStopReason:

@@ -121,7 +121,7 @@ class TestEncodeDecode:
 
 def _outputs(params, topo, rows):
     """The output layer's activations for a batch of rows."""
-    return _forward_activations(params, topo, np.asarray(rows, dtype=float))[-1]
+    return _forward_activations(decode(params, topo), np.asarray(rows, dtype=float))[-1]
 
 
 class TestForward:
@@ -278,7 +278,7 @@ class TestDecisionsMatchSigmoidRule:
         params = rng.normal(0, 2, topo.param_count)
         w_out, b_out = decode(params, topo)[-1]
         if cancel:
-            hidden = _forward_activations(params, topo, data.rows)[-2]
+            hidden = _forward_activations(decode(params, topo), data.rows)[-2]
             b_out[0] = z - (hidden @ w_out.T)[rng.integers(n_rows), 0]
         else:
             w_out[...], b_out[0] = 0.0, z
@@ -301,14 +301,14 @@ def _edge_stack(rng, topo, rows, k, scale, z):
         if mode == 1:
             w_out[...], b_out[...] = 0.0, z
         elif mode == 2:
-            hidden = _forward_activations(v, topo, rows)[-2]
+            hidden = _forward_activations(decode(v, topo), rows)[-2]
             b_out[...] = z - (hidden @ w_out.T)[rng.integers(len(rows))]
     return stack
 
 
 def _preactivation_per_member(params, topo, rows):
     """One member's output pre-activation through its own layer calls."""
-    hidden = _forward_activations(params, topo, rows)[-2]
+    hidden = _forward_activations(decode(params, topo), rows)[-2]
     w_out, b_out = decode(params, topo)[-1]
     z = hidden @ w_out.T
     z += b_out

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,10 +7,16 @@ import pytest
 import codel.training as training
 from codel.datasets import two_gaussian_dataset, xor_dataset
 from codel.errors import ParameterError
-from codel.evaluation import METRIC_NAMES
+from codel.evaluation import (
+    METRIC_NAMES,
+    confusion_from_predictions,
+    fold_datasets,
+    metrics,
+)
 from codel.local_search import METHODS, LocalSearchConfig
 from codel.mlp import Dataset, MlpTopology, classification_error, predict
-from codel.optimizer import CodelConfig
+from codel.optimizer import CodelConfig, run_codel
+from codel.streams import derive_seed
 from codel.training import (
     VARIANT_NAMES,
     build_comparison,
@@ -110,8 +117,9 @@ class TestTrainVariant:
 class TestGridTask:
 
     def test_test_labels_never_reach_training(self, monkeypatch):
-        """Label-poisoning canary: flipping test labels moves the score
-        but leaves the training inputs untouched."""
+        """Label-poisoning canary, for a base task and a shared-search fold
+        task: flipping test labels moves every score but leaves the
+        training inputs, and the fold's search, untouched."""
         rng = np.random.default_rng(10)
         train = Dataset(rng.normal(0, 1, (20, 2)), rng.integers(0, 2, 20))
         rows = rng.normal(0.5, 1, (10, 2))
@@ -120,22 +128,70 @@ class TestGridTask:
 
         seen = []
 
-        def recording_train_variant(*args):
+        def recording_refine(*args):
             seen.append(args)
             # One hidden unit sigmoid(x0), output bias -0.5: class 1 where x0 >= 0.
-            return SimpleNamespace(params=np.array([1.0, 0.0, 0.0, 1.0, -0.5]),
-                                   topology=MlpTopology((2, 1, 1)))
+            return SimpleNamespace(params=np.array([1.0, 0.0, 0.0, 1.0, -0.5]))
 
-        monkeypatch.setattr(training, "train_variant", recording_train_variant)
-        a, b = (training._grid_task(("gd", False, train, fold, 0, (3,),
-                                     _TINY_CODEL, _TINY_LS))
-                for fold in (test, poisoned))
+        monkeypatch.setattr(training, "refine", recording_refine)
+        for methods, boosted in ((("gd",), False), (METHODS, True)):
+            seen.clear()
+            a, b = (training._grid_task((methods, boosted, train, fold, 0, (1,),
+                                         _TINY_CODEL, _TINY_LS))
+                    for fold in (test, poisoned))
 
-        assert a.accuracy != b.accuracy
-        assert all(arg is not fold for args in seen for arg in args
-                   for fold in (test, poisoned))
-        np.testing.assert_array_equal(seen[0][0].rows, seen[1][0].rows)
-        np.testing.assert_array_equal(seen[0][0].labels, seen[1][0].labels)
+            assert len(a) == len(b) == len(methods)
+            assert all(ra.accuracy != rb.accuracy for ra, rb in zip(a, b))
+            assert [args[3].method for args in seen] == 2 * list(methods)
+            assert all(arg is not fold for args in seen for arg in args
+                       for fold in (test, poisoned))
+            clean, dirty = seen[:len(methods)], seen[len(methods):]
+            for (start_a, _, train_a, _), (start_b, _, train_b, _) in zip(clean, dirty):
+                assert start_a.tobytes() == start_b.tobytes()
+                np.testing.assert_array_equal(train_a.rows, train_b.rows)
+                np.testing.assert_array_equal(train_a.labels, train_b.labels)
+
+
+class TestSharedSearch:
+
+    def test_one_search_per_fold_starts_every_boosted_refiner(self, monkeypatch):
+        """Each fold's six boosted refiners start from that fold's one
+        search; the base variants keep their own tasks and seeds."""
+        seed, k, hidden = 2, 4, (3,)
+        calls = []
+
+        def spy_refine(initial, topology, data, config, _refine=training.refine):
+            calls.append((np.array(initial), data, config.method))
+            return _refine(initial, topology, data, config)
+
+        monkeypatch.setattr(training, "refine", spy_refine)
+        results = evaluate_grid(_TINY_DATA, k, seed, hidden, _TINY_CODEL, _TINY_LS)
+        monkeypatch.undo()
+
+        pairs = fold_datasets(_TINY_DATA, k, seed)
+        assert len(calls) == 2 * len(METHODS) * k
+        topology = MlpTopology((_TINY_DATA.n_features, *hidden, 1))
+        for f, (train, test) in enumerate(pairs):
+            boosted = calls[f * len(METHODS): (f + 1) * len(METHODS)]
+            assert [method for _, _, method in boosted] == list(METHODS)
+            search = run_codel(
+                lambda v: classification_error(v, topology, train),
+                topology.param_count,
+                replace(_TINY_CODEL, seed=derive_seed(seed, len(VARIANT_NAMES), f)),
+            )
+            for initial, data, _ in boosted:
+                assert initial.tobytes() == search.best_params.tobytes()
+                np.testing.assert_array_equal(data.rows, train.rows)
+
+        for v, name in enumerate(VARIANT_NAMES):
+            if name.startswith("codel-"):
+                continue
+            for f, (train, test) in enumerate(pairs):
+                model = train_variant(train, derive_seed(seed, v, f), hidden, _TINY_CODEL,
+                                      replace(_TINY_LS, method=name), boosted=False)
+                predictions = predict(model.params, model.topology, test.rows)
+                assert results[name].fold_reports[f] == metrics(
+                    confusion_from_predictions(test.labels, predictions))
 
 
 class TestEvaluateGrid:
