@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, parse_config
+from .config import ALIASES, RunConfig, parse_config
 from .errors import CodelError, ParameterError
 from .evaluation import METRIC_NAMES
 from .hrv import extract_features
@@ -26,20 +26,21 @@ from .io import (
     write_table,
     write_weights_csv,
 )
-from .local_search import METHODS
 from .signal import RrSeries, Signal, signal_to_rr
 from .training import VARIANT_NAMES, build_comparison, evaluate_grid, train_variant
 
 __all__ = ["main"]
 
 
-def _knob_overrides(args):
-    knobs = (f.name for f in fields(RunConfig) if f.name != "seed")
-    return {k: getattr(args, k) for k in knobs if getattr(args, k, None) is not None}
+# The knob flags of `evaluate`; `train` takes all but the grid's two.
+_EVALUATE_KNOBS = tuple(f.name for f in fields(RunConfig) if f.name != "seed")
+_TRAIN_KNOBS = tuple(name for name in _EVALUATE_KNOBS if name not in ("folds", "jobs"))
 
 
 def _resolve_config(args):
-    return parse_config(args.config, seed=args.seed, **_knob_overrides(args))
+    """The run's config: the file, then any knob flag the command has."""
+    knobs = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    return parse_config(args.config, **knobs)
 
 
 def _out_path(args, name: str) -> Path:
@@ -49,7 +50,7 @@ def _out_path(args, name: str) -> Path:
 
 
 def cmd_extract(args) -> None:
-    config = parse_config(args.config, seed=args.seed)
+    config = _resolve_config(args)
     if not args.signal_csv and not args.rr_csv:
         raise ParameterError("extract needs --signal-csv or --rr-csv input files")
     if args.signal_csv and args.fs is None:
@@ -199,7 +200,7 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_compare_tables(args) -> None:
-    config = parse_config(args.config, seed=args.seed)
+    config = _resolve_config(args)
     header, rows, _ = read_table(args.means_csv)
     if header != ["algorithm", *METRIC_NAMES]:
         raise ParameterError(
@@ -221,29 +222,23 @@ def cmd_compare_tables(args) -> None:
 
 
 def _add_common(parser) -> None:
-    parser.add_argument("--seed", type=int, default=None,
-                        help="root random seed (required)")
+    parser.add_argument("--seed", help="root random seed (required)")
     parser.add_argument("--config", default=None,
                         help="key = value settings file")
     parser.add_argument("--out-dir", default=".",
                         help="directory receiving output files")
 
 
-def _add_knobs(parser) -> None:
-    parser.add_argument("--population-size", "--np", dest="population_size", type=int)
-    parser.add_argument("--nfe", "--nfe-max", dest="nfe_max", type=int)
-    parser.add_argument("--scale-factor", "--f", dest="scale_factor", type=float)
-    parser.add_argument("--crossover-rate", "--cr", dest="crossover_rate", type=float)
-    parser.add_argument("--jumping-rate", "--jr", dest="jumping_rate", type=float)
-    parser.add_argument("--clustering-period", "--cp", dest="clustering_period", type=int)
-    parser.add_argument("--lower", type=float)
-    parser.add_argument("--upper", type=float)
-    parser.add_argument("--method", choices=list(METHODS))
-    parser.add_argument("--hidden", help="comma-separated hidden layer sizes")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--patience", type=int)
-    parser.add_argument("--learning-rate", "--lr", dest="learning_rate", type=float)
-    parser.add_argument("--momentum", type=float)
+def _add_knobs(parser, names) -> None:
+    """One text flag per named RunConfig field: `--field-name`, plus
+    `--alias` (and `-a` for a one-letter alias) where it has one."""
+    alias_of = {name: alias for alias, name in ALIASES.items()}
+    for name in names:
+        flags = ["--" + name.replace("_", "-")]
+        alias = alias_of.get(name)
+        if alias:
+            flags += [f"-{alias}", f"--{alias}"] if len(alias) == 1 else [f"--{alias}"]
+        parser.add_argument(*flags, dest=name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,16 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="global search plus refinement on a feature file")
     p.add_argument("--features-csv", required=True)
     _add_common(p)
-    _add_knobs(p)
+    _add_knobs(p, _TRAIN_KNOBS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate",
                        help="cross-validate all twelve training variants")
     p.add_argument("--features-csv", required=True)
-    p.add_argument("--folds", "-k", dest="folds", type=int)
-    p.add_argument("--jobs", type=int, help="worker processes for the fold grid")
     _add_common(p)
-    _add_knobs(p)
+    _add_knobs(p, _EVALUATE_KNOBS)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare-tables",

@@ -1,17 +1,23 @@
-"""Run configuration: file parsing, flag overrides, manifest echoing.
+"""Run configuration: the knob table, file parsing, manifest echoing.
+
+Every knob is a `RunConfig` field, and each is both a config-file key
+and a flag under one name: `population_size` in a file is
+`--population-size` on the command line. Eight knobs also have a short
+alias, accepted in both places: np, nfe, f, cr, jr, cp, k, lr (so
+`-k`/`--folds` and `k = 5` set the fold count). Flag values are text,
+parsed exactly as file values are.
 
 Config files are line-oriented `key = value` text; '#' starts a
-comment. Every knob has a descriptive canonical name plus the short
-alias used in the file format (np, f, cr, jr, cp, nfe, k, lr). Unknown
-keys are rejected outright rather than ignored, so a typo cannot
-silently fall back to a default.
+comment. Unknown keys are rejected outright rather than ignored, so a
+typo cannot silently fall back to a default.
 """
 
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ParameterError
-from .local_search import METHODS, LocalSearchConfig
+from .local_search import LocalSearchConfig
+from .mlp import MlpTopology
 from .optimizer import CodelConfig
 
 __all__ = ["RunConfig", "parse_config", "ALIASES"]
@@ -65,40 +71,28 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ParameterError(
-                f"unknown method {self.method!r}, expected one of {METHODS}"
-            )
         if self.folds < 2:
             raise ParameterError("folds must be >= 2")
         if self.jobs < 1:
             raise ParameterError("jobs must be >= 1")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        # Delegate range checks of the optimizer/refiner knobs.
+        # Delegate the checks of the layer sizes and of the optimizer
+        # and refiner knobs to their owners.
+        MlpTopology((1, *self.hidden, 1))
         self.codel_config()
         self.local_search_config()
 
+    def _owned(self, owner, **given):
+        """`owner` built from the fields of the same name, then `given`."""
+        values = {f.name: getattr(self, f.name) for f in fields(owner)
+                  if f.name in self.__dataclass_fields__}
+        return owner(**{**values, **given})
+
     def codel_config(self) -> CodelConfig:
-        return CodelConfig(
-            population_size=self.population_size,
-            nfe_max=self.nfe_max,
-            scale_factor=self.scale_factor,
-            crossover_rate=self.crossover_rate,
-            jumping_rate=self.jumping_rate,
-            clustering_period=self.clustering_period,
-            lower=self.lower,
-            upper=self.upper,
-            seed=0 if self.seed is None else self.seed,
-        )
+        return self._owned(CodelConfig, seed=0 if self.seed is None else self.seed)
 
     def local_search_config(self, method: str | None = None) -> LocalSearchConfig:
-        return LocalSearchConfig(
-            method=self.method if method is None else method,
-            epochs=self.epochs,
-            patience=self.patience,
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-        )
+        return self._owned(LocalSearchConfig, method=self.method if method is None else method)
 
     def manifest_lines(self):
         """The resolved settings as `key=value` strings, field order.
@@ -118,25 +112,10 @@ class RunConfig:
         return out
 
 
-_PARSERS = {
-    "seed": int,
-    "population_size": int,
-    "nfe_max": int,
-    "scale_factor": float,
-    "crossover_rate": float,
-    "jumping_rate": float,
-    "clustering_period": int,
-    "lower": float,
-    "upper": float,
-    "folds": int,
-    "method": str,
-    "hidden": _parse_hidden,
-    "epochs": int,
-    "patience": int,
-    "learning_rate": float,
-    "momentum": float,
-    "jobs": int,
-}
+# Text parser per field: the type of its default, except for the seed
+# (default None) and the comma-separated hidden layer sizes.
+_PARSERS = {f.name: type(f.default) for f in fields(RunConfig)}
+_PARSERS.update(seed=int, hidden=_parse_hidden)
 
 
 def _coerce(key: str, value):

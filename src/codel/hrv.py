@@ -6,7 +6,7 @@ the input vector of the downstream classifier.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -23,22 +23,6 @@ __all__ = [
     "breathing_rate",
     "extract_features",
 ]
-
-FEATURE_NAMES = (
-    "bpm",
-    "ibi",
-    "sdnn",
-    "sdsd",
-    "rmssd",
-    "pnn20",
-    "pnn50",
-    "hr_mad",
-    "sd1",
-    "sd2",
-    "s",
-    "ratio",
-    "breathing_rate",
-)
 
 # Respiration search band in Hz (6 to 24 breaths per minute).
 BREATHING_BAND = (0.1, 0.4)
@@ -72,6 +56,10 @@ class FeatureRecord:
 
     def as_vector(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=float)
+
+
+# The vector's order: the record's fields, without the flags.
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureRecord) if f.name != "flags")
 
 
 class BreathingRate(NamedTuple):
@@ -222,19 +210,5 @@ def extract_features(rr: RrSeries) -> FeatureRecord:
         flags.append("ratio_undefined")
     if br.low_confidence:
         flags.append("breathing_low_confidence")
-    return FeatureRecord(
-        bpm=td.bpm,
-        ibi=td.ibi,
-        sdnn=td.sdnn,
-        sdsd=td.sdsd,
-        rmssd=td.rmssd,
-        pnn20=td.pnn20,
-        pnn50=td.pnn50,
-        hr_mad=td.hr_mad,
-        sd1=pc.sd1,
-        sd2=pc.sd2,
-        s=pc.s,
-        ratio=ratio,
-        breathing_rate=br.breaths_per_min,
-        flags=tuple(flags),
-    )
+    return FeatureRecord(**td._asdict(), **pc._replace(ratio=ratio)._asdict(),
+                         breathing_rate=br.breaths_per_min, flags=tuple(flags))

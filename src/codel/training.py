@@ -157,7 +157,9 @@ def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
     ]
 
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Forked pools start every worker up front, so ask for no more
+        # than there are tasks.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             task_reports = list(pool.map(_grid_task, tasks))
     else:
         task_reports = [_grid_task(t) for t in tasks]

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import codel
-from codel.cli import _knob_overrides, build_parser, main
-from codel.config import RunConfig, parse_config
+from codel.cli import _resolve_config, build_parser, main
+from codel.config import ALIASES, RunConfig
 from codel.datasets import synthetic_heartbeat, two_gaussian_dataset
 from codel.evaluation import METRIC_NAMES
 from codel.hrv import FEATURE_NAMES
@@ -344,18 +344,72 @@ class TestConfigResolution:
         assert manifest["seed"] == "5"
 
     def test_every_knob_flag_reaches_the_config(self):
-        """Each RunConfig field but the seed is a flag of `evaluate`."""
+        """Each RunConfig field but the seed is a flag of `evaluate`, and
+        each lands with its given value and type, none a default."""
         args = build_parser().parse_args([
-            "evaluate", "--features-csv", "f.csv", "--np", "6", "--nfe", "90",
+            "evaluate", "--features-csv", "f.csv", "--seed", "1",
+            "--np", "6", "--nfe", "90",
             "--f", "0.6", "--cr", "0.8", "--jr", "0.2", "--cp", "4",
             "--lower", "-3", "--upper", "3", "-k", "3", "--method", "gd",
             "--hidden", "2,2", "--epochs", "7", "--patience", "5",
             "--lr", "0.1", "--momentum", "0.4", "--jobs", "2",
         ])
-        overrides = _knob_overrides(args)
-        assert set(overrides) == {f.name for f in fields(RunConfig)} - {"seed"}
-        config = parse_config(seed=1, **overrides)
-        assert (config.clustering_period, config.hidden, config.jobs) == (4, (2, 2), 2)
+        expected = dict(
+            seed=1, population_size=6, nfe_max=90, scale_factor=0.6,
+            crossover_rate=0.8, jumping_rate=0.2, clustering_period=4,
+            lower=-3.0, upper=3.0, folds=3, method="gd", hidden=(2, 2),
+            epochs=7, patience=5, learning_rate=0.1, momentum=0.4, jobs=2,
+        )
+        assert list(expected) == [f.name for f in fields(RunConfig)]
+        config = _resolve_config(args)
+        default = RunConfig()
+        for name, value in expected.items():
+            landed = getattr(config, name)
+            assert (type(landed), landed) == (type(value), value), name
+            assert landed != getattr(default, name), name
+
+    @pytest.mark.parametrize("flag", ["--folds", "-k", "--k", "--jobs"])
+    def test_train_has_no_grid_flags(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["train", "--features-csv", "f.csv", "--seed", "1", flag, "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    # Each knob's long flag, spelled out so a renamed field shows here,
+    # then each alias as `--alias`, and as `-a` when it is one letter.
+    SPELLINGS = {
+        "--population-size": "population_size", "--nfe-max": "nfe_max",
+        "--scale-factor": "scale_factor", "--crossover-rate": "crossover_rate",
+        "--jumping-rate": "jumping_rate", "--clustering-period": "clustering_period",
+        "--lower": "lower", "--upper": "upper", "--folds": "folds",
+        "--method": "method", "--hidden": "hidden", "--epochs": "epochs",
+        "--patience": "patience", "--learning-rate": "learning_rate",
+        "--momentum": "momentum", "--jobs": "jobs",
+        **{f"--{alias}": name for alias, name in ALIASES.items()},
+        **{f"-{alias}": name for alias, name in ALIASES.items() if len(alias) == 1},
+    }
+
+    @pytest.mark.parametrize("spelling, field", sorted(SPELLINGS.items()))
+    def test_every_spelling_is_a_flag_of_its_field(self, spelling, field):
+        args = build_parser().parse_args(
+            ["evaluate", "--features-csv", "f.csv", spelling, "7"])
+        assert [k for k, v in vars(args).items() if v == "7"] == [field]
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--np", "many", "population_size"),
+        ("--method", "newton", "method"),
+    ])
+    def test_bad_flag_value_names_its_field(self, tmp_path, capsys, flag, value, named):
+        features = tmp_path / "xor.csv"
+        _write_xor_features(features)
+        out_dir = tmp_path / "out"
+        rc = main(["evaluate", "--features-csv", str(features), "--seed", "1",
+                   flag, value, "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert named in err and repr(value) in err
+        assert not out_dir.exists()
 
     def test_missing_seed_fails(self, tmp_path, capsys):
         features = tmp_path / "xor.csv"

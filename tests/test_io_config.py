@@ -281,6 +281,10 @@ class TestRunConfig:
             parse_config(seed=1, hidden="a,b")
         with pytest.raises(ParameterError):
             parse_config(seed=1, hidden=",")
+        with pytest.raises(ParameterError, match="layer sizes"):
+            parse_config(seed=1, hidden="0")
+        with pytest.raises(ParameterError, match="layer sizes"):
+            parse_config(seed=1, hidden="-2,3")
 
     def test_field_validation(self):
         with pytest.raises(ParameterError, match="method"):

@@ -240,15 +240,14 @@ class TestDetectRPeaks:
             for truth in true_peaks:
                 assert np.min(np.abs(peaks - truth)) <= 2
 
-    def test_strictly_increasing_with_refractory_gap(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            sig = Signal(rng.normal(0, 1, 2000), 100.0)
-            peaks = detect_r_peaks(sig)
-            if peaks.size > 1:
-                gaps = np.diff(peaks)
-                assert np.all(gaps > 0)
-                assert np.all(gaps >= 0.3 * 100.0)
+    @given(fs=st.floats(1.0, 1000.0), n=st.integers(3, 3000),
+           spike_rate=st.sampled_from([0.0, 0.01, 0.2]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_strictly_increasing_with_refractory_gap(self, fs, n, spike_rate, seed):
+        rng = np.random.default_rng(seed)
+        samples = rng.normal(0, 1, n) + 8.0 * (rng.random(n) < spike_rate)
+        peaks = detect_r_peaks(Signal(samples, fs))
+        assert np.all(np.diff(peaks) >= np.ceil(0.3 * fs))
 
 
 class TestRrFromPeaks:
@@ -268,13 +267,18 @@ class TestRrFromPeaks:
         with pytest.raises(ParameterError):
             rr_from_peaks(np.array([100, 100, 200]), 100.0)
 
-    def test_length_and_positivity(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            peaks = np.cumsum(rng.integers(30, 200, size=rng.integers(3, 40)))
-            rr = rr_from_peaks(peaks, 100.0)
-            assert len(rr) == peaks.size - 1
-            assert np.all(rr.intervals > 0)
+    @given(start=st.integers(0, 10**6),
+           gaps=st.lists(st.integers(1, 10**4), min_size=2, max_size=60),
+           fs=st.floats(1.0, 2000.0), data=st.data())
+    def test_length_and_positivity(self, start, gaps, fs, data):
+        peaks = start + np.cumsum([0, *gaps])
+        rr = rr_from_peaks(peaks, fs)
+        assert len(rr) == peaks.size - 1
+        np.testing.assert_array_equal(rr.intervals, np.diff(peaks) / fs * 1000.0)
+        assert np.all(rr.intervals > 0)
+        i = data.draw(st.integers(0, peaks.size - 1), label="repeated")
+        with pytest.raises(ParameterError):
+            rr_from_peaks(np.insert(peaks, i + 1, peaks[i]), fs)
 
 
 class TestFullChain:

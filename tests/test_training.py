@@ -218,6 +218,35 @@ class TestEvaluateGrid:
                 serial[name].means(), parallel[name].means()
             )
 
+    def test_pool_never_outnumbers_tasks(self, monkeypatch):
+        """A forked pool starts all its workers at once, so it is asked
+        for no more workers than the grid has tasks."""
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        def grid(jobs):
+            results = evaluate_grid(_TINY_DATA, 2, 2, (3,), _TINY_CODEL, _TINY_LS, jobs=jobs)
+            return {name: result.fold_reports for name, result in results.items()}
+
+        monkeypatch.setattr(training, "ProcessPoolExecutor", SerialPool)
+        serial = grid(jobs=1)
+        assert asked == []
+        assert grid(jobs=1000) == serial
+        # 2 fold searches plus 6 base methods on each of the 2 folds.
+        assert asked == [2 + 6 * 2]
+
     def test_single_class_rejected(self):
         data = two_gaussian_dataset(6, 2, 1.0, seed=0)
         bad = data.subset(np.flatnonzero(data.labels == 1))
