@@ -49,7 +49,9 @@ class RunConfig:
     """Every knob a pipeline command can consume, fully resolved.
 
     Optimizer and refiner knobs default to their owners' defaults, except
-    `method`: pipeline runs refine with cgpr.
+    `method`: pipeline runs refine with cgpr. A value given as text is
+    parsed as a config file's value is, so `hidden="12"` is (12,) and
+    bad text raises ParameterError naming its field.
     """
 
     seed: int | None = None
@@ -71,6 +73,8 @@ class RunConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _coerce(f.name, getattr(self, f.name)))
         if self.folds < 2:
             raise ParameterError("folds must be >= 2")
         if self.jobs < 1:
@@ -161,8 +165,7 @@ def parse_config(file=None, **overrides) -> RunConfig:
         if value is None:
             continue
         values[_resolve_key(key)] = value
-    coerced = {key: _coerce(key, value) for key, value in values.items()}
-    config = RunConfig(**coerced)
+    config = RunConfig(**values)
     if config.seed is None:
         raise ParameterError("a seed is required (pass --seed or set seed in the config)")
     return replace(config, seed=int(config.seed))

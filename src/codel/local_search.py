@@ -5,9 +5,14 @@ secant (oss), plain gradient descent (gd), gradient descent with
 momentum (gdm), gradient descent with an adaptive rate (gda), and
 Polak-Ribiere conjugate gradients (cgpr). All of them descend the MSE
 surrogate; the driver tracks the best iterate by classification error
-(MSE as tiebreak) and returns that, never the last iterate. The line
-searches and gda probe through `mse_loss_and_gradient` too, so every
-point costs one pass: an accepted probe is not evaluated again.
+(MSE as tiebreak) and returns that, never the last iterate.
+
+Each method is a generator holding its state in locals. Every epoch it
+yields each point it needs evaluated and is sent back that point's
+(loss, gradient, error) from one `mse_loss_and_gradient` pass; then it
+yields _MOVE, to step to the last point sent, or _STAY, to keep its
+point (a rejected gda step). It returns when a line search finds no
+step. So no point, not even an accepted probe, costs a second pass.
 """
 
 from dataclasses import dataclass
@@ -17,12 +22,15 @@ import numpy as np
 from .errors import ContractError, ParameterError
 from .mlp import Dataset, MlpTopology, mse_loss_and_gradient
 
-__all__ = ["METHODS", "LocalSearchConfig", "RefineResult", "backtracking_line_search", "refine"]
+__all__ = ["METHODS", "LocalSearchConfig", "RefineResult", "refine"]
 
 METHODS = ("rp", "oss", "gd", "gdm", "gda", "cgpr")
 
 # Gradient components below this are treated as exactly zero.
 GRAD_TOL = 1e-12
+
+# What a method yields to end an epoch.
+_MOVE, _STAY = "move", "stay"
 
 
 @dataclass(frozen=True)
@@ -92,82 +100,87 @@ class RefineResult:
     stop_reason: str
 
 
-def _rp(w, config):
+def _rp(w, loss, grad, config):
     """Resilient propagation: per weight, the step size grows while the
     gradient keeps its sign, shrinks when it flips and holds when either
     gradient is zero; the weight moves by it against the gradient's sign,
-    whatever the gradient's magnitude."""
+    whatever the gradient's magnitude (Riedmiller and Braun, 1993)."""
     steps = np.full(w.size, config.rp_step_init)
     prev_grad = np.zeros_like(w)
-
-    def step(w, loss, grad, loss_at):
-        nonlocal prev_grad
+    while True:
         product = prev_grad * grad
         steps[product > 0] = np.minimum(steps[product > 0] * config.rp_increase,
                                         config.rp_step_max)
         steps[product < 0] = np.maximum(steps[product < 0] * config.rp_decrease,
                                         config.rp_step_min)
         prev_grad = grad
-        return w - np.sign(grad) * steps
+        w = w - np.sign(grad) * steps
+        _, grad, _ = yield w
+        yield _MOVE
 
-    return step
 
-
-def _gd(w, config):
+def _gd(w, loss, grad, config):
     """Plain steepest descent."""
-    return lambda w, loss, grad, loss_at: w - config.learning_rate * grad
+    while True:
+        w = w - config.learning_rate * grad
+        _, grad, _ = yield w
+        yield _MOVE
 
 
-def _gdm(w, config):
+def _gdm(w, loss, grad, config):
     """Momentum descent; with momentum 0 this is exactly gd."""
     velocity = np.zeros_like(w)
-
-    def step(w, loss, grad, loss_at):
-        nonlocal velocity
+    while True:
         velocity = (config.momentum * velocity
                     + config.learning_rate * (1.0 - config.momentum) * grad)
-        return w - velocity
+        w = w - velocity
+        _, grad, _ = yield w
+        yield _MOVE
 
-    return step
 
-
-def _gda(w, config):
+def _gda(w, loss, grad, config):
     """Adaptive rate: grow on improvement, shrink and reject on blow-up;
     a loss increase within the tolerance band is accepted with the rate
     unchanged, so the trajectory can cross small ridges."""
     rate = config.learning_rate
-
-    def step(w, loss, grad, loss_at):
-        nonlocal rate
+    while True:
         proposed = w - rate * grad
-        loss_now = loss_at(proposed)
-        if loss_now < loss:
+        evaluated = yield proposed
+        if evaluated[0] < loss:
             rate = rate * config.gda_increase
-        elif loss_now > loss * (1.0 + config.gda_max_loss_increase):
+        elif evaluated[0] > loss * (1.0 + config.gda_max_loss_increase):
             rate = rate * config.gda_decrease
-            return w
-        return proposed
-
-    return step
-
-
-def _line_step(w, loss, grad, d, loss_at, config):
-    """(Next weights or None, direction searched): a backtracking step
-    along d, or along -grad when d is not a descent direction."""
-    if float(grad @ d) >= 0:
-        d = -grad
-    a = backtracking_line_search(loss_at, w, d, grad, loss, config)
-    return (None if a == 0.0 else w + a * d), d
+            yield _STAY
+            continue
+        w, (loss, grad, _) = proposed, evaluated
+        yield _MOVE
 
 
-def _oss(w, config):
+def _line_search(w, loss, grad, d, config):
+    """Armijo backtracking along the descent direction d (Nocedal and
+    Wright, section 3.1): yields w + a*d for a = 1, shrink, shrink**2,
+    ..., at most max_backtracks + 1 points, and returns the first that
+    passes sufficient decrease, as (point, (loss, grad, error)), or None."""
+    slope = float(grad @ d)
+    if slope >= 0:
+        raise ContractError("line search requires a descent direction")
+    a = 1.0
+    for _ in range(config.max_backtracks + 1):
+        point = w + a * d
+        evaluated = yield point
+        if evaluated[0] <= loss + config.armijo_c1 * a * slope:
+            return point, evaluated
+        a *= config.backtrack_shrink
+    return None
+
+
+def _oss(w, loss, grad, config):
     """One-step secant: the negative gradient mixed with the last step s
-    and gradient change y through the two secant scalars; the first call
-    and degenerate curvature (|s.y| below 1e-12) take steepest descent."""
+    and gradient change y through the two secant scalars; the first
+    epoch, degenerate curvature (|s.y| below 1e-12) and a mix that is
+    not a descent direction take steepest descent."""
     w_prev = grad_prev = None
-
-    def step(w, loss, grad, loss_at):
-        nonlocal w_prev, grad_prev
+    while True:
         d = -grad
         if w_prev is not None:
             s, y = w - w_prev, grad - grad_prev
@@ -176,64 +189,44 @@ def _oss(w, config):
                 b_c = float(s @ grad) / sty
                 a_c = -(1.0 + float(y @ y) / sty) * b_c + float(y @ grad) / sty
                 d = -grad + a_c * s + b_c * y
+        if float(grad @ d) >= 0:
+            d = -grad
         w_prev, grad_prev = w, grad
-        return _line_step(w, loss, grad, d, loss_at, config)[0]
+        found = yield from _line_search(w, loss, grad, d, config)
+        if found is None:
+            return
+        w, (loss, grad, _) = found
+        yield _MOVE
 
-    return step
 
-
-def _cgpr(w, config):
+def _cgpr(w, loss, grad, config):
     """Polak-Ribiere conjugate directions: the mixing coefficient is
-    clipped at zero and the direction resets to steepest descent every
-    `w.size` + 1 steps, so a poorly conditioned history can never push
-    the search uphill for long."""
-    restart_period = w.size
+    clipped at zero, and the direction resets to steepest descent every
+    `w.size` + 1 steps and whenever the mix is not a descent direction,
+    so a poorly conditioned history can never push the search uphill
+    for long. prev_grad passed the stationary test, so it is nonzero."""
     prev_grad = prev_d = None
     since_restart = 0
-
-    def step(w, loss, grad, loss_at):
-        nonlocal prev_grad, prev_d, since_restart
-        if prev_grad is None or since_restart >= restart_period:
+    while True:
+        if prev_grad is None or since_restart >= w.size:
             d, since_restart = -grad, 0
-        elif (denom := float(prev_grad @ prev_grad)) == 0.0:
-            d, since_restart = np.zeros_like(grad), 0
         else:
-            beta = max(float((grad - prev_grad) @ grad) / denom, 0.0)
+            beta = max(float((grad - prev_grad) @ grad) / float(prev_grad @ prev_grad), 0.0)
             d, since_restart = -grad + beta * prev_d, since_restart + 1
-        w_next, taken = _line_step(w, loss, grad, d, loss_at, config)
-        if taken is not d:
-            # Restart: a conjugate direction that fails the descent
-            # test must not stay in the history.
-            since_restart = 0
-        prev_grad, prev_d = grad, taken
-        return w_next
-
-    return step
-
-
-# Each method maps (start weights, config) to step(w, loss, grad, loss_at),
-# which returns the next weights, w itself when it rejects a step, or
-# None when a line search finds no step.
-_STEPPERS = {"rp": _rp, "oss": _oss, "gd": _gd, "gdm": _gdm, "gda": _gda, "cgpr": _cgpr}
+        if float(grad @ d) >= 0:
+            d, since_restart = -grad, 0
+        prev_grad, prev_d = grad, d
+        found = yield from _line_search(w, loss, grad, d, config)
+        if found is None:
+            return
+        w, (loss, grad, _) = found
+        yield _MOVE
 
 
-def backtracking_line_search(f, x: np.ndarray, d: np.ndarray, g: np.ndarray, f0: float,
-                             config: LocalSearchConfig = LocalSearchConfig()) -> float:
-    """Largest halved step satisfying the sufficient-decrease condition.
-
-    f0 is f(x), which the caller already holds. Tries a = 1, then
-    shrinks up to max_backtracks times; returns 0 when even the smallest
-    step fails the test.
-    """
-    slope = float(g @ d)
-    if slope >= 0:
-        raise ContractError("line search requires a descent direction")
-    a = 1.0
-    for _ in range(config.max_backtracks + 1):
-        if f(x + a * d) <= f0 + config.armijo_c1 * a * slope:
-            return a
-        a *= config.backtrack_shrink
-    return 0.0
+# method(w, loss, grad, config) starts at the first point. Per epoch it
+# yields points and is sent each one's (loss, grad, error), then yields
+# _MOVE (to the last point sent) or _STAY; it returns to stop the run.
+_METHODS = {"rp": _rp, "oss": _oss, "gd": _gd, "gdm": _gdm, "gda": _gda, "cgpr": _cgpr}
 
 
 class _BestTracker:
@@ -271,40 +264,28 @@ def refine(initial, topology: MlpTopology, data: Dataset,
             f"expected {topology.param_count} weights, got {w.shape}"
         )
 
-    # The latest evaluated point's bytes and its (loss, grad, error): a
-    # step accepts the point its line search or gda proposal probed last,
-    # so one pass serves both the probe and the accepted step.
-    latest_key = latest = None
-
-    def evaluate(params):
-        nonlocal latest_key, latest
-        key = params.tobytes()
-        if key != latest_key:
-            latest_key, latest = key, mse_loss_and_gradient(params, topology, data)
-        return latest
-
-    def loss_at(params):
-        return evaluate(params)[0]
-
-    loss, grad, error = evaluate(w)
+    loss, grad, error = mse_loss_and_gradient(w, topology, data)
     best = _BestTracker(w, error, loss)
     loss_history = [loss]
     error_history = [error]
 
-    step = _STEPPERS[config.method](w, config)
+    method = _METHODS[config.method](w, loss, grad, config)
     stale_epochs = 0
     stop_reason = "epochs"
     for _ in range(config.epochs - 1):
         if np.max(np.abs(grad)) < GRAD_TOL:
             stop_reason = "stationary"
             break
-        w_next = step(w, loss, grad, loss_at)
-        if w_next is None:
+        try:
+            request = next(method)
+            while isinstance(request, np.ndarray):
+                point, evaluated = request, mse_loss_and_gradient(request, topology, data)
+                request = method.send(evaluated)
+        except StopIteration:
             stop_reason = "line_search"
             break
-        if w_next is not w:  # a rejected gda step keeps w, loss, grad and error
-            w = w_next
-            loss, grad, error = evaluate(w)
+        if request is _MOVE:  # _STAY keeps w, loss, grad and error
+            w, (loss, grad, error) = point, evaluated
         loss_history.append(loss)
         error_history.append(error)
         if best.offer(w, error, loss):

@@ -21,7 +21,6 @@ __all__ = [
     "decode",
     "predict",
     "classification_error",
-    "mse_loss",
     "mse_loss_and_gradient",
 ]
 
@@ -151,13 +150,6 @@ def decode(params, topology: MlpTopology):
     return layers
 
 
-def _vector_layers(params, topology: MlpTopology):
-    """decode's layers of one flat vector; the losses take no stacks."""
-    if np.ndim(params) != 1:
-        raise ShapeError(f"expected one flat parameter vector, got shape {np.shape(params)}")
-    return decode(params, topology)
-
-
 def _forward_activations(layers, inputs):
     """Activations of every layer for a batch, input batch first, through
     the (weights, biases) of one decoded vector."""
@@ -241,12 +233,6 @@ def classification_error(params, topology: MlpTopology, data: Dataset):
     return float(errors[0]) if params.ndim == 1 else errors
 
 
-def mse_loss(params, topology: MlpTopology, data: Dataset) -> float:
-    out = _forward_activations(_vector_layers(params, topology), data.rows)[-1]
-    targets = data.labels[:, None].astype(float)
-    return float(np.mean((out - targets) ** 2))
-
-
 def mse_loss_and_gradient(params, topology: MlpTopology, data: Dataset):
     """Mean squared error against the labels, its gradient, and the
     classification error, all from one forward pass.
@@ -262,7 +248,9 @@ def mse_loss_and_gradient(params, topology: MlpTopology, data: Dataset):
     """
     if len(data) == 0:
         raise ParameterError("loss needs a nonempty dataset")
-    layers = _vector_layers(params, topology)
+    if np.ndim(params) != 1:
+        raise ShapeError(f"expected one flat parameter vector, got shape {np.shape(params)}")
+    layers = decode(params, topology)
     activations = _forward_activations(layers, data.rows)
     out = activations[-1]
     targets = data.labels[:, None].astype(float)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.stats import rankdata
 
-from codel.errors import ContractError, ParameterError
+from codel.errors import ContractError, ParameterError, ShapeError
 from codel.local_search import GRAD_TOL, LocalSearchConfig
 from codel.mlp import (
     Dataset,
@@ -23,7 +23,6 @@ from codel.mlp import (
     _forward_activations,
     classification_error,
     decode,
-    mse_loss,
     mse_loss_and_gradient,
 )
 from codel.streams import named_rng
@@ -460,7 +459,7 @@ def run_codel_reference(objective, dim, config, clustering=True, opposition=True
 
 
 # ------------------------------------------------------------------
-# MLP decisions through the output activation
+# MLP decisions through the output activation, and the plain MSE
 # ------------------------------------------------------------------
 
 def predict_reference(params, topology, rows):
@@ -472,6 +471,16 @@ def predict_reference(params, topology, rows):
 def classification_error_reference(params, topology, data):
     wrong = np.count_nonzero(predict_reference(params, topology, data.rows) != data.labels)
     return 100.0 * wrong / len(data)
+
+
+def mse_loss(params, topology: MlpTopology, data: Dataset) -> float:
+    """Mean squared error of the output against the labels, from a plain
+    forward pass of one flat vector; a (k, D) stack is a shape error."""
+    if np.ndim(params) != 1:
+        raise ShapeError(f"expected one flat parameter vector, got shape {np.shape(params)}")
+    out = _forward_activations(decode(params, topology), data.rows)[-1]
+    targets = data.labels[:, None].astype(float)
+    return float(np.mean((out - targets) ** 2))
 
 
 # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from codel.evaluation import METRIC_NAMES, error_enhancement, rank_and_mean_rank
 from codel.hrv import extract_features
 from codel.io import read_table, write_table
 from codel.local_search import METHODS, LocalSearchConfig
-from codel.mlp import Dataset, MlpTopology, mse_loss, mse_loss_and_gradient
+from codel.mlp import Dataset, MlpTopology, mse_loss_and_gradient
 from codel.optimizer import (
     CodelConfig,
     Population,
@@ -39,7 +39,8 @@ from codel.signal import RrSeries
 from codel.streams import named_rng
 from codel.training import evaluate_grid, train_variant
 
-from oracles import central_difference, hrv_vector_reference, metric_reference, random_rr_series
+from oracles import (central_difference, hrv_vector_reference, metric_reference, mse_loss,
+                     random_rr_series)
 from codel.evaluation import ConfusionMatrix, metrics
 
 # Reference table of metric means (percent) for the twelve variants on

@@ -273,10 +273,15 @@ class TestRunConfig:
         path.write_text("seed = 1\nnp = many\n")
         with pytest.raises(ParameterError, match="population_size"):
             parse_config(path)
+        # Text given to RunConfig directly is parsed the same way.
+        assert RunConfig(seed=1, population_size="50").population_size == 50
+        with pytest.raises(ParameterError, match="folds"):
+            RunConfig(seed=1, folds="x")
 
     def test_hidden_parsing(self):
         assert parse_config(seed=1, hidden="10,5").hidden == (10, 5)
         assert parse_config(seed=1, hidden="8").hidden == (8,)
+        assert RunConfig(seed=1, hidden="12").hidden == (12,)
         with pytest.raises(ParameterError):
             parse_config(seed=1, hidden="a,b")
         with pytest.raises(ParameterError):

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import codel.local_search as local_search
@@ -12,132 +12,154 @@ import oracles
 from codel.datasets import two_gaussian_dataset, xor_dataset
 from codel.errors import ContractError, ParameterError
 from codel.local_search import (
-    _STEPPERS,
+    _METHODS,
+    _MOVE,
+    _STAY,
     LocalSearchConfig,
     METHODS,
-    backtracking_line_search,
+    _line_search,
     refine,
 )
-from codel.mlp import MlpTopology, classification_error, mse_loss
+from codel.mlp import MlpTopology, classification_error
 from codel.optimizer import CodelConfig, run_codel
-from oracles import refine_reference
+from oracles import mse_loss, refine_reference
 
 
 _CFG = LocalSearchConfig()
 
-
-def _stepper(method, size, config=None, **knobs):
-    """A fresh `method` step function for `size` weights."""
-    config = config or LocalSearchConfig(method=method, **knobs)
-    return _STEPPERS[method](np.zeros(size), config)
-
-
-def _linear(grad):
-    """A loss with slope `grad` everywhere: every descent step passes the
-    sufficient-decrease test whole, so a line step moves by exactly d."""
-    return lambda x: float(grad @ x)
+# rp knobs that are all powers of two: every step size, and so every
+# point of a short walk from 0, is exact, and each move reads back
+# exactly as the difference of two points.
+_DYADIC_RP = dict(rp_step_init=0.125, rp_increase=2.0, rp_decrease=0.5,
+                  rp_step_min=2.0 ** -20, rp_step_max=32.0)
 
 
-def _move(step, grad, w=None):
-    """How far one step from w (default 0) moves on the loss _linear(grad)."""
-    grad = np.array(grad, dtype=float)
-    w = np.zeros(grad.size) if w is None else np.array(w, dtype=float)
-    loss_at = _linear(grad)
-    return step(w, loss_at(w), grad, loss_at) - w
+def _first(method, w, grad, **knobs):
+    """The first point `method` asks for, started at w with this gradient."""
+    config = LocalSearchConfig(method=method, **knobs)
+    return next(_METHODS[method](np.array(w, dtype=float), 0.0, np.array(grad, dtype=float),
+                                 config))
+
+
+def _walk(method, grads, **knobs):
+    """The points `method` visits from 0, one epoch per gradient.
+
+    grads[k] is the gradient at point k, the start being point 0. Each
+    point the method asks for is sent a loss one below the last, so it
+    takes every step whole: a line search accepts its first probe, and
+    gda grows its rate. The last point is sent a zero gradient, never
+    used.
+    """
+    grads = np.array(grads, dtype=float)
+    config = LocalSearchConfig(method=method, **knobs)
+    points = [np.zeros(grads.shape[1])]
+    run = _METHODS[method](points[0], 0.0, grads[0], config)
+    for k in range(1, len(grads) + 1):
+        points.append(next(run))
+        grad = grads[k] if k < len(grads) else np.zeros(grads.shape[1])
+        assert run.send((-float(k), grad, 50.0)) is _MOVE
+    return points
+
+
+def _moves(points):
+    return [b - a for a, b in zip(points, points[1:])]
+
+
+def _search(f, x, d, g, config=_CFG):
+    """Drive the line search from x along d on the loss f: (the points it
+    probed, in order, and the one it accepted or None)."""
+    run, probes = _line_search(x, f(x), g, d, config), []
+    try:
+        probes.append(next(run))
+        while True:
+            probes.append(run.send((f(probes[-1]), g, 0.0)))
+    except StopIteration as stop:
+        found = stop.value
+    return probes, None if found is None else found[0]
 
 
 class TestStepRp:
 
-    def _primed(self, *grads):
-        """An rp step that has already seen these gradients."""
-        step = _stepper("rp", 1)
-        for g in grads:
-            _move(step, [g])
-        return step
-
     def test_same_sign_grows_step(self):
-        out = self._primed(1.0)(np.array([1.0]), 0.0, np.array([2.0]), None)
-        assert np.isclose(1.0 - out[0], 0.12)
-        assert np.isclose(out[0], 1.0 - 0.12)
+        points = _walk("rp", [[1.0], [2.0]])
+        assert points[1][0] == -0.1
+        assert np.isclose(points[1][0] - points[2][0], 0.12)
+        assert points[2][0] == points[1][0] - 0.1 * 1.2
 
     def test_sign_flip_shrinks_step(self):
-        out = self._primed(1.0, 1.0)(np.array([1.0]), 0.0, np.array([-3.0]), None)
-        assert np.isclose(out[0] - 1.0, 0.06)
-        assert np.isclose(out[0], 1.0 + 0.06)
+        points = _walk("rp", [[1.0], [1.0], [-3.0]])
+        assert np.isclose(points[3][0] - points[2][0], 0.06)
+        assert points[3][0] == points[2][0] + 0.1 * 1.2 * 0.5
 
     def test_zero_gradient_freezes_weight(self):
-        step = self._primed(1.0)
-        out = step(np.array([1.0]), 0.0, np.array([0.0]), None)
-        assert out[0] == 1.0
+        """A zero gradient component leaves its weight in place and its
+        step size held, while the other weight keeps adapting."""
+        points = _walk("rp", [[1.0, 1.0], [0.0, 1.0], [1.0, 1.0]])
+        assert points[2][0] == points[1][0]
         # The step size held at 0.1: the next move is exactly 0.1.
-        assert _move(step, [1.0])[0] == -0.1
+        assert points[3][0] == points[2][0] - 0.1
+        assert points[3][1] == points[2][1] - 0.1 * 1.2 * 1.2
 
     def test_magnitude_is_ignored(self):
         """Only the gradient's sign matters, so huge and tiny gradients of
-        the same sign produce the same move."""
-        a, b = self._primed(1.0), self._primed(1.0)
-        np.testing.assert_array_equal(_move(a, [1e-9]), _move(b, [1e9]))
-        np.testing.assert_array_equal(_move(a, [1.0]), _move(b, [1.0]))
+        the same sign produce the same moves."""
+        tiny = _walk("rp", [[1.0], [1e-9], [1.0]])
+        huge = _walk("rp", [[1.0], [1e9], [1.0]])
+        np.testing.assert_array_equal(tiny, huge)
 
     def test_steps_stay_within_limits(self):
-        rng = np.random.default_rng(0)
-        step = _stepper("rp", 4)
-        for _ in range(80):
-            size = np.abs(_move(step, rng.normal(0, 1, 4)))
-            assert np.all(size >= _CFG.rp_step_min)
-            assert np.all(size <= _CFG.rp_step_max)
+        grads = np.random.default_rng(0).normal(0, 1, (80, 4))
+        config = LocalSearchConfig(**_DYADIC_RP)
+        for move in _moves(_walk("rp", grads, **_DYADIC_RP)):
+            assert np.all(np.abs(move) >= config.rp_step_min)
+            assert np.all(np.abs(move) <= config.rp_step_max)
 
     def test_cap_and_floor_reached(self):
-        up = _stepper("rp", 1)
-        for _ in range(60):
-            move = _move(up, [1.0])
-        assert -move[0] == _CFG.rp_step_max
+        up = _moves(_walk("rp", [[1.0]] * 60, **_DYADIC_RP))
+        assert -up[-1][0] == _DYADIC_RP["rp_step_max"]
 
-        down = _stepper("rp", 1)
-        sign = -1.0
-        for _ in range(60):
-            move = _move(down, [sign])
-            sign = -sign
-        assert abs(move[0]) == _CFG.rp_step_min
+        down = _moves(_walk("rp", [[(-1.0) ** k] for k in range(60)], **_DYADIC_RP))
+        assert abs(down[-1][0]) == _DYADIC_RP["rp_step_min"]
 
 
 class TestStepGd:
 
     def test_arithmetic(self):
-        out = _stepper("gd", 1, learning_rate=0.1)(np.array([1.0]), 0.0, np.array([2.0]), None)
+        out = _first("gd", [1.0], [2.0], learning_rate=0.1)
         assert np.isclose(out[0], 0.8)
 
     def test_zero_gradient(self):
-        step = _stepper("gd", 2, learning_rate=0.3)
-        np.testing.assert_array_equal(
-            step(np.array([1.0, -2.0]), 0.0, np.zeros(2), None), [1.0, -2.0]
-        )
+        """A zero gradient component leaves its weight exactly in place."""
+        out = _first("gd", [1.0, -2.0], [0.0, 3.0], learning_rate=0.3)
+        np.testing.assert_array_equal(out, [1.0, -2.0 - 0.3 * 3.0])
 
     def test_zero_rate(self):
-        # The config rejects a zero rate; the update rule itself holds still.
-        step = _stepper("gd", 1, SimpleNamespace(learning_rate=0.0))
-        np.testing.assert_array_equal(
-            step(np.array([1.0]), 0.0, np.array([5.0]), None), [1.0]
-        )
+        # The config rejects a zero rate; a rate too small to change a
+        # unit weight holds it still, while a weight at 0 still moves.
+        out = _first("gd", [1.0, 0.0], [5.0, 5.0], learning_rate=1e-300)
+        np.testing.assert_array_equal(out, [1.0, -5e-300])
 
 
 class TestStepGdm:
 
     def test_no_momentum_equals_plain_descent(self):
-        w = np.array([1.0, -1.0])
-        g = np.array([2.0, 4.0])
-        gdm = _stepper("gdm", 2, learning_rate=0.1, momentum=0.0)
-        gd = _stepper("gd", 2, learning_rate=0.1)
-        np.testing.assert_array_equal(gdm(w, 0.0, g, None), gd(w, 0.0, g, None))
+        grads = [[2.0, 4.0], [1.0, -3.0], [0.5, 0.25]]
+        np.testing.assert_array_equal(
+            _walk("gdm", grads, learning_rate=0.1, momentum=0.0),
+            _walk("gd", grads, learning_rate=0.1),
+        )
 
     def test_pure_momentum_term(self):
-        step = _stepper("gdm", 1, learning_rate=0.1, momentum=0.9)
-        assert np.isclose(-_move(step, [40.0])[0], 0.4)
-        assert np.isclose(-_move(step, [0.0])[0], 0.36)
+        # The first weight's gradient drops to zero, so its second move
+        # is the momentum term alone.
+        moves = _moves(_walk("gdm", [[40.0, 1.0], [0.0, 1.0]],
+                             learning_rate=0.1, momentum=0.9))
+        assert np.isclose(-moves[0][0], 0.4)
+        assert np.isclose(-moves[1][0], 0.36)
 
     def test_cold_start_velocity(self):
-        step = _stepper("gdm", 1, learning_rate=0.1, momentum=0.9)
-        assert np.isclose(_move(step, [1.0])[0], -0.01)
+        moves = _moves(_walk("gdm", [[1.0]], learning_rate=0.1, momentum=0.9))
+        assert np.isclose(moves[0][0], -0.01)
 
 
 class TestStepGda:
@@ -145,13 +167,13 @@ class TestStepGda:
     def _decide(self, loss_now):
         """(accepted?, rate of the next proposal) after one proposal that
         scores loss_now against a current loss of 10, at rate 0.5."""
-        step = _stepper("gda", 1, learning_rate=0.5)
-        w, g = np.array([1.0]), np.array([1.0])
-        out = step(w, 10.0, g, lambda p: loss_now)
-        assert out is w or out[0] == 0.5
-        # An unchanged loss is accepted without touching the rate.
-        follow = step(w, 10.0, g, lambda p: 10.0)
-        return out is not w, 1.0 - follow[0]
+        run = _METHODS["gda"](np.array([1.0]), 10.0, np.array([1.0]),
+                              LocalSearchConfig(method="gda", learning_rate=0.5))
+        assert next(run)[0] == 0.5
+        decision = run.send((loss_now, np.array([1.0]), 50.0))
+        assert decision in (_MOVE, _STAY)
+        w = 0.5 if decision is _MOVE else 1.0
+        return decision is _MOVE, w - next(run)[0]
 
     def test_improvement_grows_rate(self):
         accepted, rate = self._decide(9.0)
@@ -175,30 +197,29 @@ class TestStepGda:
 
 
 class TestStepOss:
-
-    def _after(self, s, y, g):
-        """The direction taken at gradient g, after a step s that
-        changed the gradient by y."""
-        step = _stepper("oss", 2)
-        g = np.array(g, dtype=float)
-        _move(step, g - y)
-        return _move(step, g, w=s)
+    """A first oss step from 0 at gradient g0 moves to -g0, so the second
+    epoch sees s = -g0 and y = g1 - g0."""
 
     def test_first_call_is_steepest_descent(self):
-        np.testing.assert_array_equal(_move(_stepper("oss", 2), [3.0, -1.0]), [-3.0, 1.0])
+        np.testing.assert_array_equal(_walk("oss", [[3.0, -1.0]])[1], [-3.0, 1.0])
 
     def test_orthogonal_history_reduces_to_steepest_descent(self):
-        """With s = y = (1,0) and g = (0,1) both secant scalars vanish."""
-        d = self._after([1.0, 0.0], np.array([1.0, 0.0]), [0.0, 1.0])
-        np.testing.assert_array_equal(d, [0.0, -1.0])
+        """At the third epoch s = (-1,-1) and y = (-0.5,-0.5) are both
+        orthogonal to g = (-0.5,0.5), so both secant scalars vanish."""
+        points = _walk("oss", [[1.0, 0.0], [0.0, 1.0], [-0.5, 0.5]])
+        s, y, g = points[2] - points[1], np.array([-0.5, -0.5]), np.array([-0.5, 0.5])
+        assert s @ g == 0.0 and y @ g == 0.0 and s @ y != 0.0
+        np.testing.assert_array_equal(_moves(points)[2], -g)
 
     def test_degenerate_curvature_resets(self):
-        d = self._after([1.0, 0.0], np.array([0.0, 1.0]), [2.0, 5.0])
-        np.testing.assert_array_equal(d, [-2.0, -5.0])
+        """s = (1,0) and y = (0,1) have s.y = 0."""
+        d = _moves(_walk("oss", [[-1.0, 0.0], [-1.0, 1.0]]))[1]
+        np.testing.assert_array_equal(d, [1.0, -1.0])
 
     def test_secant_direction_mixes_history(self):
-        """A usable s.y bends the direction away from -g."""
-        d = self._after([1.0, 0.0], np.array([2.0, 1.0]), [1.0, 1.0])
+        """A usable s.y bends the direction away from -g: s = (1,0),
+        y = (2,1) and g = (1,1)."""
+        d = _moves(_walk("oss", [[-1.0, 0.0], [1.0, 1.0]]))[1]
         # s.y = 2, b_c = 1/2, a_c = -(1 + 5/2) / 2 + 3/2 = -1/4.
         np.testing.assert_array_equal(d, [-1.0 - 0.25 + 1.0, -1.0 + 0.5])
 
@@ -206,93 +227,128 @@ class TestStepOss:
 class TestStepCgpr:
 
     def test_first_call_is_steepest_descent(self):
-        np.testing.assert_array_equal(_move(_stepper("cgpr", 2), [1.0, 2.0]), [-1.0, -2.0])
+        np.testing.assert_array_equal(_walk("cgpr", [[1.0, 2.0]])[1], [-1.0, -2.0])
 
     def test_hand_mixed_direction(self):
-        step = _stepper("cgpr", 2)
-        _move(step, [1.0, 0.0])
-        np.testing.assert_array_equal(_move(step, [0.0, 1.0]), [-1.0, -1.0])
+        moves = _moves(_walk("cgpr", [[1.0, 0.0], [0.0, 1.0]]))
+        np.testing.assert_array_equal(moves[1], [-1.0, -1.0])
 
     def test_negative_beta_clipped(self):
-        step = _stepper("cgpr", 2)
-        _move(step, [1.0, 0.0])
-        np.testing.assert_array_equal(_move(step, [0.5, 0.0]), [-0.5, 0.0])
+        moves = _moves(_walk("cgpr", [[1.0, 0.0], [0.5, 0.0]]))
+        np.testing.assert_array_equal(moves[1], [-0.5, 0.0])
 
     def test_periodic_restart(self):
         """With 2 weights, every third step after a restart restarts."""
-        step = _stepper("cgpr", 2)
-        _move(step, [1.0, 0.0])
-        np.testing.assert_array_equal(_move(step, [0.0, 1.0]), [-1.0, -1.0])
-        np.testing.assert_array_equal(_move(step, [1.0, 0.0]), [-2.0, -1.0])
+        moves = _moves(_walk("cgpr", [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]))
+        np.testing.assert_array_equal(moves[1], [-1.0, -1.0])
+        np.testing.assert_array_equal(moves[2], [-2.0, -1.0])
         # Mixing would give (-2, -2) here.
-        np.testing.assert_array_equal(_move(step, [0.0, 1.0]), [0.0, -1.0])
+        np.testing.assert_array_equal(moves[3], [0.0, -1.0])
 
-    def test_zero_previous_gradient_signals_convergence(self, monkeypatch):
-        """A zero previous gradient leaves no conjugate direction: the
-        step falls back to -grad and the history restarts from it."""
-        # The real line search refuses the zero direction of a zero
-        # gradient, so take every step whole.
-        monkeypatch.setattr(local_search, "backtracking_line_search",
-                            lambda f, x, d, g, f0, config: 1.0)
-        step = _stepper("cgpr", 2)
-        _move(step, [0.0, 0.0])
-        np.testing.assert_array_equal(_move(step, [1.0, 1.0]), [-1.0, -1.0])
-        # beta = ((2,1) - (1,1)).(2,1) / 2 = 1, mixed with d = (-1,-1).
-        np.testing.assert_array_equal(_move(step, [2.0, 1.0]), [-3.0, -2.0])
+    def test_zero_previous_gradient_signals_convergence(self):
+        """A zero gradient signals convergence: refine stops at it as
+        stationary before cgpr takes a step, and cgpr handed one at any
+        epoch refuses the zero direction. So the previous gradient that
+        divides the mixing coefficient is never zero."""
+        for grads in ([[0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]):
+            with pytest.raises(ContractError):
+                _walk("cgpr", grads)
+        data, topo = xor_dataset(), MlpTopology((2, 4, 1))
+        result = refine(np.zeros(topo.param_count), topo, data,
+                        LocalSearchConfig(method="cgpr"))
+        assert result.stop_reason == "stationary"
+        assert result.loss_history.size == 1
 
     def test_uphill_mix_restarts_history(self):
         """g1 = (1,0), g2 = (-1,0.1) give beta = 2.01 and an uphill mix;
         the step takes -g2, and -g2 becomes the history."""
         g1, g2, g3 = np.array([[1.0, 0.0, 0.0], [-1.0, 0.1, 0.0], [0.5, 0.5, 0.0]])
-        step = _stepper("cgpr", 3)
-        _move(step, g1)
         assert g2 @ (-g2 + 2.01 * -g1) > 0
-        np.testing.assert_array_equal(_move(step, g2), -g2)
+        points = _walk("cgpr", [g1, g2, g3])
+        np.testing.assert_array_equal(points[2], points[1] + -g2)
         beta = float((g3 - g2) @ g3) / float(g2 @ g2)
-        np.testing.assert_array_equal(_move(step, g3), -g3 + beta * -g2)
+        np.testing.assert_array_equal(points[3], points[2] + (-g3 + beta * -g2))
 
 
 class TestLineSearch:
 
     def test_quadratic_needs_one_halving(self):
         f = lambda x: float(x[0] ** 2)
-        a = backtracking_line_search(f, np.array([1.0]), np.array([-2.0]),
-                                     np.array([2.0]), 1.0)
-        assert a == 0.5
+        probes, accepted = _search(f, np.array([1.0]), np.array([-2.0]), np.array([2.0]))
+        np.testing.assert_array_equal(probes, [[-1.0], [0.0]])
+        assert accepted is probes[-1]
 
     def test_linear_accepts_full_step(self):
         f = lambda x: float(x[0])
-        a = backtracking_line_search(f, np.array([0.0]), np.array([-1.0]),
-                                     np.array([1.0]), 0.0)
-        assert a == 1.0
+        probes, accepted = _search(f, np.array([0.0]), np.array([-1.0]), np.array([1.0]))
+        np.testing.assert_array_equal(probes, [[-1.0]])
+        assert accepted is probes[-1]
 
     def test_non_descent_direction_rejected(self):
         f = lambda x: float(x[0] ** 2)
         with pytest.raises(ContractError):
-            backtracking_line_search(f, np.array([1.0]), np.array([2.0]),
-                                     np.array([2.0]), 1.0)
+            _search(f, np.array([1.0]), np.array([2.0]), np.array([2.0]))
 
     def test_no_acceptable_step_returns_zero(self):
-        """A flat objective can never satisfy sufficient decrease."""
-        f = lambda x: 0.0
-        a = backtracking_line_search(f, np.array([0.0]), np.array([-1.0]),
-                                     np.array([1.0]), 0.0)
-        assert a == 0.0
+        """A flat objective can never satisfy sufficient decrease: every
+        allowed probe fails, and the search returns no step."""
+        probes, accepted = _search(lambda x: 0.0, np.array([0.0]), np.array([-1.0]),
+                                   np.array([1.0]))
+        assert accepted is None
+        assert len(probes) == _CFG.max_backtracks + 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+           max_backtracks=st.integers(0, 40), armijo_c1=st.floats(1e-6, 0.999))
+    def test_armijo_on_convex_quadratics(self, seed, n, max_backtracks, armijo_c1):
+        """Probes are x + a*d for a = 1, 1/2, 1/4, ... in order; each
+        before the accepted one fails sufficient decrease, the accepted
+        one passes it, and no search probes more than max_backtracks + 1
+        points."""
+        rng = np.random.default_rng(seed)
+        m = rng.normal(0.0, 1.0, (n, n))
+        a_mat, b = m @ m.T + 1e-3 * np.eye(n), rng.normal(0.0, 1.0, n)
+        f = lambda x: float(0.5 * x @ a_mat @ x - b @ x)
+        x = rng.normal(0.0, 1.0, n)
+        g, d = a_mat @ x - b, rng.normal(0.0, 1.0, n)
+        d = -d if g @ d > 0 else d
+        slope = float(g @ d)
+        assume(slope < 0)
+        config = LocalSearchConfig(max_backtracks=max_backtracks, armijo_c1=armijo_c1)
+        probes, accepted = _search(f, x, d, g, config)
+
+        assert 1 <= len(probes) <= max_backtracks + 1
+        passes = []
+        for i, probe in enumerate(probes):
+            a = config.backtrack_shrink ** i
+            assert probe.tobytes() == (x + a * d).tobytes()
+            passes.append(f(probe) <= f(x) + armijo_c1 * a * slope)
+        assert not any(passes[:-1])
+        if accepted is None:
+            assert len(probes) == max_backtracks + 1 and not passes[-1]
+        else:
+            assert accepted is probes[-1] and passes[-1]
 
 
 class TestCgprOnQuadratic:
 
     def test_two_step_termination(self):
-        """Conjugate directions finish a 2-D quadratic in two exact steps."""
+        """Conjugate directions finish a 2-D quadratic in two exact steps.
+        cgpr's directions depend only on the gradients it is sent, so the
+        whole step it takes from each point is read as its direction, and
+        the test takes the exact step along it."""
         A = np.array([[3.0, 1.0], [1.0, 2.0]])
         b = np.array([1.0, 2.0])
-        x = np.zeros(2)
-        step = _stepper("cgpr", 2)
-        for _ in range(2):
+        x = w = np.zeros(2)
+        run = _METHODS["cgpr"](w, 0.0, A @ x - b, _CFG)
+        for k in range(2):
             g = A @ x - b
-            d = _move(step, g)
+            point = next(run)
+            d = point - w
             alpha = -float(g @ d) / float(d @ A @ d)
             x = x + alpha * d
+            assert run.send((-(k + 1.0), A @ x - b, 0.0)) is _MOVE
+            w = point
         assert np.linalg.norm(A @ x - b) < 1e-6
 
 
@@ -547,7 +603,7 @@ class TestRefineMatchesReference:
 
 class TestRefineCallPattern:
     """Every point refine evaluates costs exactly one
-    mse_loss_and_gradient pass, and mse_loss is never called."""
+    mse_loss_and_gradient pass, and src/ has no plain loss left."""
 
     # A large gda rate gets rejections; a strict cgpr test gets backtracks.
     _KNOBS = {"gda": dict(learning_rate=50.0), "cgpr": dict(armijo_c1=0.99)}
@@ -560,27 +616,26 @@ class TestRefineCallPattern:
             points.append(params.tobytes())
             return _fn(params, *args)
 
-        def plain_loss(*args, _fn=mlp.mse_loss):
-            points.append("mse_loss")
-            return _fn(*args)
-
-        def recorded_search(f, *args, _fn=local_search.backtracking_line_search):
-            def probe(x):
-                probes.append(x.tobytes())
-                return f(x)
-            searches.append(_fn(probe, *args))
-            return searches[-1]
+        def recorded_search(*args, _fn=local_search._line_search):
+            search, reply = _fn(*args), None
+            try:
+                while True:
+                    probe = search.send(reply)
+                    probes.append(probe.tobytes())
+                    reply = yield probe
+            except StopIteration as stop:
+                searches.append(stop.value)
+                return stop.value
 
         monkeypatch.setattr(local_search, "mse_loss_and_gradient", counted)
-        monkeypatch.setattr(mlp, "mse_loss", plain_loss)
-        monkeypatch.setattr(local_search, "backtracking_line_search", recorded_search)
+        monkeypatch.setattr(local_search, "_line_search", recorded_search)
         start = _start(0)
         config = LocalSearchConfig(method=method, epochs=60, patience=60,
                                    **self._KNOBS.get(method, {}))
         result = _assert_matches_reference(start, _TOPO, _DATA, config)
 
         assert not hasattr(local_search, "mse_loss")
-        assert "mse_loss" not in points
+        assert not hasattr(mlp, "mse_loss")
         assert len(set(points)) == len(points)
         assert points[0] == start.tobytes()
         if method in ("oss", "cgpr"):

@@ -16,7 +16,6 @@ from codel.mlp import (
     _sigmoid,
     classification_error,
     decode,
-    mse_loss,
     mse_loss_and_gradient,
     predict,
 )
@@ -24,6 +23,7 @@ from codel.mlp import (
 from oracles import (
     central_difference,
     classification_error_reference,
+    mse_loss,
     predict_reference,
     sigmoid_reference,
 )
