@@ -9,20 +9,26 @@ surrogate; the driver tracks the best iterate by classification error
 
 Each method is a generator holding its state in locals. Every epoch it
 yields each point it needs evaluated and is sent back that point's
-(loss, gradient, error) from one `mse_loss_and_gradient` pass; then it
-yields _MOVE, to step to the last point sent, or _STAY, to keep its
-point (a rejected gda step). It returns when a line search finds no
-step. So no point, not even an accepted probe, costs a second pass.
+(loss, gradient, error); then it yields _MOVE, to step to the last
+point sent, or _STAY, to keep its point (a rejected gda step). It
+returns when a line search finds no step. So no point, not even an
+accepted probe, is evaluated twice.
+
+The driver, `refine_many`, runs any number of starts in lockstep: each
+round it takes every live run's next point and scores them all in one
+stacked `mse_loss_and_gradient` pass. A stacked pass gives each member
+the bits of its own call, so a run's result does not depend on the
+runs beside it; `refine` is the driver with one start.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ContractError, ParameterError
 from .mlp import Dataset, MlpTopology, mse_loss_and_gradient
 
-__all__ = ["METHODS", "LocalSearchConfig", "RefineResult", "refine"]
+__all__ = ["METHODS", "LocalSearchConfig", "RefineResult", "refine", "refine_many"]
 
 METHODS = ("rp", "oss", "gd", "gdm", "gda", "cgpr")
 
@@ -247,24 +253,11 @@ class _BestTracker:
         return improved_error
 
 
-def refine(initial, topology: MlpTopology, data: Dataset,
-           config: LocalSearchConfig) -> RefineResult:
-    """Run the configured method from the given weights.
-
-    The starting point is used exactly as passed, never re-randomized,
-    and the returned weights are the best iterate encountered, so the
-    result is never worse than the initialization on the training data.
-    Stops early at a stationary point, when a line search finds no
-    step, or after `patience` epochs without a drop in classification
-    error; `stop_reason` says which.
-    """
-    w = np.array(initial, dtype=float)
-    if w.shape != (topology.param_count,):
-        raise ParameterError(
-            f"expected {topology.param_count} weights, got {w.shape}"
-        )
-
-    loss, grad, error = mse_loss_and_gradient(w, topology, data)
+def _run(w, config: LocalSearchConfig):
+    """One refinement run as a generator: it yields each point it needs
+    evaluated, starting with w, is sent that point's (loss, grad, error),
+    and returns the RefineResult."""
+    loss, grad, error = yield w
     best = _BestTracker(w, error, loss)
     loss_history = [loss]
     error_history = [error]
@@ -279,7 +272,7 @@ def refine(initial, topology: MlpTopology, data: Dataset,
         try:
             request = next(method)
             while isinstance(request, np.ndarray):
-                point, evaluated = request, mse_loss_and_gradient(request, topology, data)
+                point, evaluated = request, (yield request)
                 request = method.send(evaluated)
         except StopIteration:
             stop_reason = "line_search"
@@ -303,3 +296,44 @@ def refine(initial, topology: MlpTopology, data: Dataset,
         error_history=np.array(error_history),
         stop_reason=stop_reason,
     )
+
+
+def refine_many(starts, methods, topology: MlpTopology, data: Dataset,
+                config: LocalSearchConfig) -> list:
+    """One RefineResult per start: run i refines starts[i] in lockstep
+    with the others, under `config` with method methods[i]."""
+    if len(starts) != len(methods):
+        raise ParameterError(f"{len(starts)} starts for {len(methods)} methods")
+    runs = []
+    for initial, method in zip(starts, methods):
+        w = np.array(initial, dtype=float)
+        if w.shape != (topology.param_count,):
+            raise ParameterError(f"expected {topology.param_count} weights, got {w.shape}")
+        runs.append(_run(w, replace(config, method=method)))
+
+    results = [None] * len(runs)
+    requests = {i: next(run) for i, run in enumerate(runs)}
+    while requests:
+        losses, grads, errors = mse_loss_and_gradient(
+            np.stack(list(requests.values())), topology, data)
+        for i, loss, grad, error in zip(list(requests), losses, grads, errors):
+            try:
+                requests[i] = runs[i].send((float(loss), grad, float(error)))
+            except StopIteration as stop:
+                results[i] = stop.value
+                del requests[i]
+    return results
+
+
+def refine(initial, topology: MlpTopology, data: Dataset,
+           config: LocalSearchConfig) -> RefineResult:
+    """Run the configured method from the given weights.
+
+    The starting point is used exactly as passed, never re-randomized,
+    and the returned weights are the best iterate encountered, so the
+    result is never worse than the initialization on the training data.
+    Stops early at a stationary point, when a line search finds no
+    step, or after `patience` epochs without a drop in classification
+    error; `stop_reason` says which.
+    """
+    return refine_many([initial], [config.method], topology, data, config)[0]

@@ -114,11 +114,13 @@ def _sigmoid(z):
 def _layer(a, w, b) -> np.ndarray:
     """sigmoid(a @ w.T + b), computed inside the product's own buffer.
 
-    Every temporary array costs an allocation that outweighs its
-    arithmetic at these sizes, so the bias add and the sigmoid reuse it.
+    w and b may carry a leading stack axis, (k, n_dst, n_src) and
+    (k, n_dst), giving (k, rows, n_dst). Every temporary array costs an
+    allocation that outweighs its arithmetic at these sizes, so the bias
+    add and the sigmoid reuse it.
     """
-    z = a @ w.T
-    z += b
+    z = a @ np.swapaxes(w, -1, -2)
+    z += b[..., None, :]
     return _sigmoid_in_place(z)
 
 
@@ -152,7 +154,8 @@ def decode(params, topology: MlpTopology):
 
 def _forward_activations(layers, inputs):
     """Activations of every layer for a batch, input batch first, through
-    the (weights, biases) of one decoded vector."""
+    the (weights, biases) of one decoded vector, or of a decoded stack,
+    giving (k, rows, units) per layer after the input."""
     activations = [inputs]
     a = inputs
     for w, b in layers:
@@ -237,38 +240,42 @@ def mse_loss_and_gradient(params, topology: MlpTopology, data: Dataset):
     """Mean squared error against the labels, its gradient, and the
     classification error, all from one forward pass.
 
+    params is one flat vector (D,), giving (loss, gradient (D,), error)
+    as floats and a vector, or a stack (k, D), giving a (k,) loss, a
+    (k, D) gradient and a (k,) error, one row per member. Each member's
+    products are the same BLAS calls on the same shapes as its own
+    unstacked pass, and its sums run in the same order, so every row
+    equals the member's own call bit for bit.
+
     The gradient is accumulated layer by layer in reverse, using the
     sigmoid derivative a(1-a), and is returned flat in the same layout
     as the parameters. The error decides class 1 where the output
     neuron's sigmoid is >= 0.5, the rule `_classify` implements, so it
     equals classification_error(params, topology, data) bit for bit.
-
-    Returns:
-        (loss, gradient, error) with gradient.shape == (param_count,).
     """
-    if len(data) == 0:
-        raise ParameterError("loss needs a nonempty dataset")
-    if np.ndim(params) != 1:
-        raise ShapeError(f"expected one flat parameter vector, got shape {np.shape(params)}")
-    layers = decode(params, topology)
+    params = np.asarray(params, dtype=float)
+    stack = np.atleast_2d(params)
+    layers = decode(stack, topology)
     activations = _forward_activations(layers, data.rows)
     out = activations[-1]
     targets = data.labels[:, None].astype(float)
 
-    n_terms = out.size
-    loss = float(np.sum((out - targets) ** 2) / n_terms)
-    error = 100.0 * np.count_nonzero((out[:, 0] >= 0.5) != data.labels) / len(data)
+    n_terms = out[0].size
+    loss = np.sum((out - targets) ** 2, axis=(1, 2)) / n_terms
+    error = 100.0 * np.count_nonzero((out[..., 0] >= 0.5) != data.labels, axis=1) / len(data)
 
-    # delta holds dLoss/dz for the current layer, batch rows first.
+    # delta holds dLoss/dz for the current layer, (members, rows, units).
     delta = 2.0 * (out - targets) / n_terms * out * (1.0 - out)
-    gradient = np.empty(topology.param_count)
+    gradient = np.empty(stack.shape)
     grads = decode(gradient, topology)
     for l in range(len(layers) - 1, -1, -1):
         a_prev = activations[l]
         grad_w, grad_b = grads[l]
-        np.matmul(delta.T, a_prev, out=grad_w)
-        np.sum(delta, axis=0, out=grad_b)
+        np.matmul(np.swapaxes(delta, 1, 2), a_prev, out=grad_w)
+        np.sum(delta, axis=1, out=grad_b)
         if l > 0:
             w, _ = layers[l]
             delta = (delta @ w) * a_prev * (1.0 - a_prev)
+    if params.ndim == 1:
+        return float(loss[0]), gradient[0], float(error[0])
     return loss, gradient, error

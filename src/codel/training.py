@@ -6,9 +6,11 @@ best weights the global search found (its boosted form, prefixed
 "codel-"). The evaluation grid runs every variant over every
 cross-validation fold. As in the paper, one global search per fold
 feeds all six boosted refiners of that fold; each base variant refines
-from its own random start. Tasks are independent, so they can spread
-over worker processes, and results are collected by position, so the
-output never depends on the worker count or completion order.
+from its own random start. Each fold is two tasks, its six boosted
+runs and its six base runs, and each task refines its six runs in
+lockstep. Tasks are independent, so they can spread over worker
+processes, and results are collected by position, so the output never
+depends on the worker count or completion order.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +31,7 @@ from .evaluation import (
     wtl,
 )
 from .errors import ParameterError
-from .local_search import METHODS, LocalSearchConfig, refine
+from .local_search import METHODS, LocalSearchConfig, refine, refine_many
 from .mlp import Dataset, MlpTopology, classification_error, predict
 from .optimizer import CodelConfig, run_codel
 from .streams import derive_seed, named_rng
@@ -110,15 +112,17 @@ def train_variant(train: Dataset, seed: int, hidden, codel_config: CodelConfig,
 
 
 def _grid_task(args):
-    """One start on one fold's training rows, refined by each of
-    `methods`; one metrics report per method on the fold's test rows."""
-    (methods, boosted, train, test, task_seed, hidden,
-     codel_config, ls_config) = args
+    """One fold's six refiners on its training rows, in lockstep: all
+    from the global search's best weights (boosted, one seed) or each
+    from its own random start (base, one seed per method); one metrics
+    report per method on the fold's test rows, in METHODS order."""
+    boosted, train, test, seeds, hidden, codel_config, ls_config = args
     topology = MlpTopology((train.n_features, *hidden, 1))
-    start, _ = _start(train, topology, task_seed, codel_config, boosted)
+    starts = [_start(train, topology, s, codel_config, boosted)[0] for s in seeds]
+    if boosted:
+        starts *= len(METHODS)
     reports = []
-    for method in methods:
-        refined = refine(start, topology, train, replace(ls_config, method=method))
+    for refined in refine_many(starts, METHODS, topology, train, ls_config):
         predictions = predict(refined.params, topology, test.rows)
         reports.append(metrics(confusion_from_predictions(test.labels, predictions)))
     return reports
@@ -132,10 +136,12 @@ def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
     Each fold runs one global search, seeded from (seed, len(VARIANT_NAMES),
     fold index), and its best weights start all six boosted refiners of
     that fold, as in the paper. Each base variant refines from its own
-    random start, seeded from (seed, variant index, fold index). The k
-    search tasks are queued first, since they take longest; results are
-    collected by position, so they are identical whatever the worker
-    count or completion order.
+    random start, seeded from (seed, variant index, fold index). A fold
+    is two tasks, each refining its six runs in lockstep: the boosted
+    runs after the search, and the base runs. The k search tasks are
+    queued first, since they take longest; results are collected by
+    position, so they are identical whatever the worker count or
+    completion order.
 
     Returns:
         dict variant name -> CrossValidationResult, in VARIANT_NAMES
@@ -145,14 +151,14 @@ def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
         raise ParameterError("evaluation needs both classes present")
     pairs = fold_datasets(dataset, k, seed)
     tasks = [
-        (METHODS, True, train, test, derive_seed(seed, len(VARIANT_NAMES), f),
+        (True, train, test, (derive_seed(seed, len(VARIANT_NAMES), f),),
          hidden, codel_config, ls_config)
         for f, (train, test) in enumerate(pairs)
     ]
     tasks += [
-        ((name,), False, train, test, derive_seed(seed, v, f),
+        (False, train, test,
+         tuple(derive_seed(seed, VARIANT_NAMES.index(m), f) for m in METHODS),
          hidden, codel_config, ls_config)
-        for v, name in enumerate(VARIANT_NAMES) if name in METHODS
         for f, (train, test) in enumerate(pairs)
     ]
 
@@ -167,8 +173,8 @@ def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
     # Every variant's tasks are listed in fold order, so appending keeps
     # its fold reports in fold order.
     fold_reports = {name: [] for name in VARIANT_NAMES}
-    for (methods, boosted, *_), reports in zip(tasks, task_reports):
-        for method, report in zip(methods, reports):
+    for (boosted, *_), reports in zip(tasks, task_reports):
+        for method, report in zip(METHODS, reports):
             fold_reports[variant_name(method, boosted)].append(report)
 
     results = {}

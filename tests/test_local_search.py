@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +20,7 @@ from codel.local_search import (
     METHODS,
     _line_search,
     refine,
+    refine_many,
 )
 from codel.mlp import MlpTopology, classification_error
 from codel.optimizer import CodelConfig, run_codel
@@ -497,6 +499,9 @@ class _ScriptedLoss:
         return self.points.setdefault(params.tobytes(), len(self.points))
 
     def mse_loss_and_gradient(self, params, topology, data):
+        if params.ndim == 2:
+            rows = [self.mse_loss_and_gradient(row, topology, data) for row in params]
+            return tuple(np.array(column) for column in zip(*rows))
         n = self._index(params)
         grad = self.gradients[min(n, len(self.gradients) - 1)]
         return (float(-n), grad.copy(), self.classification_error(params, topology, data))
@@ -564,7 +569,7 @@ class TestRefineMatchesReference:
         points = []
 
         def counted(params, *args, _fn=local_search.mse_loss_and_gradient):
-            points.append(params.tobytes())
+            points.extend(row.tobytes() for row in params)
             return _fn(params, *args)
 
         monkeypatch.setattr(local_search, "mse_loss_and_gradient", counted)
@@ -601,6 +606,84 @@ class TestRefineMatchesReference:
         assert result.stop_reason == "epochs"
 
 
+def _assert_lockstep_matches_alone(members, config):
+    """refine_many over (start, method) members gives each member the
+    reference's params and histories and its lone run's stop reason,
+    bit for bit, however the other members run or stop."""
+    starts = [start for start, _ in members]
+    methods = [method for _, method in members]
+    results = refine_many(starts, methods, _TOPO, _DATA, config)
+    assert len(results) == len(members)
+    for (start, method), result in zip(members, results):
+        alone = replace(config, method=method)
+        params, error, losses, errors = refine_reference(start, _TOPO, _DATA, alone)
+        assert result.params.tobytes() == params.tobytes()
+        assert result.final_train_error == error
+        assert result.loss_history.tobytes() == losses.tobytes()
+        assert result.error_history.tobytes() == errors.tobytes()
+        assert result.stop_reason == refine(start, _TOPO, _DATA, alone).stop_reason
+    return results
+
+
+class TestRefineMany:
+    """Runs in lockstep, one stacked pass per round, against each run alone."""
+
+    # A zero start is stationary on _DATA's balanced classes; a tiny rate
+    # stalls gd, gdm and gda into patience; no backtracks end oss and
+    # cgpr on a line search; a short budget ends the rest on epochs.
+    @settings(max_examples=100, deadline=None)
+    @given(members=st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 2 ** 32 - 1)),
+                                      st.sampled_from(METHODS)), min_size=1, max_size=8),
+           epochs=st.integers(1, 80), patience=st.integers(1, 40),
+           log_rate=st.floats(-12.0, math.log10(50.0)),
+           max_backtracks=st.sampled_from([0, 3, 30]),
+           armijo_c1=st.sampled_from([1e-4, 0.999]),
+           rp_step_init=st.sampled_from([1e-6, 0.1]))
+    def test_each_run_matches_its_reference(self, members, epochs, patience, log_rate,
+                                            max_backtracks, armijo_c1, rp_step_init):
+        members = [(np.zeros(_TOPO.param_count) if seed is None else _start(seed), method)
+                   for seed, method in members]
+        config = LocalSearchConfig(epochs=epochs, patience=patience,
+                                   learning_rate=10.0 ** log_rate,
+                                   max_backtracks=max_backtracks, armijo_c1=armijo_c1,
+                                   rp_step_init=rp_step_init)
+        _assert_lockstep_matches_alone(members, config)
+
+    def test_four_stop_reasons_in_different_rounds(self):
+        config = LocalSearchConfig(epochs=20, patience=5, learning_rate=1e-12,
+                                   max_backtracks=0)
+        members = [(np.zeros(_TOPO.param_count), "gd"), (_start(1), "oss"),
+                   (_start(3), "rp"), (_start(4), "rp")]
+        results = _assert_lockstep_matches_alone(members, config)
+        assert [r.stop_reason for r in results] == [
+            "stationary", "line_search", "patience", "epochs"]
+        assert len({r.loss_history.size for r in results}) == len(results)
+
+    def test_each_round_is_one_pass(self, monkeypatch):
+        """Each round stacks every live run's next point into one pass,
+        and a run that stops leaves the later rounds."""
+        passes = []
+
+        def counted(params, *args, _fn=local_search.mse_loss_and_gradient):
+            passes.append(len(params))
+            return _fn(params, *args)
+
+        monkeypatch.setattr(local_search, "mse_loss_and_gradient", counted)
+        config = LocalSearchConfig(epochs=20, patience=5, learning_rate=1e-12)
+        results = refine_many([_start(3), _start(4), _start(1)], ["rp", "rp", "gda"],
+                              _TOPO, _DATA, config)
+        # These methods evaluate the start and one point per epoch.
+        sizes = [r.loss_history.size for r in results]
+        assert len(set(sizes)) > 1
+        assert passes == [sum(size > r for size in sizes) for r in range(max(sizes))]
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ParameterError):
+            refine_many([_start(0)], ["gd", "rp"], _TOPO, _DATA, LocalSearchConfig())
+        with pytest.raises(ParameterError):
+            refine_many([np.zeros(5)], ["gd"], _TOPO, _DATA, LocalSearchConfig())
+
+
 class TestRefineCallPattern:
     """Every point refine evaluates costs exactly one
     mse_loss_and_gradient pass, and src/ has no plain loss left."""
@@ -610,10 +693,11 @@ class TestRefineCallPattern:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_one_pass_per_point(self, method, monkeypatch):
-        points, probes, searches = [], [], []
+        points, probes, searches, passes = [], [], [], []
 
         def counted(params, *args, _fn=local_search.mse_loss_and_gradient):
-            points.append(params.tobytes())
+            passes.append(len(params))
+            points.extend(row.tobytes() for row in params)
             return _fn(params, *args)
 
         def recorded_search(*args, _fn=local_search._line_search):
@@ -636,6 +720,8 @@ class TestRefineCallPattern:
 
         assert not hasattr(local_search, "mse_loss")
         assert not hasattr(mlp, "mse_loss")
+        # A lone run's every pass stacks one point.
+        assert passes == [1] * len(points)
         assert len(set(points)) == len(points)
         assert points[0] == start.tobytes()
         if method in ("oss", "cgpr"):

@@ -429,12 +429,15 @@ class TestMseGradient:
         np.testing.assert_allclose(grad_a, grad_b, rtol=1e-12)
 
     def test_parameter_stack_rejected(self):
-        """The losses take one vector; a (k, D) stack is a shape error."""
+        """The plain loss takes one vector, so a (k, D) stack is a shape
+        error there; the pass with gradient takes (D,) or (k, D) only."""
         topo = MlpTopology((2, 3, 1))
         data = Dataset(np.zeros((4, 2)), [0, 1, 1, 0])
-        for loss in (mse_loss, mse_loss_and_gradient):
+        with pytest.raises(ShapeError):
+            mse_loss(np.zeros((2, topo.param_count)), topo, data)
+        for shape in [(5,), (2, 5), (2, 1, topo.param_count), ()]:
             with pytest.raises(ShapeError):
-                loss(np.zeros((2, topo.param_count)), topo, data)
+                mse_loss_and_gradient(np.zeros(shape), topo, data)
 
     def test_gradient_length_matches_params(self):
         topo = MlpTopology((4, 3, 2))
@@ -443,6 +446,33 @@ class TestMseGradient:
             rng.normal(0, 1, topo.param_count), topo, _random_dataset(rng, 5, 4)
         )
         assert grad.shape == (topo.param_count,)
+
+
+class TestStackedLossAndGradient:
+    """The stacked loss pass against one member at a time, bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+           widths=st.lists(st.integers(1, 12), min_size=1, max_size=2),
+           n_in=st.integers(1, 13), n_rows=st.integers(1, 400),
+           log_scale=st.floats(-3.0, 1.0),
+           z=st.one_of(st.sampled_from(EDGE_Z), st.floats(-1e-14, 1e-14)))
+    @settings(max_examples=200, deadline=None)
+    def test_stack_equals_per_member_calls(self, seed, k, widths, n_in, n_rows,
+                                           log_scale, z):
+        rng = np.random.default_rng(seed)
+        topo = MlpTopology((n_in, *widths, 1))
+        data = _random_dataset(rng, n_rows, n_in)
+        stack = _edge_stack(rng, topo, data.rows, k, 10.0 ** log_scale, z)
+
+        losses, grads, errors = mse_loss_and_gradient(stack, topo, data)
+        assert losses.shape == errors.shape == (k,)
+        assert grads.shape == stack.shape
+        each = [mse_loss_and_gradient(v, topo, data) for v in stack]
+        assert all(type(loss) is float and type(error) is float
+                   and grad.shape == (topo.param_count,) for loss, grad, error in each)
+        assert losses.tobytes() == np.array([loss for loss, _, _ in each]).tobytes()
+        assert grads.tobytes() == np.array([grad for _, grad, _ in each]).tobytes()
+        assert errors.tobytes() == np.array([error for _, _, error in each]).tobytes()
 
 
 class TestContainers:

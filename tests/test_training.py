@@ -128,25 +128,26 @@ class TestGridTask:
 
         seen = []
 
-        def recording_refine(*args):
-            seen.append(args)
+        def recording_refine_many(starts, methods, topology, data, config):
+            seen.extend((start, method, data) for start, method in zip(starts, methods))
             # One hidden unit sigmoid(x0), output bias -0.5: class 1 where x0 >= 0.
-            return SimpleNamespace(params=np.array([1.0, 0.0, 0.0, 1.0, -0.5]))
+            return [SimpleNamespace(params=np.array([1.0, 0.0, 0.0, 1.0, -0.5]))
+                    for _ in starts]
 
-        monkeypatch.setattr(training, "refine", recording_refine)
-        for methods, boosted in ((("gd",), False), (METHODS, True)):
+        monkeypatch.setattr(training, "refine_many", recording_refine_many)
+        for boosted, seeds in ((False, tuple(range(len(METHODS)))), (True, (0,))):
             seen.clear()
-            a, b = (training._grid_task((methods, boosted, train, fold, 0, (1,),
+            a, b = (training._grid_task((boosted, train, fold, seeds, (1,),
                                          _TINY_CODEL, _TINY_LS))
                     for fold in (test, poisoned))
 
-            assert len(a) == len(b) == len(methods)
+            assert len(a) == len(b) == len(METHODS)
             assert all(ra.accuracy != rb.accuracy for ra, rb in zip(a, b))
-            assert [args[3].method for args in seen] == 2 * list(methods)
+            assert [method for _, method, _ in seen] == 2 * list(METHODS)
             assert all(arg is not fold for args in seen for arg in args
                        for fold in (test, poisoned))
-            clean, dirty = seen[:len(methods)], seen[len(methods):]
-            for (start_a, _, train_a, _), (start_b, _, train_b, _) in zip(clean, dirty):
+            clean, dirty = seen[:len(METHODS)], seen[len(METHODS):]
+            for (start_a, _, train_a), (start_b, _, train_b) in zip(clean, dirty):
                 assert start_a.tobytes() == start_b.tobytes()
                 np.testing.assert_array_equal(train_a.rows, train_b.rows)
                 np.testing.assert_array_equal(train_a.labels, train_b.labels)
@@ -160,11 +161,13 @@ class TestSharedSearch:
         seed, k, hidden = 2, 4, (3,)
         calls = []
 
-        def spy_refine(initial, topology, data, config, _refine=training.refine):
-            calls.append((np.array(initial), data, config.method))
-            return _refine(initial, topology, data, config)
+        def spy_refine_many(starts, methods, topology, data, config,
+                            _refine_many=training.refine_many):
+            calls.extend((np.array(start), data, method)
+                         for start, method in zip(starts, methods))
+            return _refine_many(starts, methods, topology, data, config)
 
-        monkeypatch.setattr(training, "refine", spy_refine)
+        monkeypatch.setattr(training, "refine_many", spy_refine_many)
         results = evaluate_grid(_TINY_DATA, k, seed, hidden, _TINY_CODEL, _TINY_LS)
         monkeypatch.undo()
 
@@ -244,8 +247,8 @@ class TestEvaluateGrid:
         serial = grid(jobs=1)
         assert asked == []
         assert grid(jobs=1000) == serial
-        # 2 fold searches plus 6 base methods on each of the 2 folds.
-        assert asked == [2 + 6 * 2]
+        # A boosted and a base task on each of the 2 folds.
+        assert asked == [2 * 2]
 
     def test_single_class_rejected(self):
         data = two_gaussian_dataset(6, 2, 1.0, seed=0)
