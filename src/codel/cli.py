@@ -112,7 +112,9 @@ def cmd_train(args) -> None:
         ],
         comments,
     )
-    manifest_rows = [line.split("=", 1) for line in config.manifest_lines()]
+    # A cell holds no comma, so multi-layer sizes are joined by a space.
+    manifest_rows = [[key, value.replace(",", " ")] for key, value in
+                     (line.split("=", 1) for line in config.manifest_lines())]
     manifest_rows.append(["nfe_used", model.nfe_used])
     manifest_rows.append(["final_train_error", float(model.train_error)])
     write_table(_out_path(args, "manifest.csv"), ["key", "value"],

@@ -95,8 +95,8 @@ class RunConfig:
     def codel_config(self) -> CodelConfig:
         return self._owned(CodelConfig, seed=0 if self.seed is None else self.seed)
 
-    def local_search_config(self, method: str | None = None) -> LocalSearchConfig:
-        return self._owned(LocalSearchConfig, method=self.method if method is None else method)
+    def local_search_config(self) -> LocalSearchConfig:
+        return self._owned(LocalSearchConfig)
 
     def manifest_lines(self):
         """The resolved settings as `key=value` strings, field order.

@@ -51,7 +51,8 @@ def read_table(path):
     """Read a CSV written by write_table.
 
     Returns:
-        (header, rows, comments) with rows as lists of strings.
+        (header, rows, comments) with rows as lists of strings, each as
+        long as the header; a ragged row raises ParameterError.
     """
     path = Path(path)
     if not path.is_file():
@@ -59,7 +60,7 @@ def read_table(path):
     comments = []
     header = None
     rows = []
-    for line in path.read_text().splitlines():
+    for number, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -68,6 +69,11 @@ def read_table(path):
         cells = line.split(",")
         if header is None:
             header = cells
+        elif len(cells) != len(header):
+            raise ParameterError(
+                f"{path}: line {number}: ragged row of {len(cells)} cells "
+                f"under a {len(header)}-column header"
+            )
         else:
             rows.append(cells)
     if header is None:
@@ -129,8 +135,6 @@ def read_features_csv(path) -> Dataset:
         matrix = np.array([[float(c) for c in row] for row in rows])
     except ValueError as exc:
         raise ParameterError(f"{path}: non-numeric value ({exc})") from None
-    if matrix.shape[1] != len(header):
-        raise ParameterError(f"{path}: ragged rows")
     labels = matrix[:, -1]
     if not np.all(np.isin(labels, (0.0, 1.0))):
         raise ParameterError(f"{path}: labels must be 0 or 1")

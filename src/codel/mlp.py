@@ -4,8 +4,11 @@ All layers use the logistic sigmoid. Weights and biases live in a single
 1-D array so that population-based optimizers can treat a network as a
 point in R^n: per layer, the incoming weights of each destination neuron
 in order, then that layer's biases. `decode` is the one place that knows
-this layout; the forward passes read their layers through its views, and
+this layout; the forward pass reads its layers through its views, and
 the gradient is written through the views of a fresh vector.
+
+The three entry points run one forward pass, `_forward_activations`, and
+decide classes by one rule on the output sigmoid, `_class_one`.
 """
 
 from dataclasses import dataclass
@@ -107,10 +110,6 @@ def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _sigmoid(z):
-    return _sigmoid_in_place(np.array(z, dtype=float))
-
-
 def _layer(a, w, b) -> np.ndarray:
     """sigmoid(a @ w.T + b), computed inside the product's own buffer.
 
@@ -164,53 +163,20 @@ def _forward_activations(layers, inputs):
     return activations
 
 
-# A chunk of the stacked forward pass holds as many members as keep its
-# first hidden layer near this many doubles (8 members at 400 rows x 10
-# units), so the chunk's activations stay in cache.
+# classification_error runs a stack in chunks of as many members as keep
+# the first hidden layer near this many doubles (8 members at 400 rows x
+# 10 units), so a chunk's activations stay in cache.
 _CHUNK_DOUBLES = 32_768
 
 
-def _output_preactivations(vectors, topology: MlpTopology, rows) -> np.ndarray:
-    """The output neuron's pre-activation of each member on each row, (k, n).
-
-    Row i of `vectors` holds member i's flat parameters. Members go through
-    in chunks. Per hidden layer, one stacked matmul writes a chunk's
-    products into a (rows, members, units) buffer through its (members,
-    rows, units) view, so the bias add and the sigmoid run once over
-    contiguous memory. Every member's product is the same BLAS call on the
-    same shapes as its own `a @ w.T`, so each row of the result equals the
-    member's unstacked pass bit for bit.
-    """
-    *hidden, (w_out, b_out) = decode(vectors, topology)
-    n = rows.shape[0]
-    chunk = max(1, _CHUNK_DOUBLES // (n * topology.layer_sizes[1] or 1))
-    out = np.empty((len(vectors), n))
-    for start in range(0, len(vectors), chunk):
-        part = slice(start, start + chunk)
-        a = rows
-        for w, b in hidden:
-            w = w[part]
-            z = np.empty((n, *w.shape[:2]))
-            np.matmul(a, w.transpose(0, 2, 1), out=z.transpose(1, 0, 2))
-            z += b[part]
-            a = _sigmoid_in_place(z).transpose(1, 0, 2)
-        z = np.matmul(a, w_out[part].transpose(0, 2, 1))
-        np.add(z[:, :, 0], b_out[part, :1], out=out[part])
-    return out
+def _class_one(out) -> np.ndarray:
+    """Class 1 where the output neuron's sigmoid, out[..., 0], is at least 0.5."""
+    return out[..., 0] >= 0.5
 
 
-def _classify(z: np.ndarray) -> np.ndarray:
-    """The rule sigmoid(z) >= 0.5, decided by the sign of z.
-
-    The sigmoid rounds to exactly 0.5 for z a little below zero (down to
-    about -4.5e-17 in IEEE doubles), so `z >= 0` alone differs there;
-    inside |z| < 1e-15 the sigmoid itself decides.
-    """
-    out = z >= 0.0
-    near = np.abs(z) < 1e-15
-    if near.any():
-        out[near] = _sigmoid(z[near]) >= 0.5
-    return out
+def _percent_wrong(out, labels) -> np.ndarray:
+    """Per member, the percentage of rows `_class_one` gets wrong."""
+    return 100.0 * np.count_nonzero(_class_one(out) != labels, axis=-1) / len(labels)
 
 
 def predict(params, topology: MlpTopology, inputs) -> np.ndarray:
@@ -220,19 +186,27 @@ def predict(params, topology: MlpTopology, inputs) -> np.ndarray:
         raise ShapeError(
             f"input dimension {rows.shape} does not match n_in={topology.n_in}"
         )
-    params = np.asarray(params, dtype=float)[None]
-    return _classify(_output_preactivations(params, topology, rows)[0]).astype(int)
+    layers = decode(np.asarray(params, dtype=float)[None], topology)
+    return _class_one(_forward_activations(layers, rows)[-1][0]).astype(int)
 
 
 def classification_error(params, topology: MlpTopology, data: Dataset):
     """Percentage of misclassified samples.
 
     params is one flat vector (D,), giving a float, or a stack of them
-    (k, D), giving one percentage per row as a (k,) array.
+    (k, D), giving one percentage per row as a (k,) array. A stack goes
+    through in chunks of members; each member's products are the same
+    BLAS calls as its own unstacked pass, so the chunking changes no bit.
     """
     params = np.asarray(params, dtype=float)
-    decisions = _classify(_output_preactivations(np.atleast_2d(params), topology, data.rows))
-    errors = 100.0 * np.count_nonzero(decisions != data.labels, axis=1) / len(data)
+    stack = np.atleast_2d(params)
+    layers = decode(stack, topology)
+    chunk = max(1, _CHUNK_DOUBLES // (len(data) * topology.layer_sizes[1]))
+    errors = np.empty(len(stack))
+    for start in range(0, len(stack), chunk):
+        part = slice(start, start + chunk)
+        out = _forward_activations([(w[part], b[part]) for w, b in layers], data.rows)[-1]
+        errors[part] = _percent_wrong(out, data.labels)
     return float(errors[0]) if params.ndim == 1 else errors
 
 
@@ -249,9 +223,9 @@ def mse_loss_and_gradient(params, topology: MlpTopology, data: Dataset):
 
     The gradient is accumulated layer by layer in reverse, using the
     sigmoid derivative a(1-a), and is returned flat in the same layout
-    as the parameters. The error decides class 1 where the output
-    neuron's sigmoid is >= 0.5, the rule `_classify` implements, so it
-    equals classification_error(params, topology, data) bit for bit.
+    as the parameters. The error applies `_class_one` to the same output
+    activations, so it equals classification_error(params, topology,
+    data) bit for bit.
     """
     params = np.asarray(params, dtype=float)
     stack = np.atleast_2d(params)
@@ -262,7 +236,7 @@ def mse_loss_and_gradient(params, topology: MlpTopology, data: Dataset):
 
     n_terms = out[0].size
     loss = np.sum((out - targets) ** 2, axis=(1, 2)) / n_terms
-    error = 100.0 * np.count_nonzero((out[..., 0] >= 0.5) != data.labels, axis=1) / len(data)
+    error = _percent_wrong(out, data.labels)
 
     # delta holds dLoss/dz for the current layer, (members, rows, units).
     delta = 2.0 * (out - targets) / n_terms * out * (1.0 - out)

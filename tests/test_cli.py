@@ -196,6 +196,18 @@ class TestTrain:
         snap_b = _snapshot(dir_b, self.TRAIN_FILES)
         assert snap_a == snap_b
 
+    def test_multi_layer_manifest_reads_back(self, tmp_path):
+        """Layer sizes share one cell, so the manifest stays two columns wide."""
+        features = tmp_path / "xor.csv"
+        _write_xor_features(features)
+        out_dir = tmp_path / "out"
+        assert main(["train", "--features-csv", str(features), "--seed", "0",
+                     "--hidden", "4,3", "--nfe", "60", "--population-size", "6",
+                     "--epochs", "5", "--out-dir", str(out_dir)]) == 0
+        manifest = dict(read_table(out_dir / "manifest.csv")[1])
+        assert manifest["hidden"] == "4 3"
+        assert read_weights_csv(out_dir / "weights.csv")[1].layer_sizes == (2, 4, 3, 1)
+
     def test_non_binary_labels_fail(self, tmp_path, capsys):
         features = tmp_path / "bad.csv"
         write_table(features, ["a", "label"], [[0.0, 2]])

@@ -18,6 +18,7 @@ paths are echoed into the output headers.
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -149,14 +150,8 @@ def _run_case(case: str) -> dict:
     }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_outputs_match_pins(case, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    pins = json.loads(PINS.read_text())
-    assert _run_case(case) == pins[case]
-
-
-if __name__ == "__main__":
+def _run_all() -> dict:
+    """Every case's hashes, each case run in its own scratch directory."""
     start = os.getcwd()
     pins = {}
     for case in sorted(CASES):
@@ -164,6 +159,29 @@ if __name__ == "__main__":
             os.chdir(scratch)
             pins[case] = _run_case(case)
             os.chdir(start)
+    return pins
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_pins(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    pins = json.loads(PINS.read_text())
+    assert _run_case(case) == pins[case]
+
+
+def test_pins_hold_at_one_blas_thread(tmp_path):
+    """Every case, run in a fresh interpreter with one BLAS thread, hashes
+    to the same pins: no output depends on how BLAS splits its work."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(Path(__file__).parent), *sys.path])}
+    script = "import json, test_golden; print(json.dumps(test_golden._run_all()))"
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == json.loads(PINS.read_text())
+
+
+if __name__ == "__main__":
+    pins = _run_all()
     PINS.parent.mkdir(exist_ok=True)
     PINS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
     print(f"wrote {PINS}", file=sys.stderr)

@@ -150,9 +150,11 @@ class TestFeaturesCsv:
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
-        path.write_text("a,b,label\n1,2,0\n1,0\n")
-        with pytest.raises(ParameterError):
-            read_features_csv(path)
+        for text, line in [("a,b,label\n1,2,0\n1,0\n", 3),
+                           ("# note\na,b,label\n1,2,0\n1,2,3,0\n", 4)]:
+            path.write_text(text)
+            with pytest.raises(ParameterError, match=f"ragged.csv: line {line}: ragged"):
+                read_features_csv(path)
 
 
 class TestWeightsCsv:
@@ -326,7 +328,6 @@ class TestRunConfig:
         assert config.codel_config().seed == 8
         ls = config.local_search_config()
         assert ls.method == "gdm" and ls.momentum == 0.5 and ls.epochs == 40
-        assert config.local_search_config("rp").method == "rp"
 
 
 class TestStreams:

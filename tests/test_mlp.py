@@ -10,10 +10,8 @@ from codel.errors import ParameterError, ShapeError
 from codel.mlp import (
     Dataset,
     MlpTopology,
-    _classify,
     _forward_activations,
-    _output_preactivations,
-    _sigmoid,
+    _sigmoid_in_place,
     classification_error,
     decode,
     mse_loss_and_gradient,
@@ -184,13 +182,13 @@ class TestSigmoid:
         ])
         draws = np.random.default_rng(5).normal(0.0, 1.0, 1_000_000)
         for z in (special, draws, draws * 40.0, draws.reshape(1000, 1000)):
-            ours, ref = _sigmoid(z), sigmoid_reference(z)
+            ours, ref = _sigmoid_in_place(z.copy()), sigmoid_reference(z)
             assert ours.shape == ref.shape
             np.testing.assert_array_equal(ours.view(np.int64), ref.view(np.int64))
 
     def test_extremes_saturate_without_overflow(self):
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            out = _sigmoid(np.array([-800.0, 0.0, 800.0]))
+            out = _sigmoid_in_place(np.array([-800.0, 0.0, 800.0]))
         np.testing.assert_array_equal(out, [0.0, 0.5, 1.0])
 
 
@@ -246,16 +244,8 @@ EDGE_Z = (0.0, -0.0, 1e-17, -1e-17, 4.5e-17, -4.5e-17, 1e-16, -1e-16, 1e-15, -1e
 
 
 class TestDecisionsMatchSigmoidRule:
-    """Decisions by the sign of z against the reference sigmoid(z) >= 0.5."""
-
-    def test_classify_on_the_edges_and_their_neighbours(self):
-        z = np.array(EDGE_Z + (5.55e-17, -5.55e-17, 5.6e-17, -5.6e-17))
-        z = np.concatenate([z, np.nextafter(z, np.inf), np.nextafter(z, -np.inf),
-                            [np.inf, -np.inf, np.nan]])
-        with np.errstate(invalid="ignore"):
-            np.testing.assert_array_equal(_classify(z), _sigmoid(z) >= 0.5)
-        # The band really is there: z >= 0 alone would read these as 0.
-        assert _classify(np.array([-1e-17, -4.5e-17])).all()
+    """Decisions on pre-activations at and near zero against the
+    reference sigmoid(z) >= 0.5."""
 
     @given(seed=st.integers(0, 2**32 - 1),
            z=st.one_of(st.sampled_from(EDGE_Z), st.floats(-1e-14, 1e-14),
@@ -293,7 +283,7 @@ def _edge_stack(rng, topo, rows, k, scale, z):
     """k members with weights at `scale`; each member's output layer is
     random, zero with bias z (every row's pre-activation is exactly z),
     or biased so one row's pre-activation lands within a few ulps of z,
-    which sends near-zero rows through _classify's sigmoid fallback."""
+    where the output sigmoid rounds to 0.5 or next to it."""
     stack = np.empty((k, topo.param_count))
     for v, mode in zip(stack, rng.integers(0, 3, k)):
         v[:] = rng.normal(0, scale, topo.param_count)
@@ -306,17 +296,8 @@ def _edge_stack(rng, topo, rows, k, scale, z):
     return stack
 
 
-def _preactivation_per_member(params, topo, rows):
-    """One member's output pre-activation through its own layer calls."""
-    hidden = _forward_activations(decode(params, topo), rows)[-2]
-    w_out, b_out = decode(params, topo)[-1]
-    z = hidden @ w_out.T
-    z += b_out
-    return z[:, 0]
-
-
 class TestStackedForward:
-    """The stacked kernel against one member at a time, bit for bit."""
+    """The chunked stacked error against one member at a time, bit for bit."""
 
     @given(seed=st.integers(0, 2**32 - 1),
            widths=st.lists(st.integers(1, 12), min_size=1, max_size=3),
@@ -339,10 +320,7 @@ class TestStackedForward:
         stack = _edge_stack(rng, topo, data.rows, k, 10.0 ** log_scale, z)
 
         with mock.patch.object(mlp, "_CHUNK_DOUBLES", budget):
-            z_stack = _output_preactivations(stack, topo, data.rows)
             errors = classification_error(stack, topo, data)
-        z_each = np.array([_preactivation_per_member(v, topo, data.rows) for v in stack])
-        assert z_stack.tobytes() == z_each.tobytes()
         assert errors.shape == (k,)
         per_member = [classification_error(v, topo, data) for v in stack]
         assert errors.tobytes() == np.array(per_member).tobytes()
@@ -372,18 +350,27 @@ class TestMseGradient:
            widths=st.lists(st.integers(1, 12), min_size=1, max_size=3),
            n_in=st.integers(1, 13), n_rows=st.integers(1, 120),
            log_scale=st.floats(-3.0, 1.0),
-           z=st.one_of(st.sampled_from(EDGE_Z), st.floats(-1e-14, 1e-14)))
+           z=st.one_of(st.sampled_from(EDGE_Z), st.floats(-1e-14, 1e-14)),
+           members_per_chunk=st.integers(1, 4), more=st.integers(1, 8))
     @settings(max_examples=200, deadline=None)
     def test_error_equals_classification_error(self, seed, widths, n_in, n_rows,
-                                               log_scale, z):
-        """The error read off the loss's own pass is classification_error's."""
+                                               log_scale, z, members_per_chunk, more):
+        """The error read off the loss's own pass is classification_error's,
+        for one vector and for a stack that classification_error runs in
+        several chunks."""
         rng = np.random.default_rng(seed)
         topo = MlpTopology((n_in, *widths, 1))
         data = _random_dataset(rng, n_rows, n_in)
-        params = _edge_stack(rng, topo, data.rows, 1, 10.0 ** log_scale, z)[0]
+        k = members_per_chunk + more
+        stack = _edge_stack(rng, topo, data.rows, k, 10.0 ** log_scale, z)
+        params = stack[0]
         loss, _, error = mse_loss_and_gradient(params, topo, data)
         assert error == classification_error(params, topo, data)
         assert loss == mse_loss(params, topo, data)
+
+        with mock.patch.object(mlp, "_CHUNK_DOUBLES", members_per_chunk * n_rows * widths[0]):
+            errors = classification_error(stack, topo, data)
+        assert errors.tobytes() == mse_loss_and_gradient(stack, topo, data)[2].tobytes()
 
     def test_matches_central_differences(self):
         """Backprop agrees with the finite-difference oracle per component."""
