@@ -2,8 +2,11 @@
 
 Every run requires a seed and echoes its fully resolved configuration
 into each output file as leading comment lines, so outputs are
-reproducible byte-for-byte from their own headers. Exit status is 0
-only when every requested output was written.
+reproducible byte-for-byte from their own headers. `train` is the
+boosted form of `training.train_methods` for the configured method,
+and `evaluate` is its cross-validation grid. Outputs land under
+--out-dir, and any directory an output path names is created on
+demand. Exit status is 0 only when every requested output was written.
 """
 
 import argparse
@@ -27,7 +30,7 @@ from .io import (
     write_weights_csv,
 )
 from .signal import RrSeries, Signal, signal_to_rr
-from .training import VARIANT_NAMES, build_comparison, evaluate_grid, train_variant
+from .training import VARIANT_NAMES, build_comparison, evaluate_grid, train_methods
 
 __all__ = ["main"]
 
@@ -43,10 +46,12 @@ def _resolve_config(args):
     return parse_config(args.config, **knobs)
 
 
-def _out_path(args, name: str) -> Path:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir / name
+def _out_path(args, name) -> Path:
+    """`name` under --out-dir (an absolute name stands alone), with its
+    directory created on demand."""
+    path = Path(args.out_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def cmd_extract(args) -> None:
@@ -74,49 +79,42 @@ def cmd_extract(args) -> None:
         f"fs={args.fs}",
         f"label={args.label}",
     ] + config.manifest_lines()
-    out = Path(args.out_csv)
-    if not out.is_absolute():
-        out = _out_path(args, str(out))
-    write_features_csv(out, records, [args.label] * len(records), comments)
+    write_features_csv(_out_path(args, args.out_csv), records,
+                       [args.label] * len(records), comments)
 
 
 def cmd_train(args) -> None:
     config = _resolve_config(args)
     dataset = read_features_csv(args.features_csv)
-    model = train_variant(
-        dataset, config.seed, config.hidden, config.codel_config(),
-        config.local_search_config(), boosted=True,
+    topology, search, (refined,) = train_methods(
+        dataset, (config.seed,), (config.method,), config.hidden,
+        config.codel_config(), config.local_search_config(), boosted=True,
     )
     comments = [
         "command=train",
         f"input={args.features_csv}",
     ] + config.manifest_lines()
 
-    write_weights_csv(_out_path(args, "weights.csv"), model.params,
-                      model.topology, comments)
+    write_weights_csv(_out_path(args, "weights.csv"), refined.params, topology, comments)
     write_table(
         _out_path(args, "search_history.csv"),
         ["iteration", "nfe", "best_fitness"],
-        [
-            [i + 1, int(model.search_nfe[i]), float(model.search_history[i])]
-            for i in range(len(model.search_history))
-        ],
+        [[i, int(nfe), float(best)]
+         for i, (nfe, best) in enumerate(zip(search.nfe_history, search.history), 1)],
         comments,
     )
     write_table(
         _out_path(args, "refine_history.csv"),
         ["epoch", "mse", "classification_error"],
-        [
-            [i + 1, float(model.refine_loss[i]), float(model.refine_error[i])]
-            for i in range(len(model.refine_loss))
-        ],
+        [[i, float(loss), float(error)]
+         for i, (loss, error) in enumerate(zip(refined.loss_history, refined.error_history), 1)],
         comments,
     )
     # A cell holds no comma, so multi-layer sizes are joined by a space.
     manifest_rows = [[key, value.replace(",", " ")] for key, value in
                      (line.split("=", 1) for line in config.manifest_lines())]
-    manifest_rows.append(["nfe_used", model.nfe_used])
-    manifest_rows.append(["final_train_error", float(model.train_error)])
+    manifest_rows.append(["nfe_used", search.nfe])
+    manifest_rows.append(["final_train_error", float(refined.final_train_error)])
     write_table(_out_path(args, "manifest.csv"), ["key", "value"],
                 manifest_rows, comments)
 

@@ -3,14 +3,15 @@
 A "variant" is one of twelve training procedures: each refinement
 method either from random initial weights (its base form) or from the
 best weights the global search found (its boosted form, prefixed
-"codel-"). The evaluation grid runs every variant over every
-cross-validation fold. As in the paper, one global search per fold
-feeds all six boosted refiners of that fold; each base variant refines
-from its own random start. Each fold is two tasks, its six boosted
-runs and its six base runs, and each task refines its six runs in
-lockstep. Tasks are independent, so they can spread over worker
-processes, and results are collected by position, so the output never
-depends on the worker count or completion order.
+"codel-"). `train_methods` is the one path from a training split to
+refined weights: as in the paper, one global search feeds every
+boosted refiner, each base refiner starts from its own random weights,
+and all of them refine in lockstep. The `train` command runs it for
+one method; the evaluation grid runs it twice per cross-validation
+fold, once per form, over all six methods. Grid tasks are independent,
+so they can spread over worker processes, and results are collected by
+position, so the output never depends on the worker count or
+completion order.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -31,101 +32,65 @@ from .evaluation import (
     wtl,
 )
 from .errors import ParameterError
-from .local_search import METHODS, LocalSearchConfig, refine, refine_many
+from .local_search import METHODS, LocalSearchConfig, refine_many
 from .mlp import Dataset, MlpTopology, classification_error, predict
 from .optimizer import CodelConfig, run_codel
 from .streams import derive_seed, named_rng
 
 __all__ = [
     "VARIANT_NAMES",
-    "TrainedModel",
     "variant_name",
-    "train_variant",
+    "train_methods",
     "evaluate_grid",
     "paired_methods",
     "Comparison",
     "build_comparison",
 ]
 
-# Base/boosted pairs in fixed report order.
-VARIANT_NAMES = tuple(
-    name for m in METHODS for name in (m, f"codel-{m}")
-)
-
 
 def variant_name(method: str, boosted: bool) -> str:
     return f"codel-{method}" if boosted else method
 
 
-@dataclass(frozen=True)
-class TrainedModel:
-    """Refined weights plus the run facts a manifest needs."""
-
-    params: np.ndarray
-    topology: MlpTopology
-    train_error: float
-    nfe_used: int
-    search_history: np.ndarray
-    search_nfe: np.ndarray
-    refine_loss: np.ndarray
-    refine_error: np.ndarray
+# Base/boosted pairs in fixed report order.
+VARIANT_NAMES = tuple(variant_name(m, boosted) for m in METHODS for boosted in (False, True))
 
 
-def _start(train: Dataset, topology: MlpTopology, seed: int,
-           codel_config: CodelConfig, boosted: bool):
-    """(Starting weights, search result or None) for refinement on train.
+def train_methods(train: Dataset, seeds, methods, hidden, codel_config: CodelConfig,
+                  ls_config: LocalSearchConfig, boosted: bool):
+    """Refine one run per method on one training split, in lockstep.
 
-    The boosted form minimizes the classification error globally and
-    starts from the search's best weights; the base form starts from
-    uniform random weights inside the same box.
+    The boosted form runs one global search of the classification error,
+    seeded seeds[0], and every run starts from its best weights; the
+    base form starts run i from uniform random weights inside the same
+    box, seeded seeds[i].
+
+    Returns:
+        (topology, search result or None, one RefineResult per method).
     """
-    if not boosted:
-        rng = named_rng(seed, "init")
-        return rng.uniform(codel_config.lower, codel_config.upper,
-                           topology.param_count), None
-
-    def objective(vectors):
-        return classification_error(vectors, topology, train)
-
-    search = run_codel(objective, topology.param_count,
-                       replace(codel_config, seed=seed))
-    return search.best_params, search
-
-
-def train_variant(train: Dataset, seed: int, hidden, codel_config: CodelConfig,
-                  ls_config: LocalSearchConfig, boosted: bool) -> TrainedModel:
-    """Train one variant on one training split: the configured refiner,
-    from the global search's best weights (boosted) or from random ones."""
     topology = MlpTopology((train.n_features, *hidden, 1))
-    start, search = _start(train, topology, seed, codel_config, boosted)
-    refined = refine(start, topology, train, ls_config)
-    return TrainedModel(
-        params=refined.params,
-        topology=topology,
-        train_error=refined.final_train_error,
-        nfe_used=search.nfe if search else 0,
-        search_history=search.history if search else np.array([]),
-        search_nfe=search.nfe_history if search else np.array([], dtype=int),
-        refine_loss=refined.loss_history,
-        refine_error=refined.error_history,
-    )
+    search = None
+    if boosted:
+        search = run_codel(lambda v: classification_error(v, topology, train),
+                           topology.param_count, replace(codel_config, seed=seeds[0]))
+        starts = [search.best_params] * len(methods)
+    else:
+        starts = [named_rng(s, "init").uniform(codel_config.lower, codel_config.upper,
+                                               topology.param_count) for s in seeds]
+    return topology, search, refine_many(starts, methods, topology, train, ls_config)
 
 
 def _grid_task(args):
-    """One fold's six refiners on its training rows, in lockstep: all
-    from the global search's best weights (boosted, one seed) or each
-    from its own random start (base, one seed per method); one metrics
-    report per method on the fold's test rows, in METHODS order."""
+    """One fold's six refiners on its training rows, in lockstep, and
+    one metrics report per method on the fold's test rows, in METHODS
+    order."""
     boosted, train, test, seeds, hidden, codel_config, ls_config = args
-    topology = MlpTopology((train.n_features, *hidden, 1))
-    starts = [_start(train, topology, s, codel_config, boosted)[0] for s in seeds]
-    if boosted:
-        starts *= len(METHODS)
-    reports = []
-    for refined in refine_many(starts, METHODS, topology, train, ls_config):
-        predictions = predict(refined.params, topology, test.rows)
-        reports.append(metrics(confusion_from_predictions(test.labels, predictions)))
-    return reports
+    topology, _, results = train_methods(train, seeds, METHODS, hidden,
+                                         codel_config, ls_config, boosted)
+    return [
+        metrics(confusion_from_predictions(test.labels, predict(r.params, topology, test.rows)))
+        for r in results
+    ]
 
 
 def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,

@@ -37,7 +37,7 @@ from codel.optimizer import (
 )
 from codel.signal import RrSeries
 from codel.streams import named_rng
-from codel.training import evaluate_grid, train_variant
+from codel.training import evaluate_grid, train_methods
 
 from oracles import (central_difference, hrv_vector_reference, metric_reference, mse_loss,
                      random_rr_series)
@@ -311,18 +311,19 @@ def test_criterion_09_xor_learnability():
     failures = []
     start = time.perf_counter()
     data = xor_dataset()
+    hits = dict.fromkeys(METHODS, 0)
+    for seed in range(20):
+        _, _, results = train_methods(
+            data, (seed,), METHODS, (4,),
+            CodelConfig(nfe_max=10_000, seed=seed),
+            LocalSearchConfig(),
+            boosted=True,
+        )
+        for method, refined in zip(METHODS, results):
+            hits[method] += refined.final_train_error == 0.0
     for method in METHODS:
-        hits = 0
-        for seed in range(20):
-            model = train_variant(
-                data, seed, (4,),
-                CodelConfig(nfe_max=10_000, seed=seed),
-                LocalSearchConfig(method=method),
-                boosted=True,
-            )
-            hits += model.train_error == 0.0
-        if hits < 18:
-            failures.append(f"{method}: only {hits}/20 seeds reached 0% error")
+        if hits[method] < 18:
+            failures.append(f"{method}: only {hits[method]}/20 seeds reached 0% error")
 
     elapsed = time.perf_counter() - start
     if elapsed >= 300.0:

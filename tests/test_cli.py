@@ -140,12 +140,30 @@ class TestExtract:
         """A file the OS refuses is an `error:` line and exit 2, not a traceback."""
         rr = tmp_path / "rr.csv"
         _write_rr(rr, [1000.0] * 60)
+        (tmp_path / "o" / "sub" / "f.csv").mkdir(parents=True)
         rc = main(["extract", "--rr-csv", str(rr), "--seed", "1",
                    "--out-dir", str(tmp_path / "o"), "--out-csv", "sub/f.csv"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "f.csv" in err
         assert "Traceback" not in err
+
+    def test_out_csv_directory_is_created(self, tmp_path, monkeypatch):
+        """A missing parent of --out-csv is made, whether the path is
+        relative (to --out-dir or the working directory) or absolute."""
+        rr = tmp_path / "rr.csv"
+        _write_rr(rr, [1000.0] * 60)
+        monkeypatch.chdir(tmp_path)
+        cases = [
+            (["--out-csv", "sub/f.csv"], tmp_path / "sub" / "f.csv"),
+            (["--out-dir", "d", "--out-csv", "sub/f.csv"], tmp_path / "d" / "sub" / "f.csv"),
+            (["--out-dir", "unused", "--out-csv", str(tmp_path / "abs" / "f.csv")],
+             tmp_path / "abs" / "f.csv"),
+        ]
+        for flags, out in cases:
+            assert main(["extract", "--rr-csv", str(rr), "--seed", "1", *flags]) == 0
+            assert read_table(out)[0][-1] == "label"
+        assert not (tmp_path / "unused").exists()
 
 
 class TestTrain:

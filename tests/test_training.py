@@ -13,16 +13,16 @@ from codel.evaluation import (
     fold_datasets,
     metrics,
 )
-from codel.local_search import METHODS, LocalSearchConfig
+from codel.local_search import METHODS, LocalSearchConfig, refine
 from codel.mlp import Dataset, MlpTopology, classification_error, predict
 from codel.optimizer import CodelConfig, run_codel
-from codel.streams import derive_seed
+from codel.streams import derive_seed, named_rng
 from codel.training import (
     VARIANT_NAMES,
     build_comparison,
     evaluate_grid,
     paired_methods,
-    train_variant,
+    train_methods,
     variant_name,
 )
 
@@ -64,54 +64,94 @@ class TestPairedMethods:
         assert paired_methods([]) == []
 
 
-class TestTrainVariant:
+class TestTrainMethods:
 
     def test_base_form_skips_global_search(self):
-        model = train_variant(_TINY_DATA, 7, (3,), _TINY_CODEL, _TINY_LS,
-                              boosted=False)
-        assert model.nfe_used == 0
-        assert model.search_history.size == 0
-        assert model.topology.layer_sizes == (2, 3, 1)
-        assert model.params.shape == (model.topology.param_count,)
+        topology, search, (refined,) = train_methods(_TINY_DATA, (7,), ("rp",), (3,),
+                                                     _TINY_CODEL, _TINY_LS, boosted=False)
+        assert search is None
+        assert topology.layer_sizes == (2, 3, 1)
+        assert refined.params.shape == (topology.param_count,)
 
     def test_boosted_form_reports_search(self):
-        model = train_variant(_TINY_DATA, 7, (3,), _TINY_CODEL, _TINY_LS,
-                              boosted=True)
-        assert 0 < model.nfe_used <= 160 + 8
-        assert model.search_history.size > 0
-        assert np.all(np.diff(model.search_history) <= 0)
+        _, search, (refined,) = train_methods(_TINY_DATA, (7,), ("rp",), (3,),
+                                              _TINY_CODEL, _TINY_LS, boosted=True)
+        assert 0 < search.nfe <= 160 + 8
+        assert search.history.size > 0
+        assert np.all(np.diff(search.history) <= 0)
         # The refiner starts at the searched weights, so it can only
         # hold or improve the searched training error.
-        assert model.train_error <= model.search_history[-1] + 1e-12
+        assert refined.final_train_error <= search.history[-1] + 1e-12
 
     def test_train_error_matches_weights(self):
-        model = train_variant(_TINY_DATA, 3, (3,), _TINY_CODEL, _TINY_LS,
-                              boosted=True)
-        assert model.train_error == classification_error(
-            model.params, model.topology, _TINY_DATA
+        topology, _, (refined,) = train_methods(_TINY_DATA, (3,), ("rp",), (3,),
+                                                _TINY_CODEL, _TINY_LS, boosted=True)
+        assert refined.final_train_error == classification_error(
+            refined.params, topology, _TINY_DATA
         )
 
     def test_seed_determinism(self):
-        a = train_variant(_TINY_DATA, 9, (3,), _TINY_CODEL, _TINY_LS, True)
-        b = train_variant(_TINY_DATA, 9, (3,), _TINY_CODEL, _TINY_LS, True)
-        np.testing.assert_array_equal(a.params, b.params)
-        c = train_variant(_TINY_DATA, 10, (3,), _TINY_CODEL, _TINY_LS, True)
-        assert not np.array_equal(a.params, c.params)
+        def params(seed):
+            return train_methods(_TINY_DATA, (seed,), ("rp",), (3,), _TINY_CODEL,
+                                 _TINY_LS, True)[2][0].params
+
+        a, b = params(9), params(9)
+        np.testing.assert_array_equal(a, b)
+        c = params(10)
+        assert not np.array_equal(a, c)
 
     def test_xor_is_learnable(self):
         config = CodelConfig(population_size=10, nfe_max=2000, seed=0)
-        ls = LocalSearchConfig(method="rp", epochs=200)
-        model = train_variant(xor_dataset(), 0, (4,), config, ls, True)
-        assert model.train_error == 0.0
-
+        ls = LocalSearchConfig(epochs=200)
+        _, _, (refined,) = train_methods(xor_dataset(), (0,), ("rp",), (4,), config, ls, True)
+        assert refined.final_train_error == 0.0
 
     def test_predictor_contract(self):
-        """The model's weights map a row matrix to one 0/1 label per row."""
-        model = train_variant(_TINY_DATA, 4, (3,), _TINY_CODEL, _TINY_LS,
-                              boosted=False)
-        out = predict(model.params, model.topology, _TINY_DATA.rows)
+        """The refined weights map a row matrix to one 0/1 label per row."""
+        topology, _, (refined,) = train_methods(_TINY_DATA, (4,), ("rp",), (3,),
+                                                _TINY_CODEL, _TINY_LS, boosted=False)
+        out = predict(refined.params, topology, _TINY_DATA.rows)
         assert out.shape == (len(_TINY_DATA.labels),)
         assert set(np.unique(out)) <= {0, 1}
+
+
+class TestLockstepEqualsOneMethod:
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert a.params.tobytes() == b.params.tobytes()
+        assert a.loss_history.tobytes() == b.loss_history.tobytes()
+        assert a.error_history.tobytes() == b.error_history.tobytes()
+        assert a.stop_reason == b.stop_reason
+
+    def test_boosted_runs_one_search_for_every_method(self, monkeypatch):
+        searches = []
+
+        def spy_run_codel(*args, _run_codel=training.run_codel):
+            searches.append(args)
+            return _run_codel(*args)
+
+        monkeypatch.setattr(training, "run_codel", spy_run_codel)
+        _, search, together = train_methods(_TINY_DATA, (5,), METHODS, (3,),
+                                            _TINY_CODEL, _TINY_LS, True)
+        assert len(searches) == 1
+        monkeypatch.undo()
+
+        for method, result in zip(METHODS, together):
+            _, alone_search, (alone,) = train_methods(_TINY_DATA, (5,), (method,), (3,),
+                                                      _TINY_CODEL, _TINY_LS, True)
+            assert alone_search.best_params.tobytes() == search.best_params.tobytes()
+            self._assert_same(result, alone)
+
+    def test_base_runs_equal_one_seed_calls(self):
+        seeds = tuple(range(11, 11 + len(METHODS)))
+        _, search, together = train_methods(_TINY_DATA, seeds, METHODS, (3,),
+                                            _TINY_CODEL, _TINY_LS, False)
+        assert search is None
+        for seed, method, result in zip(seeds, METHODS, together):
+            (alone,) = train_methods(_TINY_DATA, (seed,), (method,), (3,),
+                                     _TINY_CODEL, _TINY_LS, False)[2]
+            self._assert_same(result, alone)
 
 
 class TestGridTask:
@@ -190,9 +230,10 @@ class TestSharedSearch:
             if name.startswith("codel-"):
                 continue
             for f, (train, test) in enumerate(pairs):
-                model = train_variant(train, derive_seed(seed, v, f), hidden, _TINY_CODEL,
-                                      replace(_TINY_LS, method=name), boosted=False)
-                predictions = predict(model.params, model.topology, test.rows)
+                start = named_rng(derive_seed(seed, v, f), "init").uniform(
+                    _TINY_CODEL.lower, _TINY_CODEL.upper, topology.param_count)
+                refined = refine(start, topology, train, replace(_TINY_LS, method=name))
+                predictions = predict(refined.params, topology, test.rows)
                 assert results[name].fold_reports[f] == metrics(
                     confusion_from_predictions(test.labels, predictions))
 
