@@ -102,15 +102,15 @@ def hampel_filter(signal: Signal, half_window: int, n_sigmas: float = 3.0) -> Si
     shrink at the boundaries instead of padding.
 
     Interior samples, whose windows have the full odd width
-    ``2 * half_window + 1``, are handled in bulk: one running median
-    filter gives every window's median, and each MAD is the middle order
-    statistic of the window's absolute deviations, partitioned
-    ``_MAD_CHUNK_ROWS`` windows at a time so the scratch memory stays
-    bounded whatever the signal's length. The ``2 * half_window``
+    ``2 * half_window + 1``, get their medians from one running median
+    filter and their MADs from `_full_window_mad`. The ``2 * half_window``
     samples at the ends, whose shrunk windows can have even length, go
-    through a per-sample loop. Both paths pick the same order statistics
-    as a per-sample ``np.median``, so the output is the same up to the
-    sign of a zero-valued replacement.
+    through `_shrunk_window_stats` together. Both sort at most
+    ``_MAD_CHUNK_ROWS`` windows at a time, so memory stays bounded
+    whatever the signal's length, and both pick the same order
+    statistics as a per-sample ``np.median``, with its arithmetic for an
+    even count. So the output is the same as a per-sample loop's up to
+    the sign of a zero-valued replacement.
     """
     if half_window < 1:
         raise ParameterError("half_window must be >= 1")
@@ -120,30 +120,29 @@ def hampel_filter(signal: Signal, half_window: int, n_sigmas: float = 3.0) -> Si
     from scipy import ndimage
 
     x = signal.samples
-    out = x.copy()
     n = x.size
     width = 2 * half_window + 1
-    scale = n_sigmas * MAD_SCALE
+    med = np.empty(n)
+    mad = np.empty(n)
     if n >= width:
         inner = slice(half_window, n - half_window)
-        med = ndimage.median_filter(x, size=width)[inner]
-        mad = _full_window_mad(x, med, width)
-        outlier = np.abs(x[inner] - med) > scale * mad
-        out[inner][outlier] = med[outlier]
-        edges = (*range(half_window), *range(n - half_window, n))
+        med[inner] = ndimage.median_filter(x, size=width)[inner]
+        mad[inner] = _full_window_mad(x, med[inner], width)
+        edges = np.r_[:half_window, n - half_window:n]
     else:
-        edges = range(n)
-    for i in edges:
-        window = x[max(0, i - half_window): min(n, i + half_window + 1)]
-        med = np.median(window)
-        mad = np.median(np.abs(window - med))
-        if abs(x[i] - med) > scale * mad:
-            out[i] = med
-    return Signal(out, signal.fs)
+        edges = np.arange(n)
+    med[edges], mad[edges] = _shrunk_window_stats(x, edges, half_window)
+    outlier = np.abs(x - med) > n_sigmas * MAD_SCALE * mad
+    return Signal(np.where(outlier, med, x), signal.fs)
 
 
 def _full_window_mad(x: np.ndarray, med: np.ndarray, width: int) -> np.ndarray:
-    """MAD of each full-width window of x, given each window's median."""
+    """MAD of each full-width window of x, given each window's median.
+
+    Each chunk of ``_MAD_CHUNK_ROWS`` windows' absolute deviations is
+    sorted in place and its middle column read: the order statistic
+    that a partition would pick, found faster by numpy's vectorized sort.
+    """
     windows = np.lib.stride_tricks.sliding_window_view(x, width)
     middle = width // 2
     mad = np.empty_like(med)
@@ -153,9 +152,51 @@ def _full_window_mad(x: np.ndarray, med: np.ndarray, width: int) -> np.ndarray:
         dev = scratch[: stop - start]
         np.subtract(windows[start:stop], med[start:stop, None], out=dev)
         np.abs(dev, out=dev)
-        dev.partition(middle, axis=1)
+        dev.sort(axis=1)
         mad[start:stop] = dev[:, middle]
     return mad
+
+
+def _shrunk_window_stats(x: np.ndarray, centers: np.ndarray, half_window: int):
+    """Median and MAD of the window around each of `centers`, cut at the
+    ends of x.
+
+    Each window is a row of the full width, padded with +inf past the
+    ends of x so that, sorted, its samples come first. Rows are sorted
+    ``_MAD_CHUNK_ROWS`` at a time, which bounds the memory even where
+    ``2 * half_window`` rows of that width would not fit. A half window
+    beyond ``x.size - 1`` is cut to it: such windows already hold all of x.
+    """
+    half_window = min(half_window, x.size - 1)
+    pad = np.full(half_window, np.inf)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([pad, x, pad]), 2 * half_window + 1)
+    length = (np.minimum(x.size, centers + half_window + 1)
+              - np.maximum(0, centers - half_window))
+    med = np.empty(centers.size)
+    mad = np.empty(centers.size)
+    for start in range(0, centers.size, _MAD_CHUNK_ROWS):
+        chunk = slice(start, start + _MAD_CHUNK_ROWS)
+        rows = windows[centers[chunk]]
+        rows.sort(axis=1)
+        med[chunk] = _sorted_median(rows, length[chunk])
+        np.subtract(rows, med[chunk, None], out=rows)
+        np.abs(rows, out=rows)
+        rows.sort(axis=1)
+        mad[chunk] = _sorted_median(rows, length[chunk])
+    return med, mad
+
+
+def _sorted_median(rows: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """``np.median`` of the first `length` entries of each sorted row.
+
+    An odd count takes the middle entry; an even count takes
+    ``(lower + upper) / 2``, the arithmetic of ``np.median`` itself.
+    """
+    row = np.arange(len(rows))
+    lower = rows[row, (length - 1) // 2]
+    upper = rows[row, length // 2]
+    return np.where(length % 2 == 1, lower, (lower + upper) / 2)
 
 
 def butterworth_lowpass(signal: Signal, cutoff_hz: float, order: int = 4) -> Signal:

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from codel.errors import ContractError, ParameterError, ShapeError
+from codel.io import read_table
 from codel.local_search import GRAD_TOL, LocalSearchConfig
 from codel.mlp import (
     Dataset,
@@ -277,6 +278,19 @@ def sigmoid_reference(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+# ------------------------------------------------------------------
+# A single-column file, one list of cells per row
+# ------------------------------------------------------------------
+
+def read_column_reference(path, name):
+    """The values under a one-cell `name` header, parsed row by row from
+    `read_table`'s lists of cells."""
+    header, rows, _ = read_table(path)
+    if header != [name]:
+        raise ParameterError(f"{path}: expected header {name!r}")
+    return np.array([float(row[0]) for row in rows])
 
 
 # ------------------------------------------------------------------

@@ -46,17 +46,18 @@ def _write_table(path, rows, labels) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _raw_signal(rng) -> np.ndarray:
-    """40 s of a pulse wave at 100 Hz with downward spikes in the troughs.
+def _raw_signal(rng, fs=FS_HZ, beats=44, spikes=12) -> np.ndarray:
+    """A pulse wave at fs with downward spikes in the troughs.
 
-    At the default half window of fs / 2 the Hampel window is 101 samples
-    wide, so most of the 4,000 samples are interior ones, and the spikes
-    give the filter something to repair.
+    The defaults give 40 s at 100 Hz: at the default half window of
+    fs / 2 the Hampel window is 101 samples wide, so most of the 4,000
+    samples are interior ones, and the spikes give the filter something
+    to repair. The record lasts 40 s for every 44 beats.
     """
-    rr_ms = rng.uniform(800.0, 1000.0, 44)
+    rr_ms = rng.uniform(800.0, 1000.0, beats)
     beats_ms = 500.0 + np.concatenate([[0.0], np.cumsum(rr_ms)])
-    n = int(40.0 * FS_HZ)
-    t_ms = np.arange(n) * 1000.0 / FS_HZ
+    n = int(beats / 44 * 40.0 * fs)
+    t_ms = np.arange(n) * 1000.0 / fs
     cycle = np.searchsorted(beats_ms, t_ms, side="right") - 1
     cycle = np.clip(cycle, 0, rr_ms.size - 1)
     since = t_ms - beats_ms[cycle]
@@ -65,8 +66,8 @@ def _raw_signal(rng) -> np.ndarray:
     samples += rng.normal(0.0, 0.03, n)
     trough = np.flatnonzero((np.abs(phase - np.pi) < 0.6)
                             & (t_ms > 2000.0) & (t_ms < t_ms[-1] - 2000.0))
-    spikes = rng.choice(trough, size=12, replace=False)
-    samples[spikes] -= rng.uniform(3.0, 5.0, spikes.size)
+    spiked = rng.choice(trough, size=spikes, replace=False)
+    samples[spiked] -= rng.uniform(3.0, 5.0, spiked.size)
     return samples
 
 
@@ -92,6 +93,12 @@ def _inputs(case: str) -> None:
     rng = np.random.default_rng([20230504, *case.encode()])
     if case == "extract-signal":
         _write_column("signal.csv", "sample", _raw_signal(rng))
+    elif case == "extract-signal-250hz":
+        # 180 s at 250 Hz: the default half window is 125, so the 45,000
+        # samples span many MAD chunks and the edge windows take both
+        # odd and even lengths.
+        _write_column("signal.csv", "sample",
+                      _raw_signal(rng, fs=250.0, beats=198, spikes=54))
     elif case == "extract-rr":
         _write_column("rr.csv", "rr_ms", rng.uniform(700.0, 1100.0, 120))
     elif case == "compare-tables":
@@ -103,6 +110,8 @@ def _inputs(case: str) -> None:
 CASES = {
     "extract-signal": ["extract", "--signal-csv", "signal.csv", "--fs", "100",
                        "--seed", "1", "--out-dir", "out"],
+    "extract-signal-250hz": ["extract", "--signal-csv", "signal.csv",
+                             "--fs", "250", "--seed", "1", "--out-dir", "out"],
     "extract-rr": ["extract", "--rr-csv", "rr.csv", "--label", "1",
                    "--seed", "1", "--out-dir", "out"],
     "train": ["train", "--features-csv", "features.csv", "--seed", "3",

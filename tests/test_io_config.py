@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from codel.config import ALIASES, RunConfig, parse_config
 from codel.errors import ParameterError
@@ -21,6 +23,8 @@ from codel.local_search import LocalSearchConfig
 from codel.mlp import MlpTopology
 from codel.optimizer import CodelConfig
 from codel.streams import derive_seed, named_rng
+
+from oracles import read_column_reference
 
 
 def _record(offset: float = 0.0) -> FeatureRecord:
@@ -108,6 +112,35 @@ class TestSignalAndRrReaders:
         write_table(path, ["rr_ms"], [])
         with pytest.raises(ParameterError):
             read_rr_csv(path)
+
+    @given(values=st.lists(st.one_of(
+               st.sampled_from([0.0, -0.0, 5e-324, -5e-324,
+                                1.7976931348623157e308, -1.7976931348623157e308]),
+               st.floats(allow_nan=False, allow_infinity=False)), min_size=1),
+           extra=st.lists(st.tuples(st.integers(0, 10**6),
+                                    st.sampled_from(["", " ", "\t", "  \t ",
+                                                     "#", "# note", "#1.0,2.0"]))))
+    @example(values=[-0.0, 5e-324, -1.7976931348623157e308], extra=[(2, "  "), (3, "# x")])
+    def test_round_trip_matches_row_by_row_reader(self, tmp_path_factory, values, extra):
+        """Comments and blank or whitespace-only lines anywhere in the body
+        are skipped, and every value comes back bit for bit."""
+        path = tmp_path_factory.mktemp("column") / "column.csv"
+        for name, reader in (("sample", read_signal_csv), ("rr_ms", read_rr_csv)):
+            write_table(path, [name], [[v] for v in values])
+            lines = path.read_text().splitlines()
+            for position, line in extra:
+                lines.insert(position % (len(lines) + 1), line)
+            path.write_text("\n".join(lines) + "\n")
+            got = reader(path)
+            assert got.dtype == np.float64
+            assert got.tobytes() == read_column_reference(path, name).tobytes()
+            assert got.tobytes() == np.array(values, dtype=float).tobytes()
+
+    def test_two_cell_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        path.write_text("sample\n1.0\n\n1.0,2.0\n3.0\n")
+        with pytest.raises(ParameterError, match="sig.csv: line 4: ragged row of 2 cells"):
+            read_signal_csv(path)
 
 
 class TestFeaturesCsv:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import codel.signal
 from codel.datasets import synthetic_heartbeat, synthetic_pulse_train
 from codel.errors import InsufficientDataError, ParameterError
 from codel.signal import (
@@ -101,6 +104,27 @@ class TestHampelFilter:
             if x[i] == np.median(window):
                 assert out.samples[i] == x[i]
 
+    @pytest.mark.parametrize("half_window, n", [(2000, 4011), (10**6, 5)])
+    def test_scratch_memory_is_bounded(self, half_window, n):
+        """Windows are sorted a chunk at a time and are never wider than
+        the signal needs. All 4,000 end windows of width 4,001 at once
+        would take 128 MB; a million-sample half window padded in full
+        would take 80 MB on a 5-sample signal."""
+        # Imported before tracing starts, so the import is not counted
+        # as the filter's memory.
+        from scipy import ndimage  # noqa: F401
+
+        x = np.sin(np.arange(n) / 7.0)
+        x[n // 2] += 50.0
+        tracemalloc.start()
+        try:
+            out = hampel_filter(Signal(x, 100.0), half_window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        assert np.array_equal(out.samples, hampel_reference(x, half_window))
+
     def test_parameter_validation(self):
         sig = Signal(np.ones(10), 10.0)
         with pytest.raises(ParameterError):
@@ -150,6 +174,9 @@ class TestHampelMatchesReference:
     @example((np.array([1.0, 1.0, 1.0, 100.0]), 1, 3.0))
     @example((np.array([2.0, 5.0, 5.0, 5.0, 2.0, 2.0]), 2, 1.0))
     @example((np.array([0.0, 2.0, 1.0, 0.0, 2.0, 1.0]), 1, UNIT_THRESHOLD))
+    # The repair is the mean of two subnormal middle values, which halving
+    # each before adding would round to zero.
+    @example((np.array([5e-324, 100.0, 5e-324, 5e-324]), 2, 3.0))
     def test_bit_identical_to_per_sample_loop(self, case):
         x, half_window, n_sigmas = case
         out = hampel_filter(Signal(x, 100.0), half_window, n_sigmas)
@@ -164,6 +191,59 @@ class TestHampelMatchesReference:
         out = hampel_filter(Signal(x, 100.0), half_window=50)
         assert np.array_equal(out.samples, hampel_reference(x, 50))
         assert np.sum(out.samples != x) >= 40
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 1602])
+    def test_long_window(self, extra):
+        """A 801-sample window, on signals one sample shorter than it, as
+        long, one longer and three times as long."""
+        half_window = 400
+        n = 2 * half_window + 1 + extra
+        rng = np.random.default_rng(n)
+        x = np.round(np.sin(np.arange(n) / 40.0) + rng.normal(0, 0.2, n), 1)
+        x[rng.choice(n, 12, replace=False)] += rng.choice([-8.0, 8.0], 12)
+        out = hampel_filter(Signal(x, 100.0), half_window)
+        assert np.array_equal(out.samples, hampel_reference(x, half_window))
+        assert np.any(out.samples != x)
+
+    def test_signed_zeros(self, monkeypatch):
+        """Replacements whose median is zero may differ from the per-sample
+        loop's in the sign of that zero, and only there; the beats and
+        intervals read from either output are the same, and so are those
+        of the whole chain with the per-sample loop in the filter's place."""
+        sig, _ = synthetic_heartbeat(np.full(12, 1000.0), fs=100.0, noise_std=0.0)
+        x = sig.samples.copy()
+        rng = np.random.default_rng(1)
+        spikes = []
+        for start in (0, 530, x.size - 70):
+            x[start:start + 70] = rng.choice([0.0, -0.0], 70)
+            spikes.extend(start + rng.choice(70, 4, replace=False))
+        x[spikes] = rng.choice([-5.0, 5.0], len(spikes))
+        out = hampel_filter(Signal(x, 100.0), half_window=50).samples
+        ref = hampel_reference(x, 50)
+        assert np.array_equal(out, ref)
+        assert np.all(out[spikes] == 0.0)
+        sign_differs = np.signbit(out) != np.signbit(ref)
+        assert np.all(out[sign_differs] == 0.0)
+        peaks = detect_r_peaks(Signal(out, 100.0))
+        ref_peaks = detect_r_peaks(Signal(ref, 100.0))
+        np.testing.assert_array_equal(peaks, ref_peaks)
+        np.testing.assert_array_equal(rr_from_peaks(peaks, 100.0).intervals,
+                                      rr_from_peaks(ref_peaks, 100.0).intervals)
+        intervals = signal_to_rr(Signal(x, 100.0)).intervals
+        monkeypatch.setattr(codel.signal, "hampel_filter", lambda sig, half_window, n_sigmas:
+                            Signal(hampel_reference(sig.samples, half_window, n_sigmas), sig.fs))
+        np.testing.assert_array_equal(signal_to_rr(Signal(x, 100.0)).intervals, intervals)
+
+
+class TestHampelMatchesReferenceInSmallChunks(TestHampelMatchesReference):
+    """The same cases with windows sorted 1 and 3 at a time, so that both
+    the interior chunks and the edge chunks split unevenly."""
+
+    @pytest.fixture(scope="class", autouse=True, params=[1, 3])
+    def chunk_rows(self, request):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codel.signal, "_MAD_CHUNK_ROWS", request.param)
+            yield request.param
 
 
 class TestButterworthLowpass:
