@@ -1,12 +1,15 @@
 """Command-line entry points: extract, train, evaluate, compare-tables.
 
-Every run requires a seed and echoes its fully resolved configuration
-into each output file as leading comment lines, so outputs are
-reproducible byte-for-byte from their own headers. `train` is the
-boosted form of `training.train_methods` for the configured method,
-and `evaluate` is its cross-validation grid. Outputs land under
---out-dir, and any directory an output path names is created on
-demand. Exit status is 0 only when every requested output was written.
+Every run requires a seed. A command computes its output tables and
+returns them, with the comment lines that name its inputs; it writes
+nothing. `main` then writes every table in one loop, under --out-dir,
+creating any directory an output path names. Every file starts with
+the same run comment block: the command, its inputs and the fully
+resolved configuration, so outputs are reproducible byte-for-byte from
+their own headers, and a command that fails writes no file. `train` is
+the boosted form of `training.train_methods` for the configured method,
+and `evaluate` is its cross-validation grid. Exit status is 0 only when
+every requested output was written.
 """
 
 import argparse
@@ -17,17 +20,17 @@ from pathlib import Path
 import numpy as np
 
 from .config import ALIASES, RunConfig, parse_config
-from .errors import CodelError, ParameterError
+from .errors import CodelError, InsufficientDataError, ParameterError
 from .evaluation import METRIC_NAMES
 from .hrv import extract_features
 from .io import (
+    Table,
+    features_table,
     read_features_csv,
     read_rr_csv,
     read_signal_csv,
     read_table,
-    write_features_csv,
-    write_table,
-    write_weights_csv,
+    weights_table,
 )
 from .signal import RrSeries, Signal, signal_to_rr
 from .training import VARIANT_NAMES, build_comparison, evaluate_grid, train_methods
@@ -46,122 +49,81 @@ def _resolve_config(args):
     return parse_config(args.config, **knobs)
 
 
-def _out_path(args, name) -> Path:
-    """`name` under --out-dir (an absolute name stands alone), with its
-    directory created on demand."""
-    path = Path(args.out_dir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def cmd_extract(args) -> None:
-    config = _resolve_config(args)
+def cmd_extract(args, config):
     if not args.signal_csv and not args.rr_csv:
         raise ParameterError("extract needs --signal-csv or --rr-csv input files")
     if args.signal_csv and args.fs is None:
         raise ParameterError("raw signal input needs --fs")
 
     records = []
-    inputs = []
     for path in args.signal_csv or ():
         samples = read_signal_csv(path)
-        rr = signal_to_rr(Signal(samples, args.fs))
-        records.append(extract_features(rr))
-        inputs.append(str(path))
+        # `breathing_rate` needs 10 s. This is checked before any filter
+        # runs, as peak detection's scratch grows with fs, not with length.
+        if samples.size < 10 * args.fs:
+            raise InsufficientDataError(f"{path}: {samples.size} samples at {args.fs:g} Hz "
+                                        f"span {samples.size / args.fs:g} s, under 10 s")
+        records.append(extract_features(signal_to_rr(Signal(samples, args.fs))))
     for path in args.rr_csv or ():
-        rr = RrSeries(read_rr_csv(path))
-        records.append(extract_features(rr))
-        inputs.append(str(path))
+        records.append(extract_features(RrSeries(read_rr_csv(path))))
 
-    comments = [
-        "command=extract",
-        f"inputs={';'.join(inputs)}",
-        f"fs={args.fs}",
-        f"label={args.label}",
-    ] + config.manifest_lines()
-    write_features_csv(_out_path(args, args.out_csv), records,
-                       [args.label] * len(records), comments)
+    inputs = [*(args.signal_csv or ()), *(args.rr_csv or ())]
+    lines = [f"inputs={';'.join(inputs)}", f"fs={args.fs}", f"label={args.label}"]
+    return lines, {args.out_csv: features_table(records, [args.label] * len(records))}
 
 
-def cmd_train(args) -> None:
-    config = _resolve_config(args)
+def cmd_train(args, config):
     dataset = read_features_csv(args.features_csv)
     topology, search, (refined,) = train_methods(
         dataset, (config.seed,), (config.method,), config.hidden,
         config.codel_config(), config.local_search_config(), boosted=True,
-    )
-    comments = [
-        "command=train",
-        f"input={args.features_csv}",
-    ] + config.manifest_lines()
-
-    write_weights_csv(_out_path(args, "weights.csv"), refined.params, topology, comments)
-    write_table(
-        _out_path(args, "search_history.csv"),
-        ["iteration", "nfe", "best_fitness"],
-        [[i, int(nfe), float(best)]
-         for i, (nfe, best) in enumerate(zip(search.nfe_history, search.history), 1)],
-        comments,
-    )
-    write_table(
-        _out_path(args, "refine_history.csv"),
-        ["epoch", "mse", "classification_error"],
-        [[i, float(loss), float(error)]
-         for i, (loss, error) in enumerate(zip(refined.loss_history, refined.error_history), 1)],
-        comments,
     )
     # A cell holds no comma, so multi-layer sizes are joined by a space.
     manifest_rows = [[key, value.replace(",", " ")] for key, value in
                      (line.split("=", 1) for line in config.manifest_lines())]
     manifest_rows.append(["nfe_used", search.nfe])
     manifest_rows.append(["final_train_error", float(refined.final_train_error)])
-    write_table(_out_path(args, "manifest.csv"), ["key", "value"],
-                manifest_rows, comments)
+    return [f"input={args.features_csv}"], {
+        "weights.csv": weights_table(refined.params, topology),
+        "search_history.csv": Table(
+            ["iteration", "nfe", "best_fitness"],
+            [[i, int(nfe), float(best)]
+             for i, (nfe, best) in enumerate(zip(search.nfe_history, search.history), 1)],
+        ),
+        "refine_history.csv": Table(
+            ["epoch", "mse", "classification_error"],
+            [[i, float(loss), float(error)]
+             for i, (loss, error) in enumerate(zip(refined.loss_history, refined.error_history), 1)],
+        ),
+        "manifest.csv": Table(["key", "value"], manifest_rows),
+    }
 
 
-def _write_comparison(args, comparison, comments) -> None:
-    write_table(
-        _out_path(args, "mean_rank.csv"),
-        ["algorithm", "mean_rank"],
-        [
-            [name, float(comparison.mean_ranks[i])]
-            for i, name in enumerate(comparison.names)
-        ],
-        comments,
-    )
-    write_table(
-        _out_path(args, "wtl.csv"),
-        ["metric", "wins", "ties", "losses"],
-        [
-            [metric, *comparison.wtl_per_metric[metric]]
-            for metric in METRIC_NAMES
-        ],
-        comments,
-    )
-    write_table(
-        _out_path(args, "ee.csv"),
-        ["algorithm", *METRIC_NAMES],
-        [
-            [boosted] + [float(v) for v in comparison.ee_table[p]]
-            for p, (_, boosted) in enumerate(comparison.pairs)
-        ],
-        comments,
-    )
-    write_table(
-        _out_path(args, "ranks.csv"),
-        ["algorithm", *[f"rank_{m}" for m in METRIC_NAMES], "mean_rank"],
-        [
-            [name]
-            + [float(comparison.ranks[i, j]) for j in range(len(METRIC_NAMES))]
-            + [float(comparison.mean_ranks[i])]
-            for i, name in enumerate(comparison.names)
-        ],
-        comments,
-    )
+def _comparison_tables(comparison) -> dict:
+    """The four derived tables: mean ranks, W/T/L, error enhancement, ranks."""
+    return {
+        "mean_rank.csv": Table(
+            ["algorithm", "mean_rank"],
+            [[name, float(r)] for name, r in zip(comparison.names, comparison.mean_ranks)],
+        ),
+        "wtl.csv": Table(
+            ["metric", "wins", "ties", "losses"],
+            [[metric, *comparison.wtl_per_metric[metric]] for metric in METRIC_NAMES],
+        ),
+        "ee.csv": Table(
+            ["algorithm", *METRIC_NAMES],
+            [[boosted] + [float(v) for v in comparison.ee_table[p]]
+             for p, (_, boosted) in enumerate(comparison.pairs)],
+        ),
+        "ranks.csv": Table(
+            ["algorithm", *[f"rank_{m}" for m in METRIC_NAMES], "mean_rank"],
+            [[name, *(float(r) for r in ranks), float(mean_rank)] for name, ranks, mean_rank
+             in zip(comparison.names, comparison.ranks, comparison.mean_ranks)],
+        ),
+    }
 
 
-def cmd_evaluate(args) -> None:
-    config = _resolve_config(args)
+def cmd_evaluate(args, config):
     dataset = read_features_csv(args.features_csv)
     results = evaluate_grid(
         dataset, config.folds, config.seed, config.hidden,
@@ -173,34 +135,23 @@ def cmd_evaluate(args) -> None:
         for name in VARIANT_NAMES
     ])
     comparison = build_comparison(VARIANT_NAMES, means_pct)
-    comments = [
-        "command=evaluate",
-        f"input={args.features_csv}",
-    ] + config.manifest_lines()
 
-    _write_comparison(args, comparison, comments)
+    tables = _comparison_tables(comparison)
     for j, metric in enumerate(METRIC_NAMES):
-        w, t, l = comparison.wtl_per_metric[metric]
         rows = []
         for i, name in enumerate(VARIANT_NAMES):
             s = results[name].summaries[metric]
-            rows.append([
-                name,
-                s.mean * 100.0, s.std * 100.0, s.min * 100.0,
-                s.max * 100.0, s.median * 100.0,
-                float(comparison.ranks[i, j]),
-                comparison.outcomes[name][j] if name in comparison.outcomes else "",
-            ])
-        write_table(
-            _out_path(args, f"{metric}.csv"),
+            rows.append([name, *(v * 100.0 for v in (s.mean, s.std, s.min, s.max, s.median)),
+                         float(comparison.ranks[i, j]),
+                         comparison.outcomes[name][j] if name in comparison.outcomes else ""])
+        wtl = "/".join(str(n) for n in comparison.wtl_per_metric[metric])
+        tables[f"{metric}.csv"] = Table(
             ["algorithm", "mean", "std", "min", "max", "median", "rank", "wtl"],
-            rows,
-            comments + [f"wtl={w}/{t}/{l}"],
-        )
+            rows, last=(f"wtl={wtl}",))
+    return [f"input={args.features_csv}"], tables
 
 
-def cmd_compare_tables(args) -> None:
-    config = _resolve_config(args)
+def cmd_compare_tables(args, config):
     header, rows, _ = read_table(args.means_csv)
     if header != ["algorithm", *METRIC_NAMES]:
         raise ParameterError(
@@ -214,11 +165,7 @@ def cmd_compare_tables(args) -> None:
     except ValueError as exc:
         raise ParameterError(f"{args.means_csv}: non-numeric value ({exc})") from None
     comparison = build_comparison(names, means_pct)
-    comments = [
-        "command=compare-tables",
-        f"input={args.means_csv}",
-    ] + config.manifest_lines()
-    _write_comparison(args, comparison, comments)
+    return [f"input={args.means_csv}"], _comparison_tables(comparison)
 
 
 def _add_common(parser) -> None:
@@ -287,7 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        config = _resolve_config(args)
+        lines, tables = args.func(args, config)
+        # Every table is computed before the first file is written.
+        run_block = [f"command={args.command}", *lines, *config.manifest_lines()]
+        for name, table in tables.items():
+            path = Path(args.out_dir) / name  # an absolute name stands alone
+            path.parent.mkdir(parents=True, exist_ok=True)
+            table.write(path, run_block)
     except (CodelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,7 +4,9 @@ One dialect everywhere: comma separators, '.' decimal point, one header
 row, LF line endings. Lines starting with '#' before the header carry
 the resolved run configuration, so any output can be traced back to the
 exact settings and seed that produced it. Floats are written with repr,
-which round-trips exactly and keeps reruns byte-identical.
+which round-trips exactly and keeps reruns byte-identical. A `Table`
+is one file's content; `features_table` and `weights_table` own those
+two formats.
 
 `_scan` owns the line rules: blank lines, comments, the header and
 ragged rows. The single-column readers parse its lines with `float`
@@ -26,11 +28,14 @@ from .mlp import Dataset, MlpTopology
 __all__ = [
     "format_value",
     "write_table",
+    "Table",
     "read_table",
     "read_signal_csv",
     "read_rr_csv",
+    "features_table",
     "write_features_csv",
     "read_features_csv",
+    "weights_table",
     "write_weights_csv",
     "read_weights_csv",
 ]
@@ -53,6 +58,17 @@ def write_table(path, header, rows, comments=()) -> None:
     for row in rows:
         lines.append(",".join(format_value(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+class Table:
+    """One CSV file's header and rows, with the table's own comment
+    lines: `first` goes before the caller's comments, `last` after."""
+
+    def __init__(self, header, rows, first=(), last=()):
+        self.header, self.rows, self.first, self.last = header, rows, first, last
+
+    def write(self, path, comments) -> None:
+        write_table(path, self.header, self.rows, [*self.first, *comments, *self.last])
 
 
 def _scan(path):
@@ -124,16 +140,16 @@ def read_rr_csv(path) -> np.ndarray:
     return _read_single_column(path, "rr_ms")
 
 
-def write_features_csv(path, records, labels, comments=()) -> None:
+def features_table(records, labels) -> Table:
     """Feature matrix: the 13 named features plus a label column."""
     if len(records) != len(labels):
         raise ParameterError("need one label per feature record")
-    header = list(FEATURE_NAMES) + ["label"]
-    rows = [
-        list(rec.as_vector()) + [int(label)]
-        for rec, label in zip(records, labels)
-    ]
-    write_table(path, header, rows, comments)
+    rows = [list(rec.as_vector()) + [int(label)] for rec, label in zip(records, labels)]
+    return Table(list(FEATURE_NAMES) + ["label"], rows)
+
+
+def write_features_csv(path, records, labels, comments=()) -> None:
+    features_table(records, labels).write(path, comments)
 
 
 def read_features_csv(path) -> Dataset:
@@ -159,12 +175,14 @@ def read_features_csv(path) -> Dataset:
     return Dataset(matrix[:, :-1], labels.astype(int))
 
 
-def write_weights_csv(path, params, topology: MlpTopology, comments=()) -> None:
+def weights_table(params, topology: MlpTopology) -> Table:
     """Flat weight vector, one value per line, topology recorded up top."""
-    all_comments = [
-        "topology=" + ",".join(str(s) for s in topology.layer_sizes)
-    ] + list(comments)
-    write_table(path, ["weight"], [[float(v)] for v in params], all_comments)
+    topology_line = "topology=" + ",".join(str(s) for s in topology.layer_sizes)
+    return Table(["weight"], [[float(v)] for v in params], first=(topology_line,))
+
+
+def write_weights_csv(path, params, topology: MlpTopology, comments=()) -> None:
+    weights_table(params, topology).write(path, comments)
 
 
 def read_weights_csv(path):

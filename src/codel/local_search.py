@@ -235,30 +235,12 @@ def _cgpr(w, loss, grad, config):
 _METHODS = {"rp": _rp, "oss": _oss, "gd": _gd, "gdm": _gdm, "gda": _gda, "cgpr": _cgpr}
 
 
-class _BestTracker:
-    """Keeps the iterate with the lowest classification error, MSE tiebreak."""
-
-    def __init__(self, params, error, loss):
-        self.params = np.array(params, dtype=float)
-        self.error = error
-        self.loss = loss
-
-    def offer(self, params, error, loss) -> bool:
-        """Record params if better; True when classification error dropped."""
-        improved_error = error < self.error
-        if improved_error or (error == self.error and loss < self.loss):
-            self.params = np.array(params, dtype=float)
-            self.error = error
-            self.loss = loss
-        return improved_error
-
-
 def _run(w, config: LocalSearchConfig):
     """One refinement run as a generator: it yields each point it needs
     evaluated, starting with w, is sent that point's (loss, grad, error),
     and returns the RefineResult."""
     loss, grad, error = yield w
-    best = _BestTracker(w, error, loss)
+    best_w, best_error, best_loss = w, error, loss
     loss_history = [loss]
     error_history = [error]
 
@@ -281,17 +263,18 @@ def _run(w, config: LocalSearchConfig):
             w, (loss, grad, error) = point, evaluated
         loss_history.append(loss)
         error_history.append(error)
-        if best.offer(w, error, loss):
-            stale_epochs = 0
-        else:
-            stale_epochs += 1
-            if stale_epochs >= config.patience:
-                stop_reason = "patience"
-                break
+        # Only a drop in error resets the patience count; the best
+        # iterate is the lowest error, with the lower MSE on a tie.
+        stale_epochs = 0 if error < best_error else stale_epochs + 1
+        if error < best_error or (error == best_error and loss < best_loss):
+            best_w, best_error, best_loss = w, error, loss
+        if stale_epochs >= config.patience:
+            stop_reason = "patience"
+            break
 
     return RefineResult(
-        params=best.params,
-        final_train_error=best.error,
+        params=best_w.copy(),
+        final_train_error=best_error,
         loss_history=np.array(loss_history),
         error_history=np.array(error_history),
         stop_reason=stop_reason,

@@ -48,10 +48,6 @@ class MlpTopology:
     def n_in(self) -> int:
         return self.layer_sizes[0]
 
-    @property
-    def n_out(self) -> int:
-        return self.layer_sizes[-1]
-
     @cached_property
     def param_count(self) -> int:
         sizes = self.layer_sizes
@@ -89,9 +85,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.rows.shape[1]
-
-    def subset(self, idx) -> "Dataset":
-        return Dataset(self.rows[idx], self.labels[idx])
 
 
 def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:

@@ -51,8 +51,8 @@ class Signal:
             raise ParameterError("signal must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(samples)):
             raise ParameterError("signal contains non-finite samples")
-        if not (self.fs > 0):
-            raise ParameterError(f"sampling rate must be positive, got {self.fs}")
+        if not (0 < self.fs < np.inf):
+            raise ParameterError(f"sampling rate must be positive and finite, got {self.fs}")
         object.__setattr__(self, "samples", samples)
 
     def __len__(self):

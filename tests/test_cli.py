@@ -148,6 +148,27 @@ class TestExtract:
         assert err.startswith("error: ") and "f.csv" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fs, span", [("inf", "0 s"), ("1e9", "3e-06 s"), ("400", "7.5 s")])
+    def test_unusable_rate_or_short_record_fails_before_any_filter(
+            self, tmp_path, capsys, monkeypatch, fs, span):
+        """3,000 samples are under 10 s at these rates. The record is
+        rejected, naming the file and its span, before `signal_to_rr`
+        runs: at fs = 1e9 its peak detection would allocate gigabytes."""
+        def spy(*args, **kwargs):
+            raise AssertionError("signal_to_rr ran")
+
+        monkeypatch.setattr(codel.cli, "signal_to_rr", spy)
+        sig = tmp_path / "short.csv"
+        write_table(sig, ["sample"], [[float(v)] for v in np.sin(np.arange(3000.0))])
+        out_dir = tmp_path / "out"
+        rc = main(["extract", "--signal-csv", str(sig), "--fs", fs, "--seed", "1",
+                   "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "short.csv" in err and span in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_out_csv_directory_is_created(self, tmp_path, monkeypatch):
         """A missing parent of --out-csv is made, whether the path is
         relative (to --out-dir or the working directory) or absolute."""
@@ -353,6 +374,24 @@ class TestCompareTables:
         write_table(means, ["algorithm", *METRIC_NAMES], [])
         assert main(["compare-tables", "--means-csv", str(means),
                      "--seed", "1", "--out-dir", str(tmp_path / "out")]) == 2
+
+
+class TestFailureWritesNothing:
+    """Every table is computed before the first file is written, so a
+    command that fails leaves --out-dir as it was."""
+
+    @pytest.mark.parametrize("command, flag, header, row", [
+        ("compare-tables", "--means-csv", ["algorithm", "acc"], ["rp", 70.0]),
+        ("train", "--features-csv", ["a", "label"], [0.0, 2]),
+    ])
+    def test_out_dir_stays_empty(self, tmp_path, command, flag, header, row):
+        source = tmp_path / "in.csv"
+        write_table(source, header, [row])
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        assert main([command, flag, str(source), "--seed", "1",
+                     "--out-dir", str(out_dir)]) == 2
+        assert list(out_dir.iterdir()) == []
 
 
 class TestConfigResolution:

@@ -232,10 +232,10 @@ class TestClassificationError:
                     == classification_error(scaled, topo, data))
 
     def test_empty_dataset_unconstructible(self):
-        """The empty case is cut off at the type: subset([]) cannot build."""
+        """The empty case is cut off at the type: no rows cannot build."""
         data = Dataset(np.zeros((2, 2)), [0, 1])
         with pytest.raises(ShapeError):
-            data.subset([])
+            Dataset(data.rows[[]], data.labels[[]])
 
 
 # Output pre-activations where sigmoid(z) >= 0.5 and z >= 0 can disagree:
@@ -471,10 +471,3 @@ class TestContainers:
             Dataset([[0.0], [1.0]], [0, 1, 1])
         with pytest.raises(ParameterError):
             Dataset([[np.nan], [1.0]], [0, 1])
-
-    def test_dataset_subset(self):
-        data = Dataset([[0.0], [1.0], [2.0]], [0, 1, 0])
-        sub = data.subset([2, 0])
-        np.testing.assert_array_equal(sub.rows, [[2.0], [0.0]])
-        np.testing.assert_array_equal(sub.labels, [0, 0])
-        assert sub.n_features == 1

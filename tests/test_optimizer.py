@@ -387,6 +387,17 @@ class TestKmeans:
                 assert sse <= previous + 1e-9
                 previous = sse
 
+    def test_empty_cluster_is_reseeded(self):
+        """Six points on two values with k = 3: two centers start on the
+        same value, one cluster comes out empty and must be reseeded."""
+        points = np.array([[0.0], [0.0], [0.0], [5.0], [5.0], [5.0]])
+        for seed in range(10):
+            centers, assignments = kmeans(points, 3, np.random.default_rng(seed))
+            for c in range(3):
+                members = points[assignments == c]
+                assert len(members) > 0
+                np.testing.assert_array_equal(centers[c], members.mean(axis=0))
+
     def test_final_assignments_are_nearest_center(self):
         rng = np.random.default_rng(21)
         points = rng.uniform(-5, 5, (30, 2))

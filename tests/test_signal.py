@@ -38,6 +38,11 @@ class TestSignalTypes:
         with pytest.raises(ParameterError):
             Signal(np.ones(5), 0.0)
 
+    @pytest.mark.parametrize("fs", [np.inf, -np.inf, np.nan])
+    def test_signal_rejects_nonfinite_rate(self, fs):
+        with pytest.raises(ParameterError, match="sampling rate"):
+            Signal(np.ones(5), fs)
+
     def test_rr_series_rejects_nonpositive_intervals(self):
         with pytest.raises(ParameterError):
             RrSeries(np.array([800.0, 0.0, 900.0]))

@@ -293,7 +293,8 @@ class TestEvaluateGrid:
 
     def test_single_class_rejected(self):
         data = two_gaussian_dataset(6, 2, 1.0, seed=0)
-        bad = data.subset(np.flatnonzero(data.labels == 1))
+        ones = np.flatnonzero(data.labels == 1)
+        bad = Dataset(data.rows[ones], data.labels[ones])
         with pytest.raises(ParameterError):
             evaluate_grid(bad, 2, 0, (3,), _TINY_CODEL, _TINY_LS)
 
