@@ -13,7 +13,6 @@ from .streams import named_rng
 __all__ = [
     "xor_dataset",
     "two_gaussian_dataset",
-    "synthetic_pulse_train",
     "synthetic_heartbeat",
     "modulated_rr",
 ]
@@ -42,27 +41,6 @@ def two_gaussian_dataset(n_per_class: int = 500, n_features: int = 13,
     labels = np.concatenate([np.zeros(n_per_class, dtype=int),
                              np.ones(n_per_class, dtype=int)])
     return Dataset(rows, labels)
-
-
-def synthetic_pulse_train(duration_s: float = 30.0, fs: float = 100.0,
-                          beat_interval_s: float = 1.0, pulse_width_s: float = 0.03,
-                          noise_std: float = 0.0, seed: int = 0):
-    """A train of Gaussian bumps at known beat positions, plus noise.
-
-    Returns:
-        (Signal, true peak indices) so detector tests can compare
-        against ground truth.
-    """
-    n = int(round(duration_s * fs))
-    t = np.arange(n) / fs
-    step = int(round(beat_interval_s * fs))
-    peak_indices = np.arange(step, n - step // 2, step)
-    samples = np.zeros(n)
-    for idx in peak_indices:
-        samples += np.exp(-0.5 * ((t - idx / fs) / pulse_width_s) ** 2)
-    if noise_std > 0:
-        samples = samples + named_rng(seed, "pulse-noise").normal(0, noise_std, n)
-    return Signal(samples, fs), peak_indices
 
 
 def synthetic_heartbeat(rr_ms, fs: float = 100.0, noise_std: float = 0.01,

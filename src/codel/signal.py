@@ -34,7 +34,7 @@ MAD_SCALE = 1.4826
 # Minimum spacing between accepted beats, in seconds.
 REFRACTORY_S = 0.3
 
-# Windows whose absolute deviations the Hampel filter partitions at once.
+# Rows of window samples or deviations that the Hampel filter sorts at once.
 _MAD_CHUNK_ROWS = 256
 
 
@@ -101,16 +101,13 @@ def hampel_filter(signal: Signal, half_window: int, n_sigmas: float = 3.0) -> Si
     surrounding window exceeds ``n_sigmas * 1.4826 * MAD``. Windows
     shrink at the boundaries instead of padding.
 
-    Interior samples, whose windows have the full odd width
-    ``2 * half_window + 1``, get their medians from one running median
-    filter and their MADs from `_full_window_mad`. The ``2 * half_window``
-    samples at the ends, whose shrunk windows can have even length, go
-    through `_shrunk_window_stats` together. Both sort at most
-    ``_MAD_CHUNK_ROWS`` windows at a time, so memory stays bounded
-    whatever the signal's length, and both pick the same order
-    statistics as a per-sample ``np.median``, with its arithmetic for an
-    even count. So the output is the same as a per-sample loop's up to
-    the sign of a zero-valued replacement.
+    Each sample's window is a row of one sliding view over x, padded with
+    +inf so that its own samples sort first. A running median filter
+    gives the full-width medians; `_window_medians` gives the shrunk end
+    windows' medians and every MAD, sorting ``_MAD_CHUNK_ROWS`` rows at a
+    time so memory stays bounded. Its order statistics and even-count
+    arithmetic are ``np.median``'s, so the output is a per-sample loop's
+    up to the sign of a zero-valued replacement.
     """
     if half_window < 1:
         raise ParameterError("half_window must be >= 1")
@@ -121,82 +118,47 @@ def hampel_filter(signal: Signal, half_window: int, n_sigmas: float = 3.0) -> Si
 
     x = signal.samples
     n = x.size
+    # A window wider than the signal already holds all of it.
+    half_window = min(half_window, n - 1)
     width = 2 * half_window + 1
-    med = np.empty(n)
-    mad = np.empty(n)
-    if n >= width:
-        inner = slice(half_window, n - half_window)
-        med[inner] = ndimage.median_filter(x, size=width)[inner]
-        mad[inner] = _full_window_mad(x, med[inner], width)
-        edges = np.r_[:half_window, n - half_window:n]
-    else:
-        edges = np.arange(n)
-    med[edges], mad[edges] = _shrunk_window_stats(x, edges, half_window)
+    pad = np.full(half_window, np.inf)
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([pad, x, pad]), width)
+    reach = np.minimum(np.arange(n), half_window)
+    length = reach + reach[::-1] + 1
+    med = ndimage.median_filter(x, size=width)
+    for end in (slice(0, half_window), slice(n - half_window, n)):
+        med[end] = _window_medians(windows[end], length[end])
+    mad = _window_medians(windows, length, med)
     outlier = np.abs(x - med) > n_sigmas * MAD_SCALE * mad
     return Signal(np.where(outlier, med, x), signal.fs)
 
 
-def _full_window_mad(x: np.ndarray, med: np.ndarray, width: int) -> np.ndarray:
-    """MAD of each full-width window of x, given each window's median.
+def _window_medians(rows: np.ndarray, length: np.ndarray, med: np.ndarray | None = None):
+    """``np.median`` of the ``length[i]`` smallest entries of each row or,
+    given `med`, of its ``length[i]`` smallest deviations from ``med[i]``.
 
-    Each chunk of ``_MAD_CHUNK_ROWS`` windows' absolute deviations is
-    sorted in place and its middle column read: the order statistic
-    that a partition would pick, found faster by numpy's vectorized sort.
+    Rows are copied ``_MAD_CHUNK_ROWS`` at a time into one scratch buffer
+    and sorted there.
     """
-    windows = np.lib.stride_tricks.sliding_window_view(x, width)
-    middle = width // 2
-    mad = np.empty_like(med)
-    scratch = np.empty((min(_MAD_CHUNK_ROWS, med.size), width))
-    for start in range(0, med.size, _MAD_CHUNK_ROWS):
-        stop = min(start + _MAD_CHUNK_ROWS, med.size)
-        dev = scratch[: stop - start]
-        np.subtract(windows[start:stop], med[start:stop, None], out=dev)
-        np.abs(dev, out=dev)
-        dev.sort(axis=1)
-        mad[start:stop] = dev[:, middle]
-    return mad
-
-
-def _shrunk_window_stats(x: np.ndarray, centers: np.ndarray, half_window: int):
-    """Median and MAD of the window around each of `centers`, cut at the
-    ends of x.
-
-    Each window is a row of the full width, padded with +inf past the
-    ends of x so that, sorted, its samples come first. Rows are sorted
-    ``_MAD_CHUNK_ROWS`` at a time, which bounds the memory even where
-    ``2 * half_window`` rows of that width would not fit. A half window
-    beyond ``x.size - 1`` is cut to it: such windows already hold all of x.
-    """
-    half_window = min(half_window, x.size - 1)
-    pad = np.full(half_window, np.inf)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([pad, x, pad]), 2 * half_window + 1)
-    length = (np.minimum(x.size, centers + half_window + 1)
-              - np.maximum(0, centers - half_window))
-    med = np.empty(centers.size)
-    mad = np.empty(centers.size)
-    for start in range(0, centers.size, _MAD_CHUNK_ROWS):
+    lower, upper = np.empty((2, len(rows)))
+    scratch = np.empty((min(_MAD_CHUNK_ROWS, len(rows)), rows.shape[1]))
+    # Flat positions of each row's two middle entries within its chunk.
+    even = length % 2 == 0
+    upper_at = np.arange(len(rows)) % _MAD_CHUNK_ROWS * rows.shape[1] + length // 2
+    lower_at = upper_at - even
+    for start in range(0, len(rows), _MAD_CHUNK_ROWS):
         chunk = slice(start, start + _MAD_CHUNK_ROWS)
-        rows = windows[centers[chunk]]
-        rows.sort(axis=1)
-        med[chunk] = _sorted_median(rows, length[chunk])
-        np.subtract(rows, med[chunk, None], out=rows)
-        np.abs(rows, out=rows)
-        rows.sort(axis=1)
-        mad[chunk] = _sorted_median(rows, length[chunk])
-    return med, mad
-
-
-def _sorted_median(rows: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """``np.median`` of the first `length` entries of each sorted row.
-
-    An odd count takes the middle entry; an even count takes
-    ``(lower + upper) / 2``, the arithmetic of ``np.median`` itself.
-    """
-    row = np.arange(len(rows))
-    lower = rows[row, (length - 1) // 2]
-    upper = rows[row, length // 2]
-    return np.where(length % 2 == 1, lower, (lower + upper) / 2)
+        sorted_rows = scratch[: len(rows[chunk])]
+        if med is None:
+            sorted_rows[...] = rows[chunk]
+        else:
+            np.subtract(rows[chunk], med[chunk, None], out=sorted_rows)
+            np.abs(sorted_rows, out=sorted_rows)
+        sorted_rows.sort(axis=1)
+        lower[chunk] = sorted_rows.take(lower_at[chunk])
+        upper[chunk] = sorted_rows.take(upper_at[chunk])
+    lower[even] = (lower[even] + upper[even]) / 2
+    return lower
 
 
 def butterworth_lowpass(signal: Signal, cutoff_hz: float, order: int = 4) -> Signal:

@@ -26,6 +26,7 @@ from codel.mlp import (
     decode,
     mse_loss_and_gradient,
 )
+from codel.signal import Signal
 from codel.streams import named_rng
 
 
@@ -278,6 +279,31 @@ def sigmoid_reference(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+# ------------------------------------------------------------------
+# A train of pulses at known beat positions, for the peak detector
+# ------------------------------------------------------------------
+
+def synthetic_pulse_train(duration_s: float = 30.0, fs: float = 100.0,
+                          beat_interval_s: float = 1.0, pulse_width_s: float = 0.03,
+                          noise_std: float = 0.0, seed: int = 0):
+    """A train of Gaussian bumps at known beat positions, plus noise.
+
+    Returns:
+        (Signal, true peak indices) so detector tests can compare
+        against ground truth.
+    """
+    n = int(round(duration_s * fs))
+    t = np.arange(n) / fs
+    step = int(round(beat_interval_s * fs))
+    peak_indices = np.arange(step, n - step // 2, step)
+    samples = np.zeros(n)
+    for idx in peak_indices:
+        samples += np.exp(-0.5 * ((t - idx / fs) / pulse_width_s) ** 2)
+    if noise_std > 0:
+        samples = samples + named_rng(seed, "pulse-noise").normal(0, noise_std, n)
+    return Signal(samples, fs), peak_indices
 
 
 # ------------------------------------------------------------------

@@ -526,6 +526,22 @@ class TestRunCodel:
             with pytest.raises(ParameterError):
                 CodelConfig(**kwargs)
 
+    @pytest.mark.parametrize("knob, value", [
+        ("scale_factor", 2.0),
+        ("crossover_rate", 0.0),
+        ("crossover_rate", 1.0),
+        ("jumping_rate", 0.0),
+        ("jumping_rate", 0.4),
+        ("clustering_period", 1),
+        ("nfe_max", 1),
+    ])
+    def test_closed_bounds_accepted(self, knob, value):
+        """Each closed end of a knob's range is a valid setting, and the
+        search on it spends exactly its budget."""
+        config = CodelConfig(**{"population_size": 10, "nfe_max": 600, "seed": 3, knob: value})
+        result = run_codel(_sphere, 3, config)
+        assert result.nfe == config.nfe_max
+
 
 def _mlp_objective():
     """Classification error of a 3-2-1 net on 30 rows: many fitness ties."""

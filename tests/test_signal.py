@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import codel.signal
-from codel.datasets import synthetic_heartbeat, synthetic_pulse_train
+from codel.datasets import synthetic_heartbeat
 from codel.errors import InsufficientDataError, ParameterError
 from codel.signal import (
     MAD_SCALE,
@@ -20,7 +20,7 @@ from codel.signal import (
     standardize,
 )
 
-from oracles import hampel_reference
+from oracles import hampel_reference, synthetic_pulse_train
 
 
 def _steady_amplitude(samples, fs, skip_s=2.0):
@@ -152,7 +152,7 @@ def hampel_cases(draw):
     Signals are runs of repeated values (ties, plateaus, constant
     stretches whose MAD is 0) with spikes on top. Lengths go from 1 to
     three full windows and include the full width w and its neighbours,
-    where the filter switches between its looped and bulk paths.
+    below which no window is full and no running median is kept.
     """
     half_window = draw(st.integers(1, 30))
     width = 2 * half_window + 1
@@ -324,6 +324,27 @@ class TestDetectRPeaks:
             peaks = detect_r_peaks(filtered)
             for truth in true_peaks:
                 assert np.min(np.abs(peaks - truth)) <= 2
+
+    def test_peak_at_threshold_is_not_a_beat(self):
+        """x[5] equals its threshold bit for bit: the rule is a strict >."""
+        from scipy import ndimage
+
+        x = np.array([-3, -3, -3, 5, -2, 2, -2, -3, -3, -3, -3.0])
+        mean = ndimage.uniform_filter1d(x, size=5, mode="nearest")
+        top = ndimage.maximum_filter1d(x, size=5, mode="nearest")
+        assert mean[5] + 0.4 * (top[5] - mean[5]) == x[5]
+        np.testing.assert_array_equal(detect_r_peaks(Signal(x, 5.0)), [3])
+
+    def test_peaks_one_refractory_gap_apart_are_both_kept(self):
+        """At fs = 10 the gap is ceil(0.3 * 10) = 3 samples."""
+        x = np.zeros(20)
+        x[[5, 8]] = 1.0
+        np.testing.assert_array_equal(detect_r_peaks(Signal(x, 10.0)), [5, 8])
+
+    def test_equal_peaks_inside_the_gap_keep_the_earlier(self):
+        x = np.zeros(20)
+        x[[5, 7]] = 1.0
+        np.testing.assert_array_equal(detect_r_peaks(Signal(x, 10.0)), [5])
 
     @given(fs=st.floats(1.0, 1000.0), n=st.integers(3, 3000),
            spike_rate=st.sampled_from([0.0, 0.01, 0.2]),
