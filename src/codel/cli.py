@@ -160,6 +160,9 @@ def cmd_compare_tables(args, config):
     if not rows:
         raise ParameterError(f"{args.means_csv} contains no data rows")
     names = [r[0] for r in rows]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ParameterError(f"{args.means_csv}: algorithm {name!r} appears more than once")
     try:
         means_pct = np.array([[float(c) for c in r[1:]] for r in rows])
     except ValueError as exc:

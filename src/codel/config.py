@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ParameterError
-from .local_search import LocalSearchConfig
+from .local_search import METHODS, LocalSearchConfig
 from .mlp import MlpTopology
 from .optimizer import CodelConfig
 
@@ -48,8 +48,8 @@ def _parse_hidden(text):
 class RunConfig:
     """Every knob a pipeline command can consume, fully resolved.
 
-    Optimizer and refiner knobs default to their owners' defaults, except
-    `method`: pipeline runs refine with cgpr. A value given as text is
+    Optimizer and refiner knobs default to their owners' defaults; the
+    method, which no owner holds, to cgpr. A value given as text is
     parsed as a config file's value is, so `hidden="12"` is (12,) and
     bad text raises ParameterError naming its field.
     """
@@ -75,6 +75,8 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _coerce(f.name, getattr(self, f.name)))
+        if self.method not in METHODS:
+            raise ParameterError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.folds < 2:
             raise ParameterError("folds must be >= 2")
         if self.jobs < 1:
@@ -86,14 +88,13 @@ class RunConfig:
         self.codel_config()
         self.local_search_config()
 
-    def _owned(self, owner, **given):
-        """`owner` built from the fields of the same name, then `given`."""
-        values = {f.name: getattr(self, f.name) for f in fields(owner)
-                  if f.name in self.__dataclass_fields__}
-        return owner(**{**values, **given})
+    def _owned(self, owner):
+        """`owner` built from the fields of the same name."""
+        return owner(**{f.name: getattr(self, f.name) for f in fields(owner)
+                        if f.name in self.__dataclass_fields__})
 
     def codel_config(self) -> CodelConfig:
-        return self._owned(CodelConfig, seed=0 if self.seed is None else self.seed)
+        return self._owned(CodelConfig)
 
     def local_search_config(self) -> LocalSearchConfig:
         return self._owned(LocalSearchConfig)

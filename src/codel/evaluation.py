@@ -32,6 +32,9 @@ __all__ = [
 
 METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "precision", "fscore", "gmean")
 
+# Paired values closer than this either way are a tie.
+TIE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -167,20 +170,18 @@ def error_enhancement(base_metric_pct: float, codel_metric_pct: float) -> float:
     return (base_err - codel_err) / base_err * 100.0
 
 
-def kfold_split(n: int, k: int, labels, seed: int):
-    """Stratified partition of range(n) into k folds.
+def kfold_split(k: int, labels, seed: int):
+    """Stratified partition of range(n), n = len(labels), into k folds.
 
     Each class is shuffled and dealt round-robin, with the dealing
     position carried over from class to class so fold sizes differ by at
     most one overall.
     """
+    labels = np.asarray(labels)
     if k < 2:
         raise ParameterError("need at least 2 folds")
-    if k > n:
-        raise ParameterError(f"cannot split {n} samples into {k} folds")
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ParameterError(f"labels shape {labels.shape} does not match n={n}")
+    if k > len(labels):
+        raise ParameterError(f"cannot split {len(labels)} samples into {k} folds")
     rng = named_rng(seed, "folds")
     folds = [[] for _ in range(k)]
     cursor = 0
@@ -207,7 +208,7 @@ def fold_datasets(dataset: Dataset, k: int, seed: int):
     Feature columns are standardized with statistics fitted on each
     train split, so nothing about a test fold influences training.
     """
-    folds = kfold_split(len(dataset), k, dataset.labels, seed)
+    folds = kfold_split(k, dataset.labels, seed)
     pairs = []
     for f, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(np.arange(len(dataset)), test_idx)
@@ -223,10 +224,10 @@ def fold_datasets(dataset: Dataset, k: int, seed: int):
     return pairs
 
 
-def pair_outcomes(base_means, codel_means, tie_tol: float = 1e-9) -> np.ndarray:
+def pair_outcomes(base_means, codel_means) -> np.ndarray:
     """'win', 'tie' or 'loss' of each boosted value over its base.
 
-    A difference within tie_tol either way is a tie; a NaN on either
+    A difference within TIE_TOL either way is a tie; a NaN on either
     side is a loss.
     """
     base = np.asarray(base_means, dtype=float)
@@ -234,12 +235,12 @@ def pair_outcomes(base_means, codel_means, tie_tol: float = 1e-9) -> np.ndarray:
     if base.shape != codel.shape:
         raise ParameterError("paired sequences must have equal length")
     diff = codel - base
-    return np.where(diff > tie_tol, "win", np.where(np.abs(diff) <= tie_tol, "tie", "loss"))
+    return np.where(diff > TIE_TOL, "win", np.where(np.abs(diff) <= TIE_TOL, "tie", "loss"))
 
 
-def wtl(base_means, codel_means, tie_tol: float = 1e-9):
+def wtl(base_means, codel_means):
     """Count wins, ties, losses of the boosted variants over their bases."""
-    outcomes = pair_outcomes(base_means, codel_means, tie_tol)
+    outcomes = pair_outcomes(base_means, codel_means)
     return tuple(int(np.count_nonzero(outcomes == o)) for o in ("win", "tie", "loss"))
 
 

@@ -14,14 +14,14 @@ point sent, or _STAY, to keep its point (a rejected gda step). It
 returns when a line search finds no step. So no point, not even an
 accepted probe, is evaluated twice.
 
-The driver, `refine_many`, runs any number of starts in lockstep: each
-round it takes every live run's next point and scores them all in one
-stacked `mse_loss_and_gradient` pass. A stacked pass gives each member
-the bits of its own call, so a run's result does not depend on the
-runs beside it; `refine` is the driver with one start.
+The driver, `refine_many`, runs any number of starts, each with its own
+method, in lockstep: each round it scores every live run's next point
+in one stacked `mse_loss_and_gradient` pass. A stacked pass gives each
+member the bits of its own call, so a run's result does not depend on
+the runs beside it; `refine` is the driver with one start.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class LocalSearchConfig:
     fields drive oss and cgpr.
     """
 
-    method: str = "rp"
     epochs: int = 500
     patience: int = 50
     learning_rate: float = 0.5
@@ -66,10 +65,6 @@ class LocalSearchConfig:
     max_backtracks: int = 30
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ParameterError(
-                f"unknown method {self.method!r}, expected one of {METHODS}"
-            )
         if self.epochs < 1 or self.patience < 1:
             raise ParameterError("epochs and patience must be >= 1")
         if not (self.learning_rate > 0):
@@ -235,16 +230,16 @@ def _cgpr(w, loss, grad, config):
 _METHODS = {"rp": _rp, "oss": _oss, "gd": _gd, "gdm": _gdm, "gda": _gda, "cgpr": _cgpr}
 
 
-def _run(w, config: LocalSearchConfig):
-    """One refinement run as a generator: it yields each point it needs
-    evaluated, starting with w, is sent that point's (loss, grad, error),
-    and returns the RefineResult."""
+def _run(w, method: str, config: LocalSearchConfig):
+    """One refinement run of `method` as a generator: it yields each
+    point it needs evaluated, starting with w, is sent that point's
+    (loss, grad, error), and returns the RefineResult."""
     loss, grad, error = yield w
     best_w, best_error, best_loss = w, error, loss
     loss_history = [loss]
     error_history = [error]
 
-    method = _METHODS[config.method](w, loss, grad, config)
+    step = _METHODS[method](w, loss, grad, config)
     stale_epochs = 0
     stop_reason = "epochs"
     for _ in range(config.epochs - 1):
@@ -252,10 +247,10 @@ def _run(w, config: LocalSearchConfig):
             stop_reason = "stationary"
             break
         try:
-            request = next(method)
+            request = next(step)
             while isinstance(request, np.ndarray):
                 point, evaluated = request, (yield request)
-                request = method.send(evaluated)
+                request = step.send(evaluated)
         except StopIteration:
             stop_reason = "line_search"
             break
@@ -289,10 +284,12 @@ def refine_many(starts, methods, topology: MlpTopology, data: Dataset,
         raise ParameterError(f"{len(starts)} starts for {len(methods)} methods")
     runs = []
     for initial, method in zip(starts, methods):
+        if method not in METHODS:
+            raise ParameterError(f"unknown method {method!r}, expected one of {METHODS}")
         w = np.array(initial, dtype=float)
         if w.shape != (topology.param_count,):
             raise ParameterError(f"expected {topology.param_count} weights, got {w.shape}")
-        runs.append(_run(w, replace(config, method=method)))
+        runs.append(_run(w, method, config))
 
     results = [None] * len(runs)
     requests = {i: next(run) for i, run in enumerate(runs)}
@@ -308,9 +305,9 @@ def refine_many(starts, methods, topology: MlpTopology, data: Dataset,
     return results
 
 
-def refine(initial, topology: MlpTopology, data: Dataset,
+def refine(initial, method: str, topology: MlpTopology, data: Dataset,
            config: LocalSearchConfig) -> RefineResult:
-    """Run the configured method from the given weights.
+    """Run `method` from the given weights.
 
     The starting point is used exactly as passed, never re-randomized,
     and the returned weights are the best iterate encountered, so the
@@ -319,4 +316,4 @@ def refine(initial, topology: MlpTopology, data: Dataset,
     step, or after `patience` epochs without a drop in classification
     error; `stop_reason` says which.
     """
-    return refine_many([initial], [config.method], topology, data, config)[0]
+    return refine_many([initial], [method], topology, data, config)[0]

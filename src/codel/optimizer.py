@@ -296,8 +296,7 @@ def _generation(pop: Population, config: CodelConfig, objective, rng) -> Populat
                       entered=len(won))
 
 
-def _run(objective, dim: int, config: CodelConfig,
-         clustering: bool, opposition: bool) -> CodelResult:
+def _run(objective, dim: int, config: CodelConfig, enhanced: bool) -> CodelResult:
     if dim < 1:
         raise ParameterError("dimension must be >= 1")
     rng_init = named_rng(config.seed, "init")
@@ -317,15 +316,15 @@ def _run(objective, dim: int, config: CodelConfig,
 
     pop = _initial_population(objective, dim, config, rng_init)
     nfe_by_source["init"] = pop.nfe
-    if opposition:
+    if enhanced:
         pop = apply("qobl", qobl_population, pop, rng_qobl)
     history = []
     nfe_history = []
     while pop.nfe < config.nfe_max:
         pop = apply("generation", _generation, pop, rng_gen)
-        if clustering and pop.iteration % config.clustering_period == 0:
+        if enhanced and pop.iteration % config.clustering_period == 0:
             pop = apply("cluster", cluster_update, pop, rng_cluster)
-        if opposition and rng_qobl.random() < config.jumping_rate:
+        if enhanced and rng_qobl.random() < config.jumping_rate:
             pop = apply("qobl", qobl_population, pop, rng_qobl)
         history.append(float(pop.fitness.min()))
         nfe_history.append(pop.nfe)
@@ -357,9 +356,9 @@ def run_codel(objective, dim: int, config: CodelConfig) -> CodelResult:
         CodelResult with the elitist best_params and best_fitness and
         the per-iteration best-fitness history (non-increasing).
     """
-    return _run(objective, dim, config, clustering=True, opposition=True)
+    return _run(objective, dim, config, enhanced=True)
 
 
 def run_plain_de(objective, dim: int, config: CodelConfig) -> CodelResult:
     """Ablated baseline: the same loop without clustering or opposition."""
-    return _run(objective, dim, config, clustering=False, opposition=False)
+    return _run(objective, dim, config, enhanced=False)

@@ -34,6 +34,9 @@ MAD_SCALE = 1.4826
 # Minimum spacing between accepted beats, in seconds.
 REFRACTORY_S = 0.3
 
+# How far a beat's peak must reach from the rolling mean to the rolling max.
+THRESHOLD_FRACTION = 0.4
+
 # Rows of window samples or deviations that the Hampel filter sorts at once.
 _MAD_CHUNK_ROWS = 256
 
@@ -182,11 +185,11 @@ def butterworth_lowpass(signal: Signal, cutoff_hz: float, order: int = 4) -> Sig
     return Signal(sps.sosfilt(sos, signal.samples), signal.fs)
 
 
-def detect_r_peaks(signal: Signal, threshold_fraction: float = 0.4) -> np.ndarray:
+def detect_r_peaks(signal: Signal) -> np.ndarray:
     """Locate beat peaks with an adaptive rolling threshold.
 
     Candidates are strict local maxima above
-    ``rolling_mean + threshold_fraction * (rolling_max - rolling_mean)``
+    ``rolling_mean + 0.4 * (rolling_max - rolling_mean)``
     over a one-second window. Candidates closer than 0.3 s keep only the
     taller peak, so accepted indices are strictly increasing with gaps of
     at least ``0.3 * fs`` samples.
@@ -201,7 +204,7 @@ def detect_r_peaks(signal: Signal, threshold_fraction: float = 0.4) -> np.ndarra
     window = max(3, int(round(signal.fs)))
     rolling_mean = ndimage.uniform_filter1d(x, size=window, mode="nearest")
     rolling_max = ndimage.maximum_filter1d(x, size=window, mode="nearest")
-    threshold = rolling_mean + threshold_fraction * (rolling_max - rolling_mean)
+    threshold = rolling_mean + THRESHOLD_FRACTION * (rolling_max - rolling_mean)
 
     interior = np.arange(1, n - 1)
     is_peak = (x[interior] > x[interior - 1]) & (x[interior] > x[interior + 1])
@@ -232,21 +235,10 @@ def rr_from_peaks(peaks, fs: float) -> RrSeries:
     return RrSeries(np.diff(peaks) / fs * 1000.0)
 
 
-def signal_to_rr(
-    signal: Signal,
-    cutoff_hz: float = 25.0,
-    order: int = 4,
-    half_window: int | None = None,
-    n_sigmas: float = 3.0,
-) -> RrSeries:
-    """Run the full cleaning chain and return the interval series.
-
-    `half_window` defaults to half the sampling rate, rounded.
-    """
-    if half_window is None:
-        half_window = max(1, int(round(signal.fs / 2)))
-    cleaned = standardize(signal)
-    cleaned = butterworth_lowpass(cleaned, cutoff_hz=cutoff_hz, order=order)
-    cleaned = hampel_filter(cleaned, half_window=half_window, n_sigmas=n_sigmas)
-    peaks = detect_r_peaks(cleaned)
-    return rr_from_peaks(peaks, signal.fs)
+def signal_to_rr(signal: Signal) -> RrSeries:
+    """Run the full cleaning chain and return the interval series: a 25 Hz
+    fourth-order low-pass, then a Hampel filter at 3 scaled MADs whose
+    half window is half the sampling rate, rounded (at least 1 sample)."""
+    cleaned = butterworth_lowpass(standardize(signal), 25.0, 4)
+    cleaned = hampel_filter(cleaned, max(1, int(round(signal.fs / 2))), 3.0)
+    return rr_from_peaks(detect_r_peaks(cleaned), signal.fs)

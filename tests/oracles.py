@@ -692,9 +692,9 @@ class _BestTrackerReference:
         return improved_error
 
 
-def refine_reference(initial, topology: MlpTopology, data: Dataset,
+def refine_reference(initial, method: str, topology: MlpTopology, data: Dataset,
                      config: LocalSearchConfig):
-    """Run the configured method from the given weights.
+    """Run `method` from the given weights.
 
     The starting point is used exactly as passed, never re-randomized,
     and the returned weights are the best iterate encountered, so the
@@ -728,21 +728,21 @@ def refine_reference(initial, topology: MlpTopology, data: Dataset,
         if np.max(np.abs(grad)) < GRAD_TOL:
             break
 
-        if config.method == "rp":
+        if method == "rp":
             rp_state = _step_rp(rp_state, grad, config)
             w_next = rp_state.weights
-        elif config.method == "gd":
+        elif method == "gd":
             w_next = _step_gd(w, grad, config.learning_rate)
-        elif config.method == "gdm":
+        elif method == "gdm":
             gdm_state = _step_gdm(gdm_state, grad, config.learning_rate,
                                   config.momentum)
             w_next = gdm_state.weights
-        elif config.method == "gda":
+        elif method == "gda":
             proposed = w - gda_rate * grad
             decision = _step_gda(gda_rate, loss_at(proposed), loss, config)
             gda_rate = decision.learning_rate
             w_next = proposed if decision.accept else w
-        elif config.method == "oss":
+        elif method == "oss":
             d = _step_oss(oss_state, grad)
             if float(grad @ d) >= 0:
                 d = -grad
@@ -764,7 +764,7 @@ def refine_reference(initial, topology: MlpTopology, data: Dataset,
             w_next = w + a * d
 
         loss_next, grad_next, _ = mse_loss_and_gradient(w_next, topology, data)
-        if config.method == "oss":
+        if method == "oss":
             oss_state = _OssState(w_next - w, grad_next - grad)
         w, loss, grad = w_next, loss_next, grad_next
 

@@ -361,6 +361,21 @@ class TestCompareTables:
         assert wtl_by_metric["accuracy"] == ["0", "0", "1"]
         assert wtl_by_metric["sensitivity"] == ["1", "0", "0"]
 
+    def test_repeated_algorithm_fails(self, tmp_path, capsys):
+        """A name listed twice would pair one base with two rows, so the
+        table is refused, naming the file and the name."""
+        means = tmp_path / "means.csv"
+        write_table(means, ["algorithm", *METRIC_NAMES], [
+            ["gd", *[70.0] * 6], ["gd", *[80.0] * 6], ["codel-gd", *[75.0] * 6],
+        ])
+        out_dir = tmp_path / "out"
+        rc = main(["compare-tables", "--means-csv", str(means),
+                   "--seed", "1", "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(means) in err and "'gd'" in err
+        assert not out_dir.exists()
+
     def test_wrong_header_fails(self, tmp_path, capsys):
         means = tmp_path / "means.csv"
         write_table(means, ["algorithm", "acc"], [["rp", 70.0]])

@@ -146,7 +146,7 @@ class TestErrorEnhancement:
 class TestKfoldSplit:
 
     def test_singleton_folds(self):
-        folds = kfold_split(10, 10, np.zeros(10, dtype=int), seed=0)
+        folds = kfold_split(10, np.zeros(10, dtype=int), seed=0)
         assert len(folds) == 10
         assert all(f.size == 1 for f in folds)
 
@@ -154,7 +154,7 @@ class TestKfoldSplit:
         rng = np.random.default_rng(3)
         for n, k in [(10, 2), (23, 5), (40, 10), (11, 11)]:
             labels = rng.integers(0, 2, n)
-            folds = kfold_split(n, k, labels, seed=int(rng.integers(1000)))
+            folds = kfold_split(k, labels, seed=int(rng.integers(1000)))
             joined = np.concatenate(folds)
             assert joined.size == n
             np.testing.assert_array_equal(np.sort(joined), np.arange(n))
@@ -163,13 +163,13 @@ class TestKfoldSplit:
 
     def test_balanced_positives_split_evenly(self):
         labels = np.array([1] * 10 + [0] * 10)
-        folds = kfold_split(20, 5, labels, seed=4)
+        folds = kfold_split(5, labels, seed=4)
         for f in folds:
             assert np.count_nonzero(labels[f] == 1) == 2
 
     def test_both_classes_spread_when_sizes_are_odd(self):
         labels = np.array([1] * 11 + [0] * 11)
-        folds = kfold_split(22, 5, labels, seed=5)
+        folds = kfold_split(5, labels, seed=5)
         sizes = sorted(f.size for f in folds)
         assert sizes == [4, 4, 4, 5, 5]
         for f in folds:
@@ -177,20 +177,18 @@ class TestKfoldSplit:
 
     def test_seed_reproducibility(self):
         labels = np.random.default_rng(6).integers(0, 2, 30)
-        a = kfold_split(30, 5, labels, seed=42)
-        b = kfold_split(30, 5, labels, seed=42)
+        a = kfold_split(5, labels, seed=42)
+        b = kfold_split(5, labels, seed=42)
         for fa, fb in zip(a, b):
             np.testing.assert_array_equal(fa, fb)
-        c = kfold_split(30, 5, labels, seed=43)
+        c = kfold_split(5, labels, seed=43)
         assert any(not np.array_equal(fa, fc) for fa, fc in zip(a, c))
 
     def test_bad_inputs(self):
         with pytest.raises(ParameterError):
-            kfold_split(5, 6, np.zeros(5, dtype=int), seed=0)
+            kfold_split(6, np.zeros(5, dtype=int), seed=0)
         with pytest.raises(ParameterError):
-            kfold_split(5, 1, np.zeros(5, dtype=int), seed=0)
-        with pytest.raises(ParameterError):
-            kfold_split(5, 2, np.zeros(4, dtype=int), seed=0)
+            kfold_split(1, np.zeros(5, dtype=int), seed=0)
 
 
 class TestFoldSummary:

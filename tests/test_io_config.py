@@ -249,7 +249,7 @@ class TestRunConfig:
     def test_defaults_follow_their_owners(self):
         config = RunConfig(seed=0)
         assert config.codel_config() == CodelConfig(seed=0)
-        assert config.local_search_config() == LocalSearchConfig(method="cgpr")
+        assert config.local_search_config() == LocalSearchConfig()
 
     def test_seed_required(self):
         with pytest.raises(ParameterError, match="seed"):
@@ -360,7 +360,7 @@ class TestRunConfig:
         assert config.codel_config().nfe_max == 500
         assert config.codel_config().seed == 8
         ls = config.local_search_config()
-        assert ls.method == "gdm" and ls.momentum == 0.5 and ls.epochs == 40
+        assert config.method == "gdm" and ls.momentum == 0.5 and ls.epochs == 40
 
 
 class TestStreams:

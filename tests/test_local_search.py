@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,7 +37,7 @@ _DYADIC_RP = dict(rp_step_init=0.125, rp_increase=2.0, rp_decrease=0.5,
 
 def _first(method, w, grad, **knobs):
     """The first point `method` asks for, started at w with this gradient."""
-    config = LocalSearchConfig(method=method, **knobs)
+    config = LocalSearchConfig(**knobs)
     return next(_METHODS[method](np.array(w, dtype=float), 0.0, np.array(grad, dtype=float),
                                  config))
 
@@ -53,7 +52,7 @@ def _walk(method, grads, **knobs):
     used.
     """
     grads = np.array(grads, dtype=float)
-    config = LocalSearchConfig(method=method, **knobs)
+    config = LocalSearchConfig(**knobs)
     points = [np.zeros(grads.shape[1])]
     run = _METHODS[method](points[0], 0.0, grads[0], config)
     for k in range(1, len(grads) + 1):
@@ -170,7 +169,7 @@ class TestStepGda:
         """(accepted?, rate of the next proposal) after one proposal that
         scores loss_now against a current loss of 10, at rate 0.5."""
         run = _METHODS["gda"](np.array([1.0]), 10.0, np.array([1.0]),
-                              LocalSearchConfig(method="gda", learning_rate=0.5))
+                              LocalSearchConfig(learning_rate=0.5))
         assert next(run)[0] == 0.5
         decision = run.send((loss_now, np.array([1.0]), 50.0))
         assert decision in (_MOVE, _STAY)
@@ -186,6 +185,13 @@ class TestStepGda:
         accepted, rate = self._decide(10.5)
         assert np.isclose(rate, 0.5 * 0.7)
         assert not accepted
+
+    def test_equal_loss_keeps_rate(self):
+        """Only a drop in loss grows the rate; an equal loss is inside
+        the tolerance band, so the step is taken at the same rate."""
+        accepted, rate = self._decide(10.0)
+        assert rate == 0.5
+        assert accepted
 
     def test_small_increase_tolerated(self):
         accepted, rate = self._decide(10.2)
@@ -256,8 +262,8 @@ class TestStepCgpr:
             with pytest.raises(ContractError):
                 _walk("cgpr", grads)
         data, topo = xor_dataset(), MlpTopology((2, 4, 1))
-        result = refine(np.zeros(topo.param_count), topo, data,
-                        LocalSearchConfig(method="cgpr"))
+        result = refine(np.zeros(topo.param_count), "cgpr", topo, data,
+                        LocalSearchConfig())
         assert result.stop_reason == "stationary"
         assert result.loss_history.size == 1
 
@@ -283,6 +289,17 @@ class TestLineSearch:
     def test_linear_accepts_full_step(self):
         f = lambda x: float(x[0])
         probes, accepted = _search(f, np.array([0.0]), np.array([-1.0]), np.array([1.0]))
+        np.testing.assert_array_equal(probes, [[-1.0]])
+        assert accepted is probes[-1]
+
+    def test_probe_on_the_bound_is_accepted(self):
+        """Sufficient decrease is `<=`: on f(w) = 1 + w/2 with slope -1
+        and c1 = 1/2, every probe lands exactly on its bound, and the
+        first one is taken."""
+        f = lambda x: float(1.0 + x[0] / 2.0)
+        probes, accepted = _search(f, np.array([0.0]), np.array([-1.0]), np.array([1.0]),
+                                   LocalSearchConfig(armijo_c1=0.5))
+        assert f(probes[0]) == 1.0 + 0.5 * 1.0 * -1.0
         np.testing.assert_array_equal(probes, [[-1.0]])
         assert accepted is probes[-1]
 
@@ -363,8 +380,8 @@ class TestRefine:
         topo = MlpTopology((2, 4, 1))
         start = np.zeros(topo.param_count)
         for method in METHODS:
-            result = refine(start, topo, data,
-                            LocalSearchConfig(method=method, epochs=50))
+            result = refine(start, method, topo, data,
+                            LocalSearchConfig(epochs=50))
             np.testing.assert_array_equal(result.params, start)
             assert result.loss_history.size == 1
 
@@ -379,8 +396,8 @@ class TestRefine:
             err0 = classification_error(start, topo, data)
             mse0 = mse_loss(start, topo, data)
             for method in METHODS:
-                result = refine(start, topo, data,
-                                LocalSearchConfig(method=method, epochs=120))
+                result = refine(start, method, topo, data,
+                                LocalSearchConfig(epochs=120))
                 assert result.final_train_error <= err0
                 assert mse_loss(result.params, topo, data) <= mse0 + 1e-12
 
@@ -393,8 +410,8 @@ class TestRefine:
                 -2, 2, topo.param_count
             )
             for method in ("oss", "cgpr"):
-                result = refine(start, topo, data,
-                                LocalSearchConfig(method=method, epochs=120))
+                result = refine(start, method, topo, data,
+                                LocalSearchConfig(epochs=120))
                 assert np.all(np.diff(result.loss_history) <= 0.0)
 
     def test_refines_a_searched_start(self):
@@ -407,8 +424,8 @@ class TestRefine:
             CodelConfig(population_size=10, nfe_max=600, seed=0),
         )
         for method in METHODS:
-            result = refine(searched.best_params, topo, data,
-                            LocalSearchConfig(method=method, epochs=100))
+            result = refine(searched.best_params, method, topo, data,
+                            LocalSearchConfig(epochs=100))
             assert result.final_train_error <= searched.best_fitness
 
     def test_history_bounded_by_epochs(self):
@@ -416,13 +433,13 @@ class TestRefine:
                                     separation=1.0, seed=9)
         topo = MlpTopology((3, 4, 1))
         start = np.random.default_rng(1).uniform(-2, 2, topo.param_count)
-        result = refine(start, topo, data,
-                        LocalSearchConfig(method="gd", epochs=15))
+        result = refine(start, "gd", topo, data,
+                        LocalSearchConfig(epochs=15))
         assert result.loss_history.size <= 15
         assert result.error_history.size == result.loss_history.size
 
-        single = refine(start, topo, data,
-                        LocalSearchConfig(method="gd", epochs=1))
+        single = refine(start, "gd", topo, data,
+                        LocalSearchConfig(epochs=1))
         assert single.loss_history.size == 1
         np.testing.assert_array_equal(single.params, start)
 
@@ -433,20 +450,29 @@ class TestRefine:
                                     separation=1.0, seed=9)
         topo = MlpTopology((3, 4, 1))
         start = np.random.default_rng(2).uniform(-2, 2, topo.param_count)
-        result = refine(start, topo, data,
-                        LocalSearchConfig(method="gd", epochs=300,
+        result = refine(start, "gd", topo, data,
+                        LocalSearchConfig(epochs=300,
                                           learning_rate=1e-12, patience=7))
         assert result.loss_history.size == 8
+
+    def test_gradient_at_tolerance_is_not_stationary(self):
+        """Only a gradient strictly below GRAD_TOL everywhere stops the
+        run as stationary; one component at it still moves."""
+        run = local_search._run(np.zeros(2), "gd", LocalSearchConfig())
+        next(run)
+        point = run.send((1.0, np.array([local_search.GRAD_TOL, 0.0]), 50.0))
+        np.testing.assert_array_equal(point, [-0.5 * local_search.GRAD_TOL, 0.0])
 
     def test_wrong_length_rejected(self):
         data = xor_dataset()
         with pytest.raises(ParameterError):
-            refine(np.zeros(5), MlpTopology((2, 4, 1)), data,
+            refine(np.zeros(5), "rp", MlpTopology((2, 4, 1)), data,
                    LocalSearchConfig())
 
     def test_config_validation(self):
+        with pytest.raises(ParameterError, match="newton"):
+            refine(_start(0), "newton", _TOPO, _DATA, LocalSearchConfig())
         bad = [
-            dict(method="newton"),
             dict(epochs=0),
             dict(patience=0),
             dict(learning_rate=0.0),
@@ -470,9 +496,9 @@ def _start(seed):
     return np.random.default_rng(seed).uniform(-2.0, 2.0, _TOPO.param_count)
 
 
-def _assert_matches_reference(start, topology, data, config):
-    result = refine(start, topology, data, config)
-    params, error, losses, errors = refine_reference(start, topology, data, config)
+def _assert_matches_reference(start, method, topology, data, config):
+    result = refine(start, method, topology, data, config)
+    params, error, losses, errors = refine_reference(start, method, topology, data, config)
     assert result.params.tobytes() == params.tobytes()
     assert result.final_train_error == error
     assert result.loss_history.tobytes() == losses.tobytes()
@@ -531,38 +557,38 @@ class TestRefineMatchesReference:
                                            patience, log_rate, max_backtracks,
                                            armijo_c1):
         start = np.zeros(_TOPO.param_count) if zero_start else _start(seed)
-        config = LocalSearchConfig(method=method, epochs=epochs, patience=patience,
+        config = LocalSearchConfig(epochs=epochs, patience=patience,
                                    learning_rate=10.0 ** log_rate,
                                    max_backtracks=max_backtracks, armijo_c1=armijo_c1)
-        result = _assert_matches_reference(start, _TOPO, _DATA, config)
+        result = _assert_matches_reference(start, method, _TOPO, _DATA, config)
         assert result.final_train_error <= classification_error(start, _TOPO, _DATA)
         assert result.final_train_error == classification_error(result.params, _TOPO, _DATA)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_stationary_start(self, method):
         data, topo = xor_dataset(), MlpTopology((2, 4, 1))
-        result = _assert_matches_reference(np.zeros(topo.param_count), topo, data,
-                                           LocalSearchConfig(method=method, epochs=50))
+        result = _assert_matches_reference(np.zeros(topo.param_count), method, topo, data,
+                                           LocalSearchConfig(epochs=50))
         assert result.stop_reason == "stationary"
 
     @pytest.mark.parametrize("method", METHODS)
     def test_single_epoch(self, method):
-        result = _assert_matches_reference(_start(1), _TOPO, _DATA,
-                                           LocalSearchConfig(method=method, epochs=1))
+        result = _assert_matches_reference(_start(1), method, _TOPO, _DATA,
+                                           LocalSearchConfig(epochs=1))
         assert result.stop_reason == "epochs"
 
     @pytest.mark.parametrize("method", METHODS)
     def test_patience_stop(self, method):
-        config = LocalSearchConfig(method=method, epochs=300, patience=3,
+        config = LocalSearchConfig(epochs=300, patience=3,
                                    learning_rate=1e-12, rp_step_init=1e-6)
-        result = _assert_matches_reference(_start(2), _TOPO, _DATA, config)
+        result = _assert_matches_reference(_start(2), method, _TOPO, _DATA, config)
         assert result.stop_reason == "patience"
 
     @pytest.mark.parametrize("method, armijo_c1", [("oss", 1e-4), ("cgpr", 0.999)])
     def test_zero_step_line_search(self, method, armijo_c1):
-        config = LocalSearchConfig(method=method, epochs=100, patience=100,
+        config = LocalSearchConfig(epochs=100, patience=100,
                                    max_backtracks=0, armijo_c1=armijo_c1)
-        result = _assert_matches_reference(_start(4), _TOPO, _DATA, config)
+        result = _assert_matches_reference(_start(4), method, _TOPO, _DATA, config)
         assert result.stop_reason == "line_search"
 
     def test_gda_rejections(self, monkeypatch):
@@ -573,8 +599,8 @@ class TestRefineMatchesReference:
             return _fn(params, *args)
 
         monkeypatch.setattr(local_search, "mse_loss_and_gradient", counted)
-        config = LocalSearchConfig(method="gda", epochs=60, patience=60, learning_rate=50.0)
-        result = _assert_matches_reference(_start(0), _TOPO, _DATA, config)
+        config = LocalSearchConfig(epochs=60, patience=60, learning_rate=50.0)
+        result = _assert_matches_reference(_start(0), "gda", _TOPO, _DATA, config)
         # A rejected step stays put, so the loss repeats; the held loss,
         # gradient and error are reused. Every epoch probes one proposal
         # in one pass, which an accepted step takes as its loss, gradient
@@ -587,20 +613,20 @@ class TestRefineMatchesReference:
         assert not hasattr(local_search, "mse_loss")
 
     def test_cgpr_periodic_restarts(self):
-        config = LocalSearchConfig(method="cgpr", epochs=100, patience=100)
-        result = _assert_matches_reference(_start(3), _TOPO, _DATA, config)
+        config = LocalSearchConfig(epochs=100, patience=100)
+        result = _assert_matches_reference(_start(3), "cgpr", _TOPO, _DATA, config)
         assert result.loss_history.size > 3 * (_TOPO.param_count + 1)
 
     def test_cgpr_uphill_mix_restarts(self, monkeypatch):
         """g1 = (1,0), g2 = (-1,0.1) give beta = 2.01 and an uphill mixed
         direction; the run must restart its history exactly as before."""
         gradients = [[1.0, 0.0], [-1.0, 0.1], [0.5, 0.5], [0.3, -0.2], [-0.1, 0.4]]
-        config = LocalSearchConfig(method="cgpr", epochs=8, patience=100)
+        config = LocalSearchConfig(epochs=8, patience=100)
         topology = SimpleNamespace(param_count=2)
         _ScriptedLoss(gradients).install(monkeypatch, local_search)
-        result = refine(np.zeros(2), topology, None, config)
+        result = refine(np.zeros(2), "cgpr", topology, None, config)
         _ScriptedLoss(gradients).install(monkeypatch, oracles)
-        params, _, losses, _ = refine_reference(np.zeros(2), topology, None, config)
+        params, _, losses, _ = refine_reference(np.zeros(2), "cgpr", topology, None, config)
         assert result.params.tobytes() == params.tobytes()
         assert result.loss_history.tobytes() == losses.tobytes()
         assert result.stop_reason == "epochs"
@@ -615,13 +641,12 @@ def _assert_lockstep_matches_alone(members, config):
     results = refine_many(starts, methods, _TOPO, _DATA, config)
     assert len(results) == len(members)
     for (start, method), result in zip(members, results):
-        alone = replace(config, method=method)
-        params, error, losses, errors = refine_reference(start, _TOPO, _DATA, alone)
+        params, error, losses, errors = refine_reference(start, method, _TOPO, _DATA, config)
         assert result.params.tobytes() == params.tobytes()
         assert result.final_train_error == error
         assert result.loss_history.tobytes() == losses.tobytes()
         assert result.error_history.tobytes() == errors.tobytes()
-        assert result.stop_reason == refine(start, _TOPO, _DATA, alone).stop_reason
+        assert result.stop_reason == refine(start, method, _TOPO, _DATA, config).stop_reason
     return results
 
 
@@ -714,9 +739,8 @@ class TestRefineCallPattern:
         monkeypatch.setattr(local_search, "mse_loss_and_gradient", counted)
         monkeypatch.setattr(local_search, "_line_search", recorded_search)
         start = _start(0)
-        config = LocalSearchConfig(method=method, epochs=60, patience=60,
-                                   **self._KNOBS.get(method, {}))
-        result = _assert_matches_reference(start, _TOPO, _DATA, config)
+        config = LocalSearchConfig(epochs=60, patience=60, **self._KNOBS.get(method, {}))
+        result = _assert_matches_reference(start, method, _TOPO, _DATA, config)
 
         assert not hasattr(local_search, "mse_loss")
         assert not hasattr(mlp, "mse_loss")
@@ -742,11 +766,12 @@ class TestStopReason:
     def test_each_exit_names_itself(self):
         xor, xor_topo = xor_dataset(), MlpTopology((2, 3, 1))
         runs = {
-            "stationary": (np.zeros(xor_topo.param_count), xor_topo, xor, dict(method="gd")),
-            "patience": (_start(2), _TOPO, _DATA,
-                         dict(method="gd", learning_rate=1e-12, patience=4)),
-            "line_search": (_start(4), _TOPO, _DATA, dict(method="oss", max_backtracks=0)),
-            "epochs": (_start(5), _TOPO, _DATA, dict(method="rp", epochs=5)),
+            "stationary": (np.zeros(xor_topo.param_count), "gd", xor_topo, xor, {}),
+            "patience": (_start(2), "gd", _TOPO, _DATA,
+                         dict(learning_rate=1e-12, patience=4)),
+            "line_search": (_start(4), "oss", _TOPO, _DATA, dict(max_backtracks=0)),
+            "epochs": (_start(5), "rp", _TOPO, _DATA, dict(epochs=5)),
         }
-        for reason, (start, topo, data, knobs) in runs.items():
-            assert refine(start, topo, data, LocalSearchConfig(**knobs)).stop_reason == reason
+        for reason, (start, method, topo, data, knobs) in runs.items():
+            result = refine(start, method, topo, data, LocalSearchConfig(**knobs))
+            assert result.stop_reason == reason

@@ -232,7 +232,7 @@ class TestSharedSearch:
             for f, (train, test) in enumerate(pairs):
                 start = named_rng(derive_seed(seed, v, f), "init").uniform(
                     _TINY_CODEL.lower, _TINY_CODEL.upper, topology.param_count)
-                refined = refine(start, topology, train, replace(_TINY_LS, method=name))
+                refined = refine(start, name, topology, train, _TINY_LS)
                 predictions = predict(refined.params, topology, test.rows)
                 assert results[name].fold_reports[f] == metrics(
                     confusion_from_predictions(test.labels, predictions))
