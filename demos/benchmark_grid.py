@@ -10,7 +10,7 @@ of noise at this scale.
 import numpy as np
 
 from codel.datasets import two_gaussian_dataset
-from codel.evaluation import METRIC_NAMES
+from codel.evaluation import METRIC_NAMES, fold_summary
 from codel.local_search import LocalSearchConfig
 from codel.optimizer import CodelConfig
 from codel.training import VARIANT_NAMES, build_comparison, evaluate_grid
@@ -19,22 +19,20 @@ from codel.training import VARIANT_NAMES, build_comparison, evaluate_grid
 def main() -> None:
     data = two_gaussian_dataset(n_per_class=40, n_features=5,
                                 separation=1.5, seed=3)
-    results = evaluate_grid(
+    scores = evaluate_grid(
         data, k=5, seed=9, hidden=(6,),
         codel_config=CodelConfig(population_size=10, nfe_max=400, seed=0),
         ls_config=LocalSearchConfig(epochs=60, patience=30),
     )
+    # Mean, std, min, max and median of the five fold scores, in percent.
+    summary = fold_summary(scores) * 100.0
+    means_pct = summary[:, :, 0]
 
+    acc, gmean = METRIC_NAMES.index("accuracy"), METRIC_NAMES.index("gmean")
     print(f"{'variant':>12}  {'accuracy':>9}  {'gmean':>9}")
-    for name in VARIANT_NAMES:
-        acc = results[name].summaries["accuracy"]
-        gmean = results[name].summaries["gmean"]
-        print(f"{name:>12}  {acc.mean * 100:8.2f}%  {gmean.mean * 100:8.2f}%")
+    for name, means in zip(VARIANT_NAMES, means_pct):
+        print(f"{name:>12}  {means[acc]:8.2f}%  {means[gmean]:8.2f}%")
 
-    means_pct = np.array([
-        [results[name].summaries[m].mean * 100.0 for m in METRIC_NAMES]
-        for name in VARIANT_NAMES
-    ])
     comparison = build_comparison(VARIANT_NAMES, means_pct)
 
     print()

@@ -14,6 +14,7 @@ every requested output was written.
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .config import ALIASES, RunConfig, parse_config
 from .errors import CodelError, InsufficientDataError, ParameterError
-from .evaluation import METRIC_NAMES
+from .evaluation import METRIC_NAMES, SUMMARY_NAMES, fold_summary
 from .hrv import extract_features
 from .io import (
     Table,
@@ -49,6 +50,16 @@ def _resolve_config(args):
     return parse_config(args.config, **knobs)
 
 
+@contextmanager
+def _naming(path):
+    """Put a record's path in front of any error raised while it is
+    cleaned or featurized."""
+    try:
+        yield
+    except CodelError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def cmd_extract(args, config):
     if not args.signal_csv and not args.rr_csv:
         raise ParameterError("extract needs --signal-csv or --rr-csv input files")
@@ -63,9 +74,12 @@ def cmd_extract(args, config):
         if samples.size < 10 * args.fs:
             raise InsufficientDataError(f"{path}: {samples.size} samples at {args.fs:g} Hz "
                                         f"span {samples.size / args.fs:g} s, under 10 s")
-        records.append(extract_features(signal_to_rr(Signal(samples, args.fs))))
+        with _naming(path):
+            records.append(extract_features(signal_to_rr(Signal(samples, args.fs))))
     for path in args.rr_csv or ():
-        records.append(extract_features(RrSeries(read_rr_csv(path))))
+        intervals = read_rr_csv(path)
+        with _naming(path):
+            records.append(extract_features(RrSeries(intervals)))
 
     inputs = [*(args.signal_csv or ()), *(args.rr_csv or ())]
     lines = [f"inputs={';'.join(inputs)}", f"fs={args.fs}", f"label={args.label}"]
@@ -125,29 +139,22 @@ def _comparison_tables(comparison) -> dict:
 
 def cmd_evaluate(args, config):
     dataset = read_features_csv(args.features_csv)
-    results = evaluate_grid(
+    scores = evaluate_grid(
         dataset, config.folds, config.seed, config.hidden,
         config.codel_config(), config.local_search_config(),
         jobs=config.jobs,
     )
-    means_pct = np.array([
-        [results[name].summaries[m].mean * 100.0 for m in METRIC_NAMES]
-        for name in VARIANT_NAMES
-    ])
-    comparison = build_comparison(VARIANT_NAMES, means_pct)
+    summary = fold_summary(scores) * 100.0
+    comparison = build_comparison(VARIANT_NAMES, summary[:, :, 0])
 
     tables = _comparison_tables(comparison)
     for j, metric in enumerate(METRIC_NAMES):
-        rows = []
-        for i, name in enumerate(VARIANT_NAMES):
-            s = results[name].summaries[metric]
-            rows.append([name, *(v * 100.0 for v in (s.mean, s.std, s.min, s.max, s.median)),
-                         float(comparison.ranks[i, j]),
-                         comparison.outcomes[name][j] if name in comparison.outcomes else ""])
+        rows = [[name, *summary[i, j].tolist(), float(comparison.ranks[i, j]),
+                 comparison.outcomes[name][j] if name in comparison.outcomes else ""]
+                for i, name in enumerate(VARIANT_NAMES)]
         wtl = "/".join(str(n) for n in comparison.wtl_per_metric[metric])
         tables[f"{metric}.csv"] = Table(
-            ["algorithm", "mean", "std", "min", "max", "median", "rank", "wtl"],
-            rows, last=(f"wtl={wtl}",))
+            ["algorithm", *SUMMARY_NAMES, "rank", "wtl"], rows, last=(f"wtl={wtl}",))
     return [f"input={args.features_csv}"], tables
 
 
@@ -167,6 +174,10 @@ def cmd_compare_tables(args, config):
         means_pct = np.array([[float(c) for c in r[1:]] for r in rows])
     except ValueError as exc:
         raise ParameterError(f"{args.means_csv}: non-numeric value ({exc})") from None
+    # A nan cell is a missing score and passes; see `build_comparison`.
+    for i, j in np.argwhere((means_pct < 0.0) | (means_pct > 100.0)):
+        raise ParameterError(f"{args.means_csv}: {names[i]} {METRIC_NAMES[j]} is "
+                             f"{means_pct[i, j]:g}, outside [0, 100]")
     comparison = build_comparison(names, means_pct)
     return [f"input={args.means_csv}"], _comparison_tables(comparison)
 

@@ -2,7 +2,9 @@
 
 Conventions used throughout: label 1 is the positive class, all six
 metrics live in [0, 1] and are multiplied by 100 only at reporting time,
-and higher is better for every metric.
+and higher is better for every metric. A cross-validation's scores are
+one float array whose last axis holds the folds; `fold_summary` reduces
+that axis to the five SUMMARY_NAMES statistics.
 """
 
 from dataclasses import dataclass, field
@@ -17,8 +19,8 @@ __all__ = [
     "METRIC_NAMES",
     "ConfusionMatrix",
     "MetricReport",
-    "FoldSummary",
-    "CrossValidationResult",
+    "SUMMARY_NAMES",
+    "fold_summary",
     "confusion_from_predictions",
     "metrics",
     "error_enhancement",
@@ -75,37 +77,25 @@ class MetricReport:
         return np.array([getattr(self, name) for name in METRIC_NAMES], dtype=float)
 
 
-@dataclass(frozen=True)
-class FoldSummary:
-    """Spread of one metric across the folds of a cross-validation."""
-
-    mean: float
-    std: float
-    min: float
-    max: float
-    median: float
-
-    @classmethod
-    def from_values(cls, values) -> "FoldSummary":
-        values = np.asarray(values, dtype=float)
-        if values.size < 2:
-            raise ParameterError("summary needs at least two fold values")
-        return cls(
-            mean=float(np.mean(values)),
-            std=float(np.std(values, ddof=1)),
-            min=float(np.min(values)),
-            max=float(np.max(values)),
-            median=float(np.median(values)),
-        )
+SUMMARY_NAMES = ("mean", "std", "min", "max", "median")
 
 
-@dataclass(frozen=True)
-class CrossValidationResult:
-    fold_reports: tuple
-    summaries: dict
+def fold_summary(scores) -> np.ndarray:
+    """The SUMMARY_NAMES statistics of the fold values on the last axis.
 
-    def means(self) -> np.ndarray:
-        return np.array([self.summaries[name].mean for name in METRIC_NAMES])
+    Returns an array of the scores' shape with the fold axis replaced by
+    a last axis of five: mean, sample std (ddof=1), min, max and median.
+    The scores are made C-contiguous first, so every cell equals the 1-D
+    statistic of its own fold values bit for bit: numpy sums 8 or more
+    contiguous values in unrolled partial sums, but a strided axis one
+    value at a time.
+    """
+    scores = np.ascontiguousarray(scores, dtype=float)
+    if scores.ndim == 0 or scores.shape[-1] < 2:
+        raise ParameterError("summary needs at least two fold values")
+    return np.stack([np.mean(scores, axis=-1), np.std(scores, axis=-1, ddof=1),
+                     np.min(scores, axis=-1), np.max(scores, axis=-1),
+                     np.median(scores, axis=-1)], axis=-1)
 
 
 def confusion_from_predictions(y_true, y_pred) -> ConfusionMatrix:

@@ -169,6 +169,9 @@ def read_features_csv(path) -> Dataset:
         matrix = np.array([[float(c) for c in row] for row in rows])
     except ValueError as exc:
         raise ParameterError(f"{path}: non-numeric value ({exc})") from None
+    for i, j in np.argwhere(~np.isfinite(matrix)):
+        raise ParameterError(f"{path}: data row {i + 1}, column {header[j]!r}: "
+                             f"non-finite value {matrix[i, j]}")
     labels = matrix[:, -1]
     if not np.all(np.isin(labels, (0.0, 1.0))):
         raise ParameterError(f"{path}: labels must be 0 or 1")

@@ -21,8 +21,6 @@ import numpy as np
 
 from .evaluation import (
     METRIC_NAMES,
-    CrossValidationResult,
-    FoldSummary,
     confusion_from_predictions,
     error_enhancement,
     fold_datasets,
@@ -82,15 +80,16 @@ def train_methods(train: Dataset, seeds, methods, hidden, codel_config: CodelCon
 
 def _grid_task(args):
     """One fold's six refiners on its training rows, in lockstep, and
-    one metrics report per method on the fold's test rows, in METHODS
-    order."""
+    their scores on the fold's test rows: one `metrics` vector per
+    method, in METHODS order, as rows of a (methods, metrics) array."""
     boosted, train, test, seeds, hidden, codel_config, ls_config = args
     topology, _, results = train_methods(train, seeds, METHODS, hidden,
                                          codel_config, ls_config, boosted)
-    return [
+    return np.array([
         metrics(confusion_from_predictions(test.labels, predict(r.params, topology, test.rows)))
+        .as_vector()
         for r in results
-    ]
+    ])
 
 
 def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
@@ -109,8 +108,9 @@ def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
     completion order.
 
     Returns:
-        dict variant name -> CrossValidationResult, in VARIANT_NAMES
-        order.
+        C-contiguous float array (len(VARIANT_NAMES), len(METRIC_NAMES),
+        k) of test-fold scores in [0, 1], in VARIANT_NAMES, METRIC_NAMES
+        and fold order; `evaluation.fold_summary` reduces its fold axis.
     """
     if len(np.unique(dataset.labels)) < 2:
         raise ParameterError("evaluation needs both classes present")
@@ -131,25 +131,16 @@ def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
         # Forked pools start every worker up front, so ask for no more
         # than there are tasks.
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            task_reports = list(pool.map(_grid_task, tasks))
+            task_scores = list(pool.map(_grid_task, tasks))
     else:
-        task_reports = [_grid_task(t) for t in tasks]
+        task_scores = [_grid_task(t) for t in tasks]
 
-    # Every variant's tasks are listed in fold order, so appending keeps
-    # its fold reports in fold order.
-    fold_reports = {name: [] for name in VARIANT_NAMES}
-    for (boosted, *_), reports in zip(tasks, task_reports):
-        for method, report in zip(METHODS, reports):
-            fold_reports[variant_name(method, boosted)].append(report)
-
-    results = {}
-    for name, reports in fold_reports.items():
-        summaries = {
-            metric: FoldSummary.from_values([getattr(r, metric) for r in reports])
-            for metric in METRIC_NAMES
-        }
-        results[name] = CrossValidationResult(tuple(reports), summaries)
-    return results
+    # Tasks run (form, fold) with the boosted form first, each scoring
+    # (method, metric); VARIANT_NAMES lists each method's base form
+    # first, so the form axis is reversed before it joins the method's.
+    scores = np.reshape(task_scores, (2, k, len(METHODS), len(METRIC_NAMES)))[::-1]
+    return np.ascontiguousarray(scores.transpose(2, 0, 3, 1)).reshape(
+        len(VARIANT_NAMES), len(METRIC_NAMES), k)
 
 
 def paired_methods(names):

@@ -18,7 +18,8 @@ from codel.datasets import (
     two_gaussian_dataset,
     xor_dataset,
 )
-from codel.evaluation import METRIC_NAMES, error_enhancement, rank_and_mean_rank, wtl
+from codel.evaluation import (METRIC_NAMES, SUMMARY_NAMES, error_enhancement, fold_summary,
+                              rank_and_mean_rank, wtl)
 from codel.hrv import extract_features
 from codel.io import read_table, write_table
 from codel.local_search import METHODS, LocalSearchConfig
@@ -37,7 +38,7 @@ from codel.optimizer import (
 )
 from codel.signal import RrSeries
 from codel.streams import named_rng
-from codel.training import evaluate_grid, train_methods
+from codel.training import VARIANT_NAMES, evaluate_grid, train_methods
 
 from oracles import (central_difference, hrv_vector_reference, metric_reference, mse_loss,
                      random_rr_series)
@@ -336,16 +337,18 @@ def test_criterion_10_boosting_direction():
     start = time.perf_counter()
     data = two_gaussian_dataset(n_per_class=500, n_features=13,
                                 separation=2.0, seed=7)
-    results = evaluate_grid(
+    scores = evaluate_grid(
         data, 10, 11, (10,),
         CodelConfig(nfe_max=2000, seed=0),
         LocalSearchConfig(),
     )
+    medians = fold_summary(scores)[:, METRIC_NAMES.index("accuracy"),
+                                   SUMMARY_NAMES.index("median")]
     improved = 0
     detail = []
     for method in METHODS:
-        base = results[method].summaries["accuracy"].median
-        boosted = results[f"codel-{method}"].summaries["accuracy"].median
+        base = medians[VARIANT_NAMES.index(method)]
+        boosted = medians[VARIANT_NAMES.index(f"codel-{method}")]
         improved += boosted >= base
         detail.append(f"{method} {base:.4f}->{boosted:.4f}")
     if improved < 5:

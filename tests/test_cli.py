@@ -169,6 +169,26 @@ class TestExtract:
         assert "Traceback" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("flag, values, says", [
+        ("--signal-csv", [0.0] * 3000, "need at least 3 beats"),
+        ("--signal-csv", [0.0] * 1500 + [float("nan")] + [0.0] * 1499, "non-finite samples"),
+        ("--rr-csv", [800.0] * 4, "need at least 10 s of intervals"),
+    ])
+    def test_record_error_names_its_file(self, tmp_path, capsys, flag, values, says):
+        """An error while a record is cleaned or featurized names that
+        record's file, and nothing is written."""
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        _write_rr(good, [1000.0] * 60)
+        write_table(bad, ["sample" if flag == "--signal-csv" else "rr_ms"],
+                    [[v] for v in values])
+        out_dir = tmp_path / "out"
+        rc = main(["extract", "--rr-csv", str(good), flag, str(bad), "--fs", "100",
+                   "--seed", "1", "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and says in err
+        assert not out_dir.exists()
+
     def test_out_csv_directory_is_created(self, tmp_path, monkeypatch):
         """A missing parent of --out-csv is made, whether the path is
         relative (to --out-dir or the working directory) or absolute."""
@@ -360,6 +380,39 @@ class TestCompareTables:
         wtl_by_metric = {r[0]: r[1:] for r in wtl_rows}
         assert wtl_by_metric["accuracy"] == ["0", "0", "1"]
         assert wtl_by_metric["sensitivity"] == ["1", "0", "0"]
+
+    @pytest.mark.parametrize("name, metric, value", [
+        ("gd", "accuracy", 170.0), ("oss", "precision", -5.0), ("codel-gd", "gmean", 150.0),
+    ])
+    def test_percentage_outside_0_100_fails(self, tmp_path, capsys, name, metric, value):
+        """A base, an unpaired and a boosted cell outside [0, 100] are each
+        refused, naming the file, the algorithm and the metric."""
+        rows = {"rp": [70.0] * 6, "codel-rp": [100.0] * 6, "gd": [100.0] * 6,
+                "codel-gd": [75.0] * 6, "oss": [0.0] * 6}
+        rows[name][METRIC_NAMES.index(metric)] = value
+        means = tmp_path / "means.csv"
+        write_table(means, ["algorithm", *METRIC_NAMES], [[n, *v] for n, v in rows.items()])
+        out_dir = tmp_path / "out"
+        rc = main(["compare-tables", "--means-csv", str(means),
+                   "--seed", "1", "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {means}: {name} {metric} is {value:g}, outside [0, 100]\n"
+        assert not out_dir.exists()
+
+    def test_percentages_at_0_and_100_pass(self, tmp_path):
+        """The bounds themselves are scores: a base of exactly 100 leaves
+        no error to reduce, so its enhancement is nan."""
+        means = tmp_path / "means.csv"
+        write_table(means, ["algorithm", *METRIC_NAMES], [
+            ["gd", 100.0, *[70.0] * 5], ["codel-gd", 100.0, *[0.0] * 5],
+        ])
+        out_dir = tmp_path / "out"
+        assert main(["compare-tables", "--means-csv", str(means),
+                     "--seed", "1", "--out-dir", str(out_dir)]) == 0
+        _, ee_rows, _ = read_table(out_dir / "ee.csv")
+        ee = [float(v) for v in ee_rows[0][1:]]
+        assert np.isnan(ee[0]) and ee[1] == pytest.approx(-100.0 * 70.0 / 30.0)
 
     def test_repeated_algorithm_fails(self, tmp_path, capsys):
         """A name listed twice would pair one base with two rows, so the

@@ -9,13 +9,13 @@ from codel.datasets import two_gaussian_dataset
 from codel.errors import ParameterError
 from codel.evaluation import (
     ConfusionMatrix,
-    CrossValidationResult,
-    FoldSummary,
     METRIC_NAMES,
+    SUMMARY_NAMES,
     average_ranks,
     confusion_from_predictions,
     error_enhancement,
     fold_datasets,
+    fold_summary,
     kfold_split,
     metrics,
     rank_and_mean_rank,
@@ -193,29 +193,52 @@ class TestKfoldSplit:
 
 class TestFoldSummary:
 
+    @staticmethod
+    def _named(values):
+        return dict(zip(SUMMARY_NAMES, fold_summary(values).tolist()))
+
     def test_two_fold_hand_values(self):
-        s = FoldSummary.from_values([70.0, 80.0])
-        assert s.mean == 75.0
-        assert np.isclose(s.std, math.sqrt(50.0))
-        assert s.min == 70.0 and s.max == 80.0 and s.median == 75.0
+        s = self._named([70.0, 80.0])
+        assert s["mean"] == 75.0
+        assert np.isclose(s["std"], math.sqrt(50.0))
+        assert s["min"] == 70.0 and s["max"] == 80.0 and s["median"] == 75.0
 
     def test_constant_folds(self):
-        s = FoldSummary.from_values([0.8] * 10)
-        assert s.mean == 0.8 and s.std == 0.0
-        assert s.min == s.max == s.median == 0.8
+        s = self._named([0.8] * 10)
+        assert s["mean"] == 0.8 and s["std"] == 0.0
+        assert s["min"] == s["max"] == s["median"] == 0.8
 
     def test_matches_sample_std(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
             values = rng.uniform(0, 100, int(rng.integers(2, 12)))
-            s = FoldSummary.from_values(values)
-            assert np.isclose(s.std, sample_std_reference(list(values)),
+            s = self._named(values)
+            assert np.isclose(s["std"], sample_std_reference(list(values)),
                               rtol=1e-12)
-            assert s.min <= s.median <= s.max
+            assert s["min"] <= s["median"] <= s["max"]
 
     def test_needs_two_values(self):
         with pytest.raises(ParameterError):
-            FoldSummary.from_values([1.0])
+            fold_summary([1.0])
+        with pytest.raises(ParameterError):
+            fold_summary(np.zeros((3, 1)))
+
+    @given(st.integers(2, 40), st.integers(2, 4), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_each_cell_equals_its_own_1d_statistics(self, k, rows, cols, seed):
+        """Bit for bit, on a non-contiguous (transposed) input: the
+        reduction never sums a strided fold axis."""
+        folds_first = np.random.default_rng(seed).uniform(0.0, 1.0, (k, rows, cols))
+        scores = folds_first.transpose(1, 2, 0)
+        assert not scores.flags.c_contiguous
+        got = fold_summary(scores)
+        assert got.shape == (rows, cols, len(SUMMARY_NAMES))
+        for i in range(rows):
+            for j in range(cols):
+                values = np.array(scores[i, j])
+                want = [np.mean(values), np.std(values, ddof=1), np.min(values),
+                        np.max(values), np.median(values)]
+                assert got[i, j].tolist() == [float(v) for v in want]
 
 
 class TestFoldDatasets:
@@ -264,23 +287,16 @@ class TestCrossValidate:
     def test_shapes_and_determinism(self):
         data = two_gaussian_dataset(n_per_class=15, n_features=3,
                                     separation=1.0, seed=11)
-        results = self._grid(data, k=5, seed=3)
-        assert tuple(results) == VARIANT_NAMES
-        for result in results.values():
-            assert isinstance(result, CrossValidationResult)
-            assert len(result.fold_reports) == 5
-            assert set(result.summaries) == set(METRIC_NAMES)
-            means = result.means()
-            for i, name in enumerate(METRIC_NAMES):
-                assert means[i] == result.summaries[name].mean
-                assert means[i] == np.mean(
-                    [getattr(r, name) for r in result.fold_reports]
-                )
+        scores = self._grid(data, k=5, seed=3)
+        assert scores.shape == (len(VARIANT_NAMES), len(METRIC_NAMES), 5)
+        assert scores.flags.c_contiguous
+        means = fold_summary(scores)[:, :, SUMMARY_NAMES.index("mean")]
+        for v in range(len(VARIANT_NAMES)):
+            for i in range(len(METRIC_NAMES)):
+                assert means[v, i] == np.mean(scores[v, i])
 
         again = self._grid(data, k=5, seed=3)
-        for name in VARIANT_NAMES:
-            np.testing.assert_array_equal(results[name].means(),
-                                          again[name].means())
+        np.testing.assert_array_equal(scores, again)
 
     def test_single_class_dataset_rejected(self):
         data = Dataset(np.zeros((10, 2)), np.ones(10, dtype=int))

@@ -125,6 +125,12 @@ CASES = {
                        "--seed", "5", "-k", "2", "--np", "8", "--nfe", "120",
                        "--hidden", "2", "--epochs", "5", "--jobs", "2",
                        "--out-dir", "out"],
+    # Ten folds: every per-metric summary reduces 10 fold values, where
+    # numpy's pairwise summation order differs from a one-by-one sum.
+    "evaluate-k10": ["evaluate", "--features-csv", "features.csv",
+                     "--seed", "5", "-k", "10", "--np", "8", "--nfe", "120",
+                     "--hidden", "2", "--epochs", "5", "--jobs", "1",
+                     "--out-dir", "out"],
     "compare-tables": ["compare-tables", "--means-csv", "means.csv",
                        "--seed", "1", "--out-dir", "out"],
     # Budgets that run out inside a move: the train search stops two

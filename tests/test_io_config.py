@@ -181,6 +181,14 @@ class TestFeaturesCsv:
         with pytest.raises(ParameterError, match="label"):
             read_features_csv(path2)
 
+    def test_non_finite_cell_names_file_row_and_column(self, tmp_path):
+        path = tmp_path / "feat.csv"
+        for cell in ("nan", "inf", "-inf"):
+            path.write_text(f"a,b,label\n1,2,0\n3,{cell},1\n")
+            with pytest.raises(ParameterError,
+                               match=f"feat.csv: data row 2, column 'b': non-finite"):
+                read_features_csv(path)
+
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         for text, line in [("a,b,label\n1,2,0\n1,0\n", 3),

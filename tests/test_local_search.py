@@ -482,6 +482,15 @@ class TestRefine:
             dict(rp_step_min=0.2, rp_step_init=0.1),
             dict(gda_increase=0.9),
             dict(backtrack_shrink=1.0),
+            # Each bound is strict: its boundary value is refused too.
+            dict(rp_decrease=1.0),
+            dict(rp_increase=1.0),
+            dict(rp_decrease=0.0),
+            dict(gda_decrease=1.0),
+            dict(gda_increase=1.0),
+            dict(gda_decrease=0.0),
+            dict(backtrack_shrink=0.0),
+            dict(rp_step_min=0.0),
         ]
         for kwargs in bad:
             with pytest.raises(ParameterError):

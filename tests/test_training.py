@@ -181,8 +181,9 @@ class TestGridTask:
                                          _TINY_CODEL, _TINY_LS))
                     for fold in (test, poisoned))
 
-            assert len(a) == len(b) == len(METHODS)
-            assert all(ra.accuracy != rb.accuracy for ra, rb in zip(a, b))
+            assert a.shape == b.shape == (len(METHODS), len(METRIC_NAMES))
+            accuracy = METRIC_NAMES.index("accuracy")
+            assert all(ra[accuracy] != rb[accuracy] for ra, rb in zip(a, b))
             assert [method for _, method, _ in seen] == 2 * list(METHODS)
             assert all(arg is not fold for args in seen for arg in args
                        for fold in (test, poisoned))
@@ -208,7 +209,7 @@ class TestSharedSearch:
             return _refine_many(starts, methods, topology, data, config)
 
         monkeypatch.setattr(training, "refine_many", spy_refine_many)
-        results = evaluate_grid(_TINY_DATA, k, seed, hidden, _TINY_CODEL, _TINY_LS)
+        scores = evaluate_grid(_TINY_DATA, k, seed, hidden, _TINY_CODEL, _TINY_LS)
         monkeypatch.undo()
 
         pairs = fold_datasets(_TINY_DATA, k, seed)
@@ -234,33 +235,23 @@ class TestSharedSearch:
                     _TINY_CODEL.lower, _TINY_CODEL.upper, topology.param_count)
                 refined = refine(start, name, topology, train, _TINY_LS)
                 predictions = predict(refined.params, topology, test.rows)
-                assert results[name].fold_reports[f] == metrics(
-                    confusion_from_predictions(test.labels, predictions))
+                want = metrics(confusion_from_predictions(test.labels, predictions))
+                assert scores[v, :, f].tolist() == want.as_vector().tolist()
 
 
 class TestEvaluateGrid:
 
     def test_grid_shape(self):
-        results = _tiny_grid()
-        assert tuple(results) == VARIANT_NAMES
-        for result in results.values():
-            assert len(result.fold_reports) == 4
-            assert set(result.summaries) == set(METRIC_NAMES)
+        scores = _tiny_grid()
+        assert scores.shape == (len(VARIANT_NAMES), len(METRIC_NAMES), 4)
+        assert scores.dtype == float and scores.flags.c_contiguous
 
     def test_deterministic_across_calls(self):
-        a = _tiny_grid()
-        b = _tiny_grid()
-        for name in VARIANT_NAMES:
-            np.testing.assert_array_equal(a[name].means(), b[name].means())
+        np.testing.assert_array_equal(_tiny_grid(), _tiny_grid())
 
     def test_worker_count_is_invisible(self):
         """Task seeds are positional, so a process pool changes nothing."""
-        serial = _tiny_grid(jobs=1)
-        parallel = _tiny_grid(jobs=2)
-        for name in VARIANT_NAMES:
-            np.testing.assert_array_equal(
-                serial[name].means(), parallel[name].means()
-            )
+        np.testing.assert_array_equal(_tiny_grid(jobs=1), _tiny_grid(jobs=2))
 
     def test_pool_never_outnumbers_tasks(self, monkeypatch):
         """A forked pool starts all its workers at once, so it is asked
@@ -281,8 +272,8 @@ class TestEvaluateGrid:
                 return map(fn, tasks)
 
         def grid(jobs):
-            results = evaluate_grid(_TINY_DATA, 2, 2, (3,), _TINY_CODEL, _TINY_LS, jobs=jobs)
-            return {name: result.fold_reports for name, result in results.items()}
+            return evaluate_grid(_TINY_DATA, 2, 2, (3,), _TINY_CODEL, _TINY_LS,
+                                 jobs=jobs).tolist()
 
         monkeypatch.setattr(training, "ProcessPoolExecutor", SerialPool)
         serial = grid(jobs=1)
