@@ -2,12 +2,12 @@
 
 Conventions used throughout: label 1 is the positive class, all six
 metrics live in [0, 1] and are multiplied by 100 only at reporting time,
-and higher is better for every metric. A cross-validation's scores are
-one float array whose last axis holds the folds; `fold_summary` reduces
-that axis to the five SUMMARY_NAMES statistics.
+and higher is better for every metric. Scores are plain float arrays:
+`metrics` gives the six METRIC_NAMES values of one row of predictions,
+or of each row of a stack, and a cross-validation's scores are one
+array whose last axis holds the folds, which `fold_summary` reduces to
+the five SUMMARY_NAMES statistics.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,11 +17,8 @@ from .streams import named_rng
 
 __all__ = [
     "METRIC_NAMES",
-    "ConfusionMatrix",
-    "MetricReport",
     "SUMMARY_NAMES",
     "fold_summary",
-    "confusion_from_predictions",
     "metrics",
     "error_enhancement",
     "kfold_split",
@@ -36,46 +33,6 @@ METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "precision", "fscore",
 
 # Paired values closer than this either way are a tie.
 TIE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    def __post_init__(self):
-        counts = (self.tp, self.tn, self.fp, self.fn)
-        if any(c < 0 for c in counts):
-            raise ParameterError(f"counts must be non-negative, got {counts}")
-        if sum(counts) < 1:
-            raise ParameterError("confusion matrix must contain at least one sample")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Six classification metrics, each in [0, 1].
-
-    `degenerate` names the metrics whose denominator was zero and whose
-    value was therefore imputed as 0.
-    """
-
-    accuracy: float
-    sensitivity: float
-    specificity: float
-    precision: float
-    fscore: float
-    gmean: float
-    degenerate: frozenset = field(default=frozenset(), compare=False)
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in METRIC_NAMES], dtype=float)
-
 
 SUMMARY_NAMES = ("mean", "std", "min", "max", "median")
 
@@ -98,48 +55,32 @@ def fold_summary(scores) -> np.ndarray:
                      np.median(scores, axis=-1)], axis=-1)
 
 
-def confusion_from_predictions(y_true, y_pred) -> ConfusionMatrix:
-    y_true = np.asarray(y_true).astype(int)
-    y_pred = np.asarray(y_pred).astype(int)
-    if y_true.shape != y_pred.shape:
-        raise ParameterError("prediction and truth lengths differ")
-    return ConfusionMatrix(
-        tp=int(np.count_nonzero((y_true == 1) & (y_pred == 1))),
-        tn=int(np.count_nonzero((y_true == 0) & (y_pred == 0))),
-        fp=int(np.count_nonzero((y_true == 0) & (y_pred == 1))),
-        fn=int(np.count_nonzero((y_true == 1) & (y_pred == 0))),
-    )
+def metrics(labels, predicted) -> np.ndarray:
+    """The six METRIC_NAMES metrics of 0/1 predictions against 0/1 labels.
 
-
-def _ratio(numerator: float, denominator: float, name: str, degenerate: set) -> float:
-    if denominator == 0:
-        degenerate.add(name)
-        return 0.0
-    return numerator / denominator
-
-
-def metrics(cm: ConfusionMatrix) -> MetricReport:
-    """All six metrics of one confusion matrix.
-
-    A zero denominator (e.g. a fold without negatives) yields 0 for that
-    metric and records its name in the degenerate set instead of raising.
+    labels is (n,) and predicted is (n,) or a stack (k, n), one row of
+    predictions per classifier, giving a (6,) or (k, 6) array in [0, 1].
+    A zero denominator (e.g. specificity on a fold without negatives)
+    gives 0 for that metric instead of raising.
     """
-    degenerate: set = set()
-    accuracy = (cm.tp + cm.tn) / cm.total
-    sensitivity = _ratio(cm.tp, cm.tp + cm.fn, "sensitivity", degenerate)
-    specificity = _ratio(cm.tn, cm.tn + cm.fp, "specificity", degenerate)
-    precision = _ratio(cm.tp, cm.tp + cm.fp, "precision", degenerate)
-    fscore = _ratio(2 * cm.tp, 2 * cm.tp + cm.fp + cm.fn, "fscore", degenerate)
-    gmean = float(np.sqrt(sensitivity * specificity))
-    return MetricReport(
-        accuracy=accuracy,
-        sensitivity=sensitivity,
-        specificity=specificity,
-        precision=precision,
-        fscore=fscore,
-        gmean=gmean,
-        degenerate=frozenset(degenerate),
-    )
+    labels = np.asarray(labels)
+    predicted = np.asarray(predicted)
+    if labels.ndim != 1 or labels.size == 0:
+        raise ParameterError("labels must be a nonempty 1-D array")
+    if predicted.ndim not in (1, 2) or predicted.shape[-1] != labels.size:
+        raise ParameterError(f"predictions of shape {predicted.shape} do not match "
+                             f"{labels.size} labels")
+    positive, hit = labels == 1, predicted == 1
+    tp = np.count_nonzero(hit & positive, axis=-1)
+    fp = np.count_nonzero(hit & ~positive, axis=-1)
+    fn = np.count_nonzero(~hit & positive, axis=-1)
+    tn = labels.size - tp - fp - fn
+    # accuracy, sensitivity, specificity, precision and F-score
+    numer = np.stack([tp + tn, tp, tn, tp, 2 * tp], axis=-1)
+    denom = np.stack([tp + tn + fp + fn, tp + fn, tn + fp, tp + fp, 2 * tp + fp + fn], axis=-1)
+    ratios = np.divide(numer, denom, out=np.zeros(denom.shape), where=denom > 0)
+    gmean = np.sqrt(ratios[..., 1] * ratios[..., 2])
+    return np.concatenate([ratios, gmean[..., None]], axis=-1)
 
 
 def error_enhancement(base_metric_pct: float, codel_metric_pct: float) -> float:

@@ -173,14 +173,22 @@ def _percent_wrong(out, labels) -> np.ndarray:
 
 
 def predict(params, topology: MlpTopology, inputs) -> np.ndarray:
-    """Binary labels from the single output neuron; 0.5 classifies as 1."""
+    """0/1 labels of the input rows; an output sigmoid of 0.5 gives 1.
+
+    params is one flat vector (D,), giving a (rows,) array, or a stack of
+    them (k, D), giving one row of labels per member as a (k, rows)
+    array. Each member's products are the same BLAS calls as its own
+    unstacked pass, so every row equals the member's own call bit for bit.
+    """
     rows = np.atleast_2d(np.asarray(inputs, dtype=float))
     if rows.ndim != 2 or rows.shape[1] != topology.n_in:
         raise ShapeError(
             f"input dimension {rows.shape} does not match n_in={topology.n_in}"
         )
-    layers = decode(np.asarray(params, dtype=float)[None], topology)
-    return _class_one(_forward_activations(layers, rows)[-1][0]).astype(int)
+    params = np.asarray(params, dtype=float)
+    labels = _class_one(_forward_activations(decode(np.atleast_2d(params), topology),
+                                             rows)[-1]).astype(int)
+    return labels[0] if params.ndim == 1 else labels
 
 
 def classification_error(params, topology: MlpTopology, data: Dataset):

@@ -21,7 +21,6 @@ import numpy as np
 
 from .evaluation import (
     METRIC_NAMES,
-    confusion_from_predictions,
     error_enhancement,
     fold_datasets,
     metrics,
@@ -80,16 +79,14 @@ def train_methods(train: Dataset, seeds, methods, hidden, codel_config: CodelCon
 
 def _grid_task(args):
     """One fold's six refiners on its training rows, in lockstep, and
-    their scores on the fold's test rows: one `metrics` vector per
-    method, in METHODS order, as rows of a (methods, metrics) array."""
+    their scores on the fold's test rows: one stacked `predict` of the
+    six refined nets and one `metrics` call give a (methods, metrics)
+    array, one row per method in METHODS order."""
     boosted, train, test, seeds, hidden, codel_config, ls_config = args
     topology, _, results = train_methods(train, seeds, METHODS, hidden,
                                          codel_config, ls_config, boosted)
-    return np.array([
-        metrics(confusion_from_predictions(test.labels, predict(r.params, topology, test.rows)))
-        .as_vector()
-        for r in results
-    ])
+    return metrics(test.labels, predict(np.stack([r.params for r in results]),
+                                        topology, test.rows))
 
 
 def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
@@ -162,7 +159,6 @@ class Comparison:
     """Rank, W/T/L, and error-enhancement view of one means table."""
 
     names: tuple
-    means_pct: np.ndarray
     ranks: np.ndarray
     mean_ranks: np.ndarray
     wtl_per_metric: dict
@@ -213,7 +209,6 @@ def build_comparison(names, means_pct) -> Comparison:
 
     return Comparison(
         names=names,
-        means_pct=means_pct,
         ranks=ranks,
         mean_ranks=mean_ranks,
         wtl_per_metric=wtl_per_metric,

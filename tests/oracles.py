@@ -188,6 +188,12 @@ def metric_reference(tp, tn, fp, fn):
     }
 
 
+def confusion_labels(tp, tn, fp, fn):
+    """(labels, predictions) holding the given confusion counts."""
+    return (np.repeat([1, 0, 0, 1], [tp, tn, fp, fn]),
+            np.repeat([1, 0, 1, 0], [tp, tn, fp, fn]))
+
+
 def error_enhancement_reference(base_error, boosted_error):
     return (base_error - boosted_error) / base_error * 100.0
 

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from codel.datasets import two_gaussian_dataset
 from codel.errors import ParameterError
 from codel.evaluation import (
-    ConfusionMatrix,
     METRIC_NAMES,
     SUMMARY_NAMES,
     average_ranks,
-    confusion_from_predictions,
     error_enhancement,
     fold_datasets,
     fold_summary,
@@ -27,6 +25,7 @@ from codel.optimizer import CodelConfig
 from codel.training import VARIANT_NAMES, evaluate_grid
 
 from oracles import (
+    confusion_labels,
     descending_ranks_reference,
     error_enhancement_reference,
     metric_reference,
@@ -35,43 +34,46 @@ from oracles import (
 )
 
 
+def _named_metrics(tp, tn, fp, fn):
+    return dict(zip(METRIC_NAMES, metrics(*confusion_labels(tp, tn, fp, fn))))
+
+
 class TestMetrics:
 
     def test_hand_worked_matrix(self):
-        m = metrics(ConfusionMatrix(tp=50, tn=30, fp=10, fn=10))
-        assert m.accuracy == 0.8
-        assert np.isclose(m.sensitivity, 5.0 / 6.0, rtol=1e-15)
-        assert m.specificity == 0.75
-        assert np.isclose(m.precision, 5.0 / 6.0, rtol=1e-15)
-        assert np.isclose(m.fscore, 5.0 / 6.0, rtol=1e-15)
-        assert np.isclose(m.gmean, math.sqrt(0.625), rtol=1e-12)
-        assert m.degenerate == frozenset()
+        m = _named_metrics(tp=50, tn=30, fp=10, fn=10)
+        assert m["accuracy"] == 0.8
+        assert np.isclose(m["sensitivity"], 5.0 / 6.0, rtol=1e-15)
+        assert m["specificity"] == 0.75
+        assert np.isclose(m["precision"], 5.0 / 6.0, rtol=1e-15)
+        assert np.isclose(m["fscore"], 5.0 / 6.0, rtol=1e-15)
+        assert np.isclose(m["gmean"], math.sqrt(0.625), rtol=1e-12)
+        assert all(value > 0 for value in m.values())
 
     def test_perfect_classifier(self):
-        m = metrics(ConfusionMatrix(tp=5, tn=7, fp=0, fn=0))
+        m = _named_metrics(tp=5, tn=7, fp=0, fn=0)
         for name in METRIC_NAMES:
-            assert getattr(m, name) == 1.0
-        assert m.degenerate == frozenset()
+            assert m[name] == 1.0
 
     def test_missed_every_positive(self):
-        m = metrics(ConfusionMatrix(tp=0, tn=3, fp=0, fn=2))
-        assert m.sensitivity == 0.0
-        assert m.gmean == 0.0
-        assert m.specificity == 1.0
-        assert m.degenerate == frozenset({"precision"})
+        m = _named_metrics(tp=0, tn=3, fp=0, fn=2)
+        assert m["sensitivity"] == 0.0
+        assert m["gmean"] == 0.0
+        assert m["specificity"] == 1.0
+        assert m["precision"] == 0.0
 
     def test_single_class_flags(self):
         """No negatives at all: specificity and precision lose their
-        denominators and come back imputed."""
-        m = metrics(ConfusionMatrix(tp=0, tn=0, fp=0, fn=5))
-        assert m.specificity == 0.0
-        assert m.degenerate == frozenset({"specificity", "precision"})
+        denominators and come back as 0."""
+        m = _named_metrics(tp=0, tn=0, fp=0, fn=5)
+        assert m["specificity"] == 0.0
+        assert m["precision"] == 0.0
 
-    def test_empty_or_negative_counts_rejected(self):
+    def test_empty_labels_rejected(self):
         with pytest.raises(ParameterError):
-            ConfusionMatrix(0, 0, 0, 0)
+            metrics([], [])
         with pytest.raises(ParameterError):
-            ConfusionMatrix(-1, 2, 0, 0)
+            metrics([[1, 0]], [[1, 0]])
 
     def test_gmean_squares_to_product(self):
         rng = np.random.default_rng(0)
@@ -79,10 +81,10 @@ class TestMetrics:
             tp, tn, fp, fn = rng.integers(0, 40, 4)
             if tp + tn + fp + fn == 0:
                 continue
-            m = metrics(ConfusionMatrix(int(tp), int(tn), int(fp), int(fn)))
-            assert np.isclose(m.gmean ** 2, m.sensitivity * m.specificity,
+            m = _named_metrics(int(tp), int(tn), int(fp), int(fn))
+            assert np.isclose(m["gmean"] ** 2, m["sensitivity"] * m["specificity"],
                               rtol=1e-12, atol=1e-15)
-            assert np.all((m.as_vector() >= 0) & (m.as_vector() <= 1))
+            assert all(0 <= value <= 1 for value in m.values())
 
     def test_matches_rational_oracle(self):
         rng = np.random.default_rng(1)
@@ -90,21 +92,46 @@ class TestMetrics:
             tp, tn, fp, fn = (int(v) for v in rng.integers(0, 60, 4))
             if tp + tn + fp + fn == 0:
                 continue
-            m = metrics(ConfusionMatrix(tp, tn, fp, fn))
+            m = _named_metrics(tp, tn, fp, fn)
             ref = metric_reference(tp, tn, fp, fn)
             for name in METRIC_NAMES:
-                assert abs(getattr(m, name) - float(ref[name])) <= 1e-12
+                assert abs(m[name] - float(ref[name])) <= 1e-12
+
+    @given(labels=st.lists(st.integers(0, 1), min_size=1, max_size=60).flatmap(
+               lambda ls: st.sampled_from([ls, [0] * len(ls), [1] * len(ls)])),
+           data=st.data())
+    def test_stack_rows_equal_their_own_calls_and_the_oracle(self, labels, data):
+        """Drawn labels, one-class folds among them, and a (k, n) stack of
+        predictions: each row is its own 1-D call bit for bit and within
+        1e-12 of the rational oracle, and a length mismatch is refused."""
+        n = len(labels)
+        stack = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=8)))
+        got = metrics(labels, stack)
+        assert got.shape == (len(stack), len(METRIC_NAMES))
+        for row, predicted in zip(got, stack):
+            assert row.tobytes() == metrics(labels, predicted).tobytes()
+            y, p = np.array(labels), predicted
+            ref = metric_reference(*(int(np.count_nonzero((y == a) & (p == b)))
+                                     for a, b in ((1, 1), (0, 0), (0, 1), (1, 0))))
+            assert all(abs(v - float(ref[name])) <= 1e-12
+                       for v, name in zip(row, METRIC_NAMES))
+        with pytest.raises(ParameterError):
+            metrics(labels, stack[:, 1:])
+        with pytest.raises(ParameterError):
+            metrics(labels + [0], stack)
 
 
 class TestConfusionFromPredictions:
 
     def test_counts(self):
-        cm = confusion_from_predictions([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
-        assert (cm.tp, cm.tn, cm.fp, cm.fn) == (2, 1, 1, 1)
+        """tp 2, tn 1, fp 1, fn 1."""
+        m = metrics([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
+        assert m.tolist() == [3 / 5, 2 / 3, 1 / 2, 2 / 3, 4 / 6, math.sqrt(2 / 3 * 1 / 2)]
 
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
-            confusion_from_predictions([1, 0], [1])
+            metrics([1, 0], [1])
 
 
 class TestErrorEnhancement:

@@ -326,6 +326,24 @@ class TestStackedForward:
         assert errors.tobytes() == np.array(per_member).tobytes()
         assert per_member == [classification_error_reference(v, topo, data) for v in stack]
 
+    @given(seed=st.integers(0, 2**32 - 1),
+           widths=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+           n_in=st.integers(1, 13), n_out=st.integers(1, 2), n_rows=st.integers(1, 200),
+           k=st.integers(1, 8), log_scale=st.floats(-3.0, 1.0),
+           z=st.one_of(st.sampled_from(EDGE_Z), st.floats(-1e-14, 1e-14)))
+    @settings(max_examples=100)
+    def test_predict_stack_rows_equal_per_member_calls(self, seed, widths, n_in, n_out,
+                                                       n_rows, k, log_scale, z):
+        rng = np.random.default_rng(seed)
+        topo = MlpTopology((n_in, *widths, n_out))
+        rows = rng.normal(0, 1, (n_rows, n_in))
+        stack = _edge_stack(rng, topo, rows, k, 10.0 ** log_scale, z)
+        labels = predict(stack, topo, rows)
+        assert labels.shape == (k, n_rows)
+        for member, row in zip(stack, labels):
+            assert row.tobytes() == predict(member, topo, rows).tobytes()
+            np.testing.assert_array_equal(row, predict_reference(member, topo, rows))
+
     def test_one_vector_gives_a_float(self):
         topo = MlpTopology((2, 3, 1))
         data = Dataset(np.zeros((4, 2)), [0, 1, 1, 1])

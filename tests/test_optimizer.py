@@ -527,6 +527,7 @@ class TestRunCodel:
                 CodelConfig(**kwargs)
 
     @pytest.mark.parametrize("knob, value", [
+        ("population_size", 4),
         ("scale_factor", 2.0),
         ("crossover_rate", 0.0),
         ("crossover_rate", 1.0),

@@ -9,7 +9,6 @@ from codel.datasets import two_gaussian_dataset, xor_dataset
 from codel.errors import ParameterError
 from codel.evaluation import (
     METRIC_NAMES,
-    confusion_from_predictions,
     fold_datasets,
     metrics,
 )
@@ -235,8 +234,7 @@ class TestSharedSearch:
                     _TINY_CODEL.lower, _TINY_CODEL.upper, topology.param_count)
                 refined = refine(start, name, topology, train, _TINY_LS)
                 predictions = predict(refined.params, topology, test.rows)
-                want = metrics(confusion_from_predictions(test.labels, predictions))
-                assert scores[v, :, f].tolist() == want.as_vector().tolist()
+                assert scores[v, :, f].tolist() == metrics(test.labels, predictions).tolist()
 
 
 class TestEvaluateGrid:
