@@ -43,8 +43,7 @@ def main() -> None:
 
     print()
     print("boosted vs base per metric (wins/ties/losses):")
-    for metric in METRIC_NAMES:
-        w, t, l = comparison.wtl_per_metric[metric]
+    for metric, (w, t, l) in zip(METRIC_NAMES, comparison.wtl):
         print(f"  {metric:12s} {w}/{t}/{l}")
 
 

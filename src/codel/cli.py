@@ -122,7 +122,7 @@ def _comparison_tables(comparison) -> dict:
         ),
         "wtl.csv": Table(
             ["metric", "wins", "ties", "losses"],
-            [[metric, *comparison.wtl_per_metric[metric]] for metric in METRIC_NAMES],
+            [[metric, *counts] for metric, counts in zip(METRIC_NAMES, comparison.wtl.tolist())],
         ),
         "ee.csv": Table(
             ["algorithm", *METRIC_NAMES],
@@ -149,10 +149,11 @@ def cmd_evaluate(args, config):
 
     tables = _comparison_tables(comparison)
     for j, metric in enumerate(METRIC_NAMES):
+        # VARIANT_NAMES lists pair i // 2 at row i, its base form first.
         rows = [[name, *summary[i, j].tolist(), float(comparison.ranks[i, j]),
-                 comparison.outcomes[name][j] if name in comparison.outcomes else ""]
+                 comparison.outcomes[i // 2, j] if i % 2 else ""]
                 for i, name in enumerate(VARIANT_NAMES)]
-        wtl = "/".join(str(n) for n in comparison.wtl_per_metric[metric])
+        wtl = "/".join(str(n) for n in comparison.wtl[j])
         tables[f"{metric}.csv"] = Table(
             ["algorithm", *SUMMARY_NAMES, "rank", "wtl"], rows, last=(f"wtl={wtl}",))
     return [f"input={args.features_csv}"], tables

@@ -8,8 +8,9 @@ alias, accepted in both places: np, nfe, f, cr, jr, cp, k, lr (so
 parsed exactly as file values are.
 
 Config files are line-oriented `key = value` text; '#' starts a
-comment. Unknown keys are rejected outright rather than ignored, so a
-typo cannot silently fall back to a default.
+comment. An unknown key, or a knob set twice (`k = 5`, then `folds =
+7`), is rejected rather than ignored or overwritten, so a typo cannot
+silently fall back to a default, nor a repeat keep its last value.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -143,7 +144,7 @@ def _read_config_file(path):
     path = Path(path)
     if not path.is_file():
         raise ParameterError(f"no such config file: {path}")
-    values = {}
+    values, set_on = {}, {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -151,7 +152,10 @@ def _read_config_file(path):
         if "=" not in line:
             raise ParameterError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[_resolve_key(key)] = value
+        key = _resolve_key(key)
+        if key in set_on:
+            raise ParameterError(f"{path}:{lineno}: {key} already set on line {set_on[key]}")
+        values[key], set_on[key] = value, lineno
     return values
 
 

@@ -83,22 +83,22 @@ def metrics(labels, predicted) -> np.ndarray:
     return np.concatenate([ratios, gmean[..., None]], axis=-1)
 
 
-def error_enhancement(base_metric_pct: float, codel_metric_pct: float) -> float:
+def error_enhancement(base_metric_pct, codel_metric_pct):
     """Relative reduction of the error 100 - metric, in percent.
 
-    Negative when the boosted variant scores below its base.
+    Works elementwise on arrays (or scalars) of equal or broadcastable
+    shape. Negative when the boosted variant scores below its base; a
+    nan on either side gives nan.
     """
-    if not (0 <= base_metric_pct < 100):
-        raise ParameterError(
-            f"base metric must be in [0, 100), got {base_metric_pct}"
-        )
-    if not (0 <= codel_metric_pct <= 100):
-        raise ParameterError(
-            f"boosted metric must be in [0, 100], got {codel_metric_pct}"
-        )
-    base_err = 100.0 - base_metric_pct
-    codel_err = 100.0 - codel_metric_pct
-    return (base_err - codel_err) / base_err * 100.0
+    base = np.asarray(base_metric_pct, dtype=float)
+    codel = np.asarray(codel_metric_pct, dtype=float)
+    # nan compares False, so only a number outside the range is caught.
+    for value in base[(base < 0) | (base >= 100)][:1]:
+        raise ParameterError(f"base metric must be in [0, 100), got {value}")
+    for value in codel[(codel < 0) | (codel > 100)][:1]:
+        raise ParameterError(f"boosted metric must be in [0, 100], got {value}")
+    base_err = 100.0 - base
+    return ((base_err - (100.0 - codel)) / base_err * 100.0)[()]
 
 
 def kfold_split(k: int, labels, seed: int):
@@ -114,15 +114,12 @@ def kfold_split(k: int, labels, seed: int):
     if k > len(labels):
         raise ParameterError(f"cannot split {len(labels)} samples into {k} folds")
     rng = named_rng(seed, "folds")
-    folds = [[] for _ in range(k)]
-    cursor = 0
-    for value in np.unique(labels):
-        idx = np.flatnonzero(labels == value)
+    classes = [np.flatnonzero(labels == value) for value in np.unique(labels)]
+    for idx in classes:
         rng.shuffle(idx)
-        for i in idx:
-            folds[cursor % k].append(int(i))
-            cursor += 1
-    return [np.array(sorted(f), dtype=int) for f in folds]
+    # Position p of the shuffled classes, laid end to end, goes to fold p % k.
+    order = np.concatenate(classes)
+    return [np.sort(order[f::k]) for f in range(k)]
 
 
 def _standardize_columns(train_rows: np.ndarray, other_rows: np.ndarray):

@@ -126,12 +126,18 @@ def hampel_filter(signal: Signal, half_window: int, n_sigmas: float = 3.0) -> Si
     width = 2 * half_window + 1
     pad = np.full(half_window, np.inf)
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([pad, x, pad]), width)
-    reach = np.minimum(np.arange(n), half_window)
-    length = reach + reach[::-1] + 1
     med = ndimage.median_filter(x, size=width)
-    for end in (slice(0, half_window), slice(n - half_window, n)):
-        med[end] = _window_medians(windows[end], length[end])
-    mad = _window_medians(windows, length, med)
+    # Only the 2h end rows hold fewer than `width` samples. Row i < h
+    # holds i + min(n - 1 - i, h) + 1, as does row n - 1 - i. The ends
+    # overlap when n <= 2h, so every end median is fixed before any MAD.
+    head = np.arange(half_window)
+    length = head + np.minimum(n - 1 - head, half_window) + 1
+    ends = [(slice(0, half_window), length), (slice(n - half_window, n), length[::-1])]
+    for end, end_length in ends:
+        med[end] = _window_medians(windows[end], end_length)
+    mad = _window_medians(windows, np.broadcast_to(width, n), med)
+    for end, end_length in ends:
+        mad[end] = _window_medians(windows[end], end_length, med[end])
     outlier = np.abs(x - med) > n_sigmas * MAD_SCALE * mad
     return Signal(np.where(outlier, med, x), signal.fs)
 
@@ -143,12 +149,8 @@ def _window_medians(rows: np.ndarray, length: np.ndarray, med: np.ndarray | None
     Rows are copied ``_MAD_CHUNK_ROWS`` at a time into one scratch buffer
     and sorted there.
     """
-    lower, upper = np.empty((2, len(rows)))
+    out = np.empty(len(rows))
     scratch = np.empty((min(_MAD_CHUNK_ROWS, len(rows)), rows.shape[1]))
-    # Flat positions of each row's two middle entries within its chunk.
-    even = length % 2 == 0
-    upper_at = np.arange(len(rows)) % _MAD_CHUNK_ROWS * rows.shape[1] + length // 2
-    lower_at = upper_at - even
     for start in range(0, len(rows), _MAD_CHUNK_ROWS):
         chunk = slice(start, start + _MAD_CHUNK_ROWS)
         sorted_rows = scratch[: len(rows[chunk])]
@@ -158,10 +160,13 @@ def _window_medians(rows: np.ndarray, length: np.ndarray, med: np.ndarray | None
             np.subtract(rows[chunk], med[chunk, None], out=sorted_rows)
             np.abs(sorted_rows, out=sorted_rows)
         sorted_rows.sort(axis=1)
-        lower[chunk] = sorted_rows.take(lower_at[chunk])
-        upper[chunk] = sorted_rows.take(upper_at[chunk])
-    lower[even] = (lower[even] + upper[even]) / 2
-    return lower
+        # An odd count has one middle entry; an even count averages the
+        # entry below it in too.
+        at, even = np.arange(len(sorted_rows)), length[chunk] % 2 == 0
+        middle = out[chunk]
+        middle[...] = sorted_rows[at, length[chunk] // 2]
+        middle[even] = (sorted_rows[at[even], length[chunk][even] // 2 - 1] + middle[even]) / 2
+    return out
 
 
 def butterworth_lowpass(signal: Signal, cutoff_hz: float, order: int = 4) -> Signal:

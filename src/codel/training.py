@@ -11,7 +11,8 @@ one method; the evaluation grid runs it twice per cross-validation
 fold, once per form, over all six methods. Grid tasks are independent,
 so they can spread over worker processes, and results are collected by
 position, so the output never depends on the worker count or
-completion order.
+completion order. `build_comparison` turns a means table into ranks,
+W/T/L counts and error enhancements, one array pass over its pairs.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +27,6 @@ from .evaluation import (
     metrics,
     pair_outcomes,
     rank_and_mean_rank,
-    wtl,
 )
 from .errors import ParameterError
 from .local_search import METHODS, LocalSearchConfig, refine_many
@@ -156,19 +156,25 @@ def paired_methods(names):
 
 @dataclass(frozen=True)
 class Comparison:
-    """Rank, W/T/L, and error-enhancement view of one means table."""
+    """Ranks, W/T/L and error enhancement of one means table, as arrays:
+    rows of `outcomes` and `ee_table` follow `pairs`, and `wtl` counts
+    the wins, ties and losses of each `outcomes` column, one row each."""
 
     names: tuple
     ranks: np.ndarray
     mean_ranks: np.ndarray
-    wtl_per_metric: dict
+    wtl: np.ndarray
     pairs: tuple
-    outcomes: dict
+    outcomes: np.ndarray
     ee_table: np.ndarray
 
 
 def build_comparison(names, means_pct) -> Comparison:
     """Derive every cross-algorithm statistic from a means table.
+
+    One `pair_outcomes` and one `error_enhancement` call score every
+    base/boosted cell pair. A base at 100 leaves no error to reduce, and
+    a nan cell nothing to compare, so their enhancement is nan.
 
     Args:
         names: algorithm names, one per row.
@@ -184,35 +190,11 @@ def build_comparison(names, means_pct) -> Comparison:
         )
     ranks, mean_ranks = rank_and_mean_rank(means_pct)
     pairs = tuple(paired_methods(names))
-    row = {name: i for i, name in enumerate(names)}
-
-    base = means_pct[[row[b] for b, _ in pairs]]
-    boosted = means_pct[[row[c] for _, c in pairs]]
-    wtl_per_metric = {
-        metric: wtl(base[:, j], boosted[:, j]) for j, metric in enumerate(METRIC_NAMES)
-    }
-    outcomes = {c: tuple(o.tolist()) for (_, c), o in zip(pairs, pair_outcomes(base, boosted))}
-
-    def safe_ee(base_pct: float, boosted_pct: float) -> float:
-        # A perfect base score leaves no error to reduce, and a missing
-        # (nan) cell leaves nothing to compare, so the enhancement is
-        # undefined there; nan keeps the table shape without crashing
-        # the whole report.
-        if base_pct >= 100.0 or np.isnan(base_pct) or np.isnan(boosted_pct):
-            return float("nan")
-        return error_enhancement(base_pct, boosted_pct)
-
-    ee_table = np.array([
-        [safe_ee(b, c) for b, c in zip(base_row, boosted_row)]
-        for base_row, boosted_row in zip(base, boosted)
-    ]).reshape(len(pairs), len(METRIC_NAMES))
-
+    base = means_pct[[names.index(b) for b, _ in pairs]]
+    boosted = means_pct[[names.index(c) for _, c in pairs]]
+    outcomes = pair_outcomes(base, boosted)
     return Comparison(
-        names=names,
-        ranks=ranks,
-        mean_ranks=mean_ranks,
-        wtl_per_metric=wtl_per_metric,
-        pairs=pairs,
-        outcomes=outcomes,
-        ee_table=ee_table,
+        names=names, ranks=ranks, mean_ranks=mean_ranks, pairs=pairs, outcomes=outcomes,
+        wtl=np.count_nonzero(outcomes[..., None] == ["win", "tie", "loss"], axis=0),
+        ee_table=error_enhancement(np.where(base >= 100.0, np.nan, base), boosted),
     )

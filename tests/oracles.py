@@ -198,6 +198,23 @@ def error_enhancement_reference(base_error, boosted_error):
     return (base_error - boosted_error) / base_error * 100.0
 
 
+def kfold_reference(k, labels, seed):
+    """Stratified folds dealt one sample at a time: each class, in
+    `np.unique` order, is shuffled and dealt round-robin, the dealing
+    position carried over from class to class."""
+    labels = np.asarray(labels)
+    rng = named_rng(seed, "folds")
+    folds = [[] for _ in range(k)]
+    cursor = 0
+    for value in np.unique(labels):
+        idx = np.flatnonzero(labels == value)
+        rng.shuffle(idx)
+        for i in idx:
+            folds[cursor % k].append(int(i))
+            cursor += 1
+    return [np.array(sorted(f), dtype=int) for f in folds]
+
+
 # ------------------------------------------------------------------
 # Finite-difference gradient of any scalar loss
 # ------------------------------------------------------------------

@@ -28,6 +28,7 @@ from oracles import (
     confusion_labels,
     descending_ranks_reference,
     error_enhancement_reference,
+    kfold_reference,
     metric_reference,
     rankdata_reference,
     sample_std_reference,
@@ -210,6 +211,15 @@ class TestKfoldSplit:
             np.testing.assert_array_equal(fa, fb)
         c = kfold_split(5, labels, seed=43)
         assert any(not np.array_equal(fa, fc) for fa, fc in zip(a, c))
+
+    @given(st.lists(st.integers(0, 2), min_size=2, max_size=60), st.integers(2, 60),
+           st.integers(0, 2**31 - 1))
+    def test_equals_the_dealing_loop(self, labels, k, seed):
+        k = min(k, len(labels))
+        folds = kfold_split(k, labels, seed)
+        expected = kfold_reference(k, labels, seed)
+        assert [f.dtype for f in folds] == [f.dtype for f in expected]
+        assert [f.tolist() for f in folds] == [f.tolist() for f in expected]
 
     def test_bad_inputs(self):
         with pytest.raises(ParameterError):

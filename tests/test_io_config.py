@@ -300,6 +300,21 @@ class TestRunConfig:
         with pytest.raises(ParameterError, match="unknown config key"):
             parse_config(seed=1, npop_size=40)
 
+    @pytest.mark.parametrize("text, message", [
+        ("seed = 1\nk = 5\nfolds = 7\n", r"run\.cfg:3: folds already set on line 2"),
+        ("np = 10\nseed = 1\npopulation_size = 20\n",
+         r"run\.cfg:3: population_size already set on line 1"),
+        ("seed = 1\n\nseed = 2\n", r"run\.cfg:3: seed already set on line 1"),
+    ])
+    def test_knob_set_twice_rejected(self, tmp_path, text, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match=message):
+            parse_config(path)
+        # A flag still overrides the file's single setting.
+        path.write_text("seed = 1\nk = 5\n")
+        assert parse_config(path, folds=7).folds == 7
+
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# a run\n\nseed = 2  # inline\n\n# done\n")

@@ -1,0 +1,128 @@
+"""Metamorphic relations: how outputs must move when an input moves.
+
+A relation needs no oracle, only a reason it holds by construction,
+which each test states. Tables are drawn with nan cells, cells at
+exactly 100, near-ties, unpaired names and tables with no pair at all.
+"""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from codel.cli import main
+from codel.evaluation import METRIC_NAMES, TIE_TOL, metrics, pair_outcomes, wtl
+from codel.io import read_table, write_table
+from codel.training import build_comparison
+
+from oracles import error_enhancement_reference
+
+# Three pairs, two lone boosted or base names, and an unrelated one.
+_NAMES = ("rp", "codel-rp", "oss", "codel-oss", "gd", "codel-gd", "codel-gda", "cgpr", "x")
+
+# Few distinct values, so ties (in ranks and in pairs) are common.
+_CELLS = st.one_of(
+    st.sampled_from([0.0, 50.0, 50.0 + TIE_TOL / 2, 50.0 + 2 * TIE_TOL, 87.5, 100.0, np.nan]),
+    st.floats(0.0, 100.0),
+)
+
+
+@st.composite
+def _means_tables(draw):
+    names = draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=len(_NAMES),
+                          unique=True))
+    cells = draw(st.lists(_CELLS, min_size=6 * len(names), max_size=6 * len(names)))
+    return tuple(names), np.array(cells).reshape(len(names), len(METRIC_NAMES))
+
+
+def _by_boosted_name(comparison, field):
+    return {c: getattr(comparison, field)[p].tobytes()
+            for p, (_, c) in enumerate(comparison.pairs)}
+
+
+class TestRowPermutation:
+    """Ranks, pairing and counts depend on which row holds which name,
+    never on where a row sits, so a permuted table gives each name the
+    same statistics bit for bit. Killed mutant: ordinal ranks (ties
+    broken by row position) in place of average ranks."""
+
+    @given(table=_means_tables(), data=st.data())
+    def test_each_name_keeps_its_statistics(self, table, data):
+        names, means = table
+        order = data.draw(st.permutations(range(len(names))))
+        before = build_comparison(names, means)
+        after = build_comparison([names[i] for i in order], means[order])
+
+        assert after.ranks.tobytes() == before.ranks[order].tobytes()
+        assert after.mean_ranks.tobytes() == before.mean_ranks[order].tobytes()
+        assert sorted(after.pairs) == sorted(before.pairs)
+        for field in ("outcomes", "ee_table"):
+            assert _by_boosted_name(after, field) == _by_boosted_name(before, field)
+        assert np.array_equal(after.wtl, before.wtl)
+
+    def test_compare_tables_files_hold_the_same_rows(self, tmp_path):
+        """The same relation through the whole command: every output file
+        holds the same data rows, whatever their order."""
+        rows = [["rp", 70.0, 80.0, 60.0, 75.0, 72.0, 66.0],
+                ["codel-rp", 74.0, 79.0, 64.0, 100.0, 74.0, 69.0],
+                ["oss", 68.0, 100.0, 58.0, 74.0, float("nan"), 65.0],
+                ["codel-oss", 68.0, 82.0, 59.0, 78.0, 75.0, 70.0],
+                ["gd", 70.0, 80.0, 60.0, 74.0, 72.0, 65.0]]
+        outputs = []
+        for run, order in enumerate(([0, 1, 2, 3, 4], [3, 4, 0, 2, 1])):
+            out_dir = tmp_path / str(run)
+            out_dir.mkdir()
+            write_table(out_dir / "means.csv", ["algorithm", *METRIC_NAMES],
+                        [rows[i] for i in order])
+            assert main(["compare-tables", "--means-csv", str(out_dir / "means.csv"),
+                         "--seed", "1", "--out-dir", str(out_dir)]) == 0
+            outputs.append({name: sorted(read_table(out_dir / name)[1])
+                            for name in ("mean_rank.csv", "wtl.csv", "ee.csv", "ranks.csv")})
+        assert outputs[0] == outputs[1]
+
+
+class TestLabelSwap:
+    """Swapping the classes turns true positives into true negatives and
+    false positives into false negatives, so sensitivity and specificity
+    trade places, and accuracy and G-mean, symmetric in the two, keep
+    every bit. Killed mutant: specificity over tn + fn in place of
+    tn + fp."""
+
+    @given(labels=st.lists(st.integers(0, 1), min_size=1, max_size=40), data=st.data())
+    def test_sensitivity_and_specificity_trade_places(self, labels, data):
+        labels = np.array(labels)
+        stack = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 1), min_size=labels.size, max_size=labels.size),
+            min_size=1, max_size=6)))
+        scores = metrics(labels, stack)
+        swapped = metrics(1 - labels, 1 - stack)
+        kept = [METRIC_NAMES.index("accuracy"), METRIC_NAMES.index("gmean")]
+        traded = [METRIC_NAMES.index("sensitivity"), METRIC_NAMES.index("specificity")]
+        assert swapped[:, kept].tobytes() == scores[:, kept].tobytes()
+        assert swapped[:, traded].tobytes() == scores[:, traded[::-1]].tobytes()
+
+
+class TestComparisonCells:
+    """Each array statistic of `build_comparison` equals the scalar rule
+    applied to its own cells. Killed mutant: masking a base above 100
+    (`>`) in place of at or above it (`>=`), which lets a perfect base
+    reach `error_enhancement` and raise."""
+
+    @given(table=_means_tables())
+    def test_every_cell_follows_its_scalar_rule(self, table):
+        names, means = table
+        comparison = build_comparison(names, means)
+        base = np.array([means[names.index(b)] for b, _ in comparison.pairs]).reshape(-1, 6)
+        boosted = np.array([means[names.index(c)] for _, c in comparison.pairs]).reshape(-1, 6)
+        assert comparison.outcomes.shape == comparison.ee_table.shape == base.shape
+        assert comparison.wtl.shape == (len(METRIC_NAMES), 3)
+
+        for (p, j), b in np.ndenumerate(base):
+            c = boosted[p, j]
+            assert comparison.outcomes[p, j] == pair_outcomes(b, c)
+            if b == 100.0 or np.isnan(b) or np.isnan(c):
+                assert np.isnan(comparison.ee_table[p, j])
+            else:
+                assert comparison.ee_table[p, j] == error_enhancement_reference(100.0 - b,
+                                                                                100.0 - c)
+        for j in range(len(METRIC_NAMES)):
+            assert tuple(comparison.wtl[j]) == wtl(base[:, j], boosted[:, j])

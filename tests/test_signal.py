@@ -130,6 +130,25 @@ class TestHampelFilter:
         assert peak < 20e6
         assert np.array_equal(out.samples, hampel_reference(x, half_window))
 
+    def test_long_record_builds_no_per_sample_index_arrays(self):
+        """Only the 2 * half_window end rows get their own window length;
+        every interior MAD is taken at the full width. Three minutes at
+        250 Hz with the default half window then peaks near 1.85 MB: the
+        padded copy, the sort scratch and a few sample-length float
+        arrays. Five per-sample index arrays took it to 3.57 MB."""
+        from scipy import ndimage  # noqa: F401
+
+        rng = np.random.default_rng(5)
+        x = np.sin(np.arange(45_000) / 40.0) ** 15 + 0.05 * rng.normal(size=45_000)
+        x[rng.integers(0, x.size, 40)] -= 3.0
+        tracemalloc.start()
+        try:
+            hampel_filter(Signal(x, 250.0), 125)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0e6
+
     def test_parameter_validation(self):
         sig = Signal(np.ones(10), 10.0)
         with pytest.raises(ParameterError):

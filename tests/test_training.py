@@ -314,9 +314,9 @@ class TestBuildComparison:
         comparison = build_comparison(names, means)
         assert comparison.pairs == (("rp", "codel-rp"), ("oss", "codel-oss"))
         # accuracy column: rp 70->74 wins, oss 68->68 ties.
-        assert comparison.wtl_per_metric["accuracy"] == (1, 1, 0)
+        assert comparison.wtl[METRIC_NAMES.index("accuracy")].tolist() == [1, 1, 0]
         # sensitivity column: 80->79 loses, 81->82 wins.
-        assert comparison.wtl_per_metric["sensitivity"] == (1, 0, 1)
+        assert comparison.wtl[METRIC_NAMES.index("sensitivity")].tolist() == [1, 0, 1]
 
     def test_ee_table_values(self):
         names, means = self._table()
@@ -343,7 +343,7 @@ class TestBuildComparison:
         comparison = build_comparison(("gd", "codel-gd"), means)
         assert np.isnan(comparison.ee_table[0, 0])
         assert np.all(np.isfinite(comparison.ee_table[0, 1:]))
-        assert comparison.wtl_per_metric["accuracy"] == (0, 1, 0)
+        assert comparison.wtl[METRIC_NAMES.index("accuracy")].tolist() == [0, 1, 0]
 
     def test_shape_mismatch(self):
         with pytest.raises(ParameterError):
