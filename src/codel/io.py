@@ -9,12 +9,16 @@ is one file's content; `features_table` and `weights_table` own those
 two formats.
 
 `_scan` owns the line rules: blank lines, comments, the header and
-ragged rows. The single-column readers parse its lines with `float`
-straight into an array and build no container per row. A list per row
-is a garbage-collected object: tens of thousands of them kept alive set
-off repeated collections, so reading a 3-minute 250 Hz record through
-lists of cells took about twice as long as the same read with the
-collector switched off.
+ragged rows. The single-column readers build no container per row. A
+list per row is a garbage-collected object: tens of thousands of them
+kept alive set off repeated collections, so reading a 3-minute 250 Hz
+record through lists of cells took about twice as long as the same read
+with the collector switched off. A file whose first line is exactly the
+expected header is parsed by one ``np.array(lines, dtype=float)``, which
+converts each line as `float` does. Any other file, or one holding a
+line that conversion rejects (a blank line, a comment, a second cell,
+a non-number), goes through `_scan`, which gives every error message.
+Both paths name the data row of the first non-finite value.
 """
 
 from pathlib import Path
@@ -71,20 +75,24 @@ class Table:
         write_table(path, self.header, self.rows, [*self.first, *comments, *self.last])
 
 
-def _scan(path):
-    """Split a table into its header cells, data lines and comments.
+def _read_text(path) -> str:
+    path = Path(path)
+    if not path.is_file():
+        raise ParameterError(f"no such file: {path}")
+    return path.read_text()
+
+
+def _scan(path, text: str):
+    """Split a file's text into its header cells, data lines and comments.
 
     Blank lines are skipped, lines starting with '#' are comments, the
     first other line is the header, and a data line with a different
     number of cells from the header raises ParameterError.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ParameterError(f"no such file: {path}")
     comments = []
     header = None
     lines = []
-    for number, line in enumerate(path.read_text().splitlines(), 1):
+    for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -111,33 +119,54 @@ def read_table(path):
         (header, rows, comments) with rows as lists of strings, each as
         long as the header; a ragged row raises ParameterError.
     """
-    header, lines, comments = _scan(path)
+    header, lines, comments = _scan(path, _read_text(path))
     return header, [line.split(",") for line in lines], comments
 
 
-def _read_single_column(path, expected_header: str) -> np.ndarray:
-    header, lines, _ = _scan(path)
-    if header != [expected_header]:
-        raise ParameterError(
-            f"{path}: expected header {expected_header!r}, got {','.join(header)!r}"
-        )
+def _fast_column(text: str, expected_header: str):
+    """The values of a plain single-column file, or None when its text
+    needs `_scan`: a first line other than the header, or a line that
+    `float` rejects. `float` rejects every line `_scan` treats apart: a
+    blank line, a comment and a row of more than one cell."""
+    header, _, body = text.partition("\n")
+    if header != expected_header:
+        return None
     try:
-        values = np.array(list(map(float, lines)))
-    except ValueError as exc:
-        raise ParameterError(f"{path}: non-numeric value ({exc})") from None
+        return np.array(body.splitlines(), dtype=float)
+    except ValueError:
+        return None
+
+
+def _read_single_column(path, expected_header: str, noun: str) -> np.ndarray:
+    text = _read_text(path)
+    values = _fast_column(text, expected_header)
+    if values is None:
+        header, lines, _ = _scan(path, text)
+        if header != [expected_header]:
+            raise ParameterError(
+                f"{path}: expected header {expected_header!r}, got {','.join(header)!r}"
+            )
+        try:
+            values = np.array(list(map(float, lines)))
+        except ValueError as exc:
+            raise ParameterError(f"{path}: non-numeric value ({exc})") from None
     if values.size == 0:
         raise ParameterError(f"{path} contains no data rows")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ParameterError(f"{path}: data row {bad[0] + 1}: non-finite {noun} "
+                             f"are not allowed, got {values[bad[0]]}")
     return values
 
 
 def read_signal_csv(path) -> np.ndarray:
     """One raw sample per line under a `sample` header."""
-    return _read_single_column(path, "sample")
+    return _read_single_column(path, "sample", "samples")
 
 
 def read_rr_csv(path) -> np.ndarray:
     """One interval in milliseconds per line under a `rr_ms` header."""
-    return _read_single_column(path, "rr_ms")
+    return _read_single_column(path, "rr_ms", "intervals")
 
 
 def features_table(records, labels) -> Table:

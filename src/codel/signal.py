@@ -8,6 +8,12 @@ The processing chain used by the feature pipeline is:
 Filtering runs before outlier rejection so the Hampel filter sees a
 signal whose local median/MAD estimates are not dominated by
 high-frequency noise.
+
+The Butterworth design and its biquad sections are numpy and Python
+floats, bit-equal to ``scipy.signal``. Only ``scipy.ndimage`` is used,
+for the Hampel filter's running median and the peak detector's rolling
+mean and max, and it is imported on first use, so commands without
+signal work never load scipy.
 """
 
 from dataclasses import dataclass
@@ -37,7 +43,7 @@ REFRACTORY_S = 0.3
 # How far a beat's peak must reach from the rolling mean to the rolling max.
 THRESHOLD_FRACTION = 0.4
 
-# Rows of window samples or deviations that the Hampel filter sorts at once.
+# Rows of windows the Hampel filter holds in one scratch buffer at once.
 _MAD_CHUNK_ROWS = 256
 
 
@@ -106,11 +112,17 @@ def hampel_filter(signal: Signal, half_window: int, n_sigmas: float = 3.0) -> Si
 
     Each sample's window is a row of one sliding view over x, padded with
     +inf so that its own samples sort first. A running median filter
-    gives the full-width medians; `_window_medians` gives the shrunk end
-    windows' medians and every MAD, sorting ``_MAD_CHUNK_ROWS`` rows at a
-    time so memory stays bounded. Its order statistics and even-count
-    arithmetic are ``np.median``'s, so the output is a per-sample loop's
-    up to the sign of a zero-valued replacement.
+    gives the full-width medians. Only the 2h end rows are shorter; for
+    them `_window_medians` sorts the samples, then the deviations, with
+    ``np.median``'s order statistics and even-count arithmetic.
+
+    A full-width row is decided by a count, with no sort. Its MAD is the
+    (h + 1)-th smallest of its 2h + 1 deviations d. With
+    ``scale = n_sigmas * 1.4826`` and ``gap = |x - median|``, the rounded
+    ``fl(scale * d)`` never decreases as d grows, so ``fl(scale * MAD) <
+    gap`` holds exactly when more than h deviations give ``fl(scale * d)
+    < gap``. The output is a per-sample loop's up to the sign of a
+    zero-valued replacement.
     """
     if half_window < 1:
         raise ParameterError("half_window must be >= 1")
@@ -124,9 +136,11 @@ def hampel_filter(signal: Signal, half_window: int, n_sigmas: float = 3.0) -> Si
     # A window wider than the signal already holds all of it.
     half_window = min(half_window, n - 1)
     width = 2 * half_window + 1
+    scale = n_sigmas * MAD_SCALE
     pad = np.full(half_window, np.inf)
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([pad, x, pad]), width)
     med = ndimage.median_filter(x, size=width)
+    outlier = np.empty(n, dtype=bool)
     # Only the 2h end rows hold fewer than `width` samples. Row i < h
     # holds i + min(n - 1 - i, h) + 1, as does row n - 1 - i. The ends
     # overlap when n <= 2h, so every end median is fixed before any MAD.
@@ -135,10 +149,22 @@ def hampel_filter(signal: Signal, half_window: int, n_sigmas: float = 3.0) -> Si
     ends = [(slice(0, half_window), length), (slice(n - half_window, n), length[::-1])]
     for end, end_length in ends:
         med[end] = _window_medians(windows[end], end_length)
-    mad = _window_medians(windows, np.broadcast_to(width, n), med)
     for end, end_length in ends:
-        mad[end] = _window_medians(windows[end], end_length, med[end])
-    outlier = np.abs(x - med) > n_sigmas * MAD_SCALE * mad
+        mad = _window_medians(windows[end], end_length, med[end])
+        outlier[end] = np.abs(x[end] - med[end]) > scale * mad
+    stop = n - half_window
+    scratch = np.empty((min(_MAD_CHUNK_ROWS, max(stop - half_window, 0)), width))
+    for start in range(half_window, stop, _MAD_CHUNK_ROWS):
+        chunk = slice(start, min(start + _MAD_CHUNK_ROWS, stop))
+        # Copying the rows first and subtracting in place is faster than
+        # subtracting straight from the overlapping strided view.
+        scaled = scratch[: chunk.stop - start]
+        scaled[...] = windows[chunk]
+        scaled -= med[chunk, None]
+        np.abs(scaled, out=scaled)
+        scaled *= scale
+        gap = np.abs(x[chunk] - med[chunk])
+        outlier[chunk] = np.count_nonzero(scaled < gap[:, None], axis=1) > half_window
     return Signal(np.where(outlier, med, x), signal.fs)
 
 
@@ -174,7 +200,9 @@ def butterworth_lowpass(signal: Signal, cutoff_hz: float, order: int = 4) -> Sig
 
     The filter is designed by bilinear transform and applied causally as
     cascaded second-order sections. DC gain is 1 and the response at the
-    cutoff is -3.01 dB.
+    cutoff is -3.01 dB. The design and the output are bit-equal to
+    ``scipy.signal.butter(order, cutoff_hz, fs=fs, output="sos")`` and
+    ``scipy.signal.sosfilt``, computed with numpy and Python floats only.
     """
     nyquist = signal.fs / 2.0
     if not (0 < cutoff_hz < nyquist):
@@ -183,11 +211,52 @@ def butterworth_lowpass(signal: Signal, cutoff_hz: float, order: int = 4) -> Sig
         )
     if order not in (2, 4, 6):
         raise ParameterError(f"order must be one of 2, 4, 6, got {order}")
-    # Imported here, not at module level, so commands without signal work skip scipy.
-    from scipy import signal as sps
+    x = signal.samples
+    for section in _butter_sos(order, cutoff_hz, signal.fs):
+        x = _biquad(section, x)
+    return Signal(x, signal.fs)
 
-    sos = sps.butter(order, cutoff_hz, btype="low", fs=signal.fs, output="sos")
-    return Signal(sps.sosfilt(sos, signal.samples), signal.fs)
+
+def _butter_sos(order: int, cutoff_hz: float, fs: float) -> np.ndarray:
+    """The ``(order // 2, 6)`` second-order sections of an even-order
+    Butterworth low-pass, in scipy's operation order so every bit matches.
+
+    The analog poles, prewarped to ``wo``, go through the bilinear
+    transform at fs = 2. Each conjugate pair is one section with its two
+    zeros at -1, the gain is applied to section 0, and the sections run
+    from the pole pair farthest from the unit circle to the nearest.
+    """
+    wo = 4 * np.tan(np.pi * (2 * cutoff_hz / fs) / 2)
+    m = np.arange(-order + 1, order, 2)
+    analog = wo * -np.exp(1j * np.pi * m / (2 * order))
+    gain = wo**order * np.real(1 / np.prod(4 - analog))
+    poles = (4 + analog) / (4 - analog)
+    poles = poles[poles.imag > 0]
+    poles = poles[np.argsort(np.abs(1 - np.abs(poles)))[::-1]]
+    sos = np.zeros((poles.size, 6))
+    sos[:, :4] = [1.0, 2.0, 1.0, 1.0]
+    sos[:, 4] = -2 * poles.real
+    sos[:, 5] = poles.real * poles.real + poles.imag * poles.imag
+    sos[0, :3] *= gain
+    return sos
+
+
+def _biquad(section: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One direct-form-II-transposed section from rest, as `sosfilt` runs it.
+
+    The three feed-forward products are whole-array numpy multiplies; the
+    recursion runs over Python floats, whose arithmetic is the same IEEE
+    double arithmetic, in the same order, as scipy's loop.
+    """
+    b0, b1, b2, _, a1, a2 = section.tolist()
+    out = []
+    z0 = z1 = 0.0
+    for p0, p1, p2 in zip((b0 * x).tolist(), (b1 * x).tolist(), (b2 * x).tolist()):
+        y = p0 + z0
+        z0 = p1 - a1 * y + z1
+        z1 = p2 - a2 * y
+        out.append(y)
+    return np.array(out)
 
 
 def detect_r_peaks(signal: Signal) -> np.ndarray:

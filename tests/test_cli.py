@@ -605,3 +605,28 @@ print("\\n".join(sorted(sys.modules)))
         loaded = done.stdout.split()
         for heavy in ("scipy.signal", "scipy.stats", "scipy.ndimage"):
             assert not [m for m in loaded if m == heavy or m.startswith(heavy + ".")]
+
+    EXTRACT_SCRIPT = """
+import sys
+from codel.cli import main
+
+assert main(["extract", "--signal-csv", "rec.csv", "--fs", "100", "--seed", "0",
+             "--out-dir", "extract"]) == 0
+print("\\n".join(sorted(sys.modules)))
+"""
+
+    def test_extract_of_a_raw_signal_never_loads_scipy_signal(self, tmp_path):
+        """The low-pass is numpy; only `scipy.ndimage` is loaded, for the
+        Hampel medians and the peak detector's rolling windows."""
+        sig, _ = synthetic_heartbeat(np.full(15, 1000.0), fs=100.0, noise_std=0.01)
+        write_table(tmp_path / "rec.csv", ["sample"], [[float(v)] for v in sig.samples])
+        src = str(Path(codel.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", self.EXTRACT_SCRIPT], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "extract" / "features.csv").is_file()
+        loaded = done.stdout.split()
+        assert "scipy.ndimage" in loaded
+        assert not [m for m in loaded if m == "scipy.signal" or m.startswith("scipy.signal.")]

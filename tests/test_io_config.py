@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import codel.io
 from codel.config import ALIASES, RunConfig, parse_config
 from codel.errors import ParameterError
 from codel.hrv import FEATURE_NAMES, FeatureRecord
@@ -136,11 +137,82 @@ class TestSignalAndRrReaders:
             assert got.tobytes() == read_column_reference(path, name).tobytes()
             assert got.tobytes() == np.array(values, dtype=float).tobytes()
 
+    @pytest.mark.parametrize("reader, header, noun", [
+        (read_signal_csv, "sample", "samples"), (read_rr_csv, "rr_ms", "intervals")])
+    @pytest.mark.parametrize("body, row", [
+        ("1.0\n2.0\nnan\n3.0\ninf\n", 3),
+        ("-inf\n", 1),
+        # Blank and comment lines are not data rows.
+        ("# note\n1.0\n\n2.0\n  \n-Infinity\n", 3),
+    ])
+    def test_non_finite_cell_names_its_data_row(self, tmp_path, reader, header, noun, body, row):
+        path = tmp_path / "col.csv"
+        path.write_text(f"{header}\n{body}")
+        with pytest.raises(ParameterError,
+                           match=f"col.csv: data row {row}: non-finite {noun} are not allowed"):
+            reader(path)
+
     def test_two_cell_row_names_file_and_line(self, tmp_path):
         path = tmp_path / "sig.csv"
         path.write_text("sample\n1.0\n\n1.0,2.0\n3.0\n")
         with pytest.raises(ParameterError, match="sig.csv: line 4: ragged row of 2 cells"):
             read_signal_csv(path)
+
+
+def _column_outcome(path, header, noun):
+    """The bytes of a single-column read, or its ParameterError text."""
+    try:
+        return codel.io._read_single_column(path, header, noun).tobytes()
+    except ParameterError as exc:
+        return str(exc)
+
+
+_PLAIN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f" \t{v!r}  "),
+    st.integers(-10**20, 10**20).map(str),
+)
+_OTHER_LINES = st.sampled_from(
+    ["", "   ", "\t", "# note", "#1.0", "oops", "1.0,2.0", "1.0 2.0", "nan", "-inf",
+     "Infinity", "1e999"])
+
+
+class TestSingleColumnFastPath:
+    """A plain single-column file skips `_scan`'s per-line loop. Every
+    file reads the same with and without that path: the same bits, or
+    the same ParameterError text."""
+
+    @given(column=st.sampled_from([("sample", "samples"), ("rr_ms", "intervals")]),
+           first=st.sampled_from(["", "\ufeff", " ", "# run\n", "x,"]),
+           lines=st.lists(st.one_of(_PLAIN_CELLS, _OTHER_LINES), max_size=30),
+           newline=st.sampled_from(["\n", "\r\n"]),
+           trailing=st.booleans())
+    @example(column=("sample", "samples"), first="", lines=[], newline="\n", trailing=True)
+    @example(column=("sample", "samples"), first="\ufeff", lines=["1.0"], newline="\n",
+             trailing=True)
+    @example(column=("rr_ms", "intervals"), first="", lines=["800.0", "", "oops"],
+             newline="\r\n", trailing=False)
+    def test_fast_path_equals_scan(self, tmp_path_factory, column, first, lines,
+                                   newline, trailing):
+        header, noun = column
+        path = tmp_path_factory.mktemp("column") / "column.csv"
+        text = newline.join([first + header, *lines]) + (newline if trailing else "")
+        path.write_bytes(text.encode("utf-8"))
+        fast = _column_outcome(path, header, noun)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codel.io, "_fast_column", lambda text, header: None)
+            scanned = _column_outcome(path, header, noun)
+        assert fast == scanned
+        plain = first == "" and all(_is_plain_number(line) for line in lines)
+        if plain:
+            assert codel.io._fast_column(path.read_text(), header) is not None
+
+
+def _is_plain_number(line):
+    try:
+        return np.isfinite(float(line))
+    except ValueError:
+        return False
 
 
 class TestFeaturesCsv:

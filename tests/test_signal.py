@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy import signal as sps  # the oracle of the numpy low-pass
 
 import codel.signal
 from codel.datasets import synthetic_heartbeat
@@ -12,6 +13,7 @@ from codel.signal import (
     MAD_SCALE,
     RrSeries,
     Signal,
+    _butter_sos,
     butterworth_lowpass,
     detect_r_peaks,
     hampel_filter,
@@ -259,6 +261,34 @@ class TestHampelMatchesReference:
         np.testing.assert_array_equal(signal_to_rr(Signal(x, 100.0)).intervals, intervals)
 
 
+class TestHampelCountRule:
+    """An interior row is decided by counting the deviations d with
+    ``fl(scale * d) < gap``. Integer neighbours make deviations tie at
+    the MAD, so the boundary sits between tied counts."""
+
+    @staticmethod
+    def _row(centre, mad):
+        # The centre's window is {-m, 0, 0, 0, m, m, centre}: median 0,
+        # deviations {0, 0, 0, m, m, m, centre}, so the MAD is m and
+        # exactly h = 3 deviations lie below it.
+        x = np.zeros(21)
+        x[7:14] = [0.0, mad, 0.0, centre, -mad, 0.0, mad]
+        return x
+
+    @pytest.mark.parametrize("n_sigmas", [3.0, 2.5, UNIT_THRESHOLD, 0.7])
+    @pytest.mark.parametrize("mad", [1.0, 2.0, 3.0])
+    def test_sample_on_the_threshold_stays_and_the_next_double_is_replaced(self, n_sigmas, mad):
+        threshold = n_sigmas * MAD_SCALE * mad
+        on = self._row(threshold, mad)
+        out = hampel_filter(Signal(on, 100.0), 3, n_sigmas).samples
+        assert out[10] == threshold
+        assert np.array_equal(out, hampel_reference(on, 3, n_sigmas))
+        above = self._row(np.nextafter(threshold, np.inf), mad)
+        out = hampel_filter(Signal(above, 100.0), 3, n_sigmas).samples
+        assert out[10] == 0.0
+        assert np.array_equal(out, hampel_reference(above, 3, n_sigmas))
+
+
 class TestHampelMatchesReferenceInSmallChunks(TestHampelMatchesReference):
     """The same cases with windows sorted 1 and 3 at a time, so that both
     the interior chunks and the edge chunks split unevenly."""
@@ -313,6 +343,39 @@ class TestButterworthLowpass:
             butterworth_lowpass(sig, 60.0)
         with pytest.raises(ParameterError):
             butterworth_lowpass(sig, 25.0, order=3)
+
+
+class TestButterworthMatchesScipy:
+    """The numpy design and biquad are bit-equal to scipy's."""
+
+    @given(order=st.sampled_from([2, 4, 6]),
+           fs=st.floats(1.0, 4000.0),
+           where=st.one_of(st.floats(1e-6, 1e-2), st.floats(0.0, 1.0),
+                           st.floats(0.99, 1.0 - 1e-9)))
+    @example(order=4, fs=250.0, where=0.2)
+    @example(order=2, fs=100.0, where=1e-6)
+    @example(order=6, fs=1000.0, where=1.0 - 1e-9)
+    def test_design_equals_scipy_butter(self, order, fs, where):
+        cutoff = where * fs / 2
+        if not 0 < cutoff < fs / 2:
+            return
+        got = _butter_sos(order, cutoff, fs)
+        want = sps.butter(order, cutoff, fs=fs, output="sos")
+        assert got.tobytes() == want.tobytes()
+
+    @given(order=st.sampled_from([2, 4, 6]),
+           fs=st.floats(50.0, 1000.0),
+           where=st.floats(0.01, 0.99),
+           samples=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=400),
+           magnitude=st.sampled_from([1e-3, 1.0, 37.5, 1e4]))
+    @example(order=4, fs=250.0, where=0.2, samples=[1.0], magnitude=1e4)
+    def test_filter_equals_sosfilt(self, order, fs, where, samples, magnitude):
+        x = np.array(samples) * magnitude
+        cutoff = where * fs / 2
+        got = butterworth_lowpass(Signal(x, fs), cutoff, order).samples
+        want = sps.sosfilt(sps.butter(order, cutoff, fs=fs, output="sos"), x)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDetectRPeaks:
