@@ -14,9 +14,9 @@ silently fall back to a default, nor a repeat keep its last value.
 """
 
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 from .errors import ParameterError
+from .io import _read_text
 from .local_search import METHODS, LocalSearchConfig
 from .mlp import MlpTopology
 from .optimizer import CodelConfig
@@ -141,11 +141,8 @@ def _resolve_key(key: str) -> str:
 
 
 def _read_config_file(path):
-    path = Path(path)
-    if not path.is_file():
-        raise ParameterError(f"no such config file: {path}")
     values, set_on = {}, {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

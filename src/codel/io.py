@@ -79,7 +79,12 @@ def _read_text(path) -> str:
     path = Path(path)
     if not path.is_file():
         raise ParameterError(f"no such file: {path}")
-    return path.read_text()
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(
+            f"{path}: not {exc.encoding} text: {exc.reason} at byte {exc.start}"
+        ) from None
 
 
 def _scan(path, text: str):

@@ -9,11 +9,11 @@ Filtering runs before outlier rejection so the Hampel filter sees a
 signal whose local median/MAD estimates are not dominated by
 high-frequency noise.
 
-The Butterworth design and its biquad sections are numpy and Python
-floats, bit-equal to ``scipy.signal``. Only ``scipy.ndimage`` is used,
-for the Hampel filter's running median and the peak detector's rolling
-mean and max, and it is imported on first use, so commands without
-signal work never load scipy.
+The module is numpy and Python floats alone. The Butterworth design
+and its biquad sections are bit-equal to ``scipy.signal``, and the peak
+detector's rolling mean and max to ``scipy.ndimage``'s filters. The
+Hampel filter sorts each window once and reads its median and its MAD
+test off the sorted row.
 """
 
 from dataclasses import dataclass
@@ -43,8 +43,11 @@ REFRACTORY_S = 0.3
 # How far a beat's peak must reach from the rolling mean to the rolling max.
 THRESHOLD_FRACTION = 0.4
 
-# Rows of windows the Hampel filter holds in one scratch buffer at once.
-_MAD_CHUNK_ROWS = 256
+# The Hampel filter sorts its windows in chunks of about this many
+# doubles: 358 of the 251-sample windows of a 250 Hz record. Each step of
+# its binary search costs a fixed amount per chunk, so larger chunks are
+# faster, and this size keeps the scratch near 0.7 MB.
+_CHUNK_DOUBLES = 90_000
 
 
 @dataclass(frozen=True)
@@ -111,26 +114,27 @@ def hampel_filter(signal: Signal, half_window: int, n_sigmas: float = 3.0) -> Si
     shrink at the boundaries instead of padding.
 
     Each sample's window is a row of one sliding view over x, padded with
-    +inf so that its own samples sort first. A running median filter
-    gives the full-width medians. Only the 2h end rows are shorter; for
-    them `_window_medians` sorts the samples, then the deviations, with
-    ``np.median``'s order statistics and even-count arithmetic.
+    +inf so that its own samples sort first. Only the 2h end rows are
+    shorter; for them `_window_medians` sorts the samples, then the
+    deviations, with ``np.median``'s order statistics and even-count
+    arithmetic.
 
-    A full-width row is decided by a count, with no sort. Its MAD is the
-    (h + 1)-th smallest of its 2h + 1 deviations d. With
-    ``scale = n_sigmas * 1.4826`` and ``gap = |x - median|``, the rounded
-    ``fl(scale * d)`` never decreases as d grows, so ``fl(scale * MAD) <
-    gap`` holds exactly when more than h deviations give ``fl(scale * d)
-    < gap``. The output is a per-sample loop's up to the sign of a
-    zero-valued replacement.
+    A full-width row of 2h + 1 samples is sorted once, in a scratch chunk
+    of rows. Its entry h is the median. With ``scale = n_sigmas * 1.4826``
+    and ``gap = |x - median|``, call a sorted entry s within the gap when
+    ``fl(scale * |s - median|) < gap``. The rounded product never
+    decreases as ``|s - median|`` grows, so the entries within the gap
+    are one run of the sorted row around entry h, and the MAD (the
+    (h + 1)-th smallest deviation) is within the gap exactly when that
+    run holds h + 1 entries. A binary search finds the run's first entry
+    left of h, and the entry h places to its right decides the row. The
+    output is a per-sample loop's up to the sign of a zero-valued
+    replacement.
     """
     if half_window < 1:
         raise ParameterError("half_window must be >= 1")
     if not (n_sigmas > 0):
         raise ParameterError("n_sigmas must be positive")
-    # Imported here, not at module level, so commands without signal work skip scipy.
-    from scipy import ndimage
-
     x = signal.samples
     n = x.size
     # A window wider than the signal already holds all of it.
@@ -139,7 +143,7 @@ def hampel_filter(signal: Signal, half_window: int, n_sigmas: float = 3.0) -> Si
     scale = n_sigmas * MAD_SCALE
     pad = np.full(half_window, np.inf)
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([pad, x, pad]), width)
-    med = ndimage.median_filter(x, size=width)
+    med = np.empty(n)
     outlier = np.empty(n, dtype=bool)
     # Only the 2h end rows hold fewer than `width` samples. Row i < h
     # holds i + min(n - 1 - i, h) + 1, as does row n - 1 - i. The ends
@@ -153,32 +157,54 @@ def hampel_filter(signal: Signal, half_window: int, n_sigmas: float = 3.0) -> Si
         mad = _window_medians(windows[end], end_length, med[end])
         outlier[end] = np.abs(x[end] - med[end]) > scale * mad
     stop = n - half_window
-    scratch = np.empty((min(_MAD_CHUNK_ROWS, max(stop - half_window, 0)), width))
-    for start in range(half_window, stop, _MAD_CHUNK_ROWS):
-        chunk = slice(start, min(start + _MAD_CHUNK_ROWS, stop))
-        # Copying the rows first and subtracting in place is faster than
-        # subtracting straight from the overlapping strided view.
-        scaled = scratch[: chunk.stop - start]
-        scaled[...] = windows[chunk]
-        scaled -= med[chunk, None]
-        np.abs(scaled, out=scaled)
-        scaled *= scale
-        gap = np.abs(x[chunk] - med[chunk])
-        outlier[chunk] = np.count_nonzero(scaled < gap[:, None], axis=1) > half_window
-    return Signal(np.where(outlier, med, x), signal.fs)
+    chunk_rows = _chunk_rows(width)
+    scratch = np.empty((min(chunk_rows, max(stop - half_window, 0)), width))
+    steps = [1 << k for k in reversed(range(int(half_window).bit_length()))]
+    for start in range(half_window, stop, chunk_rows):
+        chunk = slice(start, min(start + chunk_rows, stop))
+        rows = scratch[: chunk.stop - start]
+        rows[...] = windows[chunk]
+        rows.sort(axis=1)
+        middle = med[chunk]
+        middle[...] = rows[:, half_window]
+        gap = np.abs(x[chunk] - middle)
+        # pos, a flat index into the chunk, starts at each row's first
+        # entry and moves right past the entries left of h that lie
+        # outside the gap. A probe at or right of h gives median - s <= 0,
+        # never at or above a gap > 0, so pos stops at entry h at most.
+        flat = rows.ravel()
+        pos = np.arange(0, rows.size, width)
+        for step in steps:
+            probe = flat.take(pos + (step - 1))
+            # Left of entry h, |s - median| is median - s, bit for bit.
+            np.subtract(middle, probe, out=probe)
+            probe *= scale
+            np.add(pos, step, out=pos, where=probe >= gap)
+        # A row with gap == 0 may pass entry h; no entry is within its
+        # gap, so any entry of the row decides it.
+        last = flat.take(np.minimum(pos, np.arange(half_window, rows.size, width)) + half_window)
+        outlier[chunk] = scale * np.abs(last - middle) < gap
+    np.copyto(med, x, where=~outlier)
+    return Signal(med, signal.fs)
+
+
+def _chunk_rows(width: int) -> int:
+    """Windows of `width` samples that the Hampel filter sorts at once."""
+    return max(1, _CHUNK_DOUBLES // width)
 
 
 def _window_medians(rows: np.ndarray, length: np.ndarray, med: np.ndarray | None = None):
     """``np.median`` of the ``length[i]`` smallest entries of each row or,
     given `med`, of its ``length[i]`` smallest deviations from ``med[i]``.
 
-    Rows are copied ``_MAD_CHUNK_ROWS`` at a time into one scratch buffer
-    and sorted there.
+    Rows are copied `_chunk_rows` at a time into one scratch buffer and
+    sorted there.
     """
     out = np.empty(len(rows))
-    scratch = np.empty((min(_MAD_CHUNK_ROWS, len(rows)), rows.shape[1]))
-    for start in range(0, len(rows), _MAD_CHUNK_ROWS):
-        chunk = slice(start, start + _MAD_CHUNK_ROWS)
+    chunk_rows = _chunk_rows(rows.shape[1])
+    scratch = np.empty((min(chunk_rows, len(rows)), rows.shape[1]))
+    for start in range(0, len(rows), chunk_rows):
+        chunk = slice(start, start + chunk_rows)
         sorted_rows = scratch[: len(rows[chunk])]
         if med is None:
             sorted_rows[...] = rows[chunk]
@@ -264,20 +290,18 @@ def detect_r_peaks(signal: Signal) -> np.ndarray:
 
     Candidates are strict local maxima above
     ``rolling_mean + 0.4 * (rolling_max - rolling_mean)``
-    over a one-second window. Candidates closer than 0.3 s keep only the
-    taller peak, so accepted indices are strictly increasing with gaps of
-    at least ``0.3 * fs`` samples.
+    over a one-second window, the record extended by its end values
+    (`_rolling_mean`, `_rolling_max`). Candidates closer than 0.3 s keep
+    only the taller peak, so accepted indices are strictly increasing
+    with gaps of at least ``0.3 * fs`` samples.
     """
     x = signal.samples
     n = x.size
     if n < 3:
         return np.array([], dtype=int)
-    # Imported here, not at module level, so commands without signal work skip scipy.
-    from scipy import ndimage
-
     window = max(3, int(round(signal.fs)))
-    rolling_mean = ndimage.uniform_filter1d(x, size=window, mode="nearest")
-    rolling_max = ndimage.maximum_filter1d(x, size=window, mode="nearest")
+    rolling_mean = _rolling_mean(x, window)
+    rolling_max = _rolling_max(x, window)
     threshold = rolling_mean + THRESHOLD_FRACTION * (rolling_max - rolling_mean)
 
     interior = np.arange(1, n - 1)
@@ -293,6 +317,40 @@ def detect_r_peaks(signal: Signal) -> np.ndarray:
         else:
             accepted.append(int(idx))
     return np.asarray(accepted, dtype=int)
+
+
+def _rolling_mean(x: np.ndarray, size: int) -> np.ndarray:
+    """The mean of the `size` samples around each sample, the record
+    extended by its end values: ``scipy.ndimage.uniform_filter1d(x, size,
+    mode="nearest")`` bit for bit.
+
+    Window i holds samples i - size // 2 to i + (size - 1) // 2. As in
+    scipy, the first window is summed in order, each next sum adds the
+    sample entering and subtracts the one leaving, and every sum is then
+    divided by `size`.
+    """
+    left = size // 2
+    padded = np.pad(x, (left, size - 1 - left), mode="edge")
+    steps = np.concatenate([padded[:size], padded[size:] - padded[:-size]])
+    return np.cumsum(steps)[size - 1:] / size
+
+
+def _rolling_max(x: np.ndarray, size: int) -> np.ndarray:
+    """The maximum over the same windows as `_rolling_mean`:
+    ``scipy.ndimage.maximum_filter1d(x, size, mode="nearest")``.
+
+    A van Herk / Gil-Werman filter, O(n) for any size. The padded record
+    is cut into blocks of `size` samples, so a window meets at most two
+    blocks, and its max is the larger of the running max from its first
+    sample to that block's end and the running max from its last
+    sample's block start to that sample.
+    """
+    left = size // 2
+    blocks = -(-(x.size + size - 1) // size)
+    padded = np.pad(x, (left, blocks * size - x.size - left), mode="edge").reshape(blocks, size)
+    ahead = np.maximum.accumulate(padded, axis=1).ravel()
+    behind = np.maximum.accumulate(padded[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(behind[: x.size], ahead[size - 1: size - 1 + x.size])
 
 
 def rr_from_peaks(peaks, fs: float) -> RrSeries:

@@ -76,6 +76,14 @@ class TestTableRoundTrip:
         with pytest.raises(ParameterError, match="nowhere.csv"):
             read_table(tmp_path / "nowhere.csv")
 
+    @pytest.mark.parametrize("reader", [read_table, read_signal_csv, read_rr_csv,
+                                        read_features_csv, read_weights_csv, parse_config])
+    def test_undecodable_byte_names_the_file(self, tmp_path, reader):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"sample\n1.0\n\xff\n")
+        with pytest.raises(ParameterError, match=r"f\.csv: not .+ text: .+ at byte 11"):
+            reader(path)
+
     def test_file_without_header_rejected(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("# just a comment\n\n")

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from codel.cli import main
+from codel.datasets import synthetic_heartbeat
 from codel.evaluation import METRIC_NAMES, TIE_TOL, metrics, pair_outcomes, wtl
 from codel.io import read_table, write_table
 from codel.training import build_comparison
@@ -126,3 +127,26 @@ class TestComparisonCells:
                                                                                 100.0 - c)
         for j in range(len(METRIC_NAMES)):
             assert tuple(comparison.wtl[j]) == wtl(base[:, j], boosted[:, j])
+
+
+class TestSignalScaling:
+    """Multiplying a record by a power of two scales every sample
+    exactly, and `standardize` divides that scale out exactly, so the
+    cleaning chain sees the same samples and `extract` writes the same
+    features. Killed mutant: the flat-record cut-off `std < 1e-12` in
+    `standardize` raised to an absolute `std < 0.1`, which flattens the
+    2^-5 copy."""
+
+    def test_extract_writes_the_same_features(self, tmp_path):
+        rr = 1000.0 + 150.0 * np.sin(np.arange(15))
+        sig, _ = synthetic_heartbeat(rr, fs=100.0, noise_std=0.02, seed=3)
+        features = []
+        for k in (0, 3, -5):
+            path = tmp_path / f"x{k}.csv"
+            write_table(path, ["sample"], [[v] for v in np.ldexp(sig.samples, k)])
+            out_dir = tmp_path / f"out{k}"
+            assert main(["extract", "--signal-csv", str(path), "--fs", "100",
+                         "--seed", "1", "--out-dir", str(out_dir)]) == 0
+            header, rows, _ = read_table(out_dir / "features.csv")
+            features.append((header, rows))
+        assert features[1] == features[0] and features[2] == features[0]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy import ndimage  # the oracle of the rolling windows and the running median
 from scipy import signal as sps  # the oracle of the numpy low-pass
 
 import codel.signal
@@ -14,6 +15,8 @@ from codel.signal import (
     RrSeries,
     Signal,
     _butter_sos,
+    _rolling_max,
+    _rolling_mean,
     butterworth_lowpass,
     detect_r_peaks,
     hampel_filter,
@@ -117,10 +120,6 @@ class TestHampelFilter:
         the signal needs. All 4,000 end windows of width 4,001 at once
         would take 128 MB; a million-sample half window padded in full
         would take 80 MB on a 5-sample signal."""
-        # Imported before tracing starts, so the import is not counted
-        # as the filter's memory.
-        from scipy import ndimage  # noqa: F401
-
         x = np.sin(np.arange(n) / 7.0)
         x[n // 2] += 50.0
         tracemalloc.start()
@@ -134,12 +133,10 @@ class TestHampelFilter:
 
     def test_long_record_builds_no_per_sample_index_arrays(self):
         """Only the 2 * half_window end rows get their own window length;
-        every interior MAD is taken at the full width. Three minutes at
-        250 Hz with the default half window then peaks near 1.85 MB: the
+        every interior row is decided at the full width. Three minutes at
+        250 Hz with the default half window then peaks near 1.56 MB: the
         padded copy, the sort scratch and a few sample-length float
         arrays. Five per-sample index arrays took it to 3.57 MB."""
-        from scipy import ndimage  # noqa: F401
-
         rng = np.random.default_rng(5)
         x = np.sin(np.arange(45_000) / 40.0) ** 15 + 0.05 * rng.normal(size=45_000)
         x[rng.integers(0, x.size, 40)] -= 3.0
@@ -296,7 +293,7 @@ class TestHampelMatchesReferenceInSmallChunks(TestHampelMatchesReference):
     @pytest.fixture(scope="class", autouse=True, params=[1, 3])
     def chunk_rows(self, request):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(codel.signal, "_MAD_CHUNK_ROWS", request.param)
+            patch.setattr(codel.signal, "_chunk_rows", lambda width: request.param)
             yield request.param
 
 
@@ -376,6 +373,52 @@ class TestButterworthMatchesScipy:
         want = sps.sosfilt(sps.butter(order, cutoff, fs=fs, output="sos"), x)
         assert got.dtype == np.float64 and got.shape == x.shape
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def window_samples(draw):
+    """1 to 400 samples: small integers (ties, plateaus), values rounded
+    to 0.01, or values scaled by 1e-3 to 1e4."""
+    u = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=400)))
+    form = draw(st.sampled_from(["integer", "rounded", "scaled"]))
+    if form == "integer":
+        return np.round(u * 4)
+    if form == "rounded":
+        return np.round(u, 2)
+    return u * draw(st.sampled_from([1e-3, 1.0, 37.5, 1e4]))
+
+
+class TestWindowsMatchScipy:
+    """The rolling mean and max of peak detection and the Hampel filter's
+    interior medians equal scipy.ndimage's, up to the sign of a zero."""
+
+    @given(x=window_samples(), size=st.integers(3, 60))
+    @example(x=np.array([0.1, 0.2, 0.7, 1e4, -3.0]), size=4)
+    def test_rolling_mean_equals_uniform_filter1d(self, x, size):
+        got = _rolling_mean(x, size)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert np.array_equal(got, ndimage.uniform_filter1d(x, size, mode="nearest"))
+
+    @given(x=window_samples(), size=st.integers(3, 60))
+    @example(x=np.array([3.0, -1.0, 2.0, 5.0, 0.0, 1.0, 1.0]), size=4)
+    def test_rolling_max_equals_maximum_filter1d(self, x, size):
+        got = _rolling_max(x, size)
+        assert got.dtype == np.float64 and got.shape == x.shape
+        assert np.array_equal(got, ndimage.maximum_filter1d(x, size, mode="nearest"))
+
+    @given(x=window_samples(), half_window=st.integers(1, 30),
+           n_sigmas=st.sampled_from([UNIT_THRESHOLD, 1.0, 3.0]))
+    def test_hampel_medians_equal_median_filter(self, x, half_window, n_sigmas):
+        """With a zero MAD scale every sample off its window median is an
+        outlier, so the output is the running median."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codel.signal, "MAD_SCALE", 0.0)
+            medians = hampel_filter(Signal(x, 100.0), half_window).samples
+        interior = slice(half_window, x.size - half_window)
+        want = ndimage.median_filter(x, size=2 * half_window + 1)
+        assert np.array_equal(medians[interior], want[interior])
+        out = hampel_filter(Signal(x, 100.0), half_window, n_sigmas).samples
+        assert np.array_equal(out, hampel_reference(x, half_window, n_sigmas))
 
 
 class TestDetectRPeaks:
