@@ -157,11 +157,16 @@ def _read_single_column(path, expected_header: str, noun: str) -> np.ndarray:
             raise ParameterError(f"{path}: non-numeric value ({exc})") from None
     if values.size == 0:
         raise ParameterError(f"{path} contains no data rows")
+    _refuse_non_finite(path, values, noun)
+    return values
+
+
+def _refuse_non_finite(path, values: np.ndarray, noun: str) -> None:
+    """Raise ParameterError naming the data row of the first non-finite value."""
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise ParameterError(f"{path}: data row {bad[0] + 1}: non-finite {noun} "
                              f"are not allowed, got {values[bad[0]]}")
-    return values
 
 
 def read_signal_csv(path) -> np.ndarray:
@@ -236,6 +241,7 @@ def read_weights_csv(path):
         params = np.array([float(r[0]) for r in rows])
     except ValueError as exc:
         raise ParameterError(f"{path}: bad value ({exc})") from None
+    _refuse_non_finite(path, params, "weights")
     if topology is None:
         raise ParameterError(f"{path}: missing topology comment line")
     if params.shape != (topology.param_count,):

@@ -19,6 +19,10 @@ method, in lockstep: each round it scores every live run's next point
 in one stacked `mse_loss_and_gradient` pass. A stacked pass gives each
 member the bits of its own call, so a run's result does not depend on
 the runs beside it; `refine` is the driver with one start.
+
+A run sets the four `LocalSearchConfig` fields; every other setting of
+a method is a module constant: rp's RP_*, gda's GDA_*, and ARMIJO_C1,
+BACKTRACK_SHRINK and MAX_BACKTRACKS of the oss and cgpr line search.
 """
 
 from dataclasses import dataclass
@@ -35,54 +39,39 @@ METHODS = ("rp", "oss", "gd", "gdm", "gda", "cgpr")
 # Gradient components below this are treated as exactly zero.
 GRAD_TOL = 1e-12
 
+# The methods' fixed settings: rp's step-size growth and shrink factors
+# and the start, floor and cap of a step size; gda's rate growth and
+# shrink factors and the relative loss increase it still accepts; the
+# line search's sufficient-decrease constant, the factor each backtrack
+# shrinks the step by, and how many backtracks it may take.
+RP_INCREASE, RP_DECREASE = 1.2, 0.5
+RP_STEP_INIT, RP_STEP_MIN, RP_STEP_MAX = 0.1, 1e-6, 50.0
+GDA_INCREASE, GDA_DECREASE, GDA_MAX_LOSS_INCREASE = 1.05, 0.7, 0.04
+ARMIJO_C1, BACKTRACK_SHRINK, MAX_BACKTRACKS = 1e-4, 0.5, 30
+
 # What a method yields to end an epoch.
 _MOVE, _STAY = "move", "stay"
 
 
 @dataclass(frozen=True)
 class LocalSearchConfig:
-    """Settings shared by the refinement methods.
-
-    Only the fields a method reads affect it: the rp_* fields drive rp,
-    momentum drives gdm, the gda_* fields drive gda, and the line-search
-    fields drive oss and cgpr.
+    """The refinement settings a run chooses: the epoch budget, the
+    patience, the learning rate of gd, gdm and gda, and gdm's momentum.
+    Every other setting of a method is a module constant.
     """
 
     epochs: int = 500
     patience: int = 50
     learning_rate: float = 0.5
     momentum: float = 0.9
-    rp_increase: float = 1.2
-    rp_decrease: float = 0.5
-    rp_step_init: float = 0.1
-    rp_step_min: float = 1e-6
-    rp_step_max: float = 50.0
-    gda_increase: float = 1.05
-    gda_decrease: float = 0.7
-    gda_max_loss_increase: float = 0.04
-    armijo_c1: float = 1e-4
-    backtrack_shrink: float = 0.5
-    max_backtracks: int = 30
 
     def __post_init__(self):
         if self.epochs < 1 or self.patience < 1:
             raise ParameterError("epochs and patience must be >= 1")
-        if not (self.learning_rate > 0):
-            raise ParameterError("learning rate must be positive")
+        if not (0 < self.learning_rate < np.inf):
+            raise ParameterError(f"learning rate must be in (0, inf), got {self.learning_rate}")
         if not (0 <= self.momentum < 1):
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not (0 < self.rp_decrease < 1 < self.rp_increase):
-            raise ParameterError(
-                "rp factors must satisfy 0 < decrease < 1 < increase"
-            )
-        if not (0 < self.rp_step_min <= self.rp_step_init <= self.rp_step_max):
-            raise ParameterError("rp step sizes must be ordered min <= init <= max")
-        if not (0 < self.gda_decrease < 1 < self.gda_increase):
-            raise ParameterError(
-                "gda factors must satisfy 0 < decrease < 1 < increase"
-            )
-        if not (0 < self.backtrack_shrink < 1):
-            raise ParameterError("backtrack shrink must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -106,14 +95,12 @@ def _rp(w, loss, grad, config):
     gradient keeps its sign, shrinks when it flips and holds when either
     gradient is zero; the weight moves by it against the gradient's sign,
     whatever the gradient's magnitude (Riedmiller and Braun, 1993)."""
-    steps = np.full(w.size, config.rp_step_init)
+    steps = np.full(w.size, RP_STEP_INIT)
     prev_grad = np.zeros_like(w)
     while True:
         product = prev_grad * grad
-        steps[product > 0] = np.minimum(steps[product > 0] * config.rp_increase,
-                                        config.rp_step_max)
-        steps[product < 0] = np.maximum(steps[product < 0] * config.rp_decrease,
-                                        config.rp_step_min)
+        steps[product > 0] = np.minimum(steps[product > 0] * RP_INCREASE, RP_STEP_MAX)
+        steps[product < 0] = np.maximum(steps[product < 0] * RP_DECREASE, RP_STEP_MIN)
         prev_grad = grad
         w = w - np.sign(grad) * steps
         _, grad, _ = yield w
@@ -148,30 +135,30 @@ def _gda(w, loss, grad, config):
         proposed = w - rate * grad
         evaluated = yield proposed
         if evaluated[0] < loss:
-            rate = rate * config.gda_increase
-        elif evaluated[0] > loss * (1.0 + config.gda_max_loss_increase):
-            rate = rate * config.gda_decrease
+            rate = rate * GDA_INCREASE
+        elif evaluated[0] > loss * (1.0 + GDA_MAX_LOSS_INCREASE):
+            rate = rate * GDA_DECREASE
             yield _STAY
             continue
         w, (loss, grad, _) = proposed, evaluated
         yield _MOVE
 
 
-def _line_search(w, loss, grad, d, config):
+def _line_search(w, loss, grad, d):
     """Armijo backtracking along the descent direction d (Nocedal and
     Wright, section 3.1): yields w + a*d for a = 1, shrink, shrink**2,
-    ..., at most max_backtracks + 1 points, and returns the first that
+    ..., at most MAX_BACKTRACKS + 1 points, and returns the first that
     passes sufficient decrease, as (point, (loss, grad, error)), or None."""
     slope = float(grad @ d)
     if slope >= 0:
         raise ContractError("line search requires a descent direction")
     a = 1.0
-    for _ in range(config.max_backtracks + 1):
+    for _ in range(MAX_BACKTRACKS + 1):
         point = w + a * d
         evaluated = yield point
-        if evaluated[0] <= loss + config.armijo_c1 * a * slope:
+        if evaluated[0] <= loss + ARMIJO_C1 * a * slope:
             return point, evaluated
-        a *= config.backtrack_shrink
+        a *= BACKTRACK_SHRINK
     return None
 
 
@@ -193,7 +180,7 @@ def _oss(w, loss, grad, config):
         if float(grad @ d) >= 0:
             d = -grad
         w_prev, grad_prev = w, grad
-        found = yield from _line_search(w, loss, grad, d, config)
+        found = yield from _line_search(w, loss, grad, d)
         if found is None:
             return
         w, (loss, grad, _) = found
@@ -217,7 +204,7 @@ def _cgpr(w, loss, grad, config):
         if float(grad @ d) >= 0:
             d, since_restart = -grad, 0
         prev_grad, prev_d = grad, d
-        found = yield from _line_search(w, loss, grad, d, config)
+        found = yield from _line_search(w, loss, grad, d)
         if found is None:
             return
         w, (loss, grad, _) = found

@@ -62,8 +62,9 @@ class CodelConfig:
             raise ParameterError(f"jumping rate must be in [0, 0.4], got {self.jumping_rate}")
         if self.clustering_period < 1:
             raise ParameterError("clustering period must be >= 1")
-        if not (self.lower < self.upper):
-            raise ParameterError(f"need lower < upper, got [{self.lower}, {self.upper}]")
+        if not (self.lower < self.upper and np.isfinite(self.upper - self.lower)):
+            raise ParameterError(f"need lower < upper and a finite upper - lower, "
+                                 f"got lower={self.lower}, upper={self.upper}")
         if self.nfe_max < 1:
             raise ParameterError("evaluation budget must be positive")
 

@@ -17,6 +17,7 @@ from scipy.stats import rankdata
 
 from codel.errors import ContractError, ParameterError, ShapeError
 from codel.io import read_table
+import codel.local_search as local_search
 from codel.local_search import GRAD_TOL, LocalSearchConfig
 from codel.mlp import (
     Dataset,
@@ -549,9 +550,10 @@ def mse_loss(params, topology: MlpTopology, data: Dataset) -> float:
 # ------------------------------------------------------------------
 # Refiners: one state object and one kernel per method, dispatched by
 # method name in a single loop. Returns (params, final error,
-# loss history, error history). The loss functions are looked up here
-# at call time, so a test can swap them in this module and in
-# codel.local_search alike.
+# loss history, error history). The loss functions are looked up here,
+# and the methods' fixed settings in codel.local_search, at call time:
+# a test can swap the loss functions here and in codel.local_search
+# alike, and a setting it patches there holds here too.
 # ------------------------------------------------------------------
 
 class _RpState(NamedTuple):
@@ -582,7 +584,7 @@ class _CgprState(NamedTuple):
     restart_period: int
 
 
-def _step_rp(state: _RpState, gradient: np.ndarray, config: LocalSearchConfig) -> _RpState:
+def _step_rp(state: _RpState, gradient: np.ndarray) -> _RpState:
     """One resilient-propagation update.
 
     Per weight, the step size grows when the gradient keeps its sign,
@@ -592,10 +594,10 @@ def _step_rp(state: _RpState, gradient: np.ndarray, config: LocalSearchConfig) -
     """
     product = state.prev_grad * gradient
     steps = state.step_sizes.copy()
-    steps[product > 0] = np.minimum(steps[product > 0] * config.rp_increase,
-                                    config.rp_step_max)
-    steps[product < 0] = np.maximum(steps[product < 0] * config.rp_decrease,
-                                    config.rp_step_min)
+    steps[product > 0] = np.minimum(steps[product > 0] * local_search.RP_INCREASE,
+                                    local_search.RP_STEP_MAX)
+    steps[product < 0] = np.maximum(steps[product < 0] * local_search.RP_DECREASE,
+                                    local_search.RP_STEP_MIN)
     weights = state.weights - np.sign(gradient) * steps
     return _RpState(weights, steps, gradient.copy())
 
@@ -612,17 +614,16 @@ def _step_gdm(state: _GdmState, gradient: np.ndarray, learning_rate: float,
     return _GdmState(state.weights - velocity, velocity)
 
 
-def _step_gda(learning_rate: float, loss_now: float, loss_prev: float,
-              config: LocalSearchConfig) -> _GdaDecision:
+def _step_gda(learning_rate: float, loss_now: float, loss_prev: float) -> _GdaDecision:
     """Adaptive-rate rule: grow on improvement, shrink and reject on blow-up.
 
     A loss increase within the tolerance band is accepted with the rate
     unchanged, so the trajectory can cross small ridges.
     """
     if loss_now < loss_prev:
-        return _GdaDecision(learning_rate * config.gda_increase, True)
-    if loss_now > loss_prev * (1.0 + config.gda_max_loss_increase):
-        return _GdaDecision(learning_rate * config.gda_decrease, False)
+        return _GdaDecision(learning_rate * local_search.GDA_INCREASE, True)
+    if loss_now > loss_prev * (1.0 + local_search.GDA_MAX_LOSS_INCREASE):
+        return _GdaDecision(learning_rate * local_search.GDA_DECREASE, False)
     return _GdaDecision(learning_rate, True)
 
 
@@ -678,11 +679,10 @@ def _step_cgpr(state: _CgprState, gradient: np.ndarray):
     )
 
 
-def _line_search_reference(f, x: np.ndarray, d: np.ndarray, g: np.ndarray,
-                           config: LocalSearchConfig) -> float:
+def _line_search_reference(f, x: np.ndarray, d: np.ndarray, g: np.ndarray) -> float:
     """Largest halved step satisfying the sufficient-decrease condition.
 
-    Tries a = 1, then shrinks up to max_backtracks times; returns 0 when
+    Tries a = 1, then shrinks up to MAX_BACKTRACKS times; returns 0 when
     even the smallest step fails the test.
     """
     slope = float(g @ d)
@@ -690,10 +690,10 @@ def _line_search_reference(f, x: np.ndarray, d: np.ndarray, g: np.ndarray,
         raise ContractError("line search requires a descent direction")
     f0 = f(x)
     a = 1.0
-    for _ in range(config.max_backtracks + 1):
-        if f(x + a * d) <= f0 + config.armijo_c1 * a * slope:
+    for _ in range(local_search.MAX_BACKTRACKS + 1):
+        if f(x + a * d) <= f0 + local_search.ARMIJO_C1 * a * slope:
             return a
-        a *= config.backtrack_shrink
+        a *= local_search.BACKTRACK_SHRINK
     return 0.0
 
 
@@ -740,7 +740,7 @@ def refine_reference(initial, method: str, topology: MlpTopology, data: Dataset,
     loss_history = [loss]
     error_history = [error]
 
-    rp_state = _RpState(w, np.full(w.size, config.rp_step_init), np.zeros_like(w))
+    rp_state = _RpState(w, np.full(w.size, local_search.RP_STEP_INIT), np.zeros_like(w))
     gdm_state = _GdmState(w, np.zeros_like(w))
     oss_state = _OssState(None, None)
     cgpr_state = _CgprState(None, None, 0, topology.param_count)
@@ -752,7 +752,7 @@ def refine_reference(initial, method: str, topology: MlpTopology, data: Dataset,
             break
 
         if method == "rp":
-            rp_state = _step_rp(rp_state, grad, config)
+            rp_state = _step_rp(rp_state, grad)
             w_next = rp_state.weights
         elif method == "gd":
             w_next = _step_gd(w, grad, config.learning_rate)
@@ -762,14 +762,14 @@ def refine_reference(initial, method: str, topology: MlpTopology, data: Dataset,
             w_next = gdm_state.weights
         elif method == "gda":
             proposed = w - gda_rate * grad
-            decision = _step_gda(gda_rate, loss_at(proposed), loss, config)
+            decision = _step_gda(gda_rate, loss_at(proposed), loss)
             gda_rate = decision.learning_rate
             w_next = proposed if decision.accept else w
         elif method == "oss":
             d = _step_oss(oss_state, grad)
             if float(grad @ d) >= 0:
                 d = -grad
-            a = _line_search_reference(loss_at, w, d, grad, config)
+            a = _line_search_reference(loss_at, w, d, grad)
             if a == 0.0:
                 break
             w_next = w + a * d
@@ -781,7 +781,7 @@ def refine_reference(initial, method: str, topology: MlpTopology, data: Dataset,
                 d = -grad
                 cgpr_state = _CgprState(grad.copy(), d.copy(), 0,
                                         cgpr_state.restart_period)
-            a = _line_search_reference(loss_at, w, d, grad, config)
+            a = _line_search_reference(loss_at, w, d, grad)
             if a == 0.0:
                 break
             w_next = w + a * d

@@ -275,6 +275,15 @@ class TestTrain:
         assert manifest["hidden"] == "4 3"
         assert read_weights_csv(out_dir / "weights.csv")[1].layer_sizes == (2, 4, 3, 1)
 
+    @pytest.mark.parametrize("bounds", [["--upper", "inf"],
+                                        ["--lower=-1e308", "--upper=1e308"]])
+    def test_search_range_beyond_floats_fails(self, tmp_path, capsys, bounds):
+        argv, out_dir = self._run(tmp_path)
+        assert main(argv + bounds) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "lower=" in err and "upper=" in err
+        assert not out_dir.exists()
+
     def test_non_binary_labels_fail(self, tmp_path, capsys):
         features = tmp_path / "bad.csv"
         write_table(features, ["a", "label"], [[0.0, 2]])

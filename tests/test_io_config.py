@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -311,6 +312,18 @@ class TestWeightsCsv:
         with pytest.raises(ParameterError, match="w.csv.*abc"):
             read_weights_csv(path)
 
+    @pytest.mark.parametrize("weights, row, value", [
+        (["nan", "1.0", "inf", "0.5"], 1, "nan"),
+        (["1.0", "-inf", "nan", "0.5"], 2, "-inf"),
+    ])
+    def test_non_finite_weight_names_its_row(self, tmp_path, weights, row, value):
+        path = tmp_path / "w.csv"
+        write_table(path, ["weight"], [[w] for w in weights], comments=["topology=1,1,1"])
+        with pytest.raises(ParameterError) as info:
+            read_weights_csv(path)
+        assert str(info.value) == (f"{path}: data row {row}: non-finite weights "
+                                   f"are not allowed, got {value}")
+
     def test_non_integer_topology_names_file(self, tmp_path):
         path = tmp_path / "w.csv"
         write_table(path, ["weight"], [[0.0]] * 13, comments=["topology=2,3.5,1"])
@@ -338,6 +351,11 @@ class TestRunConfig:
         config = RunConfig(seed=0)
         assert config.codel_config() == CodelConfig(seed=0)
         assert config.local_search_config() == LocalSearchConfig()
+        # An owner's field that a run cannot set would be a fixed value
+        # posing as a setting: it belongs in a module constant.
+        run_fields = {f.name for f in fields(RunConfig)}
+        for owner in (CodelConfig, LocalSearchConfig):
+            assert {f.name for f in fields(owner)} <= run_fields
 
     def test_seed_required(self):
         with pytest.raises(ParameterError, match="seed"):

@@ -1,5 +1,6 @@
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,11 +29,11 @@ from oracles import mse_loss, refine_reference
 
 _CFG = LocalSearchConfig()
 
-# rp knobs that are all powers of two: every step size, and so every
-# point of a short walk from 0, is exact, and each move reads back
+# rp constants that are all powers of two: every step size, and so
+# every point of a short walk from 0, is exact, and each move reads back
 # exactly as the difference of two points.
-_DYADIC_RP = dict(rp_step_init=0.125, rp_increase=2.0, rp_decrease=0.5,
-                  rp_step_min=2.0 ** -20, rp_step_max=32.0)
+_DYADIC_RP = dict(RP_STEP_INIT=0.125, RP_INCREASE=2.0, RP_DECREASE=0.5,
+                  RP_STEP_MIN=2.0 ** -20, RP_STEP_MAX=32.0)
 
 
 def _first(method, w, grad, **knobs):
@@ -66,10 +67,10 @@ def _moves(points):
     return [b - a for a, b in zip(points, points[1:])]
 
 
-def _search(f, x, d, g, config=_CFG):
+def _search(f, x, d, g):
     """Drive the line search from x along d on the loss f: (the points it
     probed, in order, and the one it accepted or None)."""
-    run, probes = _line_search(x, f(x), g, d, config), []
+    run, probes = _line_search(x, f(x), g, d), []
     try:
         probes.append(next(run))
         while True:
@@ -110,17 +111,18 @@ class TestStepRp:
 
     def test_steps_stay_within_limits(self):
         grads = np.random.default_rng(0).normal(0, 1, (80, 4))
-        config = LocalSearchConfig(**_DYADIC_RP)
-        for move in _moves(_walk("rp", grads, **_DYADIC_RP)):
-            assert np.all(np.abs(move) >= config.rp_step_min)
-            assert np.all(np.abs(move) <= config.rp_step_max)
+        with mock.patch.multiple(local_search, **_DYADIC_RP):
+            moves = _moves(_walk("rp", grads))
+        for move in moves:
+            assert np.all(np.abs(move) >= _DYADIC_RP["RP_STEP_MIN"])
+            assert np.all(np.abs(move) <= _DYADIC_RP["RP_STEP_MAX"])
 
     def test_cap_and_floor_reached(self):
-        up = _moves(_walk("rp", [[1.0]] * 60, **_DYADIC_RP))
-        assert -up[-1][0] == _DYADIC_RP["rp_step_max"]
-
-        down = _moves(_walk("rp", [[(-1.0) ** k] for k in range(60)], **_DYADIC_RP))
-        assert abs(down[-1][0]) == _DYADIC_RP["rp_step_min"]
+        with mock.patch.multiple(local_search, **_DYADIC_RP):
+            up = _moves(_walk("rp", [[1.0]] * 60))
+            down = _moves(_walk("rp", [[(-1.0) ** k] for k in range(60)]))
+        assert -up[-1][0] == _DYADIC_RP["RP_STEP_MAX"]
+        assert abs(down[-1][0]) == _DYADIC_RP["RP_STEP_MIN"]
 
 
 class TestStepGd:
@@ -297,8 +299,8 @@ class TestLineSearch:
         and c1 = 1/2, every probe lands exactly on its bound, and the
         first one is taken."""
         f = lambda x: float(1.0 + x[0] / 2.0)
-        probes, accepted = _search(f, np.array([0.0]), np.array([-1.0]), np.array([1.0]),
-                                   LocalSearchConfig(armijo_c1=0.5))
+        with mock.patch.object(local_search, "ARMIJO_C1", 0.5):
+            probes, accepted = _search(f, np.array([0.0]), np.array([-1.0]), np.array([1.0]))
         assert f(probes[0]) == 1.0 + 0.5 * 1.0 * -1.0
         np.testing.assert_array_equal(probes, [[-1.0]])
         assert accepted is probes[-1]
@@ -314,7 +316,7 @@ class TestLineSearch:
         probes, accepted = _search(lambda x: 0.0, np.array([0.0]), np.array([-1.0]),
                                    np.array([1.0]))
         assert accepted is None
-        assert len(probes) == _CFG.max_backtracks + 1
+        assert len(probes) == local_search.MAX_BACKTRACKS + 1
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
@@ -333,13 +335,14 @@ class TestLineSearch:
         d = -d if g @ d > 0 else d
         slope = float(g @ d)
         assume(slope < 0)
-        config = LocalSearchConfig(max_backtracks=max_backtracks, armijo_c1=armijo_c1)
-        probes, accepted = _search(f, x, d, g, config)
+        with mock.patch.multiple(local_search, MAX_BACKTRACKS=max_backtracks,
+                                 ARMIJO_C1=armijo_c1):
+            probes, accepted = _search(f, x, d, g)
 
         assert 1 <= len(probes) <= max_backtracks + 1
         passes = []
         for i, probe in enumerate(probes):
-            a = config.backtrack_shrink ** i
+            a = local_search.BACKTRACK_SHRINK ** i
             assert probe.tobytes() == (x + a * d).tobytes()
             passes.append(f(probe) <= f(x) + armijo_c1 * a * slope)
         assert not any(passes[:-1])
@@ -476,21 +479,8 @@ class TestRefine:
             dict(epochs=0),
             dict(patience=0),
             dict(learning_rate=0.0),
+            dict(learning_rate=math.inf),
             dict(momentum=1.0),
-            dict(rp_increase=0.9),
-            dict(rp_decrease=1.1),
-            dict(rp_step_min=0.2, rp_step_init=0.1),
-            dict(gda_increase=0.9),
-            dict(backtrack_shrink=1.0),
-            # Each bound is strict: its boundary value is refused too.
-            dict(rp_decrease=1.0),
-            dict(rp_increase=1.0),
-            dict(rp_decrease=0.0),
-            dict(gda_decrease=1.0),
-            dict(gda_increase=1.0),
-            dict(gda_decrease=0.0),
-            dict(backtrack_shrink=0.0),
-            dict(rp_step_min=0.0),
         ]
         for kwargs in bad:
             with pytest.raises(ParameterError):
@@ -567,9 +557,10 @@ class TestRefineMatchesReference:
                                            armijo_c1):
         start = np.zeros(_TOPO.param_count) if zero_start else _start(seed)
         config = LocalSearchConfig(epochs=epochs, patience=patience,
-                                   learning_rate=10.0 ** log_rate,
-                                   max_backtracks=max_backtracks, armijo_c1=armijo_c1)
-        result = _assert_matches_reference(start, method, _TOPO, _DATA, config)
+                                   learning_rate=10.0 ** log_rate)
+        with mock.patch.multiple(local_search, MAX_BACKTRACKS=max_backtracks,
+                                 ARMIJO_C1=armijo_c1):
+            result = _assert_matches_reference(start, method, _TOPO, _DATA, config)
         assert result.final_train_error <= classification_error(start, _TOPO, _DATA)
         assert result.final_train_error == classification_error(result.params, _TOPO, _DATA)
 
@@ -588,16 +579,16 @@ class TestRefineMatchesReference:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_patience_stop(self, method):
-        config = LocalSearchConfig(epochs=300, patience=3,
-                                   learning_rate=1e-12, rp_step_init=1e-6)
-        result = _assert_matches_reference(_start(2), method, _TOPO, _DATA, config)
+        config = LocalSearchConfig(epochs=300, patience=3, learning_rate=1e-12)
+        with mock.patch.object(local_search, "RP_STEP_INIT", 1e-6):
+            result = _assert_matches_reference(_start(2), method, _TOPO, _DATA, config)
         assert result.stop_reason == "patience"
 
     @pytest.mark.parametrize("method, armijo_c1", [("oss", 1e-4), ("cgpr", 0.999)])
     def test_zero_step_line_search(self, method, armijo_c1):
-        config = LocalSearchConfig(epochs=100, patience=100,
-                                   max_backtracks=0, armijo_c1=armijo_c1)
-        result = _assert_matches_reference(_start(4), method, _TOPO, _DATA, config)
+        config = LocalSearchConfig(epochs=100, patience=100)
+        with mock.patch.multiple(local_search, MAX_BACKTRACKS=0, ARMIJO_C1=armijo_c1):
+            result = _assert_matches_reference(_start(4), method, _TOPO, _DATA, config)
         assert result.stop_reason == "line_search"
 
     def test_gda_rejections(self, monkeypatch):
@@ -678,17 +669,17 @@ class TestRefineMany:
         members = [(np.zeros(_TOPO.param_count) if seed is None else _start(seed), method)
                    for seed, method in members]
         config = LocalSearchConfig(epochs=epochs, patience=patience,
-                                   learning_rate=10.0 ** log_rate,
-                                   max_backtracks=max_backtracks, armijo_c1=armijo_c1,
-                                   rp_step_init=rp_step_init)
-        _assert_lockstep_matches_alone(members, config)
+                                   learning_rate=10.0 ** log_rate)
+        with mock.patch.multiple(local_search, MAX_BACKTRACKS=max_backtracks,
+                                 ARMIJO_C1=armijo_c1, RP_STEP_INIT=rp_step_init):
+            _assert_lockstep_matches_alone(members, config)
 
     def test_four_stop_reasons_in_different_rounds(self):
-        config = LocalSearchConfig(epochs=20, patience=5, learning_rate=1e-12,
-                                   max_backtracks=0)
+        config = LocalSearchConfig(epochs=20, patience=5, learning_rate=1e-12)
         members = [(np.zeros(_TOPO.param_count), "gd"), (_start(1), "oss"),
                    (_start(3), "rp"), (_start(4), "rp")]
-        results = _assert_lockstep_matches_alone(members, config)
+        with mock.patch.object(local_search, "MAX_BACKTRACKS", 0):
+            results = _assert_lockstep_matches_alone(members, config)
         assert [r.stop_reason for r in results] == [
             "stationary", "line_search", "patience", "epochs"]
         assert len({r.loss_history.size for r in results}) == len(results)
@@ -723,7 +714,7 @@ class TestRefineCallPattern:
     mse_loss_and_gradient pass, and src/ has no plain loss left."""
 
     # A large gda rate gets rejections; a strict cgpr test gets backtracks.
-    _KNOBS = {"gda": dict(learning_rate=50.0), "cgpr": dict(armijo_c1=0.99)}
+    _KNOBS = {"gda": dict(learning_rate=50.0)}
 
     @pytest.mark.parametrize("method", METHODS)
     def test_one_pass_per_point(self, method, monkeypatch):
@@ -747,6 +738,8 @@ class TestRefineCallPattern:
 
         monkeypatch.setattr(local_search, "mse_loss_and_gradient", counted)
         monkeypatch.setattr(local_search, "_line_search", recorded_search)
+        if method == "cgpr":
+            monkeypatch.setattr(local_search, "ARMIJO_C1", 0.99)
         start = _start(0)
         config = LocalSearchConfig(epochs=60, patience=60, **self._KNOBS.get(method, {}))
         result = _assert_matches_reference(start, method, _TOPO, _DATA, config)
@@ -778,9 +771,12 @@ class TestStopReason:
             "stationary": (np.zeros(xor_topo.param_count), "gd", xor_topo, xor, {}),
             "patience": (_start(2), "gd", _TOPO, _DATA,
                          dict(learning_rate=1e-12, patience=4)),
-            "line_search": (_start(4), "oss", _TOPO, _DATA, dict(max_backtracks=0)),
+            "line_search": (_start(4), "oss", _TOPO, _DATA, {}),
             "epochs": (_start(5), "rp", _TOPO, _DATA, dict(epochs=5)),
         }
+        # Only oss and cgpr search a line, so no backtracks ends the oss
+        # run on a line search and leaves the other runs as they are.
         for reason, (start, method, topo, data, knobs) in runs.items():
-            result = refine(start, method, topo, data, LocalSearchConfig(**knobs))
+            with mock.patch.object(local_search, "MAX_BACKTRACKS", 0):
+                result = refine(start, method, topo, data, LocalSearchConfig(**knobs))
             assert result.stop_reason == reason

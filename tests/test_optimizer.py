@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict, replace
 from types import SimpleNamespace
 
@@ -525,6 +526,14 @@ class TestRunCodel:
         for kwargs in bad:
             with pytest.raises(ParameterError):
                 CodelConfig(**kwargs)
+
+    @pytest.mark.parametrize("lower, upper", [(0.0, np.inf), (-np.inf, 0.0),
+                                              (-1e308, 1e308)])
+    def test_range_wider_than_any_float_rejected(self, lower, upper):
+        """The initial population is drawn from [lower, upper), which needs
+        upper - lower to be finite; the error names both bounds."""
+        with pytest.raises(ParameterError, match=re.escape(f"lower={lower}, upper={upper}")):
+            CodelConfig(lower=lower, upper=upper)
 
     @pytest.mark.parametrize("knob, value", [
         ("population_size", 4),

@@ -1,0 +1,49 @@
+"""`tools/src_size.py` counts what its docstring says it counts."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "src_size.py"
+_SPEC = importlib.util.spec_from_file_location("src_size", _PATH)
+src_size = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(src_size)
+
+# Seven knobs: b, d and e of f (a default of None is still a default),
+# the lambda's y, h of the async g, and Config's given and listed.
+# Config's required has no default, Config.plain is no field, and
+# Plain is no dataclass, so none of those count.
+KNOBS_SOURCE = '''
+from dataclasses import dataclass, field
+
+
+def f(a, b=1, *args, c, d=2, e=None, **kwargs):
+    return lambda x, y=0: x + y
+
+
+async def g(h=1):
+    return h
+
+
+@dataclass(frozen=True)
+class Config:
+    required: int
+    given: int = 3
+    listed: list = field(default_factory=list)
+    plain = 5
+
+
+class Plain:
+    size: int = 4
+    name = "x"
+'''
+
+
+def test_knob_count():
+    assert src_size.knob_count(ast.parse(KNOBS_SOURCE)) == 7
+
+
+def test_rewrapping_moves_lines_but_not_statements(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("x = (1,\n     2)\ny = 3\n")
+    assert src_size.module_size(path) == (3, 2, 0)
