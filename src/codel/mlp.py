@@ -7,8 +7,16 @@ in order, then that layer's biases. `decode` is the one place that knows
 this layout; the forward pass reads its layers through its views, and
 the gradient is written through the views of a fresh vector.
 
-The three entry points run one forward pass, `_forward_activations`, and
-decide classes by one rule on the output sigmoid, `_class_one`.
+`predict` and `mse_loss_and_gradient` run one forward pass,
+`_forward_activations`, and decide classes by one rule on the output
+sigmoid, `_class_one`. `classification_error`, the search objective,
+gives the same errors as that pass by a certificate, the filter-then-
+exact scheme of Shewchuk (1997): on a net with one hidden layer, a
+faster pass computes the output pre-activation together with a proven
+bound on its distance from the forward pass's (rounding bounds after
+Higham 2002), and a member whose every row clears that bound takes its
+classes from the sign. Every other member, and every deeper net, goes
+through the forward pass.
 """
 
 from dataclasses import dataclass
@@ -86,6 +94,17 @@ class Dataset:
     def n_features(self) -> int:
         return self.rows.shape[1]
 
+    @cached_property
+    def columns_with_ones(self) -> np.ndarray:
+        """The rows transposed, (n_features + 1, rows), with a last row of
+        ones, so that `[W | b] @ columns_with_ones` is W x + b per row."""
+        return np.vstack([self.rows.T, np.ones(len(self))])
+
+    @cached_property
+    def max_abs(self) -> float:
+        """The largest magnitude of any feature value."""
+        return float(np.max(np.abs(self.rows)))
+
 
 def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
     """The logistic function, written over the float array z."""
@@ -157,9 +176,11 @@ def _forward_activations(layers, inputs):
 
 
 # classification_error runs a stack in chunks of as many members as keep
-# the first hidden layer near this many doubles (8 members at 400 rows x
-# 10 units), so a chunk's activations stay in cache.
-_CHUNK_DOUBLES = 32_768
+# the first hidden layer near this many doubles (4 members at 400 rows x
+# 10 units), so a chunk's activations stay in cache. Chunks twice this
+# size held the fast pass's time and raised a default `train`'s peak
+# RSS by 0.3 MB.
+_CHUNK_DOUBLES = 16_384
 
 
 def _class_one(out) -> np.ndarray:
@@ -167,9 +188,10 @@ def _class_one(out) -> np.ndarray:
     return out[..., 0] >= 0.5
 
 
-def _percent_wrong(out, labels) -> np.ndarray:
-    """Per member, the percentage of rows `_class_one` gets wrong."""
-    return 100.0 * np.count_nonzero(_class_one(out) != labels, axis=-1) / len(labels)
+def _percent_wrong(ones, labels) -> np.ndarray:
+    """Per member, the percentage of rows whose class-1 flag in `ones`
+    disagrees with the label."""
+    return 100.0 * np.count_nonzero(ones != labels, axis=-1) / len(labels)
 
 
 def predict(params, topology: MlpTopology, inputs) -> np.ndarray:
@@ -191,23 +213,100 @@ def predict(params, topology: MlpTopology, inputs) -> np.ndarray:
     return labels[0] if params.ndim == 1 else labels
 
 
+def _exact_errors(layers, data: Dataset) -> np.ndarray:
+    """Per member of a decoded stack, its error from the exact forward
+    pass: the stack goes through in chunks of members, and each member's
+    products are the same BLAS calls as its own unstacked pass, so the
+    chunking changes no bit."""
+    k, hidden = layers[0][1].shape
+    chunk = max(1, _CHUNK_DOUBLES // (len(data) * hidden))
+    errors = np.empty(k)
+    for start in range(0, k, chunk):
+        part = slice(start, start + chunk)
+        out = _forward_activations([(w[part], b[part]) for w, b in layers], data.rows)[-1]
+        errors[part] = _percent_wrong(_class_one(out), data.labels)
+    return errors
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u = 2^-53: a sum of n rounded
+    terms, products included, in any order and with or without fused
+    multiply-adds, is off by at most gamma_n times the sum of the terms'
+    magnitudes (Higham 2002, section 3.1)."""
+    return n * 2.0**-53 / (1.0 - n * 2.0**-53)
+
+
+def _fast_output(layers, data: Dataset):
+    """Output unit 0's pre-activation z, (k, rows), of a decoded
+    one-hidden-layer stack, and per member a bound on |z - the exact
+    pass's z|, widened so that a row with |z| > bound gets the exact
+    pass's decision from the sign of z.
+
+    One flat gemm of -[W1 | b1], every member's hidden units stacked,
+    with the rows' columns and a row of ones gives every member's -z1,
+    three in-place passes (exp, + 1, reciprocal) turn it into the hidden
+    sigmoid, and one small product per member gives z. The chunks hold
+    at most `_CHUNK_DOUBLES` hidden values. The bound holds the rounding
+    of both passes: the gamma terms of the hidden and output sums, 2^-43
+    per hidden unit for the two passes' sigmoids (hundreds of ulps), a
+    factor 2 for the bound's own rounding, and 2^-40 for the exact
+    rule's band below zero, where the output sigmoid rounds to 0.5 and
+    gives class 1. Where a scale reaches 2^1000 the bound is inf, so no
+    sum of either pass can overflow on a row that decides.
+    """
+    (w1, b1), (w2, b2) = layers
+    k, hidden, n_in = w1.shape
+    w_out, b_out = w2[:, 0], b2[:, 0]
+    scale, n = data.max_abs, len(data)
+    chunk = max(1, _CHUNK_DOUBLES // (n * hidden))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1 = np.max(scale * np.abs(w1).sum(axis=2) + np.abs(b1), axis=1)
+        w2_norm = np.abs(w_out).sum(axis=1)
+        s2 = w2_norm + np.abs(b_out)
+        bound = 2.0 * (2.0 * _gamma(hidden + 1) * s2
+                       + w2_norm * (_gamma(n_in + 1) * s1 / 2.0 + 2.0**-43)) + 2.0**-40
+        bound[~(np.maximum(np.maximum(s1, s2), scale) < 2.0**1000)] = np.inf
+        neg = np.concatenate([w1, b1[..., None]], axis=2).reshape(k * hidden, n_in + 1)
+        np.negative(neg, out=neg)
+        z = np.empty((k, 1, n))
+        for start in range(0, k, chunk):
+            part = slice(start, start + chunk)
+            a = neg[start * hidden:(start + chunk) * hidden] @ data.columns_with_ones
+            np.exp(a, out=a)
+            a += 1.0
+            np.reciprocal(a, out=a)
+            np.matmul(w_out[part, None, :], a.reshape(-1, hidden, n), out=z[part])
+            del a  # so that two chunks' blocks are never held at once
+        z = z[:, 0]
+        z += b_out[:, None]
+    return z, bound
+
+
 def classification_error(params, topology: MlpTopology, data: Dataset):
     """Percentage of misclassified samples.
 
     params is one flat vector (D,), giving a float, or a stack of them
-    (k, D), giving one percentage per row as a (k,) array. A stack goes
-    through in chunks of members; each member's products are the same
-    BLAS calls as its own unstacked pass, so the chunking changes no bit.
+    (k, D), giving one percentage per row as a (k,) array. Every member
+    gets the exact pass's error, `_exact_errors`, bit for bit. A net
+    with one hidden layer goes first through `_fast_output`: a member
+    whose every row clears its rounding bound takes its decisions from
+    the sign of the fast z, and only the other members go through the
+    exact pass. A NaN z clears no bound. Deeper nets take the exact pass
+    alone.
     """
     params = np.asarray(params, dtype=float)
     stack = np.atleast_2d(params)
     layers = decode(stack, topology)
-    chunk = max(1, _CHUNK_DOUBLES // (len(data) * topology.layer_sizes[1]))
-    errors = np.empty(len(stack))
-    for start in range(0, len(stack), chunk):
-        part = slice(start, start + chunk)
-        out = _forward_activations([(w[part], b[part]) for w, b in layers], data.rows)[-1]
-        errors[part] = _percent_wrong(out, data.labels)
+    if len(layers) == 2:
+        z, bound = _fast_output(layers, data)
+        errors = _percent_wrong(z > 0.0, data.labels)
+        np.abs(z, out=z)
+        undecided = np.flatnonzero(~np.all(z > bound[:, None], axis=1))
+        if undecided.size:
+            errors[undecided] = _exact_errors([(w[undecided], b[undecided])
+                                               for w, b in layers], data)
+    else:
+        errors = _exact_errors(layers, data)
     return float(errors[0]) if params.ndim == 1 else errors
 
 
@@ -225,8 +324,10 @@ def mse_loss_and_gradient(params, topology: MlpTopology, data: Dataset):
     The gradient is accumulated layer by layer in reverse, using the
     sigmoid derivative a(1-a), and is returned flat in the same layout
     as the parameters. The error applies `_class_one` to the same output
-    activations, so it equals classification_error(params, topology,
-    data) bit for bit.
+    activations as the exact pass of classification_error(params,
+    topology, data), which returns that pass's error for every member,
+    by its certificate where its fast pass decides, so the two are equal
+    bit for bit.
     """
     params = np.asarray(params, dtype=float)
     stack = np.atleast_2d(params)
@@ -237,7 +338,7 @@ def mse_loss_and_gradient(params, topology: MlpTopology, data: Dataset):
 
     n_terms = out[0].size
     loss = np.sum((out - targets) ** 2, axis=(1, 2)) / n_terms
-    error = _percent_wrong(out, data.labels)
+    error = _percent_wrong(_class_one(out), data.labels)
 
     # delta holds dLoss/dz for the current layer, (members, rows, units).
     delta = 2.0 * (out - targets) / n_terms * out * (1.0 - out)

@@ -62,8 +62,11 @@ class CodelConfig:
             raise ParameterError(f"jumping rate must be in [0, 0.4], got {self.jumping_rate}")
         if self.clustering_period < 1:
             raise ParameterError("clustering period must be >= 1")
-        if not (self.lower < self.upper and np.isfinite(self.upper - self.lower)):
-            raise ParameterError(f"need lower < upper and a finite upper - lower, "
+        # Within +-2^500, every mutant r1 + F (r2 - r3) and quasi-opposite
+        # is finite, and a squared k-means distance is at most 2^1002 per
+        # weight, so no sum of the search overflows.
+        if not (self.lower < self.upper and max(abs(self.lower), abs(self.upper)) <= 2.0**500):
+            raise ParameterError(f"need lower < upper, both within +-2^500, "
                                  f"got lower={self.lower}, upper={self.upper}")
         if self.nfe_max < 1:
             raise ParameterError("evaluation budget must be positive")

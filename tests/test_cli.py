@@ -276,12 +276,17 @@ class TestTrain:
         assert read_weights_csv(out_dir / "weights.csv")[1].layer_sizes == (2, 4, 3, 1)
 
     @pytest.mark.parametrize("bounds", [["--upper", "inf"],
-                                        ["--lower=-1e308", "--upper=1e308"]])
+                                        ["--lower=-1e308", "--upper=1e308"],
+                                        ["--lower=-8e307", "--upper=8e307"],
+                                        ["--lower=-1e300", "--upper=1e300", "--cp", "1"]])
     def test_search_range_beyond_floats_fails(self, tmp_path, capsys, bounds):
+        """A range wider than floats hold, or one whose search sums can
+        overflow, exits 2 before any search, naming both bounds."""
         argv, out_dir = self._run(tmp_path)
         assert main(argv + bounds) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "lower=" in err and "upper=" in err
+        assert "Traceback" not in err
         assert not out_dir.exists()
 
     def test_non_binary_labels_fail(self, tmp_path, capsys):

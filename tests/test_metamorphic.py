@@ -5,17 +5,20 @@ which each test states. Tables are drawn with nan cells, cells at
 exactly 100, near-ties, unpaired names and tables with no pair at all.
 """
 
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from codel.cli import main
-from codel.datasets import synthetic_heartbeat
+from codel.datasets import synthetic_heartbeat, two_gaussian_dataset
 from codel.evaluation import METRIC_NAMES, TIE_TOL, metrics, pair_outcomes, wtl
 from codel.io import read_table, write_table
+from codel.mlp import Dataset, MlpTopology, classification_error, decode
 from codel.training import build_comparison
 
-from oracles import error_enhancement_reference
+from oracles import classification_error_reference, error_enhancement_reference
 
 # Three pairs, two lone boosted or base names, and an unrelated one.
 _NAMES = ("rp", "codel-rp", "oss", "codel-oss", "gd", "codel-gd", "codel-gda", "cgpr", "x")
@@ -150,3 +153,51 @@ class TestSignalScaling:
             header, rows, _ = read_table(out_dir / "features.csv")
             features.append((header, rows))
         assert features[1] == features[0] and features[2] == features[0]
+
+
+class TestColumnScaling:
+    """Multiplying a feature column by 2^k scales its values, their mean
+    and their std exactly, so each fold's standardized columns, and with
+    them every search and refiner run, are the same bits. Killed mutant:
+    `fold_datasets` without standardization."""
+
+    EXPONENTS = ([0, 0, 0], [-6, 6, 3], [6, -6, -1], [-6, -6, -6], [6, 6, 6], [2, -3, 5])
+
+    def test_evaluate_writes_the_same_tables(self, tmp_path, monkeypatch):
+        data = two_gaussian_dataset(15, 3, 1.5, seed=5)
+        tables = []
+        for run, k in enumerate(self.EXPONENTS):
+            (tmp_path / str(run)).mkdir()
+            monkeypatch.chdir(tmp_path / str(run))
+            write_table("features.csv", ["f0", "f1", "f2", "label"],
+                        [[*np.ldexp(row, k), int(label)] for row, label in zip(data.rows, data.labels)])
+            assert main(["evaluate", "--features-csv", "features.csv", "--seed", "2", "-k", "3",
+                         "--population-size", "6", "--nfe", "120", "--hidden", "3",
+                         "--epochs", "10", "--patience", "10", "--out-dir", "out"]) == 0
+            tables.append({p.name: p.read_bytes() for p in sorted(Path("out").iterdir())})
+        assert len(tables[0]) == 10
+        assert all(t == tables[0] for t in tables[1:])
+
+    def test_classification_error_follows_the_first_layer(self):
+        """Scaling input column i by 2^k_i and the first layer's weights
+        on it by 2^-k_i keeps every product x_i w_ji, so the exact pass
+        is the same bits. The fast pass's bound reads the rows' largest
+        magnitude and the weights' 1-norms, so mixed exponents move it:
+        the error is the same at every input scale, whichever members
+        the bound sends to the exact pass."""
+        rng = np.random.default_rng(21)
+        topo = MlpTopology((4, 6, 1))
+        rows, labels = rng.normal(0, 1, (60, 4)), rng.integers(0, 2, 60)
+        stack = rng.uniform(-10.0, 10.0, (12, topo.param_count))
+        for v in stack[:4]:  # every row exactly at 0, -1e-17 or next to the edge
+            w2, b2 = decode(v, topo)[-1]
+            w2[...], b2[...] = 0.0, rng.choice([0.0, -1e-17, 1e-16])
+        expected = classification_error(stack, topo, Dataset(rows, labels))
+        assert expected.tolist() == [classification_error_reference(v, topo, Dataset(rows, labels))
+                                     for v in stack]
+        for k in ([-6, -6, -6, -6], [6, 6, 6, 6], [-6, 6, 0, 3]):
+            scaled = stack.copy()
+            w1, _ = decode(scaled, topo)[0]
+            w1 *= np.ldexp(1.0, -np.array(k))
+            errors = classification_error(scaled, topo, Dataset(np.ldexp(rows, k), labels))
+            assert errors.tobytes() == expected.tobytes()

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -362,6 +363,151 @@ class TestStackedForward:
             predict(np.zeros(shape), topo, data.rows)
 
 
+def _cancelling_stack(rng, topo, k):
+    """k members with weights drawn in the default box [-10, 10], clipped
+    so that many sit on its faces, whose output unit 0 reads one hidden
+    unit at +-10 and cancels it with a bias of -+10: where that unit
+    saturates to exactly 1.0, z is exactly 0 (class 1), and where it
+    falls short, z is a small number of either sign."""
+    stack = np.clip(rng.normal(0, 10, (k, topo.param_count)), -10.0, 10.0)
+    for v in stack:
+        (_, b1), (w2, b2) = decode(v, topo)
+        j = rng.integers(b1.size)
+        b1[j] = 10.0
+        w2[0], w2[0, j] = 0.0, rng.choice([-10.0, 10.0])
+        b2[0] = -w2[0, j]
+    return stack
+
+
+_CERTIFIED_NETS = dict(
+    seed=st.integers(0, 2**32 - 1), n_in=st.integers(1, 13), hidden=st.integers(1, 12),
+    n_out=st.integers(1, 2), n_rows=st.integers(1, 300), log_scale=st.floats(-3.0, 4.0),
+    k=st.integers(1, 6), z=st.sampled_from(EDGE_Z))
+
+
+def _certified_case(seed, n_in, hidden, n_out, n_rows, log_scale, k, z):
+    """A one-hidden-layer net, rows at 10^log_scale, and a stack of edge
+    members at z, box cancellations and plain box members."""
+    rng = np.random.default_rng(seed)
+    topo = MlpTopology((n_in, hidden, n_out))
+    data = Dataset(rng.normal(0, 10.0**log_scale, (n_rows, n_in)), rng.integers(0, 2, n_rows))
+    stack = np.vstack([_edge_stack(rng, topo, data.rows, k, 10.0, z),
+                       _cancelling_stack(rng, topo, k),
+                       rng.uniform(-10.0, 10.0, (k, topo.param_count))])
+    return topo, data, stack
+
+
+class TestCertifiedPass:
+    """The fast pass decides a member only where its rounding bound
+    proves the exact pass's decisions, and every other member goes
+    through the exact pass, so classification_error moves no bit.
+    Killed mutants: the bound times 0, the hidden weights not negated
+    (so the fast pass computes sigmoid(-z1)) and the 2^-40 band term
+    dropped, by the first test; the bound's gamma terms times 0, by the
+    second; the 2^1000 cut dropped, by the fifth; no `np.errstate`
+    around the fast pass, by the last."""
+
+    @given(**_CERTIFIED_NETS)
+    @settings(max_examples=120, deadline=None)
+    def test_certified_errors_equal_the_exact_pass(self, seed, n_in, hidden, n_out, n_rows,
+                                                   log_scale, k, z):
+        topo, data, stack = _certified_case(seed, n_in, hidden, n_out, n_rows, log_scale, k, z)
+        layers = decode(stack, topo)
+        exact = mlp._exact_errors(layers, data)
+        z_fast, bound = mlp._fast_output(layers, data)
+        decided = np.all(np.abs(z_fast) > bound[:, None], axis=1)
+        certified = mlp._percent_wrong(z_fast > 0.0, data.labels)
+        assert certified[decided].tobytes() == exact[decided].tobytes()
+        assert classification_error(stack, topo, data).tobytes() == exact.tobytes()
+        assert exact.tolist() == [classification_error_reference(v, topo, data) for v in stack]
+
+    @given(**_CERTIFIED_NETS)
+    @settings(max_examples=60, deadline=None)
+    def test_fast_pass_error_is_far_inside_its_bound(self, seed, n_in, hidden, n_out, n_rows,
+                                                     log_scale, k, z):
+        """The bound is a worst case; the measured gap to the exact
+        pass's pre-activation stays under 2^-6 of it."""
+        topo, data, stack = _certified_case(seed, n_in, hidden, n_out, n_rows, log_scale, k, z)
+        layers = decode(stack, topo)
+        (_, _), (w2, b2) = layers
+        z_fast, bound = mlp._fast_output(layers, data)
+        hidden_out = _forward_activations(layers, data.rows)[-2]
+        z_exact = (hidden_out @ np.swapaxes(w2, 1, 2) + b2[:, None, :])[..., 0]
+        assert np.all(np.abs(z_fast - z_exact) <= 2.0**-6 * bound[:, None])
+
+    def test_only_undecided_members_reach_the_exact_pass(self):
+        """A member whose every row sits at -1e-17, where the exact
+        sigmoid rounds to 0.5 and gives class 1, goes to the exact pass;
+        a member with every row at 5 does not."""
+        rng = np.random.default_rng(11)
+        topo = MlpTopology((3, 4, 1))
+        data = _random_dataset(rng, 30, 3)
+        clear, edge = rng.uniform(-10.0, 10.0, (2, topo.param_count))
+        for v, z in ((clear, 5.0), (edge, -1e-17)):
+            w2, b2 = decode(v, topo)[-1]
+            w2[...], b2[...] = 0.0, z
+        with mock.patch.object(mlp, "_exact_errors", wraps=mlp._exact_errors) as exact:
+            errors = classification_error(np.stack([clear, edge, clear]), topo, data)
+        exact.assert_called_once()
+        (layers, _), _ = exact.call_args
+        assert np.array_equal(layers[0][0], decode(edge[None], topo)[0][0])
+        wrong_if_one = 100.0 * np.count_nonzero(data.labels == 0) / len(data)
+        assert errors.tolist() == [wrong_if_one] * 3
+
+    def test_deeper_nets_take_the_exact_pass_alone(self):
+        rng = np.random.default_rng(12)
+        topo = MlpTopology((3, 4, 2, 1))
+        data = _random_dataset(rng, 20, 3)
+        stack = rng.uniform(-10.0, 10.0, (5, topo.param_count))
+        with (mock.patch.object(mlp, "_fast_output", wraps=mlp._fast_output) as fast,
+              mock.patch.object(mlp, "_exact_errors", wraps=mlp._exact_errors) as exact):
+            errors = classification_error(stack, topo, data)
+        fast.assert_not_called()
+        exact.assert_called_once()
+        assert errors.tolist() == [classification_error_reference(v, topo, data) for v in stack]
+
+    def test_scales_from_two_to_the_1000_get_no_bound(self):
+        """Rows or weights that large could overflow a sum of the exact
+        pass while the fast pass's stays finite; such members always go
+        to the exact pass."""
+        topo = MlpTopology((2, 3, 1))
+        rows = np.array([[1.0, -2.0], [0.5, 3.0]])
+        params = np.full((3, topo.param_count), 0.25)
+        decode(params[1], topo)[0][0][...] = 2.0**1000
+        decode(params[2], topo)[1][1][...] = 2.0**1000
+        for scale, finite in ((1.0, [True, False, False]), (2.0**998, [True, False, False]),
+                              (2.0**1000, [False, False, False])):
+            _, bound = mlp._fast_output(decode(params, topo), Dataset(rows * scale, [0, 1]))
+            assert np.isfinite(bound).tolist() == finite
+
+    @pytest.mark.parametrize("weight, row_scale", [(1e200, 1.0), (1e300, 1e10),
+                                                   (1e-300, 1e300), (1.0, 1e300)])
+    def test_huge_scales_add_no_warning(self, weight, row_scale):
+        """Weights that a refiner can reach, or rows near the largest
+        float, overflow the bound; the member falls back with no warning
+        from the fast pass, so a call warns exactly as the exact pass
+        alone does."""
+        rng = np.random.default_rng(13)
+        topo = MlpTopology((3, 4, 2))
+        data = Dataset(rng.normal(0, row_scale, (25, 3)), rng.integers(0, 2, 25))
+        params = rng.uniform(-1.0, 1.0, topo.param_count) * weight
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reference = classification_error_reference(params, topo, data)
+        with warnings.catch_warnings(record=True) as expected:
+            warnings.simplefilter("always")
+            exact = mlp._exact_errors(decode(params[None], topo), data)
+        with warnings.catch_warnings(record=True) as raised:
+            warnings.simplefilter("always")
+            error = classification_error(params, topo, data)
+        assert error == exact[0] == reference
+        assert [str(w.message) for w in raised] == [str(w.message) for w in expected]
+        if not expected:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert classification_error(params, topo, data) == error
+
+
 class TestMseGradient:
 
     @given(seed=st.integers(0, 2**32 - 1),
@@ -489,3 +635,11 @@ class TestContainers:
             Dataset([[0.0], [1.0]], [0, 1, 1])
         with pytest.raises(ParameterError):
             Dataset([[np.nan], [1.0]], [0, 1])
+
+    def test_fast_pass_inputs_are_built_once(self):
+        """The transposed rows with their row of ones, and the largest
+        magnitude, are cached: a search's objective calls share them."""
+        data = Dataset([[1.0, -3.0], [2.0, 0.5]], [0, 1])
+        assert data.columns_with_ones is data.columns_with_ones
+        np.testing.assert_array_equal(data.columns_with_ones, [[1.0, 2.0], [-3.0, 0.5], [1.0, 1.0]])
+        assert data.max_abs == 3.0

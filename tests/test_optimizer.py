@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import asdict, replace
 from types import SimpleNamespace
 
@@ -528,12 +529,25 @@ class TestRunCodel:
                 CodelConfig(**kwargs)
 
     @pytest.mark.parametrize("lower, upper", [(0.0, np.inf), (-np.inf, 0.0),
-                                              (-1e308, 1e308)])
+                                              (-1e308, 1e308), (-8e307, 8e307),
+                                              (-1e300, 1e300), (0.0, 2.0**501),
+                                              (-2.0**501, -1.0)])
     def test_range_wider_than_any_float_rejected(self, lower, upper):
         """The initial population is drawn from [lower, upper), which needs
-        upper - lower to be finite; the error names both bounds."""
+        upper - lower to be finite, and bounds past 2^500 in magnitude let
+        the mutants or the k-means distances overflow; the error names
+        both bounds."""
         with pytest.raises(ParameterError, match=re.escape(f"lower={lower}, upper={upper}")):
             CodelConfig(lower=lower, upper=upper)
+
+    def test_range_up_to_two_to_the_500_accepted(self):
+        """At the limit, a clustered search runs without a warning."""
+        config = CodelConfig(population_size=6, nfe_max=120, clustering_period=1,
+                             lower=-2.0**500, upper=2.0**500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_codel(lambda v: np.sum(v * 2.0**-500, axis=1), 40, config)
+        assert np.isfinite(result.best_fitness)
 
     @pytest.mark.parametrize("knob, value", [
         ("population_size", 4),
