@@ -24,7 +24,6 @@ __all__ = [
     "kfold_split",
     "fold_datasets",
     "pair_outcomes",
-    "wtl",
     "average_ranks",
     "rank_and_mean_rank",
 ]
@@ -164,12 +163,6 @@ def pair_outcomes(base_means, codel_means) -> np.ndarray:
         raise ParameterError("paired sequences must have equal length")
     diff = codel - base
     return np.where(diff > TIE_TOL, "win", np.where(np.abs(diff) <= TIE_TOL, "tie", "loss"))
-
-
-def wtl(base_means, codel_means):
-    """Count wins, ties, losses of the boosted variants over their bases."""
-    outcomes = pair_outcomes(base_means, codel_means)
-    return tuple(int(np.count_nonzero(outcomes == o)) for o in ("win", "tie", "loss"))
 
 
 def average_ranks(values) -> np.ndarray:

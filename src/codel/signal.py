@@ -13,7 +13,10 @@ The module is numpy and Python floats alone. The Butterworth design
 and its biquad sections are bit-equal to ``scipy.signal``, and the peak
 detector's rolling mean and max to ``scipy.ndimage``'s filters. The
 Hampel filter sorts each window once and reads its median and its MAD
-test off the sorted row.
+test off the sorted row, by one count rule for every window. The one
+exception is a window of even length, which only the record's ends
+hold: ``np.median`` averages its two middle entries, so that window also
+sorts its deviations for the MAD.
 """
 
 from dataclasses import dataclass
@@ -114,22 +117,23 @@ def hampel_filter(signal: Signal, half_window: int, n_sigmas: float = 3.0) -> Si
     shrink at the boundaries instead of padding.
 
     Each sample's window is a row of one sliding view over x, padded with
-    +inf so that its own samples sort first. Only the 2h end rows are
-    shorter; for them `_window_medians` sorts the samples, then the
-    deviations, with ``np.median``'s order statistics and even-count
-    arithmetic.
+    NaN, and is sorted once, in a scratch chunk of rows. Row i holds
+    ``L = min(i, h) + min(n - 1 - i, h) + 1`` samples, which sort ahead
+    of its pads, so for an odd L its entry ``j = (L - 1) // 2`` is the
+    median. With ``scale = n_sigmas * 1.4826`` and ``gap = |x - median|``,
+    call a sorted entry s within the gap when ``fl(scale * |s - median|)
+    < gap``. The rounded product never decreases as ``|s - median|``
+    grows, so the entries within the gap are one run of the sorted row
+    around entry j, and the MAD (the (j + 1)-th smallest deviation) is
+    within the gap exactly when that run holds j + 1 entries. A binary
+    search finds the run's first entry left of j, and the entry j places
+    to its right decides the row.
 
-    A full-width row of 2h + 1 samples is sorted once, in a scratch chunk
-    of rows. Its entry h is the median. With ``scale = n_sigmas * 1.4826``
-    and ``gap = |x - median|``, call a sorted entry s within the gap when
-    ``fl(scale * |s - median|) < gap``. The rounded product never
-    decreases as ``|s - median|`` grows, so the entries within the gap
-    are one run of the sorted row around entry h, and the MAD (the
-    (h + 1)-th smallest deviation) is within the gap exactly when that
-    run holds h + 1 entries. A binary search finds the run's first entry
-    left of h, and the entry h places to its right decides the row. The
-    output is a per-sample loop's up to the sign of a zero-valued
-    replacement.
+    The one exception is an even L, which only the 2h end rows can have:
+    ``np.median`` then takes the mean of entries j and j + 1. Those rows
+    take their median that way, and their MAD the same way from one more
+    sort, of their deviations. The output is a per-sample loop's up to
+    the sign of a zero-valued replacement.
     """
     if half_window < 1:
         raise ParameterError("half_window must be >= 1")
@@ -141,84 +145,71 @@ def hampel_filter(signal: Signal, half_window: int, n_sigmas: float = 3.0) -> Si
     half_window = min(half_window, n - 1)
     width = 2 * half_window + 1
     scale = n_sigmas * MAD_SCALE
-    pad = np.full(half_window, np.inf)
+    # NaN pads sort after every sample. A probe that lands on one compares
+    # false with no warning, even at a zero scale, where an infinite pad
+    # would give 0 * inf.
+    pad = np.full(half_window, np.nan)
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([pad, x, pad]), width)
     med = np.empty(n)
-    outlier = np.empty(n, dtype=bool)
-    # Only the 2h end rows hold fewer than `width` samples. Row i < h
-    # holds i + min(n - 1 - i, h) + 1, as does row n - 1 - i. The ends
-    # overlap when n <= 2h, so every end median is fixed before any MAD.
-    head = np.arange(half_window)
-    length = head + np.minimum(n - 1 - head, half_window) + 1
-    ends = [(slice(0, half_window), length), (slice(n - half_window, n), length[::-1])]
-    for end, end_length in ends:
-        med[end] = _window_medians(windows[end], end_length)
-    for end, end_length in ends:
-        mad = _window_medians(windows[end], end_length, med[end])
-        outlier[end] = np.abs(x[end] - med[end]) > scale * mad
-    stop = n - half_window
     chunk_rows = _chunk_rows(width)
-    scratch = np.empty((min(chunk_rows, max(stop - half_window, 0)), width))
+    scratch = np.empty((min(chunk_rows, n), width))
     steps = [1 << k for k in reversed(range(int(half_window).bit_length()))]
-    for start in range(half_window, stop, chunk_rows):
-        chunk = slice(start, min(start + chunk_rows, stop))
+    for start in range(0, n, chunk_rows):
+        chunk = slice(start, min(start + chunk_rows, n))
         rows = scratch[: chunk.stop - start]
         rows[...] = windows[chunk]
         rows.sort(axis=1)
-        middle = med[chunk]
-        middle[...] = rows[:, half_window]
-        gap = np.abs(x[chunk] - middle)
-        # pos, a flat index into the chunk, starts at each row's first
-        # entry and moves right past the entries left of h that lie
-        # outside the gap. A probe at or right of h gives median - s <= 0,
-        # never at or above a gap > 0, so pos stops at entry h at most.
+        # Rows h or more from both ends hold L = 2h + 1 samples, so only
+        # chunks that reach an end count L - 1 row by row.
+        j, even = half_window, ()
+        if min(start, n - chunk.stop) < half_window:
+            i = np.arange(start, chunk.stop)
+            spread = np.minimum(i, half_window) + np.minimum(n - 1 - i, half_window)
+            j, even = spread >> 1, np.flatnonzero(spread & 1)
         flat = rows.ravel()
         pos = np.arange(0, rows.size, width)
+        centre = pos + j
+        middle = med[chunk]
+        middle[...] = flat[centre]
+        gap = np.abs(x[chunk] - middle)
+        # pos, a flat index into the chunk, starts at each row's first
+        # entry and moves right past the entries left of j that lie
+        # outside the gap. A probe at or right of j gives median - s <= 0,
+        # never at or above a gap > 0, or a pad's NaN, so pos stops at
+        # entry j at most. Each probe reads entry pos + step - 1.
         for step in steps:
-            probe = flat.take(pos + (step - 1))
-            # Left of entry h, |s - median| is median - s, bit for bit.
+            probe = flat[step - 1:].take(pos)
+            # Left of entry j, |s - median| is median - s, bit for bit.
             np.subtract(middle, probe, out=probe)
             probe *= scale
             np.add(pos, step, out=pos, where=probe >= gap)
-        # A row with gap == 0 may pass entry h; no entry is within its
+        # A row with gap == 0 may pass entry j; no entry is within its
         # gap, so any entry of the row decides it.
-        last = flat.take(np.minimum(pos, np.arange(half_window, rows.size, width)) + half_window)
-        outlier[chunk] = scale * np.abs(last - middle) < gap
-    np.copyto(med, x, where=~outlier)
+        last = flat.take(np.minimum(pos, centre) + j)
+        outlier = scale * np.abs(last - middle) < gap
+        if len(even):
+            # np.median of an even count is the mean of its two middle
+            # entries, j and j + 1. The MAD is read the same way off the
+            # sorted deviations, which overwrite the chunk's first rows:
+            # row even[k] >= k is read before row k is written, so no copy
+            # of the even rows is held.
+            j = j[even]
+            middle[even] = (rows[even, j] + rows[even, j + 1]) / 2
+            deviations = rows[: even.size]
+            for k, e in enumerate(even.tolist()):
+                np.subtract(rows[e], middle[e], out=deviations[k])
+            np.abs(deviations, out=deviations)
+            deviations.sort(axis=1)
+            at = np.arange(even.size)
+            mad = (deviations[at, j] + deviations[at, j + 1]) / 2
+            outlier[even] = np.abs(x[chunk][even] - middle[even]) > scale * mad
+        np.copyto(middle, x[chunk], where=~outlier)
     return Signal(med, signal.fs)
 
 
 def _chunk_rows(width: int) -> int:
     """Windows of `width` samples that the Hampel filter sorts at once."""
     return max(1, _CHUNK_DOUBLES // width)
-
-
-def _window_medians(rows: np.ndarray, length: np.ndarray, med: np.ndarray | None = None):
-    """``np.median`` of the ``length[i]`` smallest entries of each row or,
-    given `med`, of its ``length[i]`` smallest deviations from ``med[i]``.
-
-    Rows are copied `_chunk_rows` at a time into one scratch buffer and
-    sorted there.
-    """
-    out = np.empty(len(rows))
-    chunk_rows = _chunk_rows(rows.shape[1])
-    scratch = np.empty((min(chunk_rows, len(rows)), rows.shape[1]))
-    for start in range(0, len(rows), chunk_rows):
-        chunk = slice(start, start + chunk_rows)
-        sorted_rows = scratch[: len(rows[chunk])]
-        if med is None:
-            sorted_rows[...] = rows[chunk]
-        else:
-            np.subtract(rows[chunk], med[chunk, None], out=sorted_rows)
-            np.abs(sorted_rows, out=sorted_rows)
-        sorted_rows.sort(axis=1)
-        # An odd count has one middle entry; an even count averages the
-        # entry below it in too.
-        at, even = np.arange(len(sorted_rows)), length[chunk] % 2 == 0
-        middle = out[chunk]
-        middle[...] = sorted_rows[at, length[chunk] // 2]
-        middle[even] = (sorted_rows[at[even], length[chunk][even] // 2 - 1] + middle[even]) / 2
-    return out
 
 
 def butterworth_lowpass(signal: Signal, cutoff_hz: float, order: int = 4) -> Signal:

@@ -19,7 +19,7 @@ from codel.datasets import (
     xor_dataset,
 )
 from codel.evaluation import (METRIC_NAMES, SUMMARY_NAMES, error_enhancement, fold_summary,
-                              rank_and_mean_rank, wtl)
+                              pair_outcomes, rank_and_mean_rank)
 from codel.hrv import extract_features
 from codel.io import read_table, write_table
 from codel.local_search import METHODS, LocalSearchConfig
@@ -130,7 +130,8 @@ def test_criterion_03_win_tie_loss_reproduction():
     expected = {"accuracy": (6, 0, 0), "specificity": (6, 0, 0),
                 "sensitivity": (4, 0, 2)}
     for metric, want in expected.items():
-        got = wtl(_column(metric, bases), _column(metric, boosted))
+        outcomes = pair_outcomes(_column(metric, bases), _column(metric, boosted))
+        got = tuple(int(np.count_nonzero(outcomes == o)) for o in ("win", "tie", "loss"))
         if got != want:
             failures.append(f"{metric} W/T/L {got}, expected {want}")
     _verdict(3, "win tie loss reproduction", failures)

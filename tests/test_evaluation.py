@@ -16,8 +16,8 @@ from codel.evaluation import (
     fold_summary,
     kfold_split,
     metrics,
+    pair_outcomes,
     rank_and_mean_rank,
-    wtl,
 )
 from codel.local_search import LocalSearchConfig
 from codel.mlp import Dataset
@@ -342,23 +342,30 @@ class TestCrossValidate:
 
 
 class TestWtl:
+    """Wins, ties and losses counted off `pair_outcomes`, as
+    `build_comparison` counts them."""
+
+    @staticmethod
+    def _wtl(base, codel):
+        outcomes = pair_outcomes(base, codel)
+        return tuple(int(np.count_nonzero(outcomes == o)) for o in ("win", "tie", "loss"))
 
     def test_identical_sequences_all_tie(self):
-        assert wtl([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == (0, 3, 0)
+        assert self._wtl([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == (0, 3, 0)
 
     def test_tolerance_boundary(self):
         # Anchored at 0 so the 1e-9 offsets survive the subtraction
         # exactly; around 1.0 they would round.
-        assert wtl([0.0], [1e-9]) == (0, 1, 0)
-        assert wtl([0.0], [2e-9]) == (1, 0, 0)
-        assert wtl([0.0], [-2e-9]) == (0, 0, 1)
+        assert self._wtl([0.0], [1e-9]) == (0, 1, 0)
+        assert self._wtl([0.0], [2e-9]) == (1, 0, 0)
+        assert self._wtl([0.0], [-2e-9]) == (0, 0, 1)
 
     def test_mixed_outcome(self):
-        assert wtl([70.0, 80.0, 90.0], [75.0, 80.0, 85.0]) == (1, 1, 1)
+        assert self._wtl([70.0, 80.0, 90.0], [75.0, 80.0, 85.0]) == (1, 1, 1)
 
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
-            wtl([1.0, 2.0], [1.0])
+            pair_outcomes([1.0, 2.0], [1.0])
 
 
 class TestRanks:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from codel.cli import main
 from codel.datasets import synthetic_heartbeat, two_gaussian_dataset
-from codel.evaluation import METRIC_NAMES, TIE_TOL, metrics, pair_outcomes, wtl
+from codel.evaluation import METRIC_NAMES, TIE_TOL, metrics, pair_outcomes
 from codel.io import read_table, write_table
 from codel.mlp import Dataset, MlpTopology, classification_error, decode
 from codel.training import build_comparison
@@ -129,7 +129,9 @@ class TestComparisonCells:
                 assert comparison.ee_table[p, j] == error_enhancement_reference(100.0 - b,
                                                                                 100.0 - c)
         for j in range(len(METRIC_NAMES)):
-            assert tuple(comparison.wtl[j]) == wtl(base[:, j], boosted[:, j])
+            outcomes = pair_outcomes(base[:, j], boosted[:, j])
+            assert comparison.wtl[j].tolist() == [np.count_nonzero(outcomes == o)
+                                                  for o in ("win", "tie", "loss")]
 
 
 class TestSignalScaling:

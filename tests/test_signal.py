@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -132,11 +133,11 @@ class TestHampelFilter:
         assert np.array_equal(out.samples, hampel_reference(x, half_window))
 
     def test_long_record_builds_no_per_sample_index_arrays(self):
-        """Only the 2 * half_window end rows get their own window length;
-        every interior row is decided at the full width. Three minutes at
-        250 Hz with the default half window then peaks near 1.56 MB: the
-        padded copy, the sort scratch and a few sample-length float
-        arrays. Five per-sample index arrays took it to 3.57 MB."""
+        """Window lengths are counted one scratch chunk at a time, and
+        only in the chunks that reach an end. Three minutes at 250 Hz with
+        the default half window then peaks near 1.51 MB: the padded copy,
+        the output and the sort scratch. Five per-sample index arrays took
+        it to 3.57 MB."""
         rng = np.random.default_rng(5)
         x = np.sin(np.arange(45_000) / 40.0) ** 15 + 0.05 * rng.normal(size=45_000)
         x[rng.integers(0, x.size, 40)] -= 3.0
@@ -202,9 +203,11 @@ class TestHampelMatchesReference:
     @example((np.array([5e-324, 100.0, 5e-324, 5e-324]), 2, 3.0))
     def test_bit_identical_to_per_sample_loop(self, case):
         x, half_window, n_sigmas = case
-        out = hampel_filter(Signal(x, 100.0), half_window, n_sigmas)
-        assert np.array_equal(out.samples,
-                              hampel_reference(x, half_window, n_sigmas))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = hampel_filter(Signal(x, 100.0), half_window, n_sigmas)
+            assert np.array_equal(out.samples,
+                                  hampel_reference(x, half_window, n_sigmas))
 
     def test_long_noisy_record(self):
         """Thousands of interior windows, several scratch chunks."""
@@ -410,15 +413,17 @@ class TestWindowsMatchScipy:
            n_sigmas=st.sampled_from([UNIT_THRESHOLD, 1.0, 3.0]))
     def test_hampel_medians_equal_median_filter(self, x, half_window, n_sigmas):
         """With a zero MAD scale every sample off its window median is an
-        outlier, so the output is the running median."""
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(codel.signal, "MAD_SCALE", 0.0)
-            medians = hampel_filter(Signal(x, 100.0), half_window).samples
-        interior = slice(half_window, x.size - half_window)
-        want = ndimage.median_filter(x, size=2 * half_window + 1)
-        assert np.array_equal(medians[interior], want[interior])
-        out = hampel_filter(Signal(x, 100.0), half_window, n_sigmas).samples
-        assert np.array_equal(out, hampel_reference(x, half_window, n_sigmas))
+        outlier, so the output is the running median. Neither scale warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(codel.signal, "MAD_SCALE", 0.0)
+                medians = hampel_filter(Signal(x, 100.0), half_window).samples
+            interior = slice(half_window, x.size - half_window)
+            want = ndimage.median_filter(x, size=2 * half_window + 1)
+            assert np.array_equal(medians[interior], want[interior])
+            out = hampel_filter(Signal(x, 100.0), half_window, n_sigmas).samples
+            assert np.array_equal(out, hampel_reference(x, half_window, n_sigmas))
 
 
 class TestDetectRPeaks:

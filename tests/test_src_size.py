@@ -47,3 +47,46 @@ def test_rewrapping_moves_lines_but_not_statements(tmp_path):
     path = tmp_path / "m.py"
     path.write_text("x = (1,\n     2)\ny = 3\n")
     assert src_size.module_size(path) == (3, 2, 0)
+
+
+# `b` reads a.live, a.LIMIT (through an attribute) and its own helper.
+# a.dead is named only in a docstring, a comment and `__all__`, and b
+# imports it without reading it; a.Box, b.UNREAD and b.VALUE are never
+# read.
+UNUSED_SOURCES = {
+    "a": '''"""The module around `dead`."""
+
+__all__ = ["live", "dead", "Box"]
+LIMIT = 3
+
+
+def live():
+    return 1
+
+
+def dead():
+    # dead() calls live() only in this comment.
+    return 0
+
+
+class Box:
+    pass
+''',
+    "b": '''from . import a
+from .a import dead, live
+
+UNREAD = 2
+
+
+def helper():
+    return live() + a.LIMIT
+
+
+VALUE = helper()
+''',
+}
+
+
+def test_unused_names_skip_docstrings_comments_imports_and_all():
+    trees = {module: ast.parse(source) for module, source in UNUSED_SOURCES.items()}
+    assert src_size.unused_names(trees) == ["a.dead", "a.Box", "b.UNREAD", "b.VALUE"]
