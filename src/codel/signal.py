@@ -9,14 +9,16 @@ Filtering runs before outlier rejection so the Hampel filter sees a
 signal whose local median/MAD estimates are not dominated by
 high-frequency noise.
 
-The module is numpy and Python floats alone. The Butterworth design
-and its biquad sections are bit-equal to ``scipy.signal``, and the peak
-detector's rolling mean and max to ``scipy.ndimage``'s filters. The
-Hampel filter sorts each window once and reads its median and its MAD
-test off the sorted row, by one count rule for every window. The one
-exception is a window of even length, which only the record's ends
-hold: ``np.median`` averages its two middle entries, so that window also
-sorts its deviations for the MAD.
+The module is numpy and Python floats alone. The Butterworth design is
+bit-equal to ``scipy.signal.butter``, and its cascade to ``sosfilt``:
+the record goes through every section one block of samples at a time, so
+the low-pass holds a block's worth of Python floats, not a record's. The
+peak detector's rolling mean and max are bit-equal to
+``scipy.ndimage``'s filters. The Hampel filter sorts each window once
+and reads its median and its MAD test off the sorted row, by one count
+rule for every window. The one exception is a window of even length,
+which only the record's ends hold: ``np.median`` averages its two middle
+entries, so that window also sorts its deviations for the MAD.
 """
 
 from dataclasses import dataclass
@@ -51,6 +53,12 @@ THRESHOLD_FRACTION = 0.4
 # its binary search costs a fixed amount per chunk, so larger chunks are
 # faster, and this size keeps the scratch near 0.7 MB.
 _CHUNK_DOUBLES = 90_000
+
+# The low-pass runs the record through its sections in blocks of this
+# many samples. A block's input and output are lists of Python floats,
+# about 32 bytes a sample each, so a block holds about 0.26 MB of them.
+# Blocks of 1,024 to 16,384 samples ran at the same speed.
+_LOWPASS_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -134,17 +142,25 @@ def hampel_filter(signal: Signal, half_window: int, n_sigmas: float = 3.0) -> Si
     take their median that way, and their MAD the same way from one more
     sort, of their deviations. The output is a per-sample loop's up to
     the sign of a zero-valued replacement.
+
+    Each product it forms is at most ``scale`` times the signal's range,
+    so an ``n_sigmas`` that makes that bound overflow (``inf``, or
+    ``1e308`` on a range above about 1.21), or a NaN, raises ParameterError.
     """
     if half_window < 1:
         raise ParameterError("half_window must be >= 1")
-    if not (n_sigmas > 0):
-        raise ParameterError("n_sigmas must be positive")
     x = signal.samples
+    # Python floats, so an overflow gives inf, not a warning.
+    scale = float(n_sigmas) * MAD_SCALE
+    if not (n_sigmas > 0 and scale * (float(x.max()) - float(x.min())) < np.inf):
+        raise ParameterError(
+            f"n_sigmas must be positive, and n_sigmas * {MAD_SCALE} times the "
+            f"signal's range finite, got {n_sigmas}"
+        )
     n = x.size
     # A window wider than the signal already holds all of it.
     half_window = min(half_window, n - 1)
     width = 2 * half_window + 1
-    scale = n_sigmas * MAD_SCALE
     # NaN pads sort after every sample. A probe that lands on one compares
     # false with no warning, even at a zero scale, where an infinite pad
     # would give 0 * inf.
@@ -220,6 +236,14 @@ def butterworth_lowpass(signal: Signal, cutoff_hz: float, order: int = 4) -> Sig
     cutoff is -3.01 dB. The design and the output are bit-equal to
     ``scipy.signal.butter(order, cutoff_hz, fs=fs, output="sos")`` and
     ``scipy.signal.sosfilt``, computed with numpy and Python floats only.
+
+    Each section is direct form II transposed, whose whole past is its
+    two state values z0 and z1. So the record runs through the cascade
+    one block of samples at a time, each sample through every section in
+    turn, and each section's state carries over to the next block. The
+    Python-float arithmetic is the same IEEE double arithmetic, in the
+    same order, as scipy's loop, and the memory beyond the output is
+    bounded by the block, not by the record.
     """
     nyquist = signal.fs / 2.0
     if not (0 < cutoff_hz < nyquist):
@@ -229,9 +253,20 @@ def butterworth_lowpass(signal: Signal, cutoff_hz: float, order: int = 4) -> Sig
     if order not in (2, 4, 6):
         raise ParameterError(f"order must be one of 2, 4, 6, got {order}")
     x = signal.samples
-    for section in _butter_sos(order, cutoff_hz, signal.fs):
-        x = _biquad(section, x)
-    return Signal(x, signal.fs)
+    out = np.empty(x.size)
+    sections = [(b0, b1, b2, a1, a2, [0.0, 0.0])
+                for b0, b1, b2, _, a1, a2 in _butter_sos(order, cutoff_hz, signal.fs).tolist()]
+    for start in range(0, x.size, _LOWPASS_BLOCK):
+        block = []
+        for v in x[start:start + _LOWPASS_BLOCK].tolist():
+            for b0, b1, b2, a1, a2, z in sections:
+                y = b0 * v + z[0]
+                z[0] = b1 * v - a1 * y + z[1]
+                z[1] = b2 * v - a2 * y
+                v = y
+            block.append(v)
+        out[start:start + _LOWPASS_BLOCK] = block
+    return Signal(out, signal.fs)
 
 
 def _butter_sos(order: int, cutoff_hz: float, fs: float) -> np.ndarray:
@@ -256,24 +291,6 @@ def _butter_sos(order: int, cutoff_hz: float, fs: float) -> np.ndarray:
     sos[:, 5] = poles.real * poles.real + poles.imag * poles.imag
     sos[0, :3] *= gain
     return sos
-
-
-def _biquad(section: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One direct-form-II-transposed section from rest, as `sosfilt` runs it.
-
-    The three feed-forward products are whole-array numpy multiplies; the
-    recursion runs over Python floats, whose arithmetic is the same IEEE
-    double arithmetic, in the same order, as scipy's loop.
-    """
-    b0, b1, b2, _, a1, a2 = section.tolist()
-    out = []
-    z0 = z1 = 0.0
-    for p0, p1, p2 in zip((b0 * x).tolist(), (b1 * x).tolist(), (b2 * x).tolist()):
-        y = p0 + z0
-        z0 = p1 - a1 * y + z1
-        z1 = p2 - a2 * y
-        out.append(y)
-    return np.array(out)
 
 
 def detect_r_peaks(signal: Signal) -> np.ndarray:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -155,6 +156,16 @@ class TestHampelFilter:
             hampel_filter(sig, half_window=0)
         with pytest.raises(ParameterError):
             hampel_filter(sig, half_window=3, n_sigmas=0.0)
+
+    @pytest.mark.parametrize("n_sigmas", [np.inf, 1e308, np.nan])
+    def test_n_sigmas_whose_threshold_overflows_is_refused(self, n_sigmas):
+        """Each product the filter forms is at most n_sigmas * 1.4826
+        times the signal's range, here 10. Where that bound is not finite
+        the call is refused by name, before any floating-point warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=re.escape(f"got {n_sigmas}")):
+                hampel_filter(Signal(np.arange(11.0), 10.0), 2, n_sigmas)
 
 
 
@@ -344,6 +355,21 @@ class TestButterworthLowpass:
         with pytest.raises(ParameterError):
             butterworth_lowpass(sig, 25.0, order=3)
 
+    def test_long_record_holds_one_block_of_floats(self):
+        """Three minutes at 250 Hz peak near 0.63 MB above the input: the
+        output and one block's lists of Python floats. Record-wide lists,
+        four per section, took 6.16 MB."""
+        rng = np.random.default_rng(6)
+        sig = Signal(np.sin(np.arange(45_000) / 40.0) ** 15 + 0.05 * rng.normal(size=45_000),
+                     250.0)
+        tracemalloc.start()
+        try:
+            butterworth_lowpass(sig, 25.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
 
 class TestButterworthMatchesScipy:
     """The numpy design and biquad are bit-equal to scipy's."""
@@ -375,6 +401,23 @@ class TestButterworthMatchesScipy:
         got = butterworth_lowpass(Signal(x, fs), cutoff, order).samples
         want = sps.sosfilt(sps.butter(order, cutoff, fs=fs, output="sos"), x)
         assert got.dtype == np.float64 and got.shape == x.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_state_carries_across_blocks(self, monkeypatch, order, block):
+        """53 samples end in a partial block for every size but 1."""
+        monkeypatch.setattr(codel.signal, "_LOWPASS_BLOCK", block)
+        x = np.random.default_rng(order).normal(size=53) * 37.5
+        got = butterworth_lowpass(Signal(x, 250.0), 40.0, order).samples
+        want = sps.sosfilt(sps.butter(order, 40.0, fs=250.0, output="sos"), x)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", [2, 4, 6])
+    def test_record_of_several_blocks(self, order):
+        x = np.random.default_rng(order).normal(size=3 * codel.signal._LOWPASS_BLOCK + 1000)
+        got = butterworth_lowpass(Signal(x, 250.0), 25.0, order).samples
+        want = sps.sosfilt(sps.butter(order, 25.0, fs=250.0, output="sos"), x)
         assert got.tobytes() == want.tobytes()
 
 
