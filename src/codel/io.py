@@ -9,20 +9,26 @@ is one file's content; `features_table` and `weights_table` own those
 two formats.
 
 `_scan` owns the line rules: blank lines, comments, the header and
-ragged rows. The single-column readers' fast path keeps no Python
-object per row: tens of thousands of them made the read slow (each list
-of cells is garbage-collected) and its memory grow with the record. A
-file whose first line is exactly the expected header hands the rest of
-the open file to ``np.loadtxt``. Its C reader takes one line at a time,
-strips the whitespace that `str.strip` strips, and parses the rest with
-the same ``PyOS_string_to_double`` as `float`, into one growing array:
-a 3-minute 250 Hz record peaks near 0.45 MB of Python memory, where a
-list of its lines took 5.3 to 5.8 MB. Any other file, or one holding a
-line that reader rejects (a comment, a non-number, or the underscores
-and non-ASCII digits that `float` also takes) or a second cell, goes
-through `_scan`, which gives every error message and converts each
-stripped line with `float`. Both paths skip blank lines and name the
-data row of the first non-finite value.
+ragged rows. The numeric readers (signal, RR, features, weights) share
+one fast path, `_fast_numbers`, which keeps no Python object per row:
+tens of thousands of them made the read slow (each list of cells is
+garbage-collected) and its memory grow with the record. It keeps the
+file's leading '#' lines as its comments, stripped as `_scan` strips
+them, takes the next line as the header, and hands the rest of the open
+file to ``np.loadtxt``. Its C reader takes one line at a time, strips
+the whitespace that `str.strip` strips, and parses each cell with the
+same ``PyOS_string_to_double`` as `float`, into one growing array: a
+3-minute 250 Hz record peaks near 0.45 MB of Python memory, with or
+without a run block, where a list of its lines took 5.3 to 5.8 MB. A
+file it cannot take whole goes through `_scan`, the one fallback, which
+gives every error message and converts each stripped cell with `float`:
+a blank line before the header, a comment or header line that
+`str.splitlines` would split (it breaks lines at more characters than
+file iteration does), a body line numpy's reader rejects (a comment, a
+non-number, the underscores and non-ASCII digits that `float` also
+takes, a change of width), or rows narrower or wider than the header.
+Both paths skip blank lines in the body, and the readers name the data
+row of the first non-finite value.
 """
 
 from pathlib import Path
@@ -132,36 +138,71 @@ def read_table(path):
     return header, [line.split(",") for line in lines], comments
 
 
-def _fast_column(path, expected_header: str):
-    """The values of a plain single-column file, or None when it needs
-    `_scan`: a first line other than the header, a line that numpy's
-    reader rejects, or a row of more than one cell."""
+def _fast_numbers(path):
+    """The header cells, (rows, columns) values and comments of a plain
+    numeric file, or None when it needs `_scan`.
+
+    The leading '#' lines are the comments and the next line is the
+    header, split at every comma; numpy's reader parses the rest, any
+    number of columns. None for a blank header line, a comment or
+    header line that `str.splitlines` would split, a body line that
+    numpy's reader rejects, or rows not as wide as the header.
+    """
     import warnings
 
+    lines = []
     try:
         with open(path) as f, warnings.catch_warnings():
             # A body of blank lines reads as no rows, which the caller reports.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            if f.readline().rstrip("\n") != expected_header:
+            lines.append(f.readline())
+            while lines[-1].startswith("#"):
+                lines.append(f.readline())
+            if not lines[-1].strip() or any(len(line.splitlines()) != 1 for line in lines):
                 return None
             values = np.loadtxt(f, dtype=float, delimiter=",", comments=None, ndmin=2)
     except (OSError, ValueError):
         return None
-    return values[:, 0] if values.shape[1] == 1 else None
+    *comments, header = lines
+    header = header.rstrip("\n").split(",")
+    if values.shape[1] != len(header):
+        return None
+    return header, values, [line[1:].strip() for line in comments]
+
+
+def _read_numbers(path, check, bad: str):
+    """Read a numeric table whose header and comments pass `check`.
+
+    `check(header, comments)` raises ParameterError for a file the
+    caller refuses; it runs before any cell is converted, so a bad
+    header is reported before a bad cell, on both paths. A cell that
+    is not a number raises ParameterError("{path}: {bad} (...)").
+
+    Returns:
+        (check's result, float array of shape (rows, len(header))).
+    """
+    fast = _fast_numbers(path)
+    if fast is not None:
+        header, values, comments = fast
+        return check(header, comments), values
+    header, lines, comments = _scan(path, _read_text(path))
+    checked = check(header, comments)
+    try:
+        values = [[float(cell.strip()) for cell in line.split(",")] for line in lines]
+    except ValueError as exc:
+        raise ParameterError(f"{path}: {bad} ({exc})") from None
+    return checked, np.array(values).reshape(len(lines), len(header))
 
 
 def _read_single_column(path, expected_header: str, noun: str) -> np.ndarray:
-    values = _fast_column(path, expected_header)
-    if values is None:
-        header, lines, _ = _scan(path, _read_text(path))
+    def check(header, comments):
         if header != [expected_header]:
             raise ParameterError(
                 f"{path}: expected header {expected_header!r}, got {','.join(header)!r}"
             )
-        try:
-            values = np.array([float(line.strip()) for line in lines])
-        except ValueError as exc:
-            raise ParameterError(f"{path}: non-numeric value ({exc})") from None
+
+    _, values = _read_numbers(path, check, "non-numeric value")
+    values = values[:, 0]
     if values.size == 0:
         raise ParameterError(f"{path} contains no data rows")
     _refuse_non_finite(path, values, noun)
@@ -204,17 +245,16 @@ def read_features_csv(path) -> Dataset:
     The feature columns need not be the 13 canonical ones; training on
     e.g. a 2-feature toy file goes through the same reader.
     """
-    header, rows, _ = read_table(path)
-    if header[-1] != "label":
-        raise ParameterError(f"{path}: last column must be `label`, got {header[-1]!r}")
-    if len(header) < 2:
-        raise ParameterError(f"{path}: no feature columns")
-    if not rows:
+    def check(header, comments):
+        if header[-1] != "label":
+            raise ParameterError(f"{path}: last column must be `label`, got {header[-1]!r}")
+        if len(header) < 2:
+            raise ParameterError(f"{path}: no feature columns")
+        return header
+
+    header, matrix = _read_numbers(path, check, "non-numeric value")
+    if not len(matrix):
         raise ParameterError(f"{path} contains no data rows")
-    try:
-        matrix = np.array([[float(c) for c in row] for row in rows])
-    except ValueError as exc:
-        raise ParameterError(f"{path}: non-numeric value ({exc})") from None
     for i, j in np.argwhere(~np.isfinite(matrix)):
         raise ParameterError(f"{path}: data row {i + 1}, column {header[j]!r}: "
                              f"non-finite value {matrix[i, j]}")
@@ -236,18 +276,21 @@ def write_weights_csv(path, params, topology: MlpTopology, comments=()) -> None:
 
 def read_weights_csv(path):
     """Read a weight file back into (params, topology)."""
-    header, rows, comments = read_table(path)
-    if header != ["weight"]:
-        raise ParameterError(f"{path}: expected a single `weight` column")
-    topology = None
-    try:
-        for comment in comments:
-            if comment.startswith("topology="):
-                sizes = comment.split("=", 1)[1].split(",")
-                topology = MlpTopology(tuple(int(s) for s in sizes))
-        params = np.array([float(r[0]) for r in rows])
-    except ValueError as exc:
-        raise ParameterError(f"{path}: bad value ({exc})") from None
+    def topology_of(header, comments):
+        if header != ["weight"]:
+            raise ParameterError(f"{path}: expected a single `weight` column")
+        topology = None
+        try:
+            for comment in comments:
+                if comment.startswith("topology="):
+                    sizes = comment.split("=", 1)[1].split(",")
+                    topology = MlpTopology(tuple(int(s) for s in sizes))
+        except ValueError as exc:
+            raise ParameterError(f"{path}: bad value ({exc})") from None
+        return topology
+
+    topology, params = _read_numbers(path, topology_of, "bad value")
+    params = params[:, 0]
     _refuse_non_finite(path, params, "weights")
     if topology is None:
         raise ParameterError(f"{path}: missing topology comment line")

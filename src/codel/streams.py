@@ -9,7 +9,9 @@ bit-identical runs regardless of execution order.
 import numpy as np
 
 
-def named_rng(seed: int, name: str) -> np.random.Generator:
+# A quoted annotation is never evaluated, so importing this module does not
+# load numpy.random: commands that draw no random number never pay for it.
+def named_rng(seed: int, name: str) -> "np.random.Generator":
     """Return the generator for substream `name` under the given root seed."""
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + list(name.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -11,11 +11,13 @@ one method; the evaluation grid runs it twice per cross-validation
 fold, once per form, over all six methods. Grid tasks are independent,
 so they can spread over worker processes, and results are collected by
 position, so the output never depends on the worker count or
-completion order. `build_comparison` turns a means table into ranks,
-W/T/L counts and error enhancements, one array pass over its pairs.
+completion order. The pool's modules (`concurrent.futures` and
+`multiprocessing`) load only when a grid runs with more than one job,
+so `train` and a one-worker `evaluate` never load them.
+`build_comparison` turns a means table into ranks, W/T/L counts and
+error enhancements, one array pass over its pairs.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -125,6 +127,8 @@ def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
     ]
 
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # Forked pools start every worker up front, so ask for no more
         # than there are tasks.
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:

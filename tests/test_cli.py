@@ -591,8 +591,12 @@ class TestConfigResolution:
 class TestStartupImports:
     """No command loads scipy, which the package needs only as the tests'
     oracle. Importing scipy.signal alone pulls in scipy.stats, optimize,
-    sparse and more, over a second of start-up.
+    sparse and more, over a second of start-up. Nor does a command load
+    what it never runs: the process pool's modules load only for a grid
+    of more than one job, and numpy.random only for a random draw.
     """
+
+    POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
     SCRIPT = """
 import sys
@@ -623,7 +627,7 @@ print("\\n".join(sorted(sys.modules)))
         assert (tmp_path / "train" / "weights.csv").is_file()
         assert (tmp_path / "compare" / "wtl.csv").is_file()
         loaded = done.stdout.split()
-        for heavy in ("scipy.signal", "scipy.stats", "scipy.ndimage"):
+        for heavy in ("scipy.signal", "scipy.stats", "scipy.ndimage", *self.POOL_MODULES):
             assert not [m for m in loaded if m == heavy or m.startswith(heavy + ".")]
 
     EXTRACT_SCRIPT = """
@@ -647,4 +651,5 @@ print("\\n".join(sorted(sys.modules)))
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "extract" / "features.csv").is_file()
         loaded = done.stdout.split()
-        assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+        for heavy in ("scipy", "numpy.random", *self.POOL_MODULES):
+            assert not [m for m in loaded if m == heavy or m.startswith(heavy + ".")]

@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import codel.io
+from codel.cli import main
 from codel.config import ALIASES, RunConfig, parse_config
 from codel.errors import ParameterError
 from codel.hrv import FEATURE_NAMES, FeatureRecord
@@ -178,6 +179,21 @@ class TestSignalAndRrReaders:
         assert got.tobytes() == samples.tobytes()
         assert peak < 1e6
 
+    def test_run_block_keeps_a_long_record_off_the_list_of_lines(self, tmp_path):
+        """Leading comment lines stay on numpy's reader: with one, the
+        list of lines took 5.35 MB."""
+        path = tmp_path / "sig.csv"
+        samples = np.cos(np.arange(45_000) / 40.0) ** 15
+        write_table(path, ["sample"], [[s] for s in samples], comments=["fs=250"])
+        tracemalloc.start()
+        try:
+            got = read_signal_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == samples.tobytes()
+        assert peak < 1e6
+
     def test_two_cell_row_names_file_and_line(self, tmp_path):
         path = tmp_path / "sig.csv"
         path.write_text("sample\n1.0\n\n1.0,2.0\n3.0\n")
@@ -185,12 +201,35 @@ class TestSignalAndRrReaders:
             read_signal_csv(path)
 
 
-def _column_outcome(path, header, noun):
-    """The bytes of a single-column read, or its ParameterError text."""
-    try:
-        return codel.io._read_single_column(path, header, noun).tobytes()
-    except ParameterError as exc:
-        return str(exc)
+def _outcome(read, path):
+    """What `read` and the shared numeric reader make of a file: `read`'s
+    result, then the reader's header, comments, value shape and value
+    bytes; each one the ParameterError text where it raises."""
+    def attempt(fn):
+        try:
+            return fn()
+        except ParameterError as exc:
+            return str(exc)
+
+    def shared():
+        (header, comments), values = codel.io._read_numbers(path, lambda *head: head, "bad")
+        return header, comments, values.shape, values.tobytes()
+
+    return attempt(lambda: read(path)), attempt(shared)
+
+
+def _fast_path_equals_scan(read, path):
+    """Assert that a file reads the same with and without the fast path,
+    with no warning let out either way; return whether the fast path
+    takes the file."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = _outcome(read, path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codel.io, "_fast_numbers", lambda path: None)
+            scanned = _outcome(read, path)
+        assert fast == scanned
+        return codel.io._fast_numbers(path) is not None
 
 
 _PLAIN_CELLS = st.one_of(
@@ -209,47 +248,56 @@ _OTHER_LINES = st.sampled_from(
      "1_000", "\u0661\u0662"])
 
 
+# Comment lines `_scan` keeps whole, and ones `str.splitlines` breaks.
+_PLAIN_COMMENTS = ["# run", "#", "##", "#seed=1 ", "#\tfs=250", "# a,b"]
+_COMMENT_LINES = st.sampled_from([*_PLAIN_COMMENTS, "#1\x1c2", "# x\x85y", "#\u2028", "#\x0c"])
+
+
 class TestSingleColumnFastPath:
-    """A plain single-column file skips `_scan`'s per-line loop. Every
-    file reads the same with and without that path: the same bits, or
-    the same ParameterError text."""
+    """A plain numeric file skips `_scan`'s per-line loop. Every file
+    reads the same with and without that path: the same bits and
+    comments, or the same ParameterError text."""
 
     @given(column=st.sampled_from([("sample", "samples"), ("rr_ms", "intervals")]),
-           first=st.sampled_from(["", "\ufeff", " ", "# run\n", "x,"]),
+           comments=st.lists(_COMMENT_LINES, max_size=3),
+           first=st.sampled_from(["", "\ufeff", " ", "# run\n", "x,", "\n"]),
            lines=st.lists(st.one_of(_PLAIN_CELLS, _OTHER_LINES), max_size=30),
            newline=st.sampled_from(["\n", "\r\n"]),
            trailing=st.booleans())
-    @example(column=("sample", "samples"), first="", lines=[], newline="\n", trailing=True)
-    @example(column=("sample", "samples"), first="\ufeff", lines=["1.0"], newline="\n",
+    @example(column=("sample", "samples"), comments=[], first="", lines=[], newline="\n",
              trailing=True)
-    @example(column=("rr_ms", "intervals"), first="", lines=["800.0", "", "oops"],
+    @example(column=("sample", "samples"), comments=[], first="\ufeff", lines=["1.0"],
+             newline="\n", trailing=True)
+    @example(column=("rr_ms", "intervals"), comments=[], first="", lines=["800.0", "", "oops"],
              newline="\r\n", trailing=False)
-    @example(column=("sample", "samples"), first="", lines=[], newline="\n", trailing=False)
-    @example(column=("sample", "samples"), first="", lines=["1.0,2.0"], newline="\n",
-             trailing=True)
-    @example(column=("sample", "samples"), first="", lines=["1.0\x1f", "2.5\u2028"],
+    @example(column=("sample", "samples"), comments=[], first="", lines=[], newline="\n",
+             trailing=False)
+    @example(column=("sample", "samples"), comments=[], first="", lines=["1.0,2.0"],
              newline="\n", trailing=True)
-    @example(column=("rr_ms", "intervals"), first="", lines=["1\x1c2", "nan\x85"],
+    @example(column=("sample", "samples"), comments=[], first="", lines=["1.0\x1f", "2.5\u2028"],
+             newline="\n", trailing=True)
+    @example(column=("rr_ms", "intervals"), comments=[], first="", lines=["1\x1c2", "nan\x85"],
              newline="\n", trailing=False)
-    @example(column=("sample", "samples"), first="", lines=["1_000", "\u0661\u0662"],
+    @example(column=("sample", "samples"), comments=[], first="", lines=["1_000", "\u0661\u0662"],
              newline="\n", trailing=True)
-    def test_fast_path_equals_scan(self, tmp_path_factory, column, first, lines,
+    @example(column=("sample", "samples"), comments=["# fs=250", "#", "#seed=1 "], first="",
+             lines=["1.0", "2.5"], newline="\r\n", trailing=True)
+    @example(column=("rr_ms", "intervals"), comments=["#1\x1c2"], first="", lines=["800.0"],
+             newline="\n", trailing=True)
+    # A blank line ahead of a header that is itself a number.
+    @example(column=("0", "samples"), comments=["# run"], first="\n", lines=["1.0"],
+             newline="\n", trailing=True)
+    def test_fast_path_equals_scan(self, tmp_path_factory, column, comments, first, lines,
                                    newline, trailing):
-        """Neither path lets a warning out."""
         header, noun = column
         path = tmp_path_factory.mktemp("column") / "column.csv"
-        text = newline.join([first + header, *lines]) + (newline if trailing else "")
+        text = newline.join([*comments, first + header, *lines]) + (newline if trailing else "")
         path.write_bytes(text.encode("utf-8"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fast = _column_outcome(path, header, noun)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(codel.io, "_fast_column", lambda path, header: None)
-                scanned = _column_outcome(path, header, noun)
-            assert fast == scanned
-            plain = first == "" and all(_is_plain_number(line) for line in lines)
-            if plain:
-                assert codel.io._fast_column(path, header) is not None
+        fast = _fast_path_equals_scan(
+            lambda path: codel.io._read_single_column(path, header, noun).tobytes(), path)
+        if (first == "" and all(c in _PLAIN_COMMENTS for c in comments)
+                and all(_is_plain_number(line) for line in lines)):
+            assert fast
 
 
 def _is_plain_number(line):
@@ -260,7 +308,37 @@ def _is_plain_number(line):
         return False
 
 
+def _dataset_bytes(path):
+    data = read_features_csv(path)
+    return data.rows.tobytes(), data.labels.tobytes()
+
+
 class TestFeaturesCsv:
+
+    @given(width=st.sampled_from([2, 14]),
+           rows=st.lists(st.tuples(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                            min_size=13, max_size=13),
+                                   st.integers(0, 1)), max_size=8),
+           odd=st.lists(st.tuples(st.integers(0, 10**6),
+                                  st.sampled_from(["nan", "-inf", " 1.5 ", "1.0\x1f", "oops",
+                                                   "1_000", "", "2", "1,0"])), max_size=2),
+           run_block=st.booleans())
+    @example(width=14, rows=[([0.5] * 13, 1)], odd=[], run_block=True)
+    @example(width=2, rows=[], odd=[], run_block=True)
+    def test_fast_path_equals_scan(self, tmp_path_factory, width, rows, odd, run_block):
+        """Feature tables of 2 and 14 columns as `write_table` writes them,
+        with and without a run block, and with odd cells swapped in."""
+        path = tmp_path_factory.mktemp("features") / "features.csv"
+        header = ["a", "label"] if width == 2 else [*FEATURE_NAMES, "label"]
+        table = [[*features[:width - 1], label] for features, label in rows]
+        for position, cell in odd:
+            if table:
+                table[position % len(table)][position // len(table) % width] = cell
+        comments = ["command=extract", *parse_config(seed=1).manifest_lines()] if run_block else ()
+        write_table(path, header, table, comments)
+        fast = _fast_path_equals_scan(_dataset_bytes, path)
+        if table and not odd:
+            assert fast
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "feat.csv"
@@ -335,6 +413,22 @@ class TestWeightsCsv:
         )
         with pytest.raises(ParameterError, match="12"):
             read_weights_csv(tmp_path / "short.csv")
+
+    def test_fast_path_equals_scan(self, tmp_path):
+        """A `weights.csv` written by `train`, run block and all, takes
+        the fast path and reads the same without it."""
+        write_table(tmp_path / "xor.csv", ["a", "b", "label"],
+                    [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        assert main(["train", "--features-csv", str(tmp_path / "xor.csv"), "--seed", "0",
+                     "--method", "gd", "--hidden", "4", "--nfe", "400",
+                     "--population-size", "10", "--epochs", "60",
+                     "--out-dir", str(tmp_path / "train")]) == 0
+
+        def read(path):
+            params, topology = read_weights_csv(path)
+            return params.tobytes(), topology.layer_sizes
+
+        assert _fast_path_equals_scan(read, tmp_path / "train" / "weights.csv")
 
     def test_missing_topology_comment(self, tmp_path):
         path = tmp_path / "w.csv"

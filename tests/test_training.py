@@ -1,3 +1,4 @@
+import concurrent.futures
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -273,7 +274,7 @@ class TestEvaluateGrid:
             return evaluate_grid(_TINY_DATA, 2, 2, (3,), _TINY_CODEL, _TINY_LS,
                                  jobs=jobs).tolist()
 
-        monkeypatch.setattr(training, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         serial = grid(jobs=1)
         assert asked == []
         assert grid(jobs=1000) == serial
