@@ -142,7 +142,7 @@ def _resolve_key(key: str) -> str:
 
 def _read_config_file(path):
     values, set_on = {}, {}
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

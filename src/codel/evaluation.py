@@ -122,7 +122,16 @@ def kfold_split(k: int, labels, seed: int):
 
 
 def _standardize_columns(train_rows: np.ndarray, other_rows: np.ndarray):
-    """Center and scale both row sets by the training statistics only."""
+    """Center and scale both row sets by the training statistics only.
+
+    Each column is first scaled by the exact power of two that brings its
+    largest training magnitude into [0.5, 1), so 2^k times a column gives
+    the same bits for every k that keeps its values finite and normal. A
+    column whose std is then below 1e-12 is centred and not divided.
+    """
+    exponent = np.frexp(np.max(np.abs(train_rows), axis=0))[1]
+    train_rows = np.ldexp(train_rows, -exponent)
+    other_rows = np.ldexp(other_rows, -exponent)
     mean = np.mean(train_rows, axis=0)
     std = np.std(train_rows, axis=0)
     std = np.where(std < 1e-12, 1.0, std)

@@ -9,7 +9,9 @@ is one file's content; `features_table` and `weights_table` own those
 two formats.
 
 `_scan` owns the line rules: blank lines, comments, the header and
-ragged rows. The numeric readers (signal, RR, features, weights) share
+ragged rows. Lines break at '\n' alone, as in file iteration and
+``np.loadtxt``: reading the text has already turned '\r\n' and '\r'
+into '\n'. The numeric readers (signal, RR, features, weights) share
 one fast path, `_fast_numbers`, which keeps no Python object per row:
 tens of thousands of them made the read slow (each list of cells is
 garbage-collected) and its memory grow with the record. It keeps the
@@ -22,11 +24,10 @@ same ``PyOS_string_to_double`` as `float`, into one growing array: a
 without a run block, where a list of its lines took 5.3 to 5.8 MB. A
 file it cannot take whole goes through `_scan`, the one fallback, which
 gives every error message and converts each stripped cell with `float`:
-a blank line before the header, a comment or header line that
-`str.splitlines` would split (it breaks lines at more characters than
-file iteration does), a body line numpy's reader rejects (a comment, a
-non-number, the underscores and non-ASCII digits that `float` also
-takes, a change of width), or rows narrower or wider than the header.
+a blank line before the header, a body line numpy's reader rejects (a
+comment, a non-number, the underscores and non-ASCII digits that `float`
+also takes, a change of width), or rows narrower or wider than the
+header.
 Both paths skip blank lines in the body, and the readers name the data
 row of the first non-finite value.
 """
@@ -107,7 +108,7 @@ def _scan(path, text: str):
     comments = []
     header = None
     lines = []
-    for number, line in enumerate(text.splitlines(), 1):
+    for number, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -144,8 +145,7 @@ def _fast_numbers(path):
 
     The leading '#' lines are the comments and the next line is the
     header, split at every comma; numpy's reader parses the rest, any
-    number of columns. None for a blank header line, a comment or
-    header line that `str.splitlines` would split, a body line that
+    number of columns. None for a blank header line, a body line that
     numpy's reader rejects, or rows not as wide as the header.
     """
     import warnings
@@ -158,7 +158,7 @@ def _fast_numbers(path):
             lines.append(f.readline())
             while lines[-1].startswith("#"):
                 lines.append(f.readline())
-            if not lines[-1].strip() or any(len(line.splitlines()) != 1 for line in lines):
+            if not lines[-1].strip():
                 return None
             values = np.loadtxt(f, dtype=float, delimiter=",", comments=None, ndmin=2)
     except (OSError, ValueError):
@@ -170,13 +170,13 @@ def _fast_numbers(path):
     return header, values, [line[1:].strip() for line in comments]
 
 
-def _read_numbers(path, check, bad: str):
+def _read_numbers(path, check):
     """Read a numeric table whose header and comments pass `check`.
 
     `check(header, comments)` raises ParameterError for a file the
     caller refuses; it runs before any cell is converted, so a bad
     header is reported before a bad cell, on both paths. A cell that
-    is not a number raises ParameterError("{path}: {bad} (...)").
+    is not a number raises ParameterError, "non-numeric value".
 
     Returns:
         (check's result, float array of shape (rows, len(header))).
@@ -190,7 +190,7 @@ def _read_numbers(path, check, bad: str):
     try:
         values = [[float(cell.strip()) for cell in line.split(",")] for line in lines]
     except ValueError as exc:
-        raise ParameterError(f"{path}: {bad} ({exc})") from None
+        raise ParameterError(f"{path}: non-numeric value ({exc})") from None
     return checked, np.array(values).reshape(len(lines), len(header))
 
 
@@ -201,7 +201,7 @@ def _read_single_column(path, expected_header: str, noun: str) -> np.ndarray:
                 f"{path}: expected header {expected_header!r}, got {','.join(header)!r}"
             )
 
-    _, values = _read_numbers(path, check, "non-numeric value")
+    _, values = _read_numbers(path, check)
     values = values[:, 0]
     if values.size == 0:
         raise ParameterError(f"{path} contains no data rows")
@@ -252,7 +252,7 @@ def read_features_csv(path) -> Dataset:
             raise ParameterError(f"{path}: no feature columns")
         return header
 
-    header, matrix = _read_numbers(path, check, "non-numeric value")
+    header, matrix = _read_numbers(path, check)
     if not len(matrix):
         raise ParameterError(f"{path} contains no data rows")
     for i, j in np.argwhere(~np.isfinite(matrix)):
@@ -289,7 +289,7 @@ def read_weights_csv(path):
             raise ParameterError(f"{path}: bad value ({exc})") from None
         return topology
 
-    topology, params = _read_numbers(path, topology_of, "bad value")
+    topology, params = _read_numbers(path, topology_of)
     params = params[:, 0]
     _refuse_non_finite(path, params, "weights")
     if topology is None:

@@ -9,11 +9,12 @@ Filtering runs before outlier rejection so the Hampel filter sees a
 signal whose local median/MAD estimates are not dominated by
 high-frequency noise.
 
-The module is numpy and Python floats alone. The Butterworth design is
-bit-equal to ``scipy.signal.butter``, and its cascade to ``sosfilt``:
-the record goes through every section one block of samples at a time, so
-the low-pass holds a block's worth of Python floats, not a record's. The
-peak detector's rolling mean and max are bit-equal to
+The module is numpy and Python floats alone. The low-pass is one fixed
+filter, a fourth-order Butterworth at `LOWPASS_HZ` with no settings. Its
+design is bit-equal to ``scipy.signal.butter``, and its cascade to
+``sosfilt``: the record goes through both sections one block of samples
+at a time, so it holds a block's worth of Python floats, not a
+record's. The peak detector's rolling mean and max are bit-equal to
 ``scipy.ndimage``'s filters. The Hampel filter sorts each window once
 and reads its median and its MAD test off the sorted row, by one count
 rule for every window. The one exception is a window of even length,
@@ -53,6 +54,9 @@ THRESHOLD_FRACTION = 0.4
 # its binary search costs a fixed amount per chunk, so larger chunks are
 # faster, and this size keeps the scratch near 0.7 MB.
 _CHUNK_DOUBLES = 90_000
+
+# The low-pass cutoff, in Hz. Rates at or below twice it are refused.
+LOWPASS_HZ = 25.0
 
 # The low-pass runs the record through its sections in blocks of this
 # many samples. A block's input and output are lists of Python floats,
@@ -107,14 +111,20 @@ class RrSeries:
 def standardize(signal: Signal) -> Signal:
     """Rescale to zero mean and unit population standard deviation.
 
-    A signal whose variance is (numerically) zero maps to all zeros, so
-    batch pipelines stay total on degenerate records.
+    The record is first scaled by the exact power of two that brings its
+    largest magnitude into [0.5, 1), so the mean and the std neither
+    overflow nor underflow, and 2^k times a record standardizes to the
+    same bits for every k that keeps its samples finite and normal. A
+    signal whose std is below 1e-12 of that largest magnitude maps to
+    all zeros, so batch pipelines stay total on degenerate records.
     """
-    x = signal.samples
+    x = np.ldexp(signal.samples, -np.frexp(np.abs(signal.samples).max())[1])
     std = float(np.std(x))
     if std < 1e-12:
         return Signal(np.zeros_like(x), signal.fs)
-    return Signal((x - np.mean(x)) / std, signal.fs)
+    # In place, so the peak is the scaled copy and np.std's scratch.
+    x -= np.mean(x)
+    return Signal(np.divide(x, std, out=x), signal.fs)
 
 
 def hampel_filter(signal: Signal, half_window: int, n_sigmas: float = 3.0) -> Signal:
@@ -228,60 +238,59 @@ def _chunk_rows(width: int) -> int:
     return max(1, _CHUNK_DOUBLES // width)
 
 
-def butterworth_lowpass(signal: Signal, cutoff_hz: float, order: int = 4) -> Signal:
-    """Low-pass the signal with a digital Butterworth filter.
+def butterworth_lowpass(signal: Signal) -> Signal:
+    """Low-pass the signal with a fourth-order digital Butterworth filter
+    whose cutoff is `LOWPASS_HZ`.
 
     The filter is designed by bilinear transform and applied causally as
-    cascaded second-order sections. DC gain is 1 and the response at the
-    cutoff is -3.01 dB. The design and the output are bit-equal to
-    ``scipy.signal.butter(order, cutoff_hz, fs=fs, output="sos")`` and
+    two cascaded second-order sections. DC gain is 1 and the response at
+    the cutoff is -3.01 dB. The design and the output are bit-equal to
+    ``scipy.signal.butter(4, LOWPASS_HZ, fs=fs, output="sos")`` and
     ``scipy.signal.sosfilt``, computed with numpy and Python floats only.
+    A rate at or below twice the cutoff raises ParameterError.
 
     Each section is direct form II transposed, whose whole past is its
-    two state values z0 and z1. So the record runs through the cascade
-    one block of samples at a time, each sample through every section in
-    turn, and each section's state carries over to the next block. The
-    Python-float arithmetic is the same IEEE double arithmetic, in the
-    same order, as scipy's loop, and the memory beyond the output is
+    two state values, so the cascade's is four Python floats. The record
+    runs through it one block of samples at a time, each sample through
+    both sections in turn, and the state carries over to the next block.
+    The Python-float arithmetic is the same IEEE double arithmetic, in
+    the same order, as scipy's loop, and the memory beyond the output is
     bounded by the block, not by the record.
     """
-    nyquist = signal.fs / 2.0
-    if not (0 < cutoff_hz < nyquist):
-        raise ParameterError(
-            f"cutoff must lie in (0, {nyquist}) Hz for fs={signal.fs}, got {cutoff_hz}"
-        )
-    if order not in (2, 4, 6):
-        raise ParameterError(f"order must be one of 2, 4, 6, got {order}")
-    x = signal.samples
-    out = np.empty(x.size)
-    sections = [(b0, b1, b2, a1, a2, [0.0, 0.0])
-                for b0, b1, b2, _, a1, a2 in _butter_sos(order, cutoff_hz, signal.fs).tolist()]
-    for start in range(0, x.size, _LOWPASS_BLOCK):
+    if not signal.fs > 2 * LOWPASS_HZ:
+        raise ParameterError(f"sampling rate fs must exceed {2 * LOWPASS_HZ:g} Hz, twice the "
+                             f"{LOWPASS_HZ:g} Hz low-pass cutoff, got fs={signal.fs}")
+    out = np.empty(len(signal))
+    (b0, b1, b2, _, a1, a2), (c0, c1, c2, _, d1, d2) = _butter_sos(signal.fs).tolist()
+    z0 = z1 = w0 = w1 = 0.0
+    for start in range(0, out.size, _LOWPASS_BLOCK):
         block = []
-        for v in x[start:start + _LOWPASS_BLOCK].tolist():
-            for b0, b1, b2, a1, a2, z in sections:
-                y = b0 * v + z[0]
-                z[0] = b1 * v - a1 * y + z[1]
-                z[1] = b2 * v - a2 * y
-                v = y
+        for v in signal.samples[start:start + _LOWPASS_BLOCK].tolist():
+            y = b0 * v + z0
+            z0 = b1 * v - a1 * y + z1
+            z1 = b2 * v - a2 * y
+            v = c0 * y + w0
+            w0 = c1 * y - d1 * v + w1
+            w1 = c2 * y - d2 * v
             block.append(v)
         out[start:start + _LOWPASS_BLOCK] = block
     return Signal(out, signal.fs)
 
 
-def _butter_sos(order: int, cutoff_hz: float, fs: float) -> np.ndarray:
-    """The ``(order // 2, 6)`` second-order sections of an even-order
-    Butterworth low-pass, in scipy's operation order so every bit matches.
+def _butter_sos(fs: float) -> np.ndarray:
+    """The ``(2, 6)`` second-order sections of the fourth-order
+    Butterworth low-pass at `LOWPASS_HZ`, in scipy's operation order so
+    every bit matches.
 
     The analog poles, prewarped to ``wo``, go through the bilinear
     transform at fs = 2. Each conjugate pair is one section with its two
     zeros at -1, the gain is applied to section 0, and the sections run
     from the pole pair farthest from the unit circle to the nearest.
     """
-    wo = 4 * np.tan(np.pi * (2 * cutoff_hz / fs) / 2)
-    m = np.arange(-order + 1, order, 2)
-    analog = wo * -np.exp(1j * np.pi * m / (2 * order))
-    gain = wo**order * np.real(1 / np.prod(4 - analog))
+    wo = 4 * np.tan(np.pi * (2 * LOWPASS_HZ / fs) / 2)
+    m = np.arange(-3, 4, 2)
+    analog = wo * -np.exp(1j * np.pi * m / 8)
+    gain = wo**4 * np.real(1 / np.prod(4 - analog))
     poles = (4 + analog) / (4 - analog)
     poles = poles[poles.imag > 0]
     poles = poles[np.argsort(np.abs(1 - np.abs(poles)))[::-1]]
@@ -376,9 +385,10 @@ def rr_from_peaks(peaks, fs: float) -> RrSeries:
 
 
 def signal_to_rr(signal: Signal) -> RrSeries:
-    """Run the full cleaning chain and return the interval series: a 25 Hz
-    fourth-order low-pass, then a Hampel filter at 3 scaled MADs whose
-    half window is half the sampling rate, rounded (at least 1 sample)."""
-    cleaned = butterworth_lowpass(standardize(signal), 25.0, 4)
+    """Run the full cleaning chain and return the interval series: the
+    fourth-order low-pass at `LOWPASS_HZ`, then a Hampel filter at 3
+    scaled MADs whose half window is half the sampling rate, rounded (at
+    least 1 sample)."""
+    cleaned = butterworth_lowpass(standardize(signal))
     cleaned = hampel_filter(cleaned, max(1, int(round(signal.fs / 2))), 3.0)
     return rr_from_peaks(detect_r_peaks(cleaned), signal.fs)

@@ -169,6 +169,20 @@ class TestExtract:
         assert "Traceback" not in err
         assert not out_dir.exists()
 
+    def test_rate_at_twice_the_cutoff_is_a_named_error(self, tmp_path, capsys):
+        """At fs = 50 the low-pass cutoff of 25 Hz sits at Nyquist: the
+        record's error names the rate, and nothing is written."""
+        sig = tmp_path / "sig.csv"
+        write_table(sig, ["sample"], [[float(v)] for v in np.sin(np.arange(3000.0))])
+        out_dir = tmp_path / "out"
+        rc = main(["extract", "--signal-csv", str(sig), "--fs", "50", "--seed", "1",
+                   "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sig}: sampling rate fs ") and "fs=50.0" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("flag, values, says", [
         ("--signal-csv", [0.0] * 3000, "need at least 3 beats"),
         ("--signal-csv", [0.0] * 1500 + [float("nan")] + [0.0] * 1499, "non-finite samples"),

@@ -138,15 +138,21 @@ class TestSignalScaling:
     """Multiplying a record by a power of two scales every sample
     exactly, and `standardize` divides that scale out exactly, so the
     cleaning chain sees the same samples and `extract` writes the same
-    features. Killed mutant: the flat-record cut-off `std < 1e-12` in
-    `standardize` raised to an absolute `std < 0.1`, which flattens the
-    2^-5 copy."""
+    features. That holds out to both ends of the range of k in which
+    every sample of 2^k·x stays finite and normal. Killed mutants: the
+    flat-record cut-off `std < 1e-12` in `standardize` raised to an
+    absolute `std < 0.1`, which flattens the 2^-5 copy, and
+    `standardize` without its power-of-two prescale, which flattens the
+    copies at both ends."""
 
     def test_extract_writes_the_same_features(self, tmp_path):
         rr = 1000.0 + 150.0 * np.sin(np.arange(15))
         sig, _ = synthetic_heartbeat(rr, fs=100.0, noise_std=0.02, seed=3)
+        magnitudes = np.abs(sig.samples[sig.samples != 0])
+        lowest = -1021 - np.frexp(magnitudes.min())[1]
+        highest = 1024 - np.frexp(magnitudes.max())[1]
         features = []
-        for k in (0, 3, -5):
+        for k in (0, 3, -5, lowest, highest):
             path = tmp_path / f"x{k}.csv"
             write_table(path, ["sample"], [[v] for v in np.ldexp(sig.samples, k)])
             out_dir = tmp_path / f"out{k}"
@@ -154,16 +160,20 @@ class TestSignalScaling:
                          "--seed", "1", "--out-dir", str(out_dir)]) == 0
             header, rows, _ = read_table(out_dir / "features.csv")
             features.append((header, rows))
-        assert features[1] == features[0] and features[2] == features[0]
+        assert all(f == features[0] for f in features[1:])
 
 
 class TestColumnScaling:
     """Multiplying a feature column by 2^k scales its values, their mean
     and their std exactly, so each fold's standardized columns, and with
-    them every search and refiner run, are the same bits. Killed mutant:
-    `fold_datasets` without standardization."""
+    them every search and refiner run, are the same bits. That holds
+    near both ends of the range of k in which the columns stay finite
+    and normal. Killed mutants: `fold_datasets` without standardization,
+    and `_standardize_columns` without its power-of-two prescale, which
+    leaves the 2^-1000 column unscaled and overflows the 2^1022 ones."""
 
-    EXPONENTS = ([0, 0, 0], [-6, 6, 3], [6, -6, -1], [-6, -6, -6], [6, 6, 6], [2, -3, 5])
+    EXPONENTS = ([0, 0, 0], [-6, 6, 3], [6, -6, -1], [-6, -6, -6], [6, 6, 6], [2, -3, 5],
+                 [-1000, 500, 900], [1022, -1017, 1022])
 
     def test_evaluate_writes_the_same_tables(self, tmp_path, monkeypatch):
         data = two_gaussian_dataset(15, 3, 1.5, seed=5)
