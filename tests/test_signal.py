@@ -400,19 +400,25 @@ class TestButterworthMatchesScipy:
         assert got.dtype == np.float64 and got.shape == x.shape
         assert got.tobytes() == want.tobytes()
 
+    # The cutoff sits at 98%, 20% and 1% of Nyquist: the range of cutoff
+    # ratios that orders 2, 4 and 6 once spanned at 250 Hz.
+    RATES = [51.0, 250.0, 5000.0]
+
+    @pytest.mark.parametrize("fs", RATES)
     @pytest.mark.parametrize("block", [1, 2, 3, 7])
-    def test_state_carries_across_blocks(self, monkeypatch, block):
+    def test_state_carries_across_blocks(self, monkeypatch, block, fs):
         """53 samples end in a partial block for every size but 1."""
         monkeypatch.setattr(codel.signal, "_LOWPASS_BLOCK", block)
         x = np.random.default_rng(block).normal(size=53) * 37.5
-        got = butterworth_lowpass(Signal(x, 250.0)).samples
-        want = sps.sosfilt(sps.butter(4, 25.0, fs=250.0, output="sos"), x)
+        got = butterworth_lowpass(Signal(x, fs)).samples
+        want = sps.sosfilt(sps.butter(4, 25.0, fs=fs, output="sos"), x)
         assert got.tobytes() == want.tobytes()
 
-    def test_record_of_several_blocks(self):
+    @pytest.mark.parametrize("fs", RATES)
+    def test_record_of_several_blocks(self, fs):
         x = np.random.default_rng(4).normal(size=3 * codel.signal._LOWPASS_BLOCK + 1000)
-        got = butterworth_lowpass(Signal(x, 250.0)).samples
-        want = sps.sosfilt(sps.butter(4, 25.0, fs=250.0, output="sos"), x)
+        got = butterworth_lowpass(Signal(x, fs)).samples
+        want = sps.sosfilt(sps.butter(4, 25.0, fs=fs, output="sos"), x)
         assert got.tobytes() == want.tobytes()
 
 
