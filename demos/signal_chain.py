@@ -1,7 +1,7 @@
 """Recover beat intervals from a noisy synthetic waveform.
 
 Builds a pulse waveform with known beat times, pushes it through the
-cleaning chain (standardize, low-pass, outlier repair, peak detection),
+cleaning chain (standardize, outlier repair, low-pass, peak detection),
 and reports how far the recovered intervals drift from the truth.
 """
 
@@ -17,8 +17,8 @@ def main() -> None:
     signal, _ = synthetic_heartbeat(true_rr, fs=100.0, noise_std=0.05, seed=1)
 
     recovered = signal_to_rr(signal).intervals
-    print(f"true beats:      {len(true_rr)}")
-    print(f"recovered beats: {len(recovered)}")
+    print(f"true intervals:      {len(true_rr)}")
+    print(f"recovered intervals: {len(recovered)}")
 
     n = min(len(true_rr), len(recovered))
     err = recovered[:n] - true_rr[:n]

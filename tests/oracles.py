@@ -274,16 +274,19 @@ MAD_SCALE = 1.4826
 
 
 def hampel_reference(x, half_window, n_sigmas=3.0):
-    """The Hampel filter as a per-sample loop over shrinking windows.
+    """The Hampel filter as a per-sample loop over reflected windows.
 
-    Each sample is compared with the median and MAD of the samples at
-    most half_window away from it; windows are cut short at the ends.
+    Each sample is compared with the median and MAD of the 2h + 1
+    samples centred on it in the record extended at each end by its
+    mirror image, the end sample repeated (``np.pad(mode="symmetric")``).
+    A half window of n or more, n the record's length, acts as n - 1.
     """
     x = np.asarray(x, dtype=float)
     out = x.copy()
-    n = x.size
-    for i in range(n):
-        window = x[max(0, i - half_window): min(n, i + half_window + 1)]
+    half_window = min(half_window, x.size - 1)
+    padded = np.pad(x, half_window, mode="symmetric")
+    for i in range(x.size):
+        window = padded[i: i + 2 * half_window + 1]
         med = np.median(window)
         mad = np.median(np.abs(window - med))
         if abs(x[i] - med) > n_sigmas * MAD_SCALE * mad:

@@ -184,9 +184,10 @@ class TestExtract:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag, values, says", [
-        ("--signal-csv", [0.0] * 3000, "need at least 3 beats"),
+        ("--signal-csv", np.linspace(0.0, 1.0, 3000).tolist(), "need at least 3 beats"),
         ("--signal-csv", [0.0] * 1500 + [float("nan")] + [0.0] * 1499, "non-finite samples"),
         ("--rr-csv", [800.0] * 4, "need at least 10 s of intervals"),
+        ("--signal-csv", [0.0] * 3000, "flat record: all 3000 samples equal 0.0"),
     ])
     def test_record_error_names_its_file(self, tmp_path, capsys, flag, values, says):
         """An error while a record is cleaned or featurized names that

@@ -95,8 +95,8 @@ def _inputs(case: str) -> None:
         _write_column("signal.csv", "sample", _raw_signal(rng))
     elif case == "extract-signal-250hz":
         # 180 s at 250 Hz: the default half window is 125, so the 45,000
-        # samples span many MAD chunks and the edge windows take both
-        # odd and even lengths.
+        # samples span many of the Hampel filter's chunks, and its end
+        # windows reach 125 samples into the record's mirror image.
         _write_column("signal.csv", "sample",
                       _raw_signal(rng, fs=250.0, beats=198, spikes=54))
     elif case == "extract-rr":

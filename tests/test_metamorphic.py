@@ -16,6 +16,7 @@ from codel.datasets import synthetic_heartbeat, two_gaussian_dataset
 from codel.evaluation import METRIC_NAMES, TIE_TOL, metrics, pair_outcomes
 from codel.io import read_table, write_table
 from codel.mlp import Dataset, MlpTopology, classification_error, decode
+from codel.signal import Signal, signal_to_rr
 from codel.training import build_comparison
 
 from oracles import classification_error_reference, error_enhancement_reference
@@ -139,15 +140,21 @@ class TestSignalScaling:
     exactly, and `standardize` divides that scale out exactly, so the
     cleaning chain sees the same samples and `extract` writes the same
     features. That holds out to both ends of the range of k in which
-    every sample of 2^k·x stays finite and normal. Killed mutants: the
-    flat-record cut-off `std < 1e-12` in `standardize` raised to an
-    absolute `std < 0.1`, which flattens the 2^-5 copy, and
-    `standardize` without its power-of-two prescale, which flattens the
-    copies at both ends."""
+    every sample of 2^k·x stays finite and normal. Killed mutants: a
+    flat-record cut-off `std < 0.1` in `standardize`, which flattens
+    the 2^-5 copy, and `standardize` without its power-of-two prescale,
+    which flattens the copies at both ends.
+
+    Adding an offset is not exact, but it only rounds each sample to the
+    offset's ulp (2^-9 at 1e13), so the intervals stay. `standardize`
+    zeroes only a record whose samples are all equal. Killed mutant: its
+    earlier relative cut-off, std under 1e-12 of the largest magnitude,
+    which flattened the record from an offset of 1e12 up."""
+
+    RR = 1000.0 + 150.0 * np.sin(np.arange(15))
 
     def test_extract_writes_the_same_features(self, tmp_path):
-        rr = 1000.0 + 150.0 * np.sin(np.arange(15))
-        sig, _ = synthetic_heartbeat(rr, fs=100.0, noise_std=0.02, seed=3)
+        sig, _ = synthetic_heartbeat(self.RR, fs=100.0, noise_std=0.02, seed=3)
         magnitudes = np.abs(sig.samples[sig.samples != 0])
         lowest = -1021 - np.frexp(magnitudes.min())[1]
         highest = 1024 - np.frexp(magnitudes.max())[1]
@@ -161,6 +168,15 @@ class TestSignalScaling:
             header, rows, _ = read_table(out_dir / "features.csv")
             features.append((header, rows))
         assert all(f == features[0] for f in features[1:])
+
+    def test_offset_keeps_the_intervals(self):
+        sig, _ = synthetic_heartbeat(self.RR, fs=100.0, noise_std=0.02, seed=3)
+        plain = signal_to_rr(sig).intervals
+        assert plain.size == self.RR.size
+        for offset in (1e9, 1e10, 1e11, 1e12, 1e13):
+            shifted = signal_to_rr(Signal(sig.samples + offset, sig.fs)).intervals
+            assert shifted.size == self.RR.size, offset
+            np.testing.assert_allclose(shifted, plain, atol=20.0, err_msg=f"offset {offset:g}")
 
 
 class TestColumnScaling:

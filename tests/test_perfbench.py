@@ -17,9 +17,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # Wrapped names whose functions are gone: mse_loss moved to the test
-# oracles, the line search became part of each refiner's generator, and
-# train_methods replaced train_variant.
+# oracles, the line search became part of each refiner's generator,
+# train_methods replaced train_variant, and the FIR `lowpass` replaced
+# `butterworth_lowpass`.
 UNTRACED = [
+    "codel.signal.butterworth_lowpass",
     "codel.mlp.mse_loss",
     "codel.local_search.backtracking_line_search",
     "codel.training.train_variant",
