@@ -8,28 +8,28 @@ which round-trips exactly and keeps reruns byte-identical. A `Table`
 is one file's content; `features_table` and `weights_table` own those
 two formats.
 
-`_scan` owns the line rules: blank lines, comments, the header and
-ragged rows. Lines break at '\n' alone, as in file iteration and
-``np.loadtxt``: reading the text has already turned '\r\n' and '\r'
-into '\n'. The numeric readers (signal, RR, features, weights) share
-one fast path, `_fast_numbers`, which keeps no Python object per row:
-tens of thousands of them made the read slow (each list of cells is
-garbage-collected) and its memory grow with the record. It keeps the
-file's leading '#' lines as its comments, stripped as `_scan` strips
-them, takes the next line as the header, and hands the rest of the open
-file to ``np.loadtxt``. Its C reader takes one line at a time, strips
-the whitespace that `str.strip` strips, and parses each cell with the
-same ``PyOS_string_to_double`` as `float`, into one growing array: a
-3-minute 250 Hz record peaks near 0.45 MB of Python memory, with or
-without a run block, where a list of its lines took 5.3 to 5.8 MB. A
-file it cannot take whole goes through `_scan`, the one fallback, which
-gives every error message and converts each stripped cell with `float`:
-a blank line before the header, a body line numpy's reader rejects (a
-comment, a non-number, the underscores and non-ASCII digits that `float`
-also takes, a change of width), or rows narrower or wider than the
-header.
-Both paths skip blank lines in the body, and the readers name the data
-row of the first non-finite value.
+`_scan` is the one reader, behind `read_table` and the four numeric
+readers (signal, RR, features, weights), and it owns the line rules.
+Lines break at '\n' alone: reading the text turns '\r\n' and '\r' into
+'\n'. Blank lines are skipped, lines starting with '#' are comments
+wherever they appear, the first other line is the header, split at
+commas, and a row with another number of cells is refused with its line
+number. The file is read in blocks of about 16 KB, so a long record is
+never a list of its lines: a 3-minute 250 Hz signal peaks near 0.73 MB
+of Python memory, its floats, one copy of them and a block of lines,
+where a list of all its lines took 5.3 to 5.8 MB. A numeric reader
+converts each block's cells in one pass of `float`. That pass adds no
+rule of its own, since `float(s)` succeeds only where
+`float(s.strip())` gives the same value; a block it cannot take whole
+(a blank, comment or ragged line, a cell that is not a number, or
+padding that `str.strip` strips and `float` does not, such as '\x1f')
+goes line by line through `float(cell.strip())`, which words the error
+for a non-numeric cell.
+
+The errors come in one order: an undecodable byte, with its offset
+from the start of the file; a missing header or a ragged row; the
+caller's check of the header and of every comment line; the first cell
+that is not a number; the data row of the first non-finite value.
 """
 
 from pathlib import Path
@@ -86,6 +86,10 @@ class Table:
         write_table(path, self.header, self.rows, [*self.first, *comments, *self.last])
 
 
+# Characters read at a time: a long record is never a list of its lines.
+_BLOCK = 1 << 14
+
+
 def _read_text(path) -> str:
     path = Path(path)
     if not path.is_file():
@@ -98,34 +102,83 @@ def _read_text(path) -> str:
         ) from None
 
 
-def _scan(path, text: str):
-    """Split a file's text into its header cells, data lines and comments.
+def _floats(lines, commas: int):
+    """The cells of data lines of `commas` + 1 cells each, in one pass of
+    `float`, or None if that pass cannot take every line whole."""
+    if commas and any(line.count(",") != commas for line in lines):
+        return None
+    cells = ",".join(lines).split(",") if commas else lines
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return None
+
+
+def _scan(path, check):
+    """Read a file block by block under the line rules.
 
     Blank lines are skipped, lines starting with '#' are comments, the
     first other line is the header, and a data line with a different
-    number of cells from the header raises ParameterError.
+    number of cells from the header raises ParameterError. A numeric
+    block that `_floats` takes whole holds no blank, '#' or ragged line,
+    since none of those is a number; any other block goes line by line
+    through those rules before `_floats` converts its data lines.
+
+    `check` is None for `read_table`: the result is (header, rows,
+    comments), with rows as lists of strings. Otherwise `check(header,
+    comments)`, given every comment line, raises ParameterError for a
+    file the caller refuses; only then is a cell that is not a number
+    reported, "non-numeric value", and the result is (check's result,
+    float array of shape (rows, len(header))).
     """
-    comments = []
-    header = None
-    lines = []
-    for number, line in enumerate(text.split("\n"), 1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            comments.append(line[1:].strip())
-        elif header is None:
-            header = line.split(",")
-            commas = len(header) - 1
-        elif line.count(",") != commas:
-            raise ParameterError(
-                f"{path}: line {number}: ragged row of {line.count(',') + 1} "
-                f"cells under a {len(header)}-column header"
-            )
-        else:
-            lines.append(line)
+    # Each block's cells as a float array, or else its data lines.
+    comments, data, header, number, carry = [], [], None, 0, ""
+    try:
+        with open(path) as f:
+            while carry is not None:
+                block = f.read(_BLOCK)
+                lines = (carry + block).split("\n")
+                carry = lines.pop() if block else None
+                first, number = number + 1, number + len(lines)
+                values = None
+                if check is not None and header is not None:
+                    values = _floats(lines, len(header) - 1)
+                if values is None:
+                    kept = []
+                    for at, line in enumerate(lines, first):
+                        if not line.strip():
+                            continue
+                        if line.startswith("#"):
+                            comments.append(line[1:].strip())
+                        elif header is None:
+                            header = line.split(",")
+                        elif line.count(",") != len(header) - 1:
+                            f.read()  # an undecodable byte further on is reported first
+                            raise ParameterError(
+                                f"{path}: line {at}: ragged row of {line.count(',') + 1} "
+                                f"cells under a {len(header)}-column header"
+                            )
+                        else:
+                            kept.append(line)
+                    if check is not None and kept:
+                        values = _floats(kept, len(header) - 1)
+                # A block with a cell `float` refuses keeps its lines until `check` has run.
+                data.append(kept if values is None else values)
+    except (OSError, UnicodeDecodeError):
+        _read_text(path)  # its message counts the byte offset from the file's start
+        raise
     if header is None:
         raise ParameterError(f"{path} has no header row")
-    return header, lines, comments
+    if check is None:
+        return header, [line.split(",") for kept in data for line in kept], comments
+    checked = check(header, comments)
+    try:
+        parts = [part if isinstance(part, np.ndarray) else
+                 [float(cell.strip()) for line in part for cell in line.split(",")]
+                 for part in data]
+    except ValueError as exc:
+        raise ParameterError(f"{path}: non-numeric value ({exc})") from None
+    return checked, np.concatenate([np.empty(0), *parts]).reshape(-1, len(header))
 
 
 def read_table(path):
@@ -135,63 +188,7 @@ def read_table(path):
         (header, rows, comments) with rows as lists of strings, each as
         long as the header; a ragged row raises ParameterError.
     """
-    header, lines, comments = _scan(path, _read_text(path))
-    return header, [line.split(",") for line in lines], comments
-
-
-def _fast_numbers(path):
-    """The header cells, (rows, columns) values and comments of a plain
-    numeric file, or None when it needs `_scan`.
-
-    The leading '#' lines are the comments and the next line is the
-    header, split at every comma; numpy's reader parses the rest, any
-    number of columns. None for a blank header line, a body line that
-    numpy's reader rejects, or rows not as wide as the header.
-    """
-    import warnings
-
-    lines = []
-    try:
-        with open(path) as f, warnings.catch_warnings():
-            # A body of blank lines reads as no rows, which the caller reports.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            lines.append(f.readline())
-            while lines[-1].startswith("#"):
-                lines.append(f.readline())
-            if not lines[-1].strip():
-                return None
-            values = np.loadtxt(f, dtype=float, delimiter=",", comments=None, ndmin=2)
-    except (OSError, ValueError):
-        return None
-    *comments, header = lines
-    header = header.rstrip("\n").split(",")
-    if values.shape[1] != len(header):
-        return None
-    return header, values, [line[1:].strip() for line in comments]
-
-
-def _read_numbers(path, check):
-    """Read a numeric table whose header and comments pass `check`.
-
-    `check(header, comments)` raises ParameterError for a file the
-    caller refuses; it runs before any cell is converted, so a bad
-    header is reported before a bad cell, on both paths. A cell that
-    is not a number raises ParameterError, "non-numeric value".
-
-    Returns:
-        (check's result, float array of shape (rows, len(header))).
-    """
-    fast = _fast_numbers(path)
-    if fast is not None:
-        header, values, comments = fast
-        return check(header, comments), values
-    header, lines, comments = _scan(path, _read_text(path))
-    checked = check(header, comments)
-    try:
-        values = [[float(cell.strip()) for cell in line.split(",")] for line in lines]
-    except ValueError as exc:
-        raise ParameterError(f"{path}: non-numeric value ({exc})") from None
-    return checked, np.array(values).reshape(len(lines), len(header))
+    return _scan(path, None)
 
 
 def _read_single_column(path, expected_header: str, noun: str) -> np.ndarray:
@@ -201,7 +198,7 @@ def _read_single_column(path, expected_header: str, noun: str) -> np.ndarray:
                 f"{path}: expected header {expected_header!r}, got {','.join(header)!r}"
             )
 
-    _, values = _read_numbers(path, check)
+    _, values = _scan(path, check)
     values = values[:, 0]
     if values.size == 0:
         raise ParameterError(f"{path} contains no data rows")
@@ -252,7 +249,7 @@ def read_features_csv(path) -> Dataset:
             raise ParameterError(f"{path}: no feature columns")
         return header
 
-    header, matrix = _read_numbers(path, check)
+    header, matrix = _scan(path, check)
     if not len(matrix):
         raise ParameterError(f"{path} contains no data rows")
     for i, j in np.argwhere(~np.isfinite(matrix)):
@@ -289,7 +286,7 @@ def read_weights_csv(path):
             raise ParameterError(f"{path}: bad value ({exc})") from None
         return topology
 
-    topology, params = _read_numbers(path, topology_of)
+    topology, params = _scan(path, topology_of)
     params = params[:, 0]
     _refuse_non_finite(path, params, "weights")
     if topology is None:

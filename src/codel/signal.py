@@ -59,6 +59,9 @@ REFRACTORY_S = 0.3
 # How far a beat's peak must reach from the rolling mean to the rolling max.
 THRESHOLD_FRACTION = 0.4
 
+# The longest inter-beat interval taken, in ms; `RrSeries` says why.
+MAX_RR_MS = 60_000.0
+
 # The Hampel filter sorts its windows in chunks of about this many
 # doubles: 358 of the 251-sample windows of a 250 Hz record. Each step of
 # its binary search costs a fixed amount per chunk, so larger chunks are
@@ -103,7 +106,13 @@ class Signal:
 
 @dataclass(frozen=True)
 class RrSeries:
-    """Ordered inter-beat intervals in milliseconds."""
+    """Ordered inter-beat intervals in milliseconds.
+
+    Each is finite, positive and at most `MAX_RR_MS`, a minute: one beat
+    a minute is far outside any heart rhythm, so a longer interval is a
+    unit or file error. Left in, it would also size `breathing_rate`'s
+    4 Hz tachogram and its zero-padded FFT past any memory.
+    """
 
     intervals: np.ndarray
 
@@ -113,6 +122,9 @@ class RrSeries:
             raise ParameterError("interval sequence must be 1-D")
         if not np.all(np.isfinite(intervals)) or np.any(intervals <= 0):
             raise ParameterError("intervals must be finite and strictly positive")
+        if np.any(intervals > MAX_RR_MS):
+            raise ParameterError(f"intervals must be at most {MAX_RR_MS:g} ms (one beat a "
+                                 f"minute), got {float(intervals.max())} ms")
         object.__setattr__(self, "intervals", intervals)
 
     def __len__(self):

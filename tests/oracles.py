@@ -10,13 +10,13 @@ different styles, to slip through a comparison against these.
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import rankdata
 
 from codel.errors import ContractError, ParameterError, ShapeError
-from codel.io import read_table
 import codel.local_search as local_search
 from codel.local_search import GRAD_TOL, LocalSearchConfig
 from codel.mlp import (
@@ -334,16 +334,50 @@ def synthetic_pulse_train(duration_s: float = 30.0, fs: float = 100.0,
 
 
 # ------------------------------------------------------------------
-# A single-column file, one list of cells per row
+# A numeric file, read whole and converted row by row
 # ------------------------------------------------------------------
 
-def read_column_reference(path, name):
-    """The values under a one-cell `name` header, parsed row by row from
-    `read_table`'s lists of cells."""
-    header, rows, _ = read_table(path)
-    if header != [name]:
-        raise ParameterError(f"{path}: expected header {name!r}")
-    return np.array([float(row[0]) for row in rows])
+def read_numbers_reference(path, check):
+    """What the numeric readers make of a file: the whole text split at
+    "\n", the line rules, then `check(header, comments)`, then every
+    cell through `float(cell.strip())`, with the package's messages.
+
+    Returns:
+        (check's result, float array of shape (rows, len(header))).
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ParameterError(f"no such file: {path}")
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(
+            f"{path}: not {exc.encoding} text: {exc.reason} at byte {exc.start}") from None
+    comments, header, rows = [], None, []
+    for number, line in enumerate(text.split("\n"), 1):
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            comments.append(line[1:].strip())
+        elif header is None:
+            header = line.split(",")
+        elif len(line.split(",")) != len(header):
+            raise ParameterError(
+                f"{path}: line {number}: ragged row of {len(line.split(','))} "
+                f"cells under a {len(header)}-column header")
+        else:
+            rows.append(line.split(","))
+    if header is None:
+        raise ParameterError(f"{path} has no header row")
+    checked = check(header, comments)
+    values = []
+    for row in rows:
+        for cell in row:
+            try:
+                values.append(float(cell.strip()))
+            except ValueError as exc:
+                raise ParameterError(f"{path}: non-numeric value ({exc})") from None
+    return checked, np.array(values, dtype=float).reshape(len(rows), len(header))
 
 
 # ------------------------------------------------------------------

@@ -188,6 +188,9 @@ class TestExtract:
         ("--signal-csv", [0.0] * 1500 + [float("nan")] + [0.0] * 1499, "non-finite samples"),
         ("--rr-csv", [800.0] * 4, "need at least 10 s of intervals"),
         ("--signal-csv", [0.0] * 3000, "flat record: all 3000 samples equal 0.0"),
+        ("--rr-csv", [1e160] * 5, "intervals must be at most 60000 ms (one beat a minute), "
+                                  "got 1e+160 ms"),
+        ("--rr-csv", [61000.0] * 12, "intervals must be at most 60000 ms"),
     ])
     def test_record_error_names_its_file(self, tmp_path, capsys, flag, values, says):
         """An error while a record is cleaned or featurized names that

@@ -29,7 +29,7 @@ from codel.mlp import MlpTopology
 from codel.optimizer import CodelConfig
 from codel.streams import derive_seed, named_rng
 
-from oracles import read_column_reference
+from oracles import read_numbers_reference
 
 
 def _record(offset: float = 0.0) -> FeatureRecord:
@@ -146,7 +146,9 @@ class TestSignalAndRrReaders:
             path.write_text("\n".join(lines) + "\n")
             got = reader(path)
             assert got.dtype == np.float64
-            assert got.tobytes() == read_column_reference(path, name).tobytes()
+            header, reference = read_numbers_reference(path, lambda header, comments: header)
+            assert header == [name]
+            assert got.tobytes() == reference[:, 0].tobytes()
             assert got.tobytes() == np.array(values, dtype=float).tobytes()
 
     @pytest.mark.parametrize("reader, header, noun", [
@@ -165,8 +167,9 @@ class TestSignalAndRrReaders:
             reader(path)
 
     def test_long_record_holds_no_list_of_lines(self, tmp_path):
-        """Three minutes at 250 Hz peak near 0.45 MB: the growing array
-        and one line at a time. A list of the file's lines took 5.81 MB."""
+        """Three minutes at 250 Hz peak near 0.73 MB: the floats, one
+        copy of them, and one block of lines. A list of the file's lines
+        took 5.81 MB."""
         path = tmp_path / "sig.csv"
         samples = np.sin(np.arange(45_000) / 40.0) ** 15
         write_table(path, ["sample"], [[s] for s in samples])
@@ -180,8 +183,8 @@ class TestSignalAndRrReaders:
         assert peak < 1e6
 
     def test_run_block_keeps_a_long_record_off_the_list_of_lines(self, tmp_path):
-        """Leading comment lines stay on numpy's reader: with one, the
-        list of lines took 5.35 MB."""
+        """Leading comment lines keep the record off a list of its
+        lines too: with one, the list of lines took 5.35 MB."""
         path = tmp_path / "sig.csv"
         samples = np.cos(np.arange(45_000) / 40.0) ** 15
         write_table(path, ["sample"], [[s] for s in samples], comments=["fs=250"])
@@ -201,35 +204,157 @@ class TestSignalAndRrReaders:
             read_signal_csv(path)
 
 
-def _outcome(read, path):
-    """What `read` and the shared numeric reader make of a file: `read`'s
-    result, then the reader's header, comments, value shape and value
-    bytes; each one the ParameterError text where it raises."""
-    def attempt(fn):
+def _signal_bytes(path):
+    return read_signal_csv(path).tobytes()
+
+
+class TestBlockEdges:
+    """A 45,000-line record spans many of the reader's blocks. Line
+    numbers and byte offsets count from the start of the file, and a
+    line cut at a block's edge reads whole."""
+
+    def _write(self, path, edit=lambda lines: None, comments=()):
+        """The record under its header, with `edit` applied to its list of
+        lines; line k of the file is entry k - 1."""
+        lines = [f"# {c}" for c in comments] + ["sample"]
+        lines += [repr(v) for v in (np.sin(np.arange(45_000) / 40.0) ** 15).tolist()]
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        return lines
+
+    def test_ragged_row_names_its_line(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        self._write(path, lambda lines: lines.__setitem__(30_000, "1.0,2.0"))
+        assert _reads_as_reference(_signal_bytes, path) == (
+            f"{path}: line 30001: ragged row of 2 cells under a 1-column header")
+
+    def test_non_numeric_cell(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        self._write(path, lambda lines: lines.__setitem__(30_000, "oops"))
+        assert _reads_as_reference(_signal_bytes, path) == (
+            f"{path}: non-numeric value (could not convert string to float: 'oops')")
+
+    def test_ragged_row_after_a_non_numeric_cell_comes_first(self, tmp_path):
+        path = tmp_path / "sig.csv"
+
+        def edit(lines):
+            lines[30_000] = "oops"
+            lines[44_000] = "1,2,3"
+
+        self._write(path, edit)
+        assert _reads_as_reference(_signal_bytes, path) == (
+            f"{path}: line 44001: ragged row of 3 cells under a 1-column header")
+
+    def test_check_sees_every_comment_before_a_non_numeric_cell(self, tmp_path):
+        """The weights' topology line comes last, after a bad cell: the
+        check reads it and refuses it before the cell is reported."""
+        path = tmp_path / "w.csv"
+
+        def edit(lines):
+            lines[0] = "weight"
+            lines[30_000] = "oops"
+            lines.append("# topology=2,3.5,1")
+
+        self._write(path, edit)
+
+        def read(path):
+            params, topology = read_weights_csv(path)
+            return params.tobytes(), topology.layer_sizes
+
+        assert _reads_as_reference(read, path) == (
+            f"{path}: bad value (invalid literal for int() with base 10: '3.5')")
+
+    def test_blank_and_comment_lines_at_block_edges(self, tmp_path):
+        """Runs of blank and '#' lines straddle the first three block
+        edges, each starting one line before the line the edge cuts."""
+        path = tmp_path / "sig.csv"
+        run = ["", "#", "   ", "# a comment line that a block edge may cut in two", "",
+               "#1.0", "\t", "#"]
+
+        def edit(lines):
+            for edge in (1, 2, 3):
+                at = edge * codel.io._BLOCK
+                ends = np.cumsum([len(line) + 1 for line in lines])
+                i = int(np.searchsorted(ends, at, side="right"))
+                lines[i - 1:i - 1] = run
+
+        lines = self._write(path, edit)
+        text = path.read_text()
+        for edge in (1, 2, 3):
+            cut = text[edge * codel.io._BLOCK - 60:edge * codel.io._BLOCK + 60]
+            assert "\n\n" in cut[:60] and "\n#" in cut[60:]
+        samples = [float(line) for line in lines[1:] if line.strip() and line[0] != "#"]
+        assert _reads_as_reference(_signal_bytes, path) == np.array(samples).tobytes()
+        # The runs count as lines: a ragged last row is named by its line.
+        lines[-1] = "1,2"
+        path.write_text("\n".join(lines) + "\n")
+        assert _reads_as_reference(_signal_bytes, path) == (
+            f"{path}: line {len(lines)}: ragged row of 2 cells under a 1-column header")
+
+    def test_comment_block_longer_than_a_block(self, tmp_path):
+        path = tmp_path / "sig.csv"
+        comments = [f"note {i:04d}: a run block of many lines" for i in range(1_000)]
+        lines = self._write(path, comments=comments)
+        assert sum(len(line) + 1 for line in lines[:1_000]) > 2 * codel.io._BLOCK
+        assert _reads_as_reference(_signal_bytes, path) == (
+            np.array([float(line) for line in lines[1_001:]]).tobytes())
+        self._write(path, lambda lines: lines.__setitem__(31_000, "1,2"), comments)
+        assert _reads_as_reference(_signal_bytes, path) == (
+            f"{path}: line 31001: ragged row of 2 cells under a 1-column header")
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_undecodable_byte_names_its_offset_in_the_file(self, tmp_path, ragged):
+        """Also behind a ragged row, which the reader meets first."""
+        path = tmp_path / "sig.csv"
+        self._write(path, lambda lines: lines.__setitem__(2, "1,2") if ragged else None)
+        data = bytearray(path.read_bytes())
+        data[200_000] = 0xFF
+        path.write_bytes(bytes(data))
+        got = _reads_as_reference(_signal_bytes, path)
+        assert got.startswith(f"{path}: not ") and got.endswith(" text: invalid start byte "
+                                                                "at byte 200000")
+
+
+class TestRaggedFeatureRows:
+
+    def test_balanced_ragged_rows_past_the_first_block(self, tmp_path):
+        """A row one cell too wide and the next one cell too narrow hold
+        as many cells as two good rows."""
+        path = tmp_path / "feat.csv"
+        rows = [[0.5, 0.25, i % 2] for i in range(3_000)]
+        rows[2_000], rows[2_001] = [0.5, 0.25, 0.125, 1], [0.5, 1]
+        write_table(path, ["a", "b", "label"], rows)
+        assert 2_000 * len("0.5,0.25,0\n") > codel.io._BLOCK
+        assert _reads_as_reference(_dataset_bytes, path) == (
+            f"{path}: line 2002: ragged row of 4 cells under a 3-column header")
+
+
+def _reads_as_reference(read, path):
+    """Assert that `read` makes the same of `path` with the package's
+    reader and with `read_numbers_reference` in its place, and so does
+    the reader alone with a check that keeps the header and comments,
+    with no warning let out either way. Return what `read` made of it:
+    its result, or its ParameterError text."""
+    def outcome(fn):
         try:
             return fn()
         except ParameterError as exc:
             return str(exc)
 
-    def shared():
-        (header, comments), values = codel.io._read_numbers(path, lambda *head: head)
-        return header, comments, values.shape, values.tobytes()
+    def both():
+        def shared():
+            (header, comments), values = codel.io._scan(path, lambda *head: head)
+            return header, comments, values.shape, values.tobytes()
 
-    return attempt(lambda: read(path)), attempt(shared)
+        return outcome(lambda: read(path)), outcome(shared)
 
-
-def _fast_path_equals_scan(read, path):
-    """Assert that a file reads the same with and without the fast path,
-    with no warning let out either way; return whether the fast path
-    takes the file."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fast = _outcome(read, path)
+        got = both()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(codel.io, "_fast_numbers", lambda path: None)
-            scanned = _outcome(read, path)
-        assert fast == scanned
-        return codel.io._fast_numbers(path) is not None
+            patch.setattr(codel.io, "_scan", read_numbers_reference)
+            assert got == both()
+    return got[0]
 
 
 _PLAIN_CELLS = st.one_of(
@@ -237,15 +362,15 @@ _PLAIN_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f" \t{v!r}  "),
     st.integers(-10**20, 10**20).map(str),
 )
-_OTHER_LINES = st.sampled_from(
-    ["", "   ", "\t", "# note", "#1.0", "oops", "1.0,2.0", "1.0 2.0", "nan", "-inf",
-     "Infinity", "1e999",
-     # Line breaks to `str.splitlines` but not to file iteration, inside a
-     # line and at its end, and \x1f, which `str.strip` strips and `float`
-     # does not.
-     *(f"{a}{c}{b}" for c in "\x0c\x1c\x85\u2028\x1f" for a, b in [("1.0", ""), ("1", "2")]),
-     # `float` takes these, numpy's reader does not.
-     "1_000", "\u0661\u0662"])
+_ODD_LINES = [
+    "", "   ", "\t", "# note", "#1.0", "oops", "1.0,2.0", "1.0 2.0", "nan", "-inf",
+    "Infinity", "1e999",
+    # Line breaks to `str.splitlines` but not to file iteration, inside a
+    # line and at its end, and \x1f, which `str.strip` strips and `float`
+    # does not.
+    *(f"{a}{c}{b}" for c in "\x0c\x1c\x85\u2028\x1f" for a, b in [("1.0", ""), ("1", "2")]),
+    # `float` takes these, as 1000.0 and 12.0.
+    "1_000", "\u0661\u0662"]
 
 
 # Comment lines, some holding characters that `str.splitlines` breaks
@@ -254,15 +379,27 @@ _COMMENT_LINES = st.sampled_from(["# run", "#", "##", "#seed=1 ", "#\tfs=250", "
                                   "#1\x1c2", "# x\x85y", "#\u2028", "#\x0c"])
 
 
-class TestSingleColumnFastPath:
-    """A plain numeric file skips `_scan`'s per-line loop. Every file
-    reads the same with and without that path: the same bits and
-    comments, or the same ParameterError text."""
+class TestSingleColumnReader:
+    """Every file reads as `read_numbers_reference` reads it: the same
+    bits and comments, or the same ParameterError text."""
+
+    def test_float_takes_a_padded_cell_only_as_strip_does(self):
+        """The one-pass conversion calls `float` on unstripped cells: it
+        succeeds only where `float(cell.strip())` gives the same value."""
+        spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+        assert len(spaces) == 29
+        for c in spaces:
+            for cell in (f"{c}1.5", f"-2e3{c}", f"{c}{c}7{c}"):
+                try:
+                    got = float(cell)
+                except ValueError:
+                    continue
+                assert got == float(cell.strip())
 
     @given(column=st.sampled_from([("sample", "samples"), ("rr_ms", "intervals")]),
            comments=st.lists(_COMMENT_LINES, max_size=3),
            first=st.sampled_from(["", "\ufeff", " ", "# run\n", "x,", "\n"]),
-           lines=st.lists(st.one_of(_PLAIN_CELLS, _OTHER_LINES), max_size=30),
+           lines=st.lists(st.one_of(_PLAIN_CELLS, st.sampled_from(_ODD_LINES)), max_size=30),
            newline=st.sampled_from(["\n", "\r\n"]),
            trailing=st.booleans())
     @example(column=("sample", "samples"), comments=[], first="", lines=[], newline="\n",
@@ -288,24 +425,17 @@ class TestSingleColumnFastPath:
     # A blank line ahead of a header that is itself a number.
     @example(column=("0", "samples"), comments=["# run"], first="\n", lines=["1.0"],
              newline="\n", trailing=True)
-    def test_fast_path_equals_scan(self, tmp_path_factory, column, comments, first, lines,
-                                   newline, trailing):
+    def test_reads_as_reference(self, tmp_path_factory, column, comments, first, lines,
+                                newline, trailing):
         header, noun = column
         path = tmp_path_factory.mktemp("column") / "column.csv"
         text = newline.join([*comments, first + header, *lines]) + (newline if trailing else "")
         path.write_bytes(text.encode("utf-8"))
-        fast = _fast_path_equals_scan(
+        got = _reads_as_reference(
             lambda path: codel.io._read_single_column(path, header, noun).tobytes(), path)
-        if first == "" and all(_is_plain_number(line) for line in lines):
-            assert fast
-
-
-def _is_plain_number(line):
-    """A finite number in ASCII without underscores, which numpy's reader takes."""
-    try:
-        return line.isascii() and "_" not in line and np.isfinite(float(line))
-    except ValueError:
-        return False
+        # A file of plain numbers reads as those numbers.
+        if first == "" and lines and not set(lines) & set(_ODD_LINES):
+            assert got == np.array([float(line) for line in lines]).tobytes()
 
 
 def _dataset_bytes(path):
@@ -325,9 +455,10 @@ class TestFeaturesCsv:
            run_block=st.booleans())
     @example(width=14, rows=[([0.5] * 13, 1)], odd=[], run_block=True)
     @example(width=2, rows=[], odd=[], run_block=True)
-    def test_fast_path_equals_scan(self, tmp_path_factory, width, rows, odd, run_block):
+    def test_reads_as_reference(self, tmp_path_factory, width, rows, odd, run_block):
         """Feature tables of 2 and 14 columns as `write_table` writes them,
-        with and without a run block, and with odd cells swapped in."""
+        with and without a run block, and with odd cells swapped in, read
+        as `read_numbers_reference` reads them."""
         path = tmp_path_factory.mktemp("features") / "features.csv"
         header = ["a", "label"] if width == 2 else [*FEATURE_NAMES, "label"]
         table = [[*features[:width - 1], label] for features, label in rows]
@@ -336,9 +467,10 @@ class TestFeaturesCsv:
                 table[position % len(table)][position // len(table) % width] = cell
         comments = ["command=extract", *parse_config(seed=1).manifest_lines()] if run_block else ()
         write_table(path, header, table, comments)
-        fast = _fast_path_equals_scan(_dataset_bytes, path)
+        got = _reads_as_reference(_dataset_bytes, path)
         if table and not odd:
-            assert fast
+            assert got == (np.array([row[:-1] for row in table], dtype=float).tobytes(),
+                           np.array([row[-1] for row in table], dtype=int).tobytes())
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "feat.csv"
@@ -414,9 +546,9 @@ class TestWeightsCsv:
         with pytest.raises(ParameterError, match="12"):
             read_weights_csv(tmp_path / "short.csv")
 
-    def test_fast_path_equals_scan(self, tmp_path):
-        """A `weights.csv` written by `train`, run block and all, takes
-        the fast path and reads the same without it."""
+    def test_reads_as_reference(self, tmp_path):
+        """A `weights.csv` written by `train`, run block and all, reads
+        as `read_numbers_reference` reads it."""
         write_table(tmp_path / "xor.csv", ["a", "b", "label"],
                     [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]])
         assert main(["train", "--features-csv", str(tmp_path / "xor.csv"), "--seed", "0",
@@ -428,7 +560,8 @@ class TestWeightsCsv:
             params, topology = read_weights_csv(path)
             return params.tobytes(), topology.layer_sizes
 
-        assert _fast_path_equals_scan(read, tmp_path / "train" / "weights.csv")
+        params, sizes = _reads_as_reference(read, tmp_path / "train" / "weights.csv")
+        assert sizes == (2, 4, 1) and len(params) == 17 * 8
 
     def test_missing_topology_comment(self, tmp_path):
         path = tmp_path / "w.csv"

@@ -14,6 +14,7 @@ from codel.datasets import synthetic_heartbeat
 from codel.errors import InsufficientDataError, ParameterError
 from codel.signal import (
     MAD_SCALE,
+    MAX_RR_MS,
     RrSeries,
     Signal,
     _lowpass_taps,
@@ -73,6 +74,14 @@ class TestSignalTypes:
             RrSeries(np.array([800.0, 0.0, 900.0]))
         with pytest.raises(ParameterError):
             RrSeries(np.array([800.0, -5.0]))
+
+    def test_rr_series_refuses_intervals_over_a_minute(self):
+        assert RrSeries(np.array([800.0, MAX_RR_MS])).intervals[1] == 60_000.0
+        for longest in (np.nextafter(MAX_RR_MS, np.inf), 61_000.0, 1e160):
+            with pytest.raises(ParameterError) as info:
+                RrSeries(np.array([800.0, longest, 900.0]))
+            assert str(info.value) == ("intervals must be at most 60000 ms (one beat a minute), "
+                                       f"got {float(longest)} ms")
 
     def test_rr_series_duration(self):
         rr = RrSeries(np.array([500.0, 1500.0]))
@@ -715,11 +724,18 @@ class TestRrFromPeaks:
            gaps=st.lists(st.integers(1, 10**4), min_size=2, max_size=60),
            fs=st.floats(1.0, 2000.0), data=st.data())
     def test_length_and_positivity(self, start, gaps, fs, data):
+        """Peaks more than a minute apart give an interval over
+        `MAX_RR_MS`, which is refused by name."""
         peaks = start + np.cumsum([0, *gaps])
-        rr = rr_from_peaks(peaks, fs)
-        assert len(rr) == peaks.size - 1
-        np.testing.assert_array_equal(rr.intervals, np.diff(peaks) / fs * 1000.0)
-        assert np.all(rr.intervals > 0)
+        intervals = np.diff(peaks) / fs * 1000.0
+        if intervals.max() > MAX_RR_MS:
+            with pytest.raises(ParameterError, match="intervals must be at most 60000 ms"):
+                rr_from_peaks(peaks, fs)
+        else:
+            rr = rr_from_peaks(peaks, fs)
+            assert len(rr) == peaks.size - 1
+            np.testing.assert_array_equal(rr.intervals, intervals)
+            assert np.all(rr.intervals > 0)
         i = data.draw(st.integers(0, peaks.size - 1), label="repeated")
         with pytest.raises(ParameterError):
             rr_from_peaks(np.insert(peaks, i + 1, peaks[i]), fs)
