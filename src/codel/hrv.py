@@ -148,6 +148,20 @@ def poincare_features(rr: RrSeries) -> PoincareFeatures:
     return PoincareFeatures(sd1, sd2, s, ratio)
 
 
+def _fft_length(n: int) -> int:
+    """The zero-padded FFT length of an n-point tachogram: the next power
+    of two at or above max(n, min(8 n, 2^16)).
+
+    Up to 8,192 points (about 34 min at 4 Hz) that is 8-fold padding,
+    whose frequency grid resolves the band edges well below the 0.5
+    breaths/min reporting tolerance. A longer record pads to 2^16 points,
+    a grid of 0.0037 breaths/min, or to its own next power of two, so a
+    7-day record takes 2^22 points, not 2^25.
+    """
+    target = max(n, min(8 * n, 2**16))
+    return 1 << (target - 1).bit_length()
+
+
 def breathing_rate(rr: RrSeries) -> BreathingRate:
     """Estimate respiration frequency from the interval tachogram.
 
@@ -169,11 +183,7 @@ def breathing_rate(rr: RrSeries) -> BreathingRate:
     tachogram = np.interp(grid, beat_times, rr.intervals)
     tachogram = tachogram - np.mean(tachogram)
 
-    # Zero-pad so the frequency grid resolves the band edges well below
-    # the 0.5 breaths/min reporting tolerance.
-    nfft = 1
-    while nfft < 8 * grid.size:
-        nfft *= 2
+    nfft = _fft_length(grid.size)
     spectrum = np.abs(np.fft.rfft(tachogram, n=nfft)) ** 2
     freqs = np.fft.rfftfreq(nfft, d=1.0 / TACHOGRAM_FS)
 

@@ -99,8 +99,9 @@ def _rp(w, loss, grad, config):
     prev_grad = np.zeros_like(w)
     while True:
         product = prev_grad * grad
-        steps[product > 0] = np.minimum(steps[product > 0] * RP_INCREASE, RP_STEP_MAX)
-        steps[product < 0] = np.maximum(steps[product < 0] * RP_DECREASE, RP_STEP_MIN)
+        steps = np.where(product > 0, np.minimum(steps * RP_INCREASE, RP_STEP_MAX),
+                         np.where(product < 0, np.maximum(steps * RP_DECREASE, RP_STEP_MIN),
+                                  steps))
         prev_grad = grad
         w = w - np.sign(grad) * steps
         _, grad, _ = yield w
@@ -230,7 +231,7 @@ def _run(w, method: str, config: LocalSearchConfig):
     stale_epochs = 0
     stop_reason = "epochs"
     for _ in range(config.epochs - 1):
-        if np.max(np.abs(grad)) < GRAD_TOL:
+        if np.abs(grad).max() < GRAD_TOL:
             stop_reason = "stationary"
             break
         try:

@@ -7,6 +7,11 @@ in order, then that layer's biases. `decode` is the one place that knows
 this layout; the forward pass reads its layers through its views, and
 the gradient is written through the views of a fresh vector.
 
+Every activation is stored units-major: (members, units, rows), with the
+rows as the contiguous last axis, and the input as the transposed rows,
+(n_features, rows). A layer is W @ a, so the bias add, the sigmoid and
+the backward pass's row sums all run along contiguous rows.
+
 `predict` and `mse_loss_and_gradient` run one forward pass,
 `_forward_activations`, and decide classes by one rule on the output
 sigmoid, `_class_one`. `classification_error`, the search objective,
@@ -95,10 +100,24 @@ class Dataset:
         return self.rows.shape[1]
 
     @cached_property
+    def columns(self) -> np.ndarray:
+        """The rows transposed, (n_features, rows), C-contiguous: the input
+        of the units-major forward pass. Read-only, because the backward
+        pass writes over every later activation in place."""
+        columns = np.ascontiguousarray(self.rows.T)
+        columns.flags.writeable = False
+        return columns
+
+    @cached_property
+    def targets(self) -> np.ndarray:
+        """The labels as floats, (rows,)."""
+        return self.labels.astype(float)
+
+    @cached_property
     def columns_with_ones(self) -> np.ndarray:
-        """The rows transposed, (n_features + 1, rows), with a last row of
-        ones, so that `[W | b] @ columns_with_ones` is W x + b per row."""
-        return np.vstack([self.rows.T, np.ones(len(self))])
+        """`columns` with a last row of ones, (n_features + 1, rows), so
+        that `[W | b] @ columns_with_ones` is W x + b per row."""
+        return np.vstack([self.columns, np.ones(len(self))])
 
     @cached_property
     def max_abs(self) -> float:
@@ -123,15 +142,16 @@ def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
 
 
 def _layer(a, w, b) -> np.ndarray:
-    """sigmoid(a @ w.T + b), computed inside the product's own buffer.
+    """sigmoid(w @ a + b), units-major, computed inside the product's own
+    buffer.
 
-    w and b may carry a leading stack axis, (k, n_dst, n_src) and
-    (k, n_dst), giving (k, rows, n_dst). Every temporary array costs an
-    allocation that outweighs its arithmetic at these sizes, so the bias
-    add and the sigmoid reuse it.
+    a is (n_src, rows) or (k, n_src, rows); w and b may carry a leading
+    stack axis, (k, n_dst, n_src) and (k, n_dst), giving (k, n_dst, rows).
+    Every temporary array costs an allocation that outweighs its
+    arithmetic at these sizes, so the bias add and the sigmoid reuse it.
     """
-    z = a @ np.swapaxes(w, -1, -2)
-    z += b[..., None, :]
+    z = w @ a
+    z += b[..., None]
     return _sigmoid_in_place(z)
 
 
@@ -163,12 +183,16 @@ def decode(params, topology: MlpTopology):
     return layers
 
 
-def _forward_activations(layers, inputs):
-    """Activations of every layer for a batch, input batch first, through
-    the (weights, biases) of one decoded vector, or of a decoded stack,
-    giving (k, rows, units) per layer after the input."""
-    activations = [inputs]
-    a = inputs
+def _forward_activations(layers, columns):
+    """Activations of every layer for a batch, the input first, through
+    the (weights, biases) of one decoded vector or of a decoded stack.
+
+    columns is the batch transposed, (n_features, rows), as the
+    C-contiguous `Dataset.columns`. Each later layer is units-major:
+    (units, rows) for one vector, (k, units, rows) for a stack.
+    """
+    activations = [columns]
+    a = columns
     for w, b in layers:
         a = _layer(a, w, b)
         activations.append(a)
@@ -184,8 +208,9 @@ _CHUNK_DOUBLES = 16_384
 
 
 def _class_one(out) -> np.ndarray:
-    """Class 1 where the output neuron's sigmoid, out[..., 0], is at least 0.5."""
-    return out[..., 0] >= 0.5
+    """Class 1 where the output neuron's sigmoid, out[..., 0, :] of the
+    units-major output, is at least 0.5."""
+    return out[..., 0, :] >= 0.5
 
 
 def _percent_wrong(ones, labels) -> np.ndarray:
@@ -199,8 +224,10 @@ def predict(params, topology: MlpTopology, inputs) -> np.ndarray:
 
     params is one flat vector (D,), giving a (rows,) array, or a stack of
     them (k, D), giving one row of labels per member as a (k, rows)
-    array. Each member's products are the same BLAS calls as its own
-    unstacked pass, so every row equals the member's own call bit for bit.
+    array. The forward pass runs units-major, (k, units, rows), on the
+    transposed rows, and each member's products are the same BLAS calls
+    as its own unstacked pass, so every row equals the member's own call
+    bit for bit.
     """
     rows = np.atleast_2d(np.asarray(inputs, dtype=float))
     if rows.ndim != 2 or rows.shape[1] != topology.n_in:
@@ -209,21 +236,22 @@ def predict(params, topology: MlpTopology, inputs) -> np.ndarray:
         )
     params = np.asarray(params, dtype=float)
     labels = _class_one(_forward_activations(decode(np.atleast_2d(params), topology),
-                                             rows)[-1]).astype(int)
+                                             np.ascontiguousarray(rows.T))[-1]).astype(int)
     return labels[0] if params.ndim == 1 else labels
 
 
 def _exact_errors(layers, data: Dataset) -> np.ndarray:
     """Per member of a decoded stack, its error from the exact forward
-    pass: the stack goes through in chunks of members, and each member's
-    products are the same BLAS calls as its own unstacked pass, so the
-    chunking changes no bit."""
+    pass, run units-major, (members, units, rows), on `data.columns`: the
+    stack goes through in chunks of members, and each member's products
+    are the same BLAS calls as its own unstacked pass, so the chunking
+    changes no bit."""
     k, hidden = layers[0][1].shape
     chunk = max(1, _CHUNK_DOUBLES // (len(data) * hidden))
     errors = np.empty(k)
     for start in range(0, k, chunk):
         part = slice(start, start + chunk)
-        out = _forward_activations([(w[part], b[part]) for w, b in layers], data.rows)[-1]
+        out = _forward_activations([(w[part], b[part]) for w, b in layers], data.columns)[-1]
         errors[part] = _percent_wrong(_class_one(out), data.labels)
     return errors
 
@@ -321,37 +349,46 @@ def mse_loss_and_gradient(params, topology: MlpTopology, data: Dataset):
     unstacked pass, and its sums run in the same order, so every row
     equals the member's own call bit for bit.
 
-    The gradient is accumulated layer by layer in reverse, using the
-    sigmoid derivative a(1-a), and is returned flat in the same layout
-    as the parameters. The error applies `_class_one` to the same output
-    activations as the exact pass of classification_error(params,
-    topology, data), which returns that pass's error for every member,
-    by its certificate where its fast pass decides, so the two are equal
-    bit for bit.
+    The forward pass and the backward pass's deltas are units-major,
+    (members, units, rows). The gradient is accumulated layer by layer
+    in reverse, using the sigmoid derivative a(1-a): per layer, the
+    weights' part is delta @ a_prev^T and the biases' part a row sum
+    along the contiguous rows, and the delta passes back as W^T @ delta.
+    The gradient is returned flat in the same layout as the parameters.
+    The error applies `_class_one` to the same output activations as the
+    exact pass of classification_error(params, topology, data), which
+    returns that pass's error for every member, by its certificate where
+    its fast pass decides, so the two are equal bit for bit.
     """
     params = np.asarray(params, dtype=float)
     stack = np.atleast_2d(params)
     layers = decode(stack, topology)
-    activations = _forward_activations(layers, data.rows)
+    activations = _forward_activations(layers, data.columns)
     out = activations[-1]
-    targets = data.labels[:, None].astype(float)
 
     n_terms = out[0].size
-    loss = np.sum((out - targets) ** 2, axis=(1, 2)) / n_terms
     error = _percent_wrong(_class_one(out), data.labels)
+    delta = out - data.targets
+    loss = np.sum(np.square(delta), axis=(1, 2)) / n_terms
 
-    # delta holds dLoss/dz for the current layer, (members, rows, units).
-    delta = 2.0 * (out - targets) / n_terms * out * (1.0 - out)
+    # delta holds dLoss/dz for the current layer, (members, units, rows):
+    # 2 (out - targets) / n_terms * out * (1 - out), with 1 - out written
+    # over out, and each later 1 - a_prev over a_prev, once it is read.
+    delta *= 2.0
+    delta /= n_terms
+    delta *= out
+    delta *= np.subtract(1.0, out, out=out)
     gradient = np.empty(stack.shape)
     grads = decode(gradient, topology)
     for l in range(len(layers) - 1, -1, -1):
         a_prev = activations[l]
         grad_w, grad_b = grads[l]
-        np.matmul(np.swapaxes(delta, 1, 2), a_prev, out=grad_w)
-        np.sum(delta, axis=1, out=grad_b)
+        np.matmul(delta, np.swapaxes(a_prev, -1, -2), out=grad_w)
+        np.sum(delta, axis=-1, out=grad_b)
         if l > 0:
-            w, _ = layers[l]
-            delta = (delta @ w) * a_prev * (1.0 - a_prev)
+            delta = np.swapaxes(layers[l][0], -1, -2) @ delta
+            delta *= a_prev
+            delta *= np.subtract(1.0, a_prev, out=a_prev)
     if params.ndim == 1:
         return float(loss[0]), gradient[0], float(error[0])
     return loss, gradient, error

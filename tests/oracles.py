@@ -565,8 +565,9 @@ def run_codel_reference(objective, dim, config, clustering=True, opposition=True
 
 def predict_reference(params, topology, rows):
     """Class 1 where the output neuron's sigmoid activation is >= 0.5."""
-    out = _forward_activations(decode(params, topology), rows)[-1]
-    return (out[:, 0] >= 0.5).astype(int)
+    columns = np.ascontiguousarray(np.transpose(rows), dtype=float)
+    out = _forward_activations(decode(params, topology), columns)[-1]
+    return (out[0] >= 0.5).astype(int)
 
 
 def classification_error_reference(params, topology, data):
@@ -579,8 +580,8 @@ def mse_loss(params, topology: MlpTopology, data: Dataset) -> float:
     forward pass of one flat vector; a (k, D) stack is a shape error."""
     if np.ndim(params) != 1:
         raise ShapeError(f"expected one flat parameter vector, got shape {np.shape(params)}")
-    out = _forward_activations(decode(params, topology), data.rows)[-1]
-    targets = data.labels[:, None].astype(float)
+    out = _forward_activations(decode(params, topology), data.columns)[-1]
+    targets = data.labels.astype(float)
     return float(np.mean((out - targets) ** 2))
 
 

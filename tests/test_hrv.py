@@ -7,6 +7,7 @@ from codel.datasets import modulated_rr
 from codel.errors import InsufficientDataError
 from codel.hrv import (
     FEATURE_NAMES,
+    _fft_length,
     breathing_rate,
     extract_features,
     poincare_features,
@@ -136,6 +137,36 @@ class TestBreathingRate:
     def test_short_series_rejected(self):
         with pytest.raises(InsufficientDataError):
             breathing_rate(RrSeries(np.full(10, 900.0)))
+
+
+class TestFftLength:
+    """The breathing periodogram's zero-padded length."""
+
+    @staticmethod
+    def _eightfold(n):
+        nfft = 1
+        while nfft < 8 * n:
+            nfft *= 2
+        return nfft
+
+    def test_records_under_34_minutes_keep_eightfold_padding(self):
+        """Up to 8,192 points at 4 Hz (34 min 8 s) the length is the next
+        power of two at or above 8 n, as before the bound."""
+        assert [_fft_length(n) for n in range(1, 8193)] == [
+            self._eightfold(n) for n in range(1, 8193)]
+
+    def test_longer_records_pad_to_two_to_the_16_or_their_own_length(self):
+        assert _fft_length(8193) == _fft_length(2**16) == 2**16
+        assert _fft_length(2**16 + 1) == 2**17
+        for n in (8193, 40_000, 2**16, 2**16 + 1, 10**6):
+            assert n <= _fft_length(n) < 2 * max(n, 2**16)
+
+    def test_a_seven_day_record_is_bounded(self):
+        """7 days at 4 Hz is 2,419,200 points: at most 2^22, not the
+        eightfold 2^25 (a 268 MB complex spectrum)."""
+        n = 7 * 86_400 * 4
+        assert n == 2_419_200
+        assert _fft_length(n) == 2**22 < self._eightfold(n) == 2**25
 
 
 class TestExtractFeatures:

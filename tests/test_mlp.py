@@ -119,8 +119,9 @@ class TestEncodeDecode:
 
 
 def _outputs(params, topo, rows):
-    """The output layer's activations for a batch of rows."""
-    return _forward_activations(decode(params, topo), np.asarray(rows, dtype=float))[-1]
+    """The output layer's activations for a batch of rows, (rows, units)."""
+    columns = np.ascontiguousarray(np.transpose(rows), dtype=float)
+    return _forward_activations(decode(params, topo), columns)[-1].T
 
 
 class TestForward:
@@ -269,7 +270,7 @@ class TestDecisionsMatchSigmoidRule:
         params = rng.normal(0, 2, topo.param_count)
         w_out, b_out = decode(params, topo)[-1]
         if cancel:
-            hidden = _forward_activations(decode(params, topo), data.rows)[-2]
+            hidden = _forward_activations(decode(params, topo), data.columns)[-2].T
             b_out[0] = z - (hidden @ w_out.T)[rng.integers(n_rows), 0]
         else:
             w_out[...], b_out[0] = 0.0, z
@@ -292,7 +293,7 @@ def _edge_stack(rng, topo, rows, k, scale, z):
         if mode == 1:
             w_out[...], b_out[...] = 0.0, z
         elif mode == 2:
-            hidden = _forward_activations(decode(v, topo), rows)[-2]
+            hidden = _forward_activations(decode(v, topo), np.ascontiguousarray(rows.T))[-2].T
             b_out[...] = z - (hidden @ w_out.T)[rng.integers(len(rows))]
     return stack
 
@@ -431,7 +432,7 @@ class TestCertifiedPass:
         layers = decode(stack, topo)
         (_, _), (w2, b2) = layers
         z_fast, bound = mlp._fast_output(layers, data)
-        hidden_out = _forward_activations(layers, data.rows)[-2]
+        hidden_out = np.swapaxes(_forward_activations(layers, data.columns)[-2], 1, 2)
         z_exact = (hidden_out @ np.swapaxes(w2, 1, 2) + b2[:, None, :])[..., 0]
         assert np.all(np.abs(z_fast - z_exact) <= 2.0**-6 * bound[:, None])
 
@@ -626,6 +627,37 @@ class TestStackedLossAndGradient:
         assert errors.tobytes() == np.array([error for _, _, error in each]).tobytes()
 
 
+class TestUnitsMajorPass:
+    """The units-major loss pass on drawn deep and narrow nets, hidden
+    layers of width 1 among them."""
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6),
+           widths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           n_in=st.integers(1, 5), n_rows=st.integers(1, 24))
+    @settings(max_examples=40, deadline=None)
+    def test_members_match_their_own_calls_and_the_oracles(self, seed, k, widths, n_in,
+                                                           n_rows):
+        """Per member: its own call's bits, classification_error's error,
+        the plain loss to 1e-12 relative, and central differences on
+        criterion 5's terms (h = 1e-5, relative error below 1e-5 over a
+        1e-6 floor)."""
+        rng = np.random.default_rng(seed)
+        topo = MlpTopology((n_in, *widths, 1))
+        data = _random_dataset(rng, n_rows, n_in)
+        stack = rng.uniform(-2.0, 2.0, (k, topo.param_count))
+
+        losses, grads, errors = mse_loss_and_gradient(stack, topo, data)
+        assert errors.tobytes() == classification_error(stack, topo, data).tobytes()
+        for v, loss, grad, error in zip(stack, losses, grads, errors):
+            own_loss, own_grad, own_error = mse_loss_and_gradient(v, topo, data)
+            assert (own_loss, own_error) == (loss, error)
+            assert own_grad.tobytes() == grad.tobytes()
+            assert error == classification_error(v, topo, data)
+            assert abs(loss - mse_loss(v, topo, data)) <= 1e-12 * abs(loss)
+            fd = central_difference(lambda p: mse_loss(p, topo, data), v, h=1e-5)
+            assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-5
+
+
 class TestContainers:
 
     def test_dataset_validation(self):
@@ -643,3 +675,13 @@ class TestContainers:
         assert data.columns_with_ones is data.columns_with_ones
         np.testing.assert_array_equal(data.columns_with_ones, [[1.0, 2.0], [-3.0, 0.5], [1.0, 1.0]])
         assert data.max_abs == 3.0
+
+    def test_forward_pass_inputs_are_built_once(self):
+        """The units-major pass reads the transposed rows, C-contiguous
+        and read-only, and the labels as floats, both cached."""
+        data = Dataset([[1.0, -3.0], [2.0, 0.5]], [0, 1])
+        assert data.columns is data.columns and data.targets is data.targets
+        assert data.columns.flags.c_contiguous and not data.columns.flags.writeable
+        np.testing.assert_array_equal(data.columns, [[1.0, 2.0], [-3.0, 0.5]])
+        assert data.targets.dtype == float
+        np.testing.assert_array_equal(data.targets, [0.0, 1.0])
