@@ -2,6 +2,10 @@
 
 Nothing here touches disk; every generator is a pure function of its
 seed, so fixtures stay reproducible.
+
+No command calls them, and all four stay here on purpose: the README's
+quick start and four of the demos import them, so moving them into the
+test files would copy them, not delete them.
 """
 
 import numpy as np

@@ -48,10 +48,8 @@ __all__ = [
     "read_signal_csv",
     "read_rr_csv",
     "features_table",
-    "write_features_csv",
     "read_features_csv",
     "weights_table",
-    "write_weights_csv",
     "read_weights_csv",
 ]
 
@@ -232,10 +230,6 @@ def features_table(records, labels) -> Table:
     return Table(list(FEATURE_NAMES) + ["label"], rows)
 
 
-def write_features_csv(path, records, labels, comments=()) -> None:
-    features_table(records, labels).write(path, comments)
-
-
 def read_features_csv(path) -> Dataset:
     """Load any feature matrix whose last column is the binary label.
 
@@ -265,10 +259,6 @@ def weights_table(params, topology: MlpTopology) -> Table:
     """Flat weight vector, one value per line, topology recorded up top."""
     topology_line = "topology=" + ",".join(str(s) for s in topology.layer_sizes)
     return Table(["weight"], [[float(v)] for v in params], first=(topology_line,))
-
-
-def write_weights_csv(path, params, topology: MlpTopology, comments=()) -> None:
-    weights_table(params, topology).write(path, comments)
 
 
 def read_weights_csv(path):

@@ -18,7 +18,7 @@ The driver, `refine_many`, runs any number of starts, each with its own
 method, in lockstep: each round it scores every live run's next point
 in one stacked `mse_loss_and_gradient` pass. A stacked pass gives each
 member the bits of its own call, so a run's result does not depend on
-the runs beside it; `refine` is the driver with one start.
+the runs beside it.
 
 A run sets the four `LocalSearchConfig` fields; every other setting of
 a method is a module constant: rp's RP_*, gda's GDA_*, and ARMIJO_C1,
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ContractError, ParameterError
 from .mlp import Dataset, MlpTopology, mse_loss_and_gradient
 
-__all__ = ["METHODS", "LocalSearchConfig", "RefineResult", "refine", "refine_many"]
+__all__ = ["METHODS", "LocalSearchConfig", "RefineResult", "refine_many"]
 
 METHODS = ("rp", "oss", "gd", "gdm", "gda", "cgpr")
 
@@ -267,7 +267,15 @@ def _run(w, method: str, config: LocalSearchConfig):
 def refine_many(starts, methods, topology: MlpTopology, data: Dataset,
                 config: LocalSearchConfig) -> list:
     """One RefineResult per start: run i refines starts[i] in lockstep
-    with the others, under `config` with method methods[i]."""
+    with the others, under `config` with method methods[i].
+
+    Each start is used exactly as passed, never re-randomized, and each
+    result's weights are its run's best iterate, so a result is never
+    worse than its start on the training data. A run stops early at a
+    stationary point, when a line search finds no step, or after
+    `patience` epochs without a drop in classification error;
+    `stop_reason` says which.
+    """
     if len(starts) != len(methods):
         raise ParameterError(f"{len(starts)} starts for {len(methods)} methods")
     runs = []
@@ -291,17 +299,3 @@ def refine_many(starts, methods, topology: MlpTopology, data: Dataset,
                 results[i] = stop.value
                 del requests[i]
     return results
-
-
-def refine(initial, method: str, topology: MlpTopology, data: Dataset,
-           config: LocalSearchConfig) -> RefineResult:
-    """Run `method` from the given weights.
-
-    The starting point is used exactly as passed, never re-randomized,
-    and the returned weights are the best iterate encountered, so the
-    result is never worse than the initialization on the training data.
-    Stops early at a stationary point, when a line search finds no
-    step, or after `patience` epochs without a drop in classification
-    error; `stop_reason` says which.
-    """
-    return refine_many([initial], [method], topology, data, config)[0]

@@ -71,13 +71,14 @@ class MlpTopology:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature rows with binary labels."""
+    """Feature rows with binary labels, held as private read-only copies,
+    so that the arrays cached from them stay in step with them."""
 
     rows: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
+        rows = np.array(self.rows, dtype=float)
         labels = np.asarray(self.labels)
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise ShapeError("rows must be a nonempty 2-D array")
@@ -89,8 +90,10 @@ class Dataset:
             raise ParameterError("rows contain non-finite values")
         if not np.all(np.isin(labels, (0, 1))):
             raise ParameterError("labels must be 0 or 1")
+        labels = labels.astype(int)
+        rows.flags.writeable = labels.flags.writeable = False
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "labels", labels.astype(int))
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self):
         return self.rows.shape[0]
@@ -107,11 +110,6 @@ class Dataset:
         columns = np.ascontiguousarray(self.rows.T)
         columns.flags.writeable = False
         return columns
-
-    @cached_property
-    def targets(self) -> np.ndarray:
-        """The labels as floats, (rows,)."""
-        return self.labels.astype(float)
 
     @cached_property
     def columns_with_ones(self) -> np.ndarray:
@@ -368,11 +366,11 @@ def mse_loss_and_gradient(params, topology: MlpTopology, data: Dataset):
 
     n_terms = out[0].size
     error = _percent_wrong(_class_one(out), data.labels)
-    delta = out - data.targets
+    delta = out - data.labels
     loss = np.sum(np.square(delta), axis=(1, 2)) / n_terms
 
     # delta holds dLoss/dz for the current layer, (members, units, rows):
-    # 2 (out - targets) / n_terms * out * (1 - out), with 1 - out written
+    # 2 (out - labels) / n_terms * out * (1 - out), with 1 - out written
     # over out, and each later 1 - a_prev over a_prev, once it is read.
     delta *= 2.0
     delta /= n_terms

@@ -14,15 +14,15 @@ from codel.config import ALIASES, RunConfig, parse_config
 from codel.errors import ParameterError
 from codel.hrv import FEATURE_NAMES, FeatureRecord
 from codel.io import (
+    features_table,
     format_value,
     read_features_csv,
     read_rr_csv,
     read_signal_csv,
     read_table,
     read_weights_csv,
-    write_features_csv,
+    weights_table,
     write_table,
-    write_weights_csv,
 )
 from codel.local_search import LocalSearchConfig
 from codel.mlp import MlpTopology
@@ -475,7 +475,7 @@ class TestFeaturesCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "feat.csv"
         records = [_record(0.0), _record(1.0), _record(-2.0)]
-        write_features_csv(path, records, [0, 1, 1], comments=["run"])
+        features_table(records, [0, 1, 1]).write(path, ["run"])
         data = read_features_csv(path)
         expected = np.vstack([r.as_vector() for r in records])
         np.testing.assert_array_equal(data.rows, expected)
@@ -483,13 +483,13 @@ class TestFeaturesCsv:
 
     def test_header_is_names_plus_label(self, tmp_path):
         path = tmp_path / "feat.csv"
-        write_features_csv(path, [_record()], [1])
+        features_table([_record()], [1]).write(path, ())
         header, _, _ = read_table(path)
         assert header == list(FEATURE_NAMES) + ["label"]
 
     def test_label_count_mismatch(self, tmp_path):
         with pytest.raises(ParameterError):
-            write_features_csv(tmp_path / "x.csv", [_record()], [0, 1])
+            features_table([_record()], [0, 1]).write(tmp_path / "x.csv", ())
 
     def test_reader_takes_any_width(self, tmp_path):
         """Feature files are not pinned to 13 columns."""
@@ -531,14 +531,14 @@ class TestWeightsCsv:
         path = tmp_path / "w.csv"
         topo = MlpTopology((2, 3, 1))
         params = np.linspace(-1, 1, topo.param_count) / 3.0
-        write_weights_csv(path, params, topo, comments=["seed=5"])
+        weights_table(params, topo).write(path, ["seed=5"])
         back, back_topo = read_weights_csv(path)
         np.testing.assert_array_equal(back, params)
         assert back_topo.layer_sizes == (2, 3, 1)
 
     def test_count_must_fit_topology(self, tmp_path):
         path = tmp_path / "w.csv"
-        write_weights_csv(path, np.zeros(13), MlpTopology((2, 3, 1)))
+        weights_table(np.zeros(13), MlpTopology((2, 3, 1))).write(path, ())
         text = path.read_text()
         (tmp_path / "short.csv").write_text(
             "\n".join(text.splitlines()[:-1]) + "\n"

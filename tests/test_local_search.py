@@ -19,7 +19,6 @@ from codel.local_search import (
     LocalSearchConfig,
     METHODS,
     _line_search,
-    refine,
     refine_many,
 )
 from codel.mlp import MlpTopology, classification_error
@@ -28,6 +27,11 @@ from oracles import mse_loss, refine_reference
 
 
 _CFG = LocalSearchConfig()
+
+
+def _refine(initial, method, topology, data, config):
+    """One run of `method` from `initial`: `refine_many` with one start."""
+    return refine_many([initial], [method], topology, data, config)[0]
 
 # rp constants that are all powers of two: every step size, and so
 # every point of a short walk from 0, is exact, and each move reads back
@@ -264,8 +268,8 @@ class TestStepCgpr:
             with pytest.raises(ContractError):
                 _walk("cgpr", grads)
         data, topo = xor_dataset(), MlpTopology((2, 4, 1))
-        result = refine(np.zeros(topo.param_count), "cgpr", topo, data,
-                        LocalSearchConfig())
+        result = _refine(np.zeros(topo.param_count), "cgpr", topo, data,
+                         LocalSearchConfig())
         assert result.stop_reason == "stationary"
         assert result.loss_history.size == 1
 
@@ -383,8 +387,8 @@ class TestRefine:
         topo = MlpTopology((2, 4, 1))
         start = np.zeros(topo.param_count)
         for method in METHODS:
-            result = refine(start, method, topo, data,
-                            LocalSearchConfig(epochs=50))
+            result = _refine(start, method, topo, data,
+                             LocalSearchConfig(epochs=50))
             np.testing.assert_array_equal(result.params, start)
             assert result.loss_history.size == 1
 
@@ -399,8 +403,8 @@ class TestRefine:
             err0 = classification_error(start, topo, data)
             mse0 = mse_loss(start, topo, data)
             for method in METHODS:
-                result = refine(start, method, topo, data,
-                                LocalSearchConfig(epochs=120))
+                result = _refine(start, method, topo, data,
+                                 LocalSearchConfig(epochs=120))
                 assert result.final_train_error <= err0
                 assert mse_loss(result.params, topo, data) <= mse0 + 1e-12
 
@@ -413,8 +417,8 @@ class TestRefine:
                 -2, 2, topo.param_count
             )
             for method in ("oss", "cgpr"):
-                result = refine(start, method, topo, data,
-                                LocalSearchConfig(epochs=120))
+                result = _refine(start, method, topo, data,
+                                 LocalSearchConfig(epochs=120))
                 assert np.all(np.diff(result.loss_history) <= 0.0)
 
     def test_refines_a_searched_start(self):
@@ -427,8 +431,8 @@ class TestRefine:
             CodelConfig(population_size=10, nfe_max=600, seed=0),
         )
         for method in METHODS:
-            result = refine(searched.best_params, method, topo, data,
-                            LocalSearchConfig(epochs=100))
+            result = _refine(searched.best_params, method, topo, data,
+                             LocalSearchConfig(epochs=100))
             assert result.final_train_error <= searched.best_fitness
 
     def test_history_bounded_by_epochs(self):
@@ -436,13 +440,13 @@ class TestRefine:
                                     separation=1.0, seed=9)
         topo = MlpTopology((3, 4, 1))
         start = np.random.default_rng(1).uniform(-2, 2, topo.param_count)
-        result = refine(start, "gd", topo, data,
-                        LocalSearchConfig(epochs=15))
+        result = _refine(start, "gd", topo, data,
+                         LocalSearchConfig(epochs=15))
         assert result.loss_history.size <= 15
         assert result.error_history.size == result.loss_history.size
 
-        single = refine(start, "gd", topo, data,
-                        LocalSearchConfig(epochs=1))
+        single = _refine(start, "gd", topo, data,
+                         LocalSearchConfig(epochs=1))
         assert single.loss_history.size == 1
         np.testing.assert_array_equal(single.params, start)
 
@@ -453,9 +457,9 @@ class TestRefine:
                                     separation=1.0, seed=9)
         topo = MlpTopology((3, 4, 1))
         start = np.random.default_rng(2).uniform(-2, 2, topo.param_count)
-        result = refine(start, "gd", topo, data,
-                        LocalSearchConfig(epochs=300,
-                                          learning_rate=1e-12, patience=7))
+        result = _refine(start, "gd", topo, data,
+                         LocalSearchConfig(epochs=300,
+                                           learning_rate=1e-12, patience=7))
         assert result.loss_history.size == 8
 
     def test_gradient_at_tolerance_is_not_stationary(self):
@@ -469,12 +473,12 @@ class TestRefine:
     def test_wrong_length_rejected(self):
         data = xor_dataset()
         with pytest.raises(ParameterError):
-            refine(np.zeros(5), "rp", MlpTopology((2, 4, 1)), data,
-                   LocalSearchConfig())
+            _refine(np.zeros(5), "rp", MlpTopology((2, 4, 1)), data,
+                    LocalSearchConfig())
 
     def test_config_validation(self):
         with pytest.raises(ParameterError, match="newton"):
-            refine(_start(0), "newton", _TOPO, _DATA, LocalSearchConfig())
+            _refine(_start(0), "newton", _TOPO, _DATA, LocalSearchConfig())
         bad = [
             dict(epochs=0),
             dict(patience=0),
@@ -496,7 +500,7 @@ def _start(seed):
 
 
 def _assert_matches_reference(start, method, topology, data, config):
-    result = refine(start, method, topology, data, config)
+    result = _refine(start, method, topology, data, config)
     params, error, losses, errors = refine_reference(start, method, topology, data, config)
     assert result.params.tobytes() == params.tobytes()
     assert result.final_train_error == error
@@ -624,7 +628,7 @@ class TestRefineMatchesReference:
         config = LocalSearchConfig(epochs=8, patience=100)
         topology = SimpleNamespace(param_count=2)
         _ScriptedLoss(gradients).install(monkeypatch, local_search)
-        result = refine(np.zeros(2), "cgpr", topology, None, config)
+        result = _refine(np.zeros(2), "cgpr", topology, None, config)
         _ScriptedLoss(gradients).install(monkeypatch, oracles)
         params, _, losses, _ = refine_reference(np.zeros(2), "cgpr", topology, None, config)
         assert result.params.tobytes() == params.tobytes()
@@ -646,7 +650,7 @@ def _assert_lockstep_matches_alone(members, config):
         assert result.final_train_error == error
         assert result.loss_history.tobytes() == losses.tobytes()
         assert result.error_history.tobytes() == errors.tobytes()
-        assert result.stop_reason == refine(start, method, _TOPO, _DATA, config).stop_reason
+        assert result.stop_reason == _refine(start, method, _TOPO, _DATA, config).stop_reason
     return results
 
 
@@ -778,5 +782,5 @@ class TestStopReason:
         # run on a line search and leaves the other runs as they are.
         for reason, (start, method, topo, data, knobs) in runs.items():
             with mock.patch.object(local_search, "MAX_BACKTRACKS", 0):
-                result = refine(start, method, topo, data, LocalSearchConfig(**knobs))
+                result = _refine(start, method, topo, data, LocalSearchConfig(**knobs))
             assert result.stop_reason == reason

@@ -677,11 +677,32 @@ class TestContainers:
         assert data.max_abs == 3.0
 
     def test_forward_pass_inputs_are_built_once(self):
-        """The units-major pass reads the transposed rows, C-contiguous
-        and read-only, and the labels as floats, both cached."""
+        """The units-major pass reads the transposed rows, C-contiguous,
+        read-only and cached."""
         data = Dataset([[1.0, -3.0], [2.0, 0.5]], [0, 1])
-        assert data.columns is data.columns and data.targets is data.targets
+        assert data.columns is data.columns
         assert data.columns.flags.c_contiguous and not data.columns.flags.writeable
         np.testing.assert_array_equal(data.columns, [[1.0, 2.0], [-3.0, 0.5]])
-        assert data.targets.dtype == float
-        np.testing.assert_array_equal(data.targets, [0.0, 1.0])
+
+    def test_rows_and_labels_are_private_read_only_copies(self):
+        """A write into the caller's arrays after a pass leaves the
+        Dataset, and the inputs it cached, as built; its own arrays
+        refuse writes."""
+        rng = np.random.default_rng(7)
+        rows, labels = rng.normal(0, 1, (40, 3)), rng.integers(0, 2, 40)
+        original = (rows.copy(), labels.copy())
+        topo = MlpTopology((3, 4, 1))
+        w = rng.uniform(-2, 2, topo.param_count)
+        data = Dataset(rows, labels)
+        mse_loss_and_gradient(w, topo, data)
+        rows *= -1
+        labels ^= 1
+        fresh = Dataset(*original)
+        np.testing.assert_array_equal(data.rows, original[0])
+        loss, _, error = mse_loss_and_gradient(w, topo, data)
+        assert (loss, error) == mse_loss_and_gradient(w, topo, fresh)[::2]
+        assert predict(w, topo, data.rows).tobytes() == predict(w, topo, fresh.rows).tobytes()
+        with pytest.raises(ValueError):
+            data.rows[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            data.labels[0] = 1

@@ -90,3 +90,26 @@ VALUE = helper()
 def test_unused_names_skip_docstrings_comments_imports_and_all():
     trees = {module: ast.parse(source) for module, source in UNUSED_SOURCES.items()}
     assert src_size.unused_names(trees) == ["a.dead", "a.Box", "b.UNREAD", "b.VALUE"]
+
+
+ROOT = _PATH.parents[1]
+
+# The top-level `src/codel` names that no `src/codel` code reads, each an
+# entry point with its caller outside `src/`. A wrapper that no command
+# calls would join this list, and fail here.
+ENTRY_POINTS = {
+    "datasets.xor_dataset": "demos/xor_training.py",
+    "datasets.two_gaussian_dataset": "README.md",
+    "datasets.synthetic_heartbeat": "demos/signal_chain.py",
+    "datasets.modulated_rr": "demos/feature_tour.py",
+    "io.read_weights_csv": "perfbench/run.py",
+    "optimizer.run_plain_de": "demos/sphere_race.py",
+}
+
+
+def test_src_names_no_module_reads_are_entry_points():
+    paths = sorted((ROOT / "src" / "codel").glob("*.py"))
+    trees = {path.stem: ast.parse(path.read_bytes()) for path in paths}
+    assert src_size.unused_names(trees) == list(ENTRY_POINTS)
+    for name, caller in ENTRY_POINTS.items():
+        assert f"{name.split('.')[1]}(" in (ROOT / caller).read_text(), (name, caller)

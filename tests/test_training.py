@@ -13,7 +13,7 @@ from codel.evaluation import (
     fold_datasets,
     metrics,
 )
-from codel.local_search import METHODS, LocalSearchConfig, refine
+from codel.local_search import METHODS, LocalSearchConfig, refine_many
 from codel.mlp import Dataset, MlpTopology, classification_error, predict
 from codel.optimizer import CodelConfig, run_codel
 from codel.streams import derive_seed, named_rng
@@ -233,7 +233,7 @@ class TestSharedSearch:
             for f, (train, test) in enumerate(pairs):
                 start = named_rng(derive_seed(seed, v, f), "init").uniform(
                     _TINY_CODEL.lower, _TINY_CODEL.upper, topology.param_count)
-                refined = refine(start, name, topology, train, _TINY_LS)
+                refined = refine_many([start], [name], topology, train, _TINY_LS)[0]
                 predictions = predict(refined.params, topology, test.rows)
                 assert scores[v, :, f].tolist() == metrics(test.labels, predictions).tolist()
 
