@@ -27,6 +27,7 @@ from .hrv import extract_features
 from .io import (
     Table,
     features_table,
+    parse_numbers,
     read_features_csv,
     read_rr_csv,
     read_signal_csv,
@@ -171,10 +172,7 @@ def cmd_compare_tables(args, config):
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ParameterError(f"{args.means_csv}: algorithm {name!r} appears more than once")
-    try:
-        means_pct = np.array([[float(c) for c in r[1:]] for r in rows])
-    except ValueError as exc:
-        raise ParameterError(f"{args.means_csv}: non-numeric value ({exc})") from None
+    means_pct = np.array([parse_numbers(args.means_csv, r[1:]) for r in rows])
     # A nan cell is a missing score and passes; see `build_comparison`.
     for i, j in np.argwhere((means_pct < 0.0) | (means_pct > 100.0)):
         raise ParameterError(f"{args.means_csv}: {names[i]} {METRIC_NAMES[j]} is "

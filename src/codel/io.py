@@ -23,8 +23,9 @@ rule of its own, since `float(s)` succeeds only where
 `float(s.strip())` gives the same value; a block it cannot take whole
 (a blank, comment or ragged line, a cell that is not a number, or
 padding that `str.strip` strips and `float` does not, such as '\x1f')
-goes line by line through `float(cell.strip())`, which words the error
-for a non-numeric cell.
+goes line by line through `parse_numbers`, which takes each cell as
+`float(cell.strip())` and words the error for a non-numeric cell;
+`compare-tables` parses its means cells with it too.
 
 The errors come in one order: an undecodable byte, with its offset
 from the start of the file; a missing header or a ragged row; the
@@ -45,6 +46,7 @@ __all__ = [
     "write_table",
     "Table",
     "read_table",
+    "parse_numbers",
     "read_signal_csv",
     "read_rr_csv",
     "features_table",
@@ -170,13 +172,20 @@ def _scan(path, check):
     if check is None:
         return header, [line.split(",") for kept in data for line in kept], comments
     checked = check(header, comments)
+    parts = [part if isinstance(part, np.ndarray) else
+             parse_numbers(path, (cell for line in part for cell in line.split(",")))
+             for part in data]
+    return checked, np.concatenate([np.empty(0), *parts]).reshape(-1, len(header))
+
+
+def parse_numbers(path, cells) -> list:
+    """Each cell of the file at `path` as `float(cell.strip())`, the one
+    rule every reader of numbers keeps; a cell that is not a number raises
+    ParameterError, "non-numeric value"."""
     try:
-        parts = [part if isinstance(part, np.ndarray) else
-                 [float(cell.strip()) for line in part for cell in line.split(",")]
-                 for part in data]
+        return [float(cell.strip()) for cell in cells]
     except ValueError as exc:
         raise ParameterError(f"{path}: non-numeric value ({exc})") from None
-    return checked, np.concatenate([np.empty(0), *parts]).reshape(-1, len(header))
 
 
 def read_table(path):

@@ -25,7 +25,7 @@ a method is a module constant: rp's RP_*, gda's GDA_*, and ARMIJO_C1,
 BACKTRACK_SHRINK and MAX_BACKTRACKS of the oss and cgpr line search.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,8 +33,6 @@ from .errors import ContractError, ParameterError
 from .mlp import Dataset, MlpTopology, mse_loss_and_gradient
 
 __all__ = ["METHODS", "LocalSearchConfig", "RefineResult", "refine_many"]
-
-METHODS = ("rp", "oss", "gd", "gdm", "gda", "cgpr")
 
 # Gradient components below this are treated as exactly zero.
 GRAD_TOL = 1e-12
@@ -108,16 +106,10 @@ def _rp(w, loss, grad, config):
         yield _MOVE
 
 
-def _gd(w, loss, grad, config):
-    """Plain steepest descent."""
-    while True:
-        w = w - config.learning_rate * grad
-        _, grad, _ = yield w
-        yield _MOVE
-
-
 def _gdm(w, loss, grad, config):
-    """Momentum descent; with momentum 0 this is exactly gd."""
+    """Momentum descent. gd is this at momentum 0: the velocity is then
+    learning_rate * grad plus a signed zero, so every new weight is plain
+    descent's, up to the sign of a zero."""
     velocity = np.zeros_like(w)
     while True:
         velocity = (config.momentum * velocity
@@ -215,7 +207,10 @@ def _cgpr(w, loss, grad, config):
 # method(w, loss, grad, config) starts at the first point. Per epoch it
 # yields points and is sent each one's (loss, grad, error), then yields
 # _MOVE (to the last point sent) or _STAY; it returns to stop the run.
-_METHODS = {"rp": _rp, "oss": _oss, "gd": _gd, "gdm": _gdm, "gda": _gda, "cgpr": _cgpr}
+_METHODS = {"rp": _rp, "oss": _oss,
+            "gd": lambda w, loss, grad, config: _gdm(w, loss, grad, replace(config, momentum=0.0)),
+            "gdm": _gdm, "gda": _gda, "cgpr": _cgpr}
+METHODS = tuple(_METHODS)
 
 
 def _run(w, method: str, config: LocalSearchConfig):

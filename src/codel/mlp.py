@@ -139,20 +139,6 @@ def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _layer(a, w, b) -> np.ndarray:
-    """sigmoid(w @ a + b), units-major, computed inside the product's own
-    buffer.
-
-    a is (n_src, rows) or (k, n_src, rows); w and b may carry a leading
-    stack axis, (k, n_dst, n_src) and (k, n_dst), giving (k, n_dst, rows).
-    Every temporary array costs an allocation that outweighs its
-    arithmetic at these sizes, so the bias add and the sigmoid reuse it.
-    """
-    z = w @ a
-    z += b[..., None]
-    return _sigmoid_in_place(z)
-
-
 def decode(params, topology: MlpTopology):
     """Per-layer (weights, biases) views of a flat vector or a stack of them.
 
@@ -188,12 +174,16 @@ def _forward_activations(layers, columns):
     columns is the batch transposed, (n_features, rows), as the
     C-contiguous `Dataset.columns`. Each later layer is units-major:
     (units, rows) for one vector, (k, units, rows) for a stack.
+
+    Each layer is sigmoid(w @ a + b), computed inside the product's own
+    buffer: every temporary array costs an allocation that outweighs its
+    arithmetic at these sizes, so the bias add and the sigmoid reuse it.
     """
     activations = [columns]
-    a = columns
     for w, b in layers:
-        a = _layer(a, w, b)
-        activations.append(a)
+        z = w @ activations[-1]
+        z += b[..., None]
+        activations.append(_sigmoid_in_place(z))
     return activations
 
 

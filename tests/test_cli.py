@@ -13,7 +13,7 @@ from codel.config import ALIASES, RunConfig
 from codel.datasets import synthetic_heartbeat, two_gaussian_dataset
 from codel.evaluation import METRIC_NAMES
 from codel.hrv import FEATURE_NAMES
-from codel.io import read_table, read_weights_csv, write_table
+from codel.io import read_features_csv, read_table, read_weights_csv, write_table
 from codel.training import VARIANT_NAMES
 
 EVALUATE_FILES = [f"{m}.csv" for m in METRIC_NAMES] + [
@@ -468,6 +468,40 @@ class TestCompareTables:
         err = capsys.readouterr().err
         assert str(means) in err and "'gd'" in err
         assert not out_dir.exists()
+
+    def test_non_numeric_cell_fails(self, tmp_path, capsys):
+        means = tmp_path / "means.csv"
+        write_table(means, ["algorithm", *METRIC_NAMES], [
+            ["rp", *[70.0] * 6], ["codel-rp", 75.0, "abc", *[75.0] * 4],
+        ])
+        out_dir = tmp_path / "out"
+        rc = main(["compare-tables", "--means-csv", str(means),
+                   "--seed", "1", "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {means}: non-numeric value (could not convert string to float: 'abc')\n")
+        assert not out_dir.exists()
+
+    def test_padded_cell_reads_as_the_readers_read_it(self, tmp_path):
+        """A means cell is `float(cell.strip())`, as in every numeric
+        reader: '\x1f', which `float` alone refuses, pads a cell in both."""
+        with pytest.raises(ValueError):
+            float("\x1f75.0")
+        features = tmp_path / "features.csv"
+        write_table(features, ["a", "label"], [["\x1f75.0", 1]])
+        assert read_features_csv(features).rows[0, 0] == 75.0
+
+        outputs = []
+        for name, cell in (("plain", "75.0"), ("padded", "\x1f75.0")):
+            means = tmp_path / f"{name}.csv"
+            write_table(means, ["algorithm", *METRIC_NAMES],
+                        [["rp", *[70.0] * 6], ["codel-rp", cell, *[80.0] * 5]])
+            out_dir = tmp_path / name
+            assert main(["compare-tables", "--means-csv", str(means),
+                         "--seed", "1", "--out-dir", str(out_dir)]) == 0
+            outputs.append({path.name: read_table(path)[:2]
+                            for path in sorted(out_dir.iterdir())})
+        assert outputs[0] == outputs[1]
 
     def test_wrong_header_fails(self, tmp_path, capsys):
         means = tmp_path / "means.csv"

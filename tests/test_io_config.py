@@ -508,6 +508,13 @@ class TestFeaturesCsv:
         with pytest.raises(ParameterError, match="label"):
             read_features_csv(path2)
 
+    def test_label_alone_has_no_feature_columns(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        write_table(path, ["label"], [[0], [1]])
+        with pytest.raises(ParameterError) as info:
+            read_features_csv(path)
+        assert str(info.value) == f"{path}: no feature columns"
+
     def test_non_finite_cell_names_file_row_and_column(self, tmp_path):
         path = tmp_path / "feat.csv"
         for cell in ("nan", "inf", "-inf"):
@@ -562,6 +569,14 @@ class TestWeightsCsv:
 
         params, sizes = _reads_as_reference(read, tmp_path / "train" / "weights.csv")
         assert sizes == (2, 4, 1) and len(params) == 17 * 8
+
+    @pytest.mark.parametrize("header", [["weights"], ["weight", "bias"]])
+    def test_header_other_than_weight_refused(self, tmp_path, header):
+        path = tmp_path / "w.csv"
+        write_table(path, header, [[0.0] * len(header)] * 13, comments=["topology=2,3,1"])
+        with pytest.raises(ParameterError) as info:
+            read_weights_csv(path)
+        assert str(info.value) == f"{path}: expected a single `weight` column"
 
     def test_missing_topology_comment(self, tmp_path):
         path = tmp_path / "w.csv"

@@ -151,6 +151,11 @@ class TestStepGdm:
 
     def test_no_momentum_equals_plain_descent(self):
         grads = [[2.0, 4.0], [1.0, -3.0], [0.5, 0.25]]
+        plain = [np.zeros(2)]
+        for grad in grads:
+            plain.append(plain[-1] - 0.1 * np.array(grad))
+        np.testing.assert_array_equal(
+            _walk("gdm", grads, learning_rate=0.1, momentum=0.0), plain)
         np.testing.assert_array_equal(
             _walk("gdm", grads, learning_rate=0.1, momentum=0.0),
             _walk("gd", grads, learning_rate=0.1),

@@ -450,6 +450,18 @@ class TestClusterUpdate:
         out = cluster_update(pop, config, _sphere, np.random.default_rng(23))
         assert out is pop
 
+    def test_fewer_than_four_members_is_a_no_op(self):
+        """floor(sqrt(3)) = 1 leaves no k in [2, 1]: the population comes
+        back as it is, with no draw and no evaluation spent."""
+        pop = _evaluated_population([[1.0, 0.0], [0.0, 2.0], [3.0, 3.0]], _sphere, nfe=3)
+
+        def no_objective(vectors):
+            raise AssertionError("no member may be evaluated")
+
+        out = cluster_update(pop, CodelConfig(population_size=4, nfe_max=1000),
+                             no_objective, SimpleNamespace())
+        assert out is pop and out.nfe == 3
+
 
 class TestRunCodel:
 

@@ -83,6 +83,10 @@ class TestSignalTypes:
             assert str(info.value) == ("intervals must be at most 60000 ms (one beat a minute), "
                                        f"got {float(longest)} ms")
 
+    def test_rr_series_refuses_a_2d_array(self):
+        with pytest.raises(ParameterError, match="interval sequence must be 1-D"):
+            RrSeries(np.full((2, 2), 800.0))
+
     def test_rr_series_duration(self):
         rr = RrSeries(np.array([500.0, 1500.0]))
         assert rr.duration_ms == 2000.0
@@ -652,6 +656,12 @@ class TestDetectRPeaks:
         peaks = detect_r_peaks(sig)
         np.testing.assert_array_equal(peaks, np.arange(100, 1000, 100))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_than_three_samples_give_no_peaks(self, n):
+        """A strict local maximum needs a sample on each side."""
+        peaks = detect_r_peaks(Signal(np.arange(n, dtype=float), 100.0))
+        assert peaks.dtype == np.dtype(int) and peaks.size == 0
+
     def test_all_zeros_gives_empty(self):
         peaks = detect_r_peaks(Signal(np.zeros(500), 100.0))
         assert peaks.size == 0
@@ -719,6 +729,10 @@ class TestRrFromPeaks:
     def test_non_increasing_peaks(self):
         with pytest.raises(ParameterError):
             rr_from_peaks(np.array([100, 100, 200]), 100.0)
+
+    def test_zero_rate_refused(self):
+        with pytest.raises(ParameterError, match="sampling rate must be positive"):
+            rr_from_peaks(np.array([100, 200, 300]), 0.0)
 
     @given(start=st.integers(0, 10**6),
            gaps=st.lists(st.integers(1, 10**4), min_size=2, max_size=60),

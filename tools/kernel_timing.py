@@ -4,24 +4,46 @@ refiners spend their time in.
 Usage, from the repository root:
 
     PYTHONPATH=src python3 tools/kernel_timing.py
+    python3 tools/kernel_timing.py SRC [SRC ...]
 
-It prints the median microseconds per `mse_loss_and_gradient` call on
-240 rows through a 13-10-1 net, for stacks of 1 to 6 members (the
-refiners' lockstep stacks), and per 50-member `classification_error`
-call on 400 rows (a search generation's objective call). Each median is
-over 7 runs of 300 calls (30 for `classification_error`), in one
-process, at whatever BLAS thread count the environment sets. Run it
-with OPENBLAS_NUM_THREADS=1, and PYTHONPATH set to each checkout's `src`
-in turn, to compare two checkouts on a shared machine.
+It times `mse_loss_and_gradient` on 240 rows through a 13-10-1 net, for
+stacks of 1 to 6 members (the refiners' lockstep stacks), and a
+50-member `classification_error` call on 400 rows (a search
+generation's objective call). A process's figure for one of these is
+the median over 7 runs of 300 calls (30 for `classification_error`),
+after one warm-up call, at whatever BLAS thread count the environment
+sets; every process draws the same inputs.
+
+With no SRC, `codel` comes from PYTHONPATH; with one, from SRC. Either
+way one process times every kernel and prints its median microseconds
+per call.
+
+With two or more SRC directories, each kernel is timed in fresh
+processes, one per directory per round, for ROUNDS = 10 rounds. The
+rounds alternate the order in ABBA fashion: even rounds run the
+directories as given, odd rounds in reverse. Per kernel and directory
+it prints the median and quartiles of the per-process medians, and in
+how many rounds that directory's median was the lowest. A median
+measured in one process moves with the machine's state, by more than
+half on a shared machine, so compare checkouts this way, with
+OPENBLAS_NUM_THREADS=1 set.
 """
 
+import argparse
+import os
 import statistics
+import subprocess
+import sys
 import time
 
 import numpy as np
 
-import codel
-from codel.mlp import Dataset, MlpTopology, classification_error, mse_loss_and_gradient
+# The timed kernels, in print order: mse_loss_and_gradient on stacks of
+# k = 1 to 6 members, then one classification_error call.
+NAMES = (*(f"mse{k}" for k in range(1, 7)), "error50")
+
+# Rounds of fresh processes per kernel when comparing directories.
+ROUNDS = 10
 
 
 def median_us(call, calls: int) -> float:
@@ -37,27 +59,108 @@ def median_us(call, calls: int) -> float:
     return statistics.median(runs)
 
 
-def main() -> None:
+def kernels() -> dict:
+    """Name in NAMES -> (calls per run, members, the call) of each timed
+    kernel. The inputs are drawn in one fixed order from one seed."""
+    from codel.mlp import Dataset, MlpTopology, classification_error, mse_loss_and_gradient
+
     rng = np.random.default_rng(1)
     topology = MlpTopology((13, 10, 1))
 
     def dataset(rows: int) -> Dataset:
         return Dataset(rng.normal(0.0, 1.0, (rows, 13)), np.arange(rows) % 2)
 
+    def call(kernel, *args):
+        return lambda: kernel(*args)
+
     train = dataset(240)
-    print(f"codel from {codel.__path__[0]}")
-    print("mse_loss_and_gradient, 240 rows x 13-10-1")
+    table = {}
     for k in range(1, 7):
         stack = rng.uniform(-2.0, 2.0, (k, topology.param_count))
-        us = median_us(lambda: mse_loss_and_gradient(stack, topology, train), 300)
-        print(f"  {k} member{'s' if k > 1 else ' '}: {us:8.1f} us per call, "
-              f"{us / k:6.1f} us per member")
+        table[f"mse{k}"] = (300, k, call(mse_loss_and_gradient, stack, topology, train))
     search = dataset(400)
     population = rng.uniform(-10.0, 10.0, (50, topology.param_count))
-    us = median_us(lambda: classification_error(population, topology, search), 30)
-    print("classification_error, 50 members, 400 rows x 13-10-1")
-    print(f"  {us:8.1f} us per call")
+    table["error50"] = (30, 50, call(classification_error, population, topology, search))
+    return table
+
+
+def title(name: str) -> str:
+    if name.startswith("mse"):
+        k = int(name[3:])
+        return f"mse_loss_and_gradient, 240 rows x 13-10-1, {k} member{'s' if k > 1 else ''}"
+    return "classification_error, 50 members, 400 rows x 13-10-1"
+
+
+def time_here() -> None:
+    """Time every kernel in this process, printing as it goes."""
+    import codel
+
+    print(f"codel from {codel.__path__[0]}")
+    print("mse_loss_and_gradient, 240 rows x 13-10-1")
+    table = kernels()
+    for name, (calls, k, call) in table.items():
+        us = median_us(call, calls)
+        if name.startswith("mse"):
+            print(f"  {k} member{'s' if k > 1 else ' '}: {us:8.1f} us per call, "
+                  f"{us / k:6.1f} us per member")
+        else:
+            print(title(name))
+            print(f"  {us:8.1f} us per call")
+
+
+def time_in_process(src: str, name: str) -> float:
+    """The median of kernel `name` in a fresh process with `codel` from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, __file__, "--measure", name], env=env,
+                          capture_output=True, text=True, check=True)
+    origin, us = done.stdout.rsplit(maxsplit=1)
+    if os.path.realpath(origin) != os.path.realpath(os.path.join(src, "codel")):
+        raise SystemExit(f"{src}: the process imported codel from {origin}")
+    return float(us)
+
+
+def compare(srcs: list) -> None:
+    """Time every kernel in alternating fresh processes per directory."""
+    print(f"{ROUNDS} rounds, ABBA order, one process per directory per round")
+    for i, src in enumerate(srcs):
+        print(f"  [{i}] {src}")
+    order = list(range(len(srcs)))
+    for name in NAMES:
+        # medians[i][r]: directory i's process median in round r. Positions,
+        # not paths, tell the sides apart, so one directory given twice
+        # gives an A/A run.
+        medians = [[] for _ in srcs]
+        for r in range(ROUNDS):
+            for i in (order if r % 2 == 0 else order[::-1]):
+                medians[i].append(time_in_process(srcs[i], name))
+        print(title(name))
+        for i in order:
+            q1, q2, q3 = statistics.quantiles(medians[i], n=4, method="inclusive")
+            won = sum(medians[i][r] < min(medians[j][r] for j in order if j != i)
+                      for r in range(ROUNDS))
+            print(f"  [{i}] {q2:8.1f} us per call ({q1:.1f}-{q3:.1f}), "
+                  f"lowest in {won} of {ROUNDS} rounds")
+
+
+def main(argv: list) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("srcs", nargs="*", metavar="SRC",
+                        help="a checkout's src directory, holding codel")
+    parser.add_argument("--measure", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.measure:
+        import codel
+
+        calls, _, call = kernels()[args.measure]
+        print(codel.__path__[0], median_us(call, calls))
+    elif len(args.srcs) >= 2:
+        compare(args.srcs)
+    else:
+        if args.srcs:
+            sys.path.insert(0, args.srcs[0])
+        time_here()
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
