@@ -15,10 +15,11 @@ returns when a line search finds no step. So no point, not even an
 accepted probe, is evaluated twice.
 
 The driver, `refine_many`, runs any number of starts, each with its own
-method, in lockstep: each round it scores every live run's next point
-in one stacked `mse_loss_and_gradient` pass. A stacked pass gives each
-member the bits of its own call, so a run's result does not depend on
-the runs beside it.
+method and its own training set, in lockstep: each round it scores the
+next points of all live runs whose sets have one row count in one
+stacked `mse_loss_and_gradient` pass. A stacked pass gives each member
+the bits of its own call, so a run's result does not depend on the runs
+beside it.
 
 A run sets the four `LocalSearchConfig` fields; every other setting of
 a method is a module constant: rp's RP_*, gda's GDA_*, and ARMIJO_C1,
@@ -29,8 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
-from .mlp import Dataset, MlpTopology, mse_loss_and_gradient
+from .errors import ContractError, ParameterError, ShapeError
+from .mlp import Dataset, DatasetStack, MlpTopology, mse_loss_and_gradient
 
 __all__ = ["METHODS", "LocalSearchConfig", "RefineResult", "refine_many"]
 
@@ -259,38 +260,70 @@ def _run(w, method: str, config: LocalSearchConfig):
     )
 
 
-def refine_many(starts, methods, topology: MlpTopology, data: Dataset,
+def _pass_data(sets):
+    """What one stacked pass over runs on these sets reads: the one
+    `Dataset` they share, or a `DatasetStack` of theirs."""
+    if all(d is sets[0] for d in sets):
+        return sets[0]
+    return DatasetStack.of(sets)
+
+
+def refine_many(starts, methods, topology: MlpTopology, data,
                 config: LocalSearchConfig) -> list:
     """One RefineResult per start: run i refines starts[i] in lockstep
-    with the others, under `config` with method methods[i].
+    with the others, under `config` with method methods[i], on data, one
+    `Dataset` for every run, or on data[i], one per start.
 
     Each start is used exactly as passed, never re-randomized, and each
     result's weights are its run's best iterate, so a result is never
-    worse than its start on the training data. A run stops early at a
+    worse than its start on its training data. A run stops early at a
     stationary point, when a line search finds no step, or after
     `patience` epochs without a drop in classification error;
     `stop_reason` says which.
+
+    Runs are grouped by their sets' row count, and each round makes one
+    stacked pass per group. A group's pass data is rebuilt only when one
+    of its runs ends.
     """
     if len(starts) != len(methods):
         raise ParameterError(f"{len(starts)} starts for {len(methods)} methods")
+    sets = [data] * len(starts) if isinstance(data, Dataset) else list(data)
+    if len(sets) != len(starts):
+        raise ParameterError(f"{len(starts)} starts for {len(sets)} training sets")
     runs = []
-    for initial, method in zip(starts, methods):
+    for i, (initial, method, train) in enumerate(zip(starts, methods, sets)):
         if method not in METHODS:
             raise ParameterError(f"unknown method {method!r}, expected one of {METHODS}")
         w = np.array(initial, dtype=float)
         if w.shape != (topology.param_count,):
             raise ParameterError(f"expected {topology.param_count} weights, got {w.shape}")
+        if train.n_features != topology.n_in:
+            raise ShapeError(f"run {i}: {train.n_features} features do not match "
+                             f"n_in={topology.n_in}")
         runs.append(_run(w, method, config))
 
     results = [None] * len(runs)
-    requests = {i: next(run) for i, run in enumerate(runs)}
-    while requests:
-        losses, grads, errors = mse_loss_and_gradient(
-            np.stack(list(requests.values())), topology, data)
-        for i, loss, grad, error in zip(list(requests), losses, grads, errors):
-            try:
-                requests[i] = runs[i].send((float(loss), grad, float(error)))
-            except StopIteration as stop:
-                results[i] = stop.value
-                del requests[i]
+    requests = [next(run) for run in runs]
+    by_rows = {}
+    for i, train in enumerate(sets):
+        by_rows.setdefault(len(train), []).append(i)
+    groups = [(members, _pass_data([sets[i] for i in members]))
+              for members in by_rows.values()]
+    while groups:
+        kept = []
+        for members, pass_data in groups:
+            losses, grads, errors = mse_loss_and_gradient(
+                np.stack([requests[i] for i in members]), topology, pass_data)
+            live = []
+            for i, loss, grad, error in zip(members, losses, grads, errors):
+                try:
+                    requests[i] = runs[i].send((float(loss), grad, float(error)))
+                    live.append(i)
+                except StopIteration as stop:
+                    results[i] = stop.value
+            if len(live) == len(members):
+                kept.append((members, pass_data))
+            elif live:
+                kept.append((live, _pass_data([sets[i] for i in live])))
+        groups = kept
     return results

@@ -26,6 +26,7 @@ through the forward pass.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .errors import ParameterError, ShapeError
 __all__ = [
     "MlpTopology",
     "Dataset",
+    "DatasetStack",
     "decode",
     "predict",
     "classification_error",
@@ -123,6 +125,30 @@ class Dataset:
         return float(np.max(np.abs(self.rows)))
 
 
+class DatasetStack(NamedTuple):
+    """Per-member training sets of one row count, stacked for one
+    `mse_loss_and_gradient` pass: columns (k, n_features, rows) and
+    labels (k, rows), member i's from the i-th set."""
+
+    columns: np.ndarray
+    labels: np.ndarray
+
+    @classmethod
+    def of(cls, datasets):
+        return cls(np.stack([d.columns for d in datasets]),
+                   np.stack([d.labels for d in datasets]))
+
+    @property
+    def n_features(self) -> int:
+        return self.columns.shape[1]
+
+
+def _check_width(data, topology: MlpTopology) -> None:
+    """Refuse a set whose feature count is not the net's input width."""
+    if data.n_features != topology.n_in:
+        raise ShapeError(f"{data.n_features} features do not match n_in={topology.n_in}")
+
+
 def _sigmoid_in_place(z: np.ndarray) -> np.ndarray:
     """The logistic function, written over the float array z."""
     # exp(-|z|) never overflows. Per sign this is the same arithmetic as
@@ -172,7 +198,8 @@ def _forward_activations(layers, columns):
     the (weights, biases) of one decoded vector or of a decoded stack.
 
     columns is the batch transposed, (n_features, rows), as the
-    C-contiguous `Dataset.columns`. Each later layer is units-major:
+    C-contiguous `Dataset.columns`, or a stack of them, (k,
+    n_features, rows), one per member. Each later layer is units-major:
     (units, rows) for one vector, (k, units, rows) for a stack.
 
     Each layer is sigmoid(w @ a + b), computed inside the product's own
@@ -203,8 +230,9 @@ def _class_one(out) -> np.ndarray:
 
 def _percent_wrong(ones, labels) -> np.ndarray:
     """Per member, the percentage of rows whose class-1 flag in `ones`
-    disagrees with the label."""
-    return 100.0 * np.count_nonzero(ones != labels, axis=-1) / len(labels)
+    disagrees with the label: labels is one set's (rows,) or a stack's
+    (k, rows)."""
+    return 100.0 * np.count_nonzero(ones != labels, axis=-1) / labels.shape[-1]
 
 
 def predict(params, topology: MlpTopology, inputs) -> np.ndarray:
@@ -310,6 +338,7 @@ def classification_error(params, topology: MlpTopology, data: Dataset):
     exact pass. A NaN z clears no bound. Deeper nets take the exact pass
     alone.
     """
+    _check_width(data, topology)
     params = np.asarray(params, dtype=float)
     stack = np.atleast_2d(params)
     layers = decode(stack, topology)
@@ -326,7 +355,7 @@ def classification_error(params, topology: MlpTopology, data: Dataset):
     return float(errors[0]) if params.ndim == 1 else errors
 
 
-def mse_loss_and_gradient(params, topology: MlpTopology, data: Dataset):
+def mse_loss_and_gradient(params, topology: MlpTopology, data: "Dataset | DatasetStack"):
     """Mean squared error against the labels, its gradient, and the
     classification error, all from one forward pass.
 
@@ -336,6 +365,11 @@ def mse_loss_and_gradient(params, topology: MlpTopology, data: Dataset):
     products are the same BLAS calls on the same shapes as its own
     unstacked pass, and its sums run in the same order, so every row
     equals the member's own call bit for bit.
+
+    data is one `Dataset`, shared by every member, or a `DatasetStack`
+    with one set per member of a (k, D) stack: member i's products then
+    read the i-th columns, the same BLAS calls on the same shapes, so
+    its row equals its own call on its own set bit for bit.
 
     The forward pass and the backward pass's deltas are units-major,
     (members, units, rows). The gradient is accumulated layer by layer
@@ -348,15 +382,18 @@ def mse_loss_and_gradient(params, topology: MlpTopology, data: Dataset):
     returns that pass's error for every member, by its certificate where
     its fast pass decides, so the two are equal bit for bit.
     """
+    _check_width(data, topology)
     params = np.asarray(params, dtype=float)
     stack = np.atleast_2d(params)
+    if data.columns.ndim == 3 and len(data.columns) != len(stack):
+        raise ShapeError(f"{len(data.columns)} stacked sets for {len(stack)} members")
     layers = decode(stack, topology)
     activations = _forward_activations(layers, data.columns)
     out = activations[-1]
 
     n_terms = out[0].size
     error = _percent_wrong(_class_one(out), data.labels)
-    delta = out - data.labels
+    delta = out - data.labels[..., None, :]
     loss = np.sum(np.square(delta), axis=(1, 2)) / n_terms
 
     # delta holds dLoss/dz for the current layer, (members, units, rows):

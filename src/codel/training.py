@@ -7,13 +7,15 @@ best weights the global search found (its boosted form, prefixed
 refined weights: as in the paper, one global search feeds every
 boosted refiner, each base refiner starts from its own random weights,
 and all of them refine in lockstep. The `train` command runs it for
-one method; the evaluation grid runs it twice per cross-validation
-fold, once per form, over all six methods. Grid tasks are independent,
-so they can spread over worker processes, and results are collected by
-position, so the output never depends on the worker count or
-completion order. The pool's modules (`concurrent.futures` and
-`multiprocessing`) load only when a grid runs with more than one job,
-so `train` and a one-worker `evaluate` never load them.
+one method. The evaluation grid has two units per cross-validation
+fold, one per form, each the six methods' runs; it deals the units into
+one shard per worker, and a shard refines all its units' runs, across
+folds, in one lockstep. Shards are independent, so they can spread over
+worker processes, and results are collected by position, so the output
+never depends on the worker count or completion order. The pool's
+modules (`concurrent.futures` and `multiprocessing`) load only when a
+grid runs with more than one job, so `train` and a one-worker
+`evaluate` never load them.
 `build_comparison` turns a means table into ranks, W/T/L counts and
 error enhancements, one array pass over its pairs.
 """
@@ -55,6 +57,19 @@ def variant_name(method: str, boosted: bool) -> str:
 VARIANT_NAMES = tuple(variant_name(m, boosted) for m in METHODS for boosted in (False, True))
 
 
+def _starts(train: Dataset, seeds, methods, hidden, codel_config: CodelConfig,
+            boosted: bool):
+    """The topology, the search result or None, and one start per method
+    of `train_methods`."""
+    topology = MlpTopology((train.n_features, *hidden, 1))
+    if boosted:
+        search = run_codel(lambda v: classification_error(v, topology, train),
+                           topology.param_count, replace(codel_config, seed=seeds[0]))
+        return topology, search, [search.best_params] * len(methods)
+    return topology, None, [named_rng(s, "init").uniform(codel_config.lower, codel_config.upper,
+                                                         topology.param_count) for s in seeds]
+
+
 def train_methods(train: Dataset, seeds, methods, hidden, codel_config: CodelConfig,
                   ls_config: LocalSearchConfig, boosted: bool):
     """Refine one run per method on one training split, in lockstep.
@@ -67,28 +82,60 @@ def train_methods(train: Dataset, seeds, methods, hidden, codel_config: CodelCon
     Returns:
         (topology, search result or None, one RefineResult per method).
     """
-    topology = MlpTopology((train.n_features, *hidden, 1))
-    search = None
-    if boosted:
-        search = run_codel(lambda v: classification_error(v, topology, train),
-                           topology.param_count, replace(codel_config, seed=seeds[0]))
-        starts = [search.best_params] * len(methods)
-    else:
-        starts = [named_rng(s, "init").uniform(codel_config.lower, codel_config.upper,
-                                               topology.param_count) for s in seeds]
+    topology, search, starts = _starts(train, seeds, methods, hidden, codel_config, boosted)
     return topology, search, refine_many(starts, methods, topology, train, ls_config)
 
 
-def _grid_task(args):
-    """One fold's six refiners on its training rows, in lockstep, and
-    their scores on the fold's test rows: one stacked `predict` of the
-    six refined nets and one `metrics` call give a (methods, metrics)
-    array, one row per method in METHODS order."""
-    boosted, train, test, seeds, hidden, codel_config, ls_config = args
-    topology, _, results = train_methods(train, seeds, METHODS, hidden,
-                                         codel_config, ls_config, boosted)
-    return metrics(test.labels, predict(np.stack([r.params for r in results]),
-                                        topology, test.rows))
+# A shard of grid units runs as one task only while its widest
+# activation, runs x widest layer (the input included) x training rows,
+# stays within this many doubles (2 MiB). A larger shard is cut into
+# tasks that do, down to one unit per task. The bench's 30-run shards
+# hold 30 x 13 x 240 = 93,600 doubles in their input columns and 72,000
+# in their hidden layer.
+_SHARD_DOUBLES = 1 << 18
+
+
+def _grid_task(units):
+    """The scores of a list of grid units, each one fold's six refiners
+    in one form: first every unit's starts (a boosted unit runs its
+    fold's search), then one `refine_many` over all their runs, each on
+    its own fold's training rows, and per unit one stacked `predict` of
+    its six refined nets on the fold's test rows and one `metrics` call.
+    Returns one (methods, metrics) array per unit, a row per method in
+    METHODS order. The units come from one grid, so they share hidden
+    and both configs."""
+    starts, sets = [], []
+    for boosted, train, _, seeds, hidden, codel_config, _ in units:
+        topology, _, unit_starts = _starts(train, seeds, METHODS, hidden, codel_config, boosted)
+        starts += unit_starts
+        sets += [train] * len(METHODS)
+    results = refine_many(starts, METHODS * len(units), topology, sets, units[0][-1])
+    n = len(METHODS)
+    return [metrics(test.labels, predict(np.stack([r.params for r in results[u * n:(u + 1) * n]]),
+                                         topology, test.rows))
+            for u, (_, _, test, *_) in enumerate(units)]
+
+
+def _shards(units, jobs: int):
+    """Unit indices per grid task. Unit p, in (form, fold) order with
+    the boosted form first, goes to shard p mod J, J = min(jobs, units),
+    so every shard is nonempty and mixes boosted and base units. A shard
+    whose widest activation would pass `_SHARD_DOUBLES` is cut into
+    consecutive runs of units that stay within it, each at least one."""
+    n_shards = min(jobs, len(units))
+    tasks = []
+    for shard in range(n_shards):
+        task, size = [], 0
+        for p in range(shard, len(units), n_shards):
+            train, hidden = units[p][1], units[p][4]
+            doubles = len(METHODS) * max(train.n_features, *hidden) * len(train)
+            if task and size + doubles > _SHARD_DOUBLES:
+                tasks.append(task)
+                task, size = [], 0
+            task.append(p)
+            size += doubles
+        tasks.append(task)
+    return tasks
 
 
 def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
@@ -100,11 +147,13 @@ def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
     fold index), and its best weights start all six boosted refiners of
     that fold, as in the paper. Each base variant refines from its own
     random start, seeded from (seed, variant index, fold index). A fold
-    is two tasks, each refining its six runs in lockstep: the boosted
-    runs after the search, and the base runs. The k search tasks are
-    queued first, since they take longest; results are collected by
-    position, so they are identical whatever the worker count or
-    completion order.
+    is two units of six runs: the boosted runs after the search, and the
+    base runs. The 2k units are dealt round-robin into min(jobs, 2k)
+    shards (`_shards`), and each shard is one task that refines all its
+    units' runs in one lockstep, so a worker's stacks stay wide across
+    folds. Results are collected by position, and a run's result does
+    not depend on the runs beside it, so the scores are identical
+    whatever the worker count or completion order.
 
     Returns:
         C-contiguous float array (len(VARIANT_NAMES), len(METRIC_NAMES),
@@ -114,17 +163,19 @@ def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
     if len(np.unique(dataset.labels)) < 2:
         raise ParameterError("evaluation needs both classes present")
     pairs = fold_datasets(dataset, k, seed)
-    tasks = [
+    units = [
         (True, train, test, (derive_seed(seed, len(VARIANT_NAMES), f),),
          hidden, codel_config, ls_config)
         for f, (train, test) in enumerate(pairs)
     ]
-    tasks += [
+    units += [
         (False, train, test,
          tuple(derive_seed(seed, VARIANT_NAMES.index(m), f) for m in METHODS),
          hidden, codel_config, ls_config)
         for f, (train, test) in enumerate(pairs)
     ]
+    tasks = _shards(units, jobs)
+    task_units = [[units[p] for p in task] for task in tasks]
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -132,14 +183,18 @@ def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
         # Forked pools start every worker up front, so ask for no more
         # than there are tasks.
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            task_scores = list(pool.map(_grid_task, tasks))
+            task_scores = list(pool.map(_grid_task, task_units))
     else:
-        task_scores = [_grid_task(t) for t in tasks]
+        task_scores = [_grid_task(t) for t in task_units]
+    unit_scores = [None] * len(units)
+    for task, scores in zip(tasks, task_scores):
+        for p, score in zip(task, scores):
+            unit_scores[p] = score
 
-    # Tasks run (form, fold) with the boosted form first, each scoring
+    # Units run (form, fold) with the boosted form first, each scoring
     # (method, metric); VARIANT_NAMES lists each method's base form
     # first, so the form axis is reversed before it joins the method's.
-    scores = np.reshape(task_scores, (2, k, len(METHODS), len(METRIC_NAMES)))[::-1]
+    scores = np.reshape(unit_scores, (2, k, len(METHODS), len(METRIC_NAMES)))[::-1]
     return np.ascontiguousarray(scores.transpose(2, 0, 3, 1)).reshape(
         len(VARIANT_NAMES), len(METRIC_NAMES), k)
 

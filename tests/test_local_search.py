@@ -11,7 +11,7 @@ import codel.local_search as local_search
 import codel.mlp as mlp
 import oracles
 from codel.datasets import two_gaussian_dataset, xor_dataset
-from codel.errors import ContractError, ParameterError
+from codel.errors import ContractError, ParameterError, ShapeError
 from codel.local_search import (
     _METHODS,
     _MOVE,
@@ -631,9 +631,10 @@ class TestRefineMatchesReference:
         direction; the run must restart its history exactly as before."""
         gradients = [[1.0, 0.0], [-1.0, 0.1], [0.5, 0.5], [0.3, -0.2], [-0.1, 0.4]]
         config = LocalSearchConfig(epochs=8, patience=100)
-        topology = SimpleNamespace(param_count=2)
+        # The scripted loss never reads the set; refine_many checks its width.
+        topology = SimpleNamespace(param_count=2, n_in=_DATA.n_features)
         _ScriptedLoss(gradients).install(monkeypatch, local_search)
-        result = _refine(np.zeros(2), "cgpr", topology, None, config)
+        result = _refine(np.zeros(2), "cgpr", topology, _DATA, config)
         _ScriptedLoss(gradients).install(monkeypatch, oracles)
         params, _, losses, _ = refine_reference(np.zeros(2), "cgpr", topology, None, config)
         assert result.params.tobytes() == params.tobytes()
@@ -711,11 +712,52 @@ class TestRefineMany:
         assert len(set(sizes)) > 1
         assert passes == [sum(size > r for size in sizes) for r in range(max(sizes))]
 
+    def test_runs_on_their_own_sets_match_each_run_alone(self, monkeypatch):
+        """With one set per start, two of one row count and one of
+        another, each run gets its lone run's result on its own set, bit
+        for bit; runs of one row count share each round's pass, so every
+        round makes one pass per row count that still has a live run."""
+        passes = []
+
+        def counted(params, topology, data, _fn=local_search.mse_loss_and_gradient):
+            passes.append((len(params), data.columns.shape[-1]))
+            return _fn(params, topology, data)
+
+        sets = [two_gaussian_dataset(n_per_class=n, n_features=3, separation=1.0, seed=s)
+                for n, s in ((12, 4), (12, 5), (9, 6))]
+        members = [(_start(3), "rp", sets[0]), (_start(4), "gda", sets[1]),
+                   (_start(1), "rp", sets[2]), (_start(5), "gdm", sets[0])]
+        config = LocalSearchConfig(epochs=20, patience=5, learning_rate=1e-12)
+        monkeypatch.setattr(local_search, "mse_loss_and_gradient", counted)
+        results = refine_many(*zip(*[(start, method) for start, method, _ in members]),
+                              _TOPO, [data for _, _, data in members], config)
+        monkeypatch.undo()
+        for (start, method, data), result in zip(members, results):
+            alone = _refine(start, method, _TOPO, data, config)
+            assert result.params.tobytes() == alone.params.tobytes()
+            assert result.loss_history.tobytes() == alone.loss_history.tobytes()
+            assert result.error_history.tobytes() == alone.error_history.tobytes()
+            assert result.stop_reason == alone.stop_reason
+        # These methods evaluate the start and one point per epoch.
+        sizes = [r.loss_history.size for r in results]
+        for rows, group in ((24, (0, 1, 3)), (18, (2,))):
+            live = [sum(sizes[i] > r for i in group) for r in range(max(sizes[i] for i in group))]
+            assert [k for k, n in passes if n == rows] == live
+
+    def test_wrong_width_refused_naming_the_run(self):
+        wide = two_gaussian_dataset(n_per_class=4, n_features=4, separation=1.0, seed=0)
+        with pytest.raises(ShapeError, match="run 1"):
+            refine_many([_start(0), _start(1)], ["rp", "gd"], _TOPO, [_DATA, wide], _CFG)
+        with pytest.raises(ShapeError, match="run 0"):
+            refine_many([_start(0)], ["rp"], _TOPO, wide, _CFG)
+
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ParameterError):
             refine_many([_start(0)], ["gd", "rp"], _TOPO, _DATA, LocalSearchConfig())
         with pytest.raises(ParameterError):
             refine_many([np.zeros(5)], ["gd"], _TOPO, _DATA, LocalSearchConfig())
+        with pytest.raises(ParameterError):
+            refine_many([_start(0)], ["gd"], _TOPO, [_DATA, _DATA], LocalSearchConfig())
 
 
 class TestRefineCallPattern:

@@ -10,6 +10,7 @@ import codel.mlp as mlp
 from codel.errors import ParameterError, ShapeError
 from codel.mlp import (
     Dataset,
+    DatasetStack,
     MlpTopology,
     _forward_activations,
     _sigmoid_in_place,
@@ -625,6 +626,60 @@ class TestStackedLossAndGradient:
         assert losses.tobytes() == np.array([loss for loss, _, _ in each]).tobytes()
         assert grads.tobytes() == np.array([grad for _, grad, _ in each]).tobytes()
         assert errors.tobytes() == np.array([error for _, _, error in each]).tobytes()
+
+
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12),
+           widths=st.lists(st.integers(1, 12), min_size=1, max_size=2),
+           n_in=st.integers(1, 13), n_rows=st.integers(1, 400),
+           log_scale=st.floats(-3.0, 1.0),
+           z=st.one_of(st.sampled_from(EDGE_Z), st.floats(-1e-14, 1e-14)))
+    @settings(max_examples=200, deadline=None)
+    def test_stack_of_sets_equals_each_members_own_set(self, seed, k, widths, n_in,
+                                                       n_rows, log_scale, z):
+        """A stack of per-member sets gives member i the loss, gradient
+        and error of its own call on the i-th set, and that error is
+        classification_error's on that set."""
+        rng = np.random.default_rng(seed)
+        topo = MlpTopology((n_in, *widths, 1))
+        sets = [_random_dataset(rng, n_rows, n_in) for _ in range(k)]
+        stack = np.concatenate([_edge_stack(rng, topo, data.rows, 1, 10.0 ** log_scale, z)
+                                for data in sets])
+
+        losses, grads, errors = mse_loss_and_gradient(stack, topo, DatasetStack.of(sets))
+        assert losses.shape == errors.shape == (k,)
+        assert grads.shape == stack.shape
+        for v, data, loss, grad, error in zip(stack, sets, losses, grads, errors):
+            own_loss, own_grad, own_error = mse_loss_and_gradient(v, topo, data)
+            assert (own_loss, own_error) == (loss, error)
+            assert own_grad.tobytes() == grad.tobytes()
+            assert error == classification_error(v, topo, data)
+
+    def test_stack_of_sets_must_match_the_members(self):
+        rng = np.random.default_rng(3)
+        topo = MlpTopology((2, 3, 1))
+        sets = DatasetStack.of([_random_dataset(rng, 5, 2) for _ in range(3)])
+        for k in (1, 2, 4):
+            with pytest.raises(ShapeError):
+                mse_loss_and_gradient(np.zeros((k, topo.param_count)), topo, sets)
+
+
+class TestInputWidth:
+    """A set whose width is not the net's input layer is a ShapeError,
+    not numpy's matmul mismatch."""
+
+    @pytest.mark.parametrize("n_features", [2, 4])
+    def test_loss_and_error_refuse_the_wrong_width(self, n_features):
+        rng = np.random.default_rng(4)
+        topo = MlpTopology((3, 4, 1))
+        data = _random_dataset(rng, 6, n_features)
+        for params in (np.zeros(topo.param_count), np.zeros((2, topo.param_count))):
+            with pytest.raises(ShapeError, match="n_in=3"):
+                mse_loss_and_gradient(params, topo, data)
+            with pytest.raises(ShapeError, match="n_in=3"):
+                classification_error(params, topo, data)
+        with pytest.raises(ShapeError, match="n_in=3"):
+            mse_loss_and_gradient(np.zeros((2, topo.param_count)), topo,
+                                  DatasetStack.of([data, data]))
 
 
 class TestUnitsMajorPass:

@@ -32,6 +32,28 @@ _TINY_CODEL = CodelConfig(population_size=8, nfe_max=160, seed=0)
 _TINY_LS = LocalSearchConfig(epochs=20, patience=20)
 
 
+def _serial_pool(monkeypatch) -> list:
+    """Stand in a pool that maps in this process for ProcessPoolExecutor;
+    returns the list of max_workers each pool is asked for."""
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return asked
+
+
 def _tiny_grid(jobs: int = 1, seed: int = 2):
     return evaluate_grid(_TINY_DATA, 4, seed, (3,), _TINY_CODEL, _TINY_LS,
                          jobs=jobs)
@@ -169,7 +191,7 @@ class TestGridTask:
         seen = []
 
         def recording_refine_many(starts, methods, topology, data, config):
-            seen.extend((start, method, data) for start, method in zip(starts, methods))
+            seen.extend(zip(starts, methods, data))
             # One hidden unit sigmoid(x0), output bias -0.5: class 1 where x0 >= 0.
             return [SimpleNamespace(params=np.array([1.0, 0.0, 0.0, 1.0, -0.5]))
                     for _ in starts]
@@ -177,8 +199,8 @@ class TestGridTask:
         monkeypatch.setattr(training, "refine_many", recording_refine_many)
         for boosted, seeds in ((False, tuple(range(len(METHODS)))), (True, (0,))):
             seen.clear()
-            a, b = (training._grid_task((boosted, train, fold, seeds, (1,),
-                                         _TINY_CODEL, _TINY_LS))
+            a, b = (training._grid_task([(boosted, train, fold, seeds, (1,),
+                                          _TINY_CODEL, _TINY_LS)])[0]
                     for fold in (test, poisoned))
 
             assert a.shape == b.shape == (len(METHODS), len(METRIC_NAMES))
@@ -204,8 +226,8 @@ class TestSharedSearch:
 
         def spy_refine_many(starts, methods, topology, data, config,
                             _refine_many=training.refine_many):
-            calls.extend((np.array(start), data, method)
-                         for start, method in zip(starts, methods))
+            calls.extend((np.array(start), train, method)
+                         for start, method, train in zip(starts, methods, data))
             return _refine_many(starts, methods, topology, data, config)
 
         monkeypatch.setattr(training, "refine_many", spy_refine_many)
@@ -255,31 +277,57 @@ class TestEvaluateGrid:
     def test_pool_never_outnumbers_tasks(self, monkeypatch):
         """A forked pool starts all its workers at once, so it is asked
         for no more workers than the grid has tasks."""
-        asked = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+        asked = _serial_pool(monkeypatch)
 
         def grid(jobs):
             return evaluate_grid(_TINY_DATA, 2, 2, (3,), _TINY_CODEL, _TINY_LS,
                                  jobs=jobs).tolist()
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         serial = grid(jobs=1)
         assert asked == []
         assert grid(jobs=1000) == serial
-        # A boosted and a base task on each of the 2 folds.
+        # A boosted and a base unit on each of the 2 folds, one shard each.
         assert asked == [2 * 2]
+
+    def test_scores_identical_at_any_shard_count(self, monkeypatch):
+        """24 rows in 5 folds give training sets of 19 and 20 rows; one
+        shard, 2, 3 and one per unit score alike."""
+        k = 5
+        splits = fold_datasets(_TINY_DATA, k, 2)
+        assert len({len(train) for train, _ in splits}) == 2
+        asked = _serial_pool(monkeypatch)
+        serial = evaluate_grid(_TINY_DATA, k, 2, (3,), _TINY_CODEL, _TINY_LS)
+        for jobs in (2, 3, 2 * k + 1):
+            scores = evaluate_grid(_TINY_DATA, k, 2, (3,), _TINY_CODEL, _TINY_LS, jobs=jobs)
+            assert scores.tobytes() == serial.tobytes()
+        assert asked == [2, 3, 2 * k]
+
+    def test_split_under_the_cap_gives_identical_scores(self, monkeypatch):
+        """A cap below one unit cuts every shard into one-unit tasks, and
+        the scores stay the same."""
+        whole = _tiny_grid()
+        monkeypatch.setattr(training, "_SHARD_DOUBLES", 1)
+        calls = []
+
+        def spy_grid_task(units, _grid_task=training._grid_task):
+            calls.append(len(units))
+            return _grid_task(units)
+
+        monkeypatch.setattr(training, "_grid_task", spy_grid_task)
+        assert _tiny_grid().tobytes() == whole.tobytes()
+        assert calls == [1] * 8
+
+    def test_units_are_dealt_round_robin(self):
+        """Unit p, boosted units first, goes to shard p mod J: at J = 2
+        and k = 5 a shard holds 3 boosted and 2 base units, the other 2
+        and 3, and no shard is ever empty."""
+        units = [(boosted, _TINY_DATA, None, None, (3,), None, None)
+                 for boosted in (True, False) for _ in range(5)]
+        assert training._shards(units, 2) == [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]
+        for jobs in range(1, 12):
+            shards = training._shards(units, jobs)
+            assert len(shards) == min(jobs, 10) and all(shards)
+            assert sorted(sum(shards, [])) == list(range(10))
 
     def test_single_class_rejected(self):
         data = two_gaussian_dataset(6, 2, 1.0, seed=0)

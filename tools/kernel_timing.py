@@ -7,12 +7,14 @@ Usage, from the repository root:
     python3 tools/kernel_timing.py SRC [SRC ...]
 
 It times `mse_loss_and_gradient` on 240 rows through a 13-10-1 net, for
-stacks of 1 to 6 members (the refiners' lockstep stacks), and a
-50-member `classification_error` call on 400 rows (a search
-generation's objective call). A process's figure for one of these is
-the median over 7 runs of 300 calls (30 for `classification_error`),
-after one warm-up call, at whatever BLAS thread count the environment
-sets; every process draws the same inputs.
+stacks of 1 to 6 members (one grid unit's lockstep stack as its runs
+stop) and of 12 and 30 members (a grid shard's stack across folds), all
+on one training set so that any checkout can run them, and a 50-member
+`classification_error` call on 400 rows (a search generation's
+objective call). A process's figure for one of these is the median over
+7 runs of 300 calls (60 for the wide stacks, 30 for
+`classification_error`), after one warm-up call, at whatever BLAS
+thread count the environment sets; every process draws the same inputs.
 
 With no SRC, `codel` comes from PYTHONPATH; with one, from SRC. Either
 way one process times every kernel and prints its median microseconds
@@ -39,8 +41,9 @@ import time
 import numpy as np
 
 # The timed kernels, in print order: mse_loss_and_gradient on stacks of
-# k = 1 to 6 members, then one classification_error call.
-NAMES = (*(f"mse{k}" for k in range(1, 7)), "error50")
+# k = 1 to 6, 12 and 30 members, then one classification_error call.
+STACKS = (1, 2, 3, 4, 5, 6, 12, 30)
+NAMES = (*(f"mse{k}" for k in STACKS), "error50")
 
 # Rounds of fresh processes per kernel when comparing directories.
 ROUNDS = 10
@@ -75,9 +78,10 @@ def kernels() -> dict:
 
     train = dataset(240)
     table = {}
-    for k in range(1, 7):
+    for k in STACKS:
         stack = rng.uniform(-2.0, 2.0, (k, topology.param_count))
-        table[f"mse{k}"] = (300, k, call(mse_loss_and_gradient, stack, topology, train))
+        table[f"mse{k}"] = (300 if k <= 6 else 60, k,
+                            call(mse_loss_and_gradient, stack, topology, train))
     search = dataset(400)
     population = rng.uniform(-10.0, 10.0, (50, topology.param_count))
     table["error50"] = (30, 50, call(classification_error, population, topology, search))
