@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError, ParameterError, ShapeError
-from .mlp import Dataset, DatasetStack, MlpTopology, mse_loss_and_gradient
+from .mlp import DatasetStack, MlpTopology, mse_loss_and_gradient
 
 __all__ = ["METHODS", "LocalSearchConfig", "RefineResult", "refine_many"]
 
@@ -271,8 +271,8 @@ def _pass_data(sets):
 def refine_many(starts, methods, topology: MlpTopology, data,
                 config: LocalSearchConfig) -> list:
     """One RefineResult per start: run i refines starts[i] in lockstep
-    with the others, under `config` with method methods[i], on data, one
-    `Dataset` for every run, or on data[i], one per start.
+    with the others, under `config` with method methods[i], on the
+    `Dataset` data[i]; runs may share one `Dataset` object.
 
     Each start is used exactly as passed, never re-randomized, and each
     result's weights are its run's best iterate, so a result is never
@@ -287,7 +287,7 @@ def refine_many(starts, methods, topology: MlpTopology, data,
     """
     if len(starts) != len(methods):
         raise ParameterError(f"{len(starts)} starts for {len(methods)} methods")
-    sets = [data] * len(starts) if isinstance(data, Dataset) else list(data)
+    sets = list(data)
     if len(sets) != len(starts):
         raise ParameterError(f"{len(starts)} starts for {len(sets)} training sets")
     runs = []

@@ -10,7 +10,8 @@ and all of them refine in lockstep. The `train` command runs it for
 one method. The evaluation grid has two units per cross-validation
 fold, one per form, each the six methods' runs; it deals the units into
 one shard per worker, and a shard refines all its units' runs, across
-folds, in one lockstep. Shards are independent, so they can spread over
+folds, in one lockstep, or in a few when it is wider than a fixed cap.
+Shards are independent, so they can spread over
 worker processes, and results are collected by position, so the output
 never depends on the worker count or completion order. The pool's
 modules (`concurrent.futures` and `multiprocessing`) load only when a
@@ -83,16 +84,19 @@ def train_methods(train: Dataset, seeds, methods, hidden, codel_config: CodelCon
         (topology, search result or None, one RefineResult per method).
     """
     topology, search, starts = _starts(train, seeds, methods, hidden, codel_config, boosted)
-    return topology, search, refine_many(starts, methods, topology, train, ls_config)
+    return topology, search, refine_many(starts, methods, topology, [train] * len(methods),
+                                         ls_config)
 
 
 # A shard of grid units runs as one task only while its widest
 # activation, runs x widest layer (the input included) x training rows,
-# stays within this many doubles (2 MiB). A larger shard is cut into
-# tasks that do, down to one unit per task. The bench's 30-run shards
-# hold 30 x 13 x 240 = 93,600 doubles in their input columns and 72,000
-# in their hidden layer.
-_SHARD_DOUBLES = 1 << 18
+# stays within this many doubles (800 kB). A larger shard is cut into
+# tasks that do, down to one unit per task. At 13 inputs and 240 rows a
+# unit holds 6 x 13 x 240 = 18,720 doubles, so 30-run tasks stay whole
+# and the one-job grid's 60 runs split into two of them: at one job, 60
+# runs in one lockstep were slower than two 30-run tasks, and 18-run
+# tasks slower again (ROADMAP, "Larger lockstep stacks").
+_SHARD_DOUBLES = 100_000
 
 
 def _grid_task(units):
@@ -128,7 +132,7 @@ def _shards(units, jobs: int):
         task, size = [], 0
         for p in range(shard, len(units), n_shards):
             train, hidden = units[p][1], units[p][4]
-            doubles = len(METHODS) * max(train.n_features, *hidden) * len(train)
+            doubles = len(METHODS) * max((train.n_features, *hidden)) * len(train)
             if task and size + doubles > _SHARD_DOUBLES:
                 tasks.append(task)
                 task, size = [], 0
@@ -151,7 +155,7 @@ def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
     base runs. The 2k units are dealt round-robin into min(jobs, 2k)
     shards (`_shards`), and each shard is one task that refines all its
     units' runs in one lockstep, so a worker's stacks stay wide across
-    folds. Results are collected by position, and a run's result does
+    folds; a shard past `_SHARD_DOUBLES` is cut into several. Results are collected by position, and a run's result does
     not depend on the runs beside it, so the scores are identical
     whatever the worker count or completion order.
 

@@ -31,7 +31,7 @@ _CFG = LocalSearchConfig()
 
 def _refine(initial, method, topology, data, config):
     """One run of `method` from `initial`: `refine_many` with one start."""
-    return refine_many([initial], [method], topology, data, config)[0]
+    return refine_many([initial], [method], topology, [data], config)[0]
 
 # rp constants that are all powers of two: every step size, and so
 # every point of a short walk from 0, is exact, and each move reads back
@@ -648,7 +648,7 @@ def _assert_lockstep_matches_alone(members, config):
     bit for bit, however the other members run or stop."""
     starts = [start for start, _ in members]
     methods = [method for _, method in members]
-    results = refine_many(starts, methods, _TOPO, _DATA, config)
+    results = refine_many(starts, methods, _TOPO, [_DATA] * len(starts), config)
     assert len(results) == len(members)
     for (start, method), result in zip(members, results):
         params, error, losses, errors = refine_reference(start, method, _TOPO, _DATA, config)
@@ -706,7 +706,7 @@ class TestRefineMany:
         monkeypatch.setattr(local_search, "mse_loss_and_gradient", counted)
         config = LocalSearchConfig(epochs=20, patience=5, learning_rate=1e-12)
         results = refine_many([_start(3), _start(4), _start(1)], ["rp", "rp", "gda"],
-                              _TOPO, _DATA, config)
+                              _TOPO, [_DATA] * 3, config)
         # These methods evaluate the start and one point per epoch.
         sizes = [r.loss_history.size for r in results]
         assert len(set(sizes)) > 1
@@ -749,13 +749,13 @@ class TestRefineMany:
         with pytest.raises(ShapeError, match="run 1"):
             refine_many([_start(0), _start(1)], ["rp", "gd"], _TOPO, [_DATA, wide], _CFG)
         with pytest.raises(ShapeError, match="run 0"):
-            refine_many([_start(0)], ["rp"], _TOPO, wide, _CFG)
+            refine_many([_start(0)], ["rp"], _TOPO, [wide], _CFG)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ParameterError):
-            refine_many([_start(0)], ["gd", "rp"], _TOPO, _DATA, LocalSearchConfig())
+            refine_many([_start(0)], ["gd", "rp"], _TOPO, [_DATA] * 2, LocalSearchConfig())
         with pytest.raises(ParameterError):
-            refine_many([np.zeros(5)], ["gd"], _TOPO, _DATA, LocalSearchConfig())
+            refine_many([np.zeros(5)], ["gd"], _TOPO, [_DATA], LocalSearchConfig())
         with pytest.raises(ParameterError):
             refine_many([_start(0)], ["gd"], _TOPO, [_DATA, _DATA], LocalSearchConfig())
 

@@ -255,7 +255,7 @@ class TestSharedSearch:
             for f, (train, test) in enumerate(pairs):
                 start = named_rng(derive_seed(seed, v, f), "init").uniform(
                     _TINY_CODEL.lower, _TINY_CODEL.upper, topology.param_count)
-                refined = refine_many([start], [name], topology, train, _TINY_LS)[0]
+                refined = refine_many([start], [name], topology, [train], _TINY_LS)[0]
                 predictions = predict(refined.params, topology, test.rows)
                 assert scores[v, :, f].tolist() == metrics(test.labels, predictions).tolist()
 
@@ -328,6 +328,20 @@ class TestEvaluateGrid:
             shards = training._shards(units, jobs)
             assert len(shards) == min(jobs, 10) and all(shards)
             assert sorted(sum(shards, [])) == list(range(10))
+
+    def test_bench_sized_shards_hold_thirty_runs(self):
+        """At 13 inputs, 10 hidden units and 240 training rows, the two
+        shards of a two-job grid stay whole, and the one-job grid's 60
+        runs run as two tasks of 30."""
+        train = Dataset(np.zeros((240, 13)), np.arange(240) % 2)
+        units = [(boosted, train, None, None, (10,), None, None)
+                 for boosted in (True, False) for _ in range(5)]
+        assert training._shards(units, 2) == [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]
+        assert training._shards(units, 1) == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+
+    def test_no_hidden_layer_refused(self):
+        with pytest.raises(ParameterError, match="at least one hidden"):
+            evaluate_grid(_TINY_DATA, 2, 0, (), _TINY_CODEL, _TINY_LS)
 
     def test_single_class_rejected(self):
         data = two_gaussian_dataset(6, 2, 1.0, seed=0)
