@@ -120,6 +120,14 @@ class Dataset:
         return np.vstack([self.columns, np.ones(len(self))])
 
     @cached_property
+    def positives(self) -> np.ndarray:
+        """The labels as read-only booleans, True for class 1: what
+        `_percent_wrong` compares the class-1 flags with, with no cast."""
+        positives = self.labels.astype(bool)
+        positives.flags.writeable = False
+        return positives
+
+    @cached_property
     def max_abs(self) -> float:
         """The largest magnitude of any feature value."""
         return float(np.max(np.abs(self.rows)))
@@ -127,16 +135,18 @@ class Dataset:
 
 class DatasetStack(NamedTuple):
     """Per-member training sets of one row count, stacked for one
-    `mse_loss_and_gradient` pass: columns (k, n_features, rows) and
-    labels (k, rows), member i's from the i-th set."""
+    `mse_loss_and_gradient` pass: columns (k, n_features, rows), labels
+    and positives (k, rows), member i's from the i-th set."""
 
     columns: np.ndarray
     labels: np.ndarray
+    positives: np.ndarray
 
     @classmethod
     def of(cls, datasets):
         return cls(np.stack([d.columns for d in datasets]),
-                   np.stack([d.labels for d in datasets]))
+                   np.stack([d.labels for d in datasets]),
+                   np.stack([d.positives for d in datasets]))
 
     @property
     def n_features(self) -> int:
@@ -228,11 +238,12 @@ def _class_one(out) -> np.ndarray:
     return out[..., 0, :] >= 0.5
 
 
-def _percent_wrong(ones, labels) -> np.ndarray:
+def _percent_wrong(ones, positives) -> np.ndarray:
     """Per member, the percentage of rows whose class-1 flag in `ones`
-    disagrees with the label: labels is one set's (rows,) or a stack's
-    (k, rows)."""
-    return 100.0 * np.count_nonzero(ones != labels, axis=-1) / labels.shape[-1]
+    disagrees with the label: positives is one set's (rows,) or a stack's
+    (k, rows) `positives`. Two boolean arrays compare with no cast, and
+    the sum of the booleans is the count of the disagreeing rows."""
+    return 100.0 * np.add.reduce(ones != positives, axis=-1) / positives.shape[-1]
 
 
 def predict(params, topology: MlpTopology, inputs) -> np.ndarray:
@@ -268,7 +279,7 @@ def _exact_errors(layers, data: Dataset) -> np.ndarray:
     for start in range(0, k, chunk):
         part = slice(start, start + chunk)
         out = _forward_activations([(w[part], b[part]) for w, b in layers], data.columns)[-1]
-        errors[part] = _percent_wrong(_class_one(out), data.labels)
+        errors[part] = _percent_wrong(_class_one(out), data.positives)
     return errors
 
 
@@ -297,6 +308,16 @@ def _fast_output(layers, data: Dataset):
     rule's band below zero, where the output sigmoid rounds to 0.5 and
     gives class 1. Where a scale reaches 2^1000 the bound is inf, so no
     sum of either pass can overflow on a row that decides.
+
+    The hidden sums' scale s1, per member the largest over its hidden
+    units of max_abs * sum |w| + |b|, comes from one gemv of |[W1 | b1]|
+    against (max_abs, ..., max_abs, 1), taken in place over the gemm's
+    block once the chunks are done, so that the call never holds a
+    second block (see `optimizer._generation`). BLAS may add those
+    n_in + 1 nonnegative terms in any order and with fused
+    multiply-adds, so the computed s1 is within a relative
+    gamma_(n_in + 1) of the exact one, like every other sum in the
+    bound: the factor 2 covers it.
     """
     (w1, b1), (w2, b2) = layers
     k, hidden, n_in = w1.shape
@@ -304,12 +325,6 @@ def _fast_output(layers, data: Dataset):
     scale, n = data.max_abs, len(data)
     chunk = max(1, _CHUNK_DOUBLES // (n * hidden))
     with np.errstate(over="ignore", invalid="ignore"):
-        s1 = np.max(scale * np.abs(w1).sum(axis=2) + np.abs(b1), axis=1)
-        w2_norm = np.abs(w_out).sum(axis=1)
-        s2 = w2_norm + np.abs(b_out)
-        bound = 2.0 * (2.0 * _gamma(hidden + 1) * s2
-                       + w2_norm * (_gamma(n_in + 1) * s1 / 2.0 + 2.0**-43)) + 2.0**-40
-        bound[~(np.maximum(np.maximum(s1, s2), scale) < 2.0**1000)] = np.inf
         neg = np.concatenate([w1, b1[..., None]], axis=2).reshape(k * hidden, n_in + 1)
         np.negative(neg, out=neg)
         z = np.empty((k, 1, n))
@@ -321,6 +336,15 @@ def _fast_output(layers, data: Dataset):
             np.reciprocal(a, out=a)
             np.matmul(w_out[part, None, :], a.reshape(-1, hidden, n), out=z[part])
             del a  # so that two chunks' blocks are never held at once
+        scales = np.full(n_in + 1, scale)
+        scales[-1] = 1.0
+        # |-[W1 | b1]| = |[W1 | b1]|; neg is not read again.
+        s1 = (np.abs(neg, out=neg) @ scales).reshape(k, hidden).max(axis=1)
+        w2_norm = np.abs(w_out).sum(axis=1)
+        s2 = w2_norm + np.abs(b_out)
+        bound = 2.0 * (2.0 * _gamma(hidden + 1) * s2
+                       + w2_norm * (_gamma(n_in + 1) * s1 / 2.0 + 2.0**-43)) + 2.0**-40
+        bound[~(np.maximum(np.maximum(s1, s2), scale) < 2.0**1000)] = np.inf
         z = z[:, 0]
         z += b_out[:, None]
     return z, bound
@@ -344,9 +368,10 @@ def classification_error(params, topology: MlpTopology, data: Dataset):
     layers = decode(stack, topology)
     if len(layers) == 2:
         z, bound = _fast_output(layers, data)
-        errors = _percent_wrong(z > 0.0, data.labels)
+        errors = _percent_wrong(z > 0.0, data.positives)
+        # min propagates NaN, so a member with a NaN z stays undecided.
         np.abs(z, out=z)
-        undecided = np.flatnonzero(~np.all(z > bound[:, None], axis=1))
+        undecided = np.flatnonzero(~(z.min(axis=1) > bound))
         if undecided.size:
             errors[undecided] = _exact_errors([(w[undecided], b[undecided])
                                                for w, b in layers], data)
@@ -392,7 +417,7 @@ def mse_loss_and_gradient(params, topology: MlpTopology, data: "Dataset | Datase
     out = activations[-1]
 
     n_terms = out[0].size
-    error = _percent_wrong(_class_one(out), data.labels)
+    error = _percent_wrong(_class_one(out), data.positives)
     delta = out - data.labels[..., None, :]
     loss = np.sum(np.square(delta), axis=(1, 2)) / n_terms
 

@@ -168,26 +168,40 @@ def qobl_population(pop: Population, config: CodelConfig, objective, rng) -> Pop
 
 
 def _lloyd_iterations(points: np.ndarray, k: int, rng):
-    """Yield (centers, assignments) after every Lloyd update."""
+    """Yield (centers, assignments) after every Lloyd update.
+
+    The distances are computed one center at a time, as k (n,) rows of a
+    (k, n) array: each point's distance is the same contiguous reduction
+    over its D differences as in an (n, k, D) broadcast, so every bit
+    matches it, without the broadcast's (n, k, D) temporaries.
+    """
     n = points.shape[0]
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     assignments = np.full(n, -1)
+    dist = np.empty((k, n))
+    members = np.arange(n)
     for _ in range(100):
-        dist = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
-        new_assignments = np.argmin(dist, axis=1)
+        for c in range(k):
+            diff = points - centers[c]
+            np.multiply(diff, diff, out=diff)
+            np.sqrt(np.add.reduce(diff, axis=1), out=dist[c])
+        new_assignments = np.argmin(dist, axis=0)
 
         # Reseed any empty cluster with the point currently farthest
-        # from its own center, one cluster at a time.
-        taken = set()
-        for c in range(k):
-            if np.any(new_assignments == c):
-                continue
-            own_dist = dist[np.arange(n), new_assignments].copy()
-            own_dist[list(taken)] = -np.inf
-            far = int(np.argmax(own_dist))
-            taken.add(far)
-            centers[c] = points[far]
-            new_assignments[far] = c
+        # from its own center, one cluster at a time. A reseed can take
+        # the only member of a later cluster, so each cluster is checked
+        # again when its turn comes.
+        if not np.bincount(new_assignments, minlength=k).all():
+            taken = set()
+            for c in range(k):
+                if np.any(new_assignments == c):
+                    continue
+                own_dist = dist[new_assignments, members]
+                own_dist[list(taken)] = -np.inf
+                far = int(np.argmax(own_dist))
+                taken.add(far)
+                centers[c] = points[far]
+                new_assignments[far] = c
 
         if np.array_equal(new_assignments, assignments):
             break
@@ -201,7 +215,10 @@ def kmeans(points: np.ndarray, k: int, rng):
     """Cluster points with Lloyd's algorithm under Euclidean distance.
 
     Centers start from k distinct members of the point set; iteration
-    stops when assignments stabilize or after 100 rounds.
+    stops when assignments stabilize or after 100 rounds. Each round
+    assigns every point to its nearest center, the lowest-numbered on a
+    tie, reseeds each empty cluster with the point farthest from its own
+    center, and moves each center to its cluster's mean.
 
     Returns:
         (centers, assignments) with centers.shape == (k, dim).
@@ -263,16 +280,23 @@ def _draw_generation(n: int, dim: int, crossover_rate: float, rng):
 
     Draw order: a (n, n - 1) matrix of keys, whose three smallest in row
     i, in increasing order, pick member i's donors (r1, r2, r3) among
-    the other members; a (n, dim) uniform matrix, whose entries at most
+    the other members, equal keys going to the lowest index, as in a
+    stable sort; a (n, dim) uniform matrix, whose entries at most
     crossover_rate mark the mutant components; and one j_rand per row,
     a component that always takes the mutant.
     """
     if n < 4:
         raise ParameterError("mutation needs at least 4 members")
-    donors = rng.random((n, n - 1)).argsort(axis=1, kind="stable")[:, :3]
-    donors += donors >= np.arange(n)[:, None]
+    keys = rng.random((n, n - 1))
+    members = np.arange(n)
+    # argmin returns the first least key; each pick is then masked out.
+    donors = np.empty((n, 3), dtype=np.intp)
+    for j in range(3):
+        donors[:, j] = pick = keys.argmin(axis=1)
+        keys[members, pick] = np.inf
+    donors += donors >= members[:, None]
     take = rng.random((n, dim)) <= crossover_rate
-    take[np.arange(n), rng.integers(dim, size=n)] = True
+    take[members, rng.integers(dim, size=n)] = True
     return donors, take
 
 
@@ -289,9 +313,20 @@ def _generation(pop: Population, config: CodelConfig, objective, rng) -> Populat
     n, dim = pop.vectors.shape
     donors, take = _draw_generation(n, dim, config.crossover_rate, rng)
     trials = max(0, min(n, config.nfe_max - pop.nfe))
-    r1, r2, r3 = pop.vectors[donors[:trials].T]
-    mutants = np.clip(r1 + config.scale_factor * (r2 - r3), config.lower, config.upper)
-    candidates = np.where(take[:trials], mutants, pop.vectors[:trials])
+    r1, r2, r3 = donors[:trials].T
+    # The mutants r1 + F (r2 - r3), clamped, then the targets' own values
+    # where the mask is clear, all in one (trials, dim) array: the same
+    # rounded operations as the expression and np.where. It is the only
+    # array the generation holds while the objective runs, so that what
+    # the two free together stays under glibc's trim threshold, past
+    # which the heap top goes back to the system and is faulted in
+    # again on the next call.
+    candidates = pop.vectors[r2]
+    candidates -= pop.vectors[r3]
+    candidates *= config.scale_factor
+    candidates += pop.vectors[r1]
+    np.clip(candidates, config.lower, config.upper, out=candidates)
+    np.copyto(candidates, pop.vectors[:trials], where=~take[:trials])
     scores = _evaluate(objective, candidates)
     won = np.flatnonzero(scores <= pop.fitness[:trials])
     vectors, fitness = pop.vectors.copy(), pop.fitness.copy()

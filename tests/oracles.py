@@ -419,6 +419,14 @@ def _quasi_opposite_reference(x, a, b, rng):
     return rng.uniform(np.minimum(mid, opp), np.maximum(mid, opp))
 
 
+def donors_reference(keys):
+    """Member i's donors (r1, r2, r3) from row i of the (n, n - 1) donor
+    keys: the three smallest keys in a stable sort, ties to the lower
+    index, each index past i moved up by one."""
+    donors = keys.argsort(axis=1, kind="stable")[:, :3]
+    return donors + (donors >= np.arange(len(keys))[:, None])
+
+
 def _kmeans_reference(points, k, rng):
     """Lloyd's algorithm, reseeding empty clusters with the farthest point."""
     n = points.shape[0]
@@ -573,6 +581,12 @@ def predict_reference(params, topology, rows):
 def classification_error_reference(params, topology, data):
     wrong = np.count_nonzero(predict_reference(params, topology, data.rows) != data.labels)
     return 100.0 * wrong / len(data)
+
+
+def percent_wrong_reference(ones, labels):
+    """Per row of the class-1 flags, the percentage that disagree with the
+    0/1 labels, counted by `count_nonzero`."""
+    return 100.0 * np.count_nonzero(ones != labels, axis=-1) / labels.shape[-1]
 
 
 def mse_loss(params, topology: MlpTopology, data: Dataset) -> float:

@@ -24,6 +24,7 @@ from oracles import (
     central_difference,
     classification_error_reference,
     mse_loss,
+    percent_wrong_reference,
     predict_reference,
     sigmoid_reference,
 )
@@ -456,6 +457,34 @@ class TestCertifiedPass:
         wrong_if_one = 100.0 * np.count_nonzero(data.labels == 0) / len(data)
         assert errors.tolist() == [wrong_if_one] * 3
 
+    def test_a_nan_z_leaves_its_member_undecided(self):
+        """min propagates NaN: of three members whose every row sits at
+        z = 5, the one given a NaN z in one row goes to the exact pass,
+        though its bound is finite and its other rows clear it."""
+        rng = np.random.default_rng(14)
+        topo = MlpTopology((3, 4, 1))
+        data = _random_dataset(rng, 30, 3)
+        stack = rng.uniform(-10.0, 10.0, (3, topo.param_count))
+        for v in stack:
+            w2, b2 = decode(v, topo)[-1]
+            w2[...], b2[...] = 0.0, 5.0
+        fast_output = mlp._fast_output
+
+        def nan_in_member_one(layers, data):
+            z, bound = fast_output(layers, data)
+            z[1, 7] = np.nan
+            assert np.all(np.isfinite(bound))
+            return z, bound
+
+        with (mock.patch.object(mlp, "_fast_output", nan_in_member_one),
+              mock.patch.object(mlp, "_exact_errors", wraps=mlp._exact_errors) as exact):
+            errors = classification_error(stack, topo, data)
+        exact.assert_called_once()
+        (layers, _), _ = exact.call_args
+        assert np.array_equal(layers[0][0], decode(stack[1:2], topo)[0][0])
+        wrong_if_one = 100.0 * np.count_nonzero(data.labels == 0) / len(data)
+        assert errors.tolist() == [wrong_if_one] * 3
+
     def test_deeper_nets_take_the_exact_pass_alone(self):
         rng = np.random.default_rng(12)
         topo = MlpTopology((3, 4, 2, 1))
@@ -713,6 +742,23 @@ class TestUnitsMajorPass:
             assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-5
 
 
+class TestPercentWrong:
+
+    @pytest.mark.parametrize("n_rows", [1, 7, 64, 401])
+    def test_equals_the_count_of_disagreements(self, n_rows):
+        """On one set's positives and on a stack's, the sum of the
+        disagreeing booleans gives the `count_nonzero` percentage bit
+        for bit."""
+        rng = np.random.default_rng(n_rows)
+        sets = [_random_dataset(rng, n_rows, 2) for _ in range(5)]
+        ones = rng.integers(0, 2, (5, n_rows)).astype(bool)
+        single = mlp._percent_wrong(ones, sets[0].positives)
+        assert single.tobytes() == percent_wrong_reference(ones, sets[0].labels).tobytes()
+        stack = DatasetStack.of(sets)
+        stacked = mlp._percent_wrong(ones, stack.positives)
+        assert stacked.tobytes() == percent_wrong_reference(ones, stack.labels).tobytes()
+
+
 class TestContainers:
 
     def test_dataset_validation(self):
@@ -730,6 +776,16 @@ class TestContainers:
         assert data.columns_with_ones is data.columns_with_ones
         np.testing.assert_array_equal(data.columns_with_ones, [[1.0, 2.0], [-3.0, 0.5], [1.0, 1.0]])
         assert data.max_abs == 3.0
+
+    def test_positives_are_cached_read_only_booleans(self):
+        """The labels as booleans, True for class 1, built once and
+        read-only, like the other cached inputs."""
+        data = Dataset([[0.0], [1.0], [2.0]], [1, 0, 1])
+        assert data.positives is data.positives
+        assert data.positives.dtype == bool
+        assert data.positives.tolist() == [True, False, True]
+        with pytest.raises(ValueError):
+            data.positives[0] = False
 
     def test_forward_pass_inputs_are_built_once(self):
         """The units-major pass reads the transposed rows, C-contiguous,

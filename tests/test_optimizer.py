@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import codel.optimizer as optimizer
@@ -26,7 +26,7 @@ from codel.optimizer import (
     run_plain_de,
 )
 
-from oracles import run_codel_reference
+from oracles import _kmeans_reference, donors_reference, run_codel_reference
 
 
 def _sphere(vectors):
@@ -56,6 +56,18 @@ class _ScriptedDonors:
 
     def integers(self, high, size):
         return self.rng.integers(high, size=size)
+
+
+class _ScriptedChoice:
+    """Stands in for the rng of `kmeans`: its one choice() call returns
+    the given indices of the starting centers."""
+
+    def __init__(self, indices):
+        self.indices = indices
+
+    def choice(self, n, size, replace):
+        assert len(self.indices) == size and not replace
+        return np.array(self.indices)
 
 
 # Donor keys that rank the other members in index order, so member i's
@@ -298,6 +310,15 @@ class TestDrawGeneration:
         assert np.all(donors[:, 1] != donors[:, 2])
         assert np.all(take.any(axis=1))
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(4, 40), dim=st.integers(1, 10), seed=st.integers(0, 2 ** 32 - 1))
+    def test_tied_keys_give_the_stable_sort_donors(self, n, dim, seed):
+        """Keys drawn from {0, 0.5} tie often: every tie goes to the lower
+        index, as in a stable sort of the keys."""
+        keys = np.random.default_rng(seed).choice([0.0, 0.5], (n, n - 1))
+        donors, _ = _draw_generation(n, dim, 0.9, _ScriptedDonors(keys, seed))
+        assert donors.tolist() == donors_reference(keys).tolist()
+
 
 class TestQoblPopulation:
 
@@ -399,6 +420,34 @@ class TestKmeans:
                 members = points[assignments == c]
                 assert len(members) > 0
                 np.testing.assert_array_equal(centers[c], members.mean(axis=0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 60), dim=st.integers(1, 160), k=st.integers(2, 8),
+           log_scale=st.integers(-3, 3), seed=st.integers(0, 2 ** 32 - 1))
+    @example(n=30, dim=1, k=4, log_scale=0, seed=3)
+    def test_equals_the_broadcast_reference_bit_for_bit(self, n, dim, k, log_scale, seed):
+        """One center at a time, each distance reduces the same row of
+        differences as the (n, k, D) broadcast, so no bit moves."""
+        k = min(k, n)
+        points = np.random.default_rng(seed).uniform(-10.0, 10.0, (n, dim)) * 10.0 ** log_scale
+        centers, _ = kmeans(points, k, np.random.default_rng(seed + 1))
+        expected = _kmeans_reference(points, k, np.random.default_rng(seed + 1))
+        assert centers.tobytes() == expected.tobytes()
+
+    def test_a_reseed_that_empties_a_later_cluster_reseeds_it_too(self):
+        """Points 0, 8, 4, 9, 9, 3, 5 and k = 4, from the centers 8, 0, 9
+        and 9 (members 1, 0, 4, 3). The first round leaves cluster 3
+        empty and reseeds it with the 4, so the second round's centers
+        are 6.5, 1.5, 9 and 4. Then cluster 0 is empty, and cluster 1
+        holds only the 0, the point farthest from its own center.
+        Reseeding cluster 0 takes it and empties cluster 1, which is
+        reseeded in turn, with the 8."""
+        points = np.array([[0.0], [8.0], [4.0], [9.0], [9.0], [3.0], [5.0]])
+        centers, assignments = kmeans(points, 4, _ScriptedChoice([1, 0, 4, 3]))
+        assert centers.ravel().tolist() == [0.0, 8.0, 9.0, 4.0]
+        assert assignments.tolist() == [0, 1, 3, 2, 2, 3, 3]
+        expected = _kmeans_reference(points, 4, _ScriptedChoice([1, 0, 4, 3]))
+        assert centers.tobytes() == expected.tobytes()
 
     def test_final_assignments_are_nearest_center(self):
         rng = np.random.default_rng(21)

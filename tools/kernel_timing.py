@@ -1,5 +1,5 @@
 """Median time of one call of the two MLP kernels that the search and the
-refiners spend their time in.
+refiners spend their time in, and of the global search's own fixed work.
 
 Usage, from the repository root:
 
@@ -11,10 +11,15 @@ stacks of 1 to 6 members (one grid unit's lockstep stack as its runs
 stop) and of 12 and 30 members (a grid shard's stack across folds), all
 on one training set so that any checkout can run them, and a 50-member
 `classification_error` call on 400 rows (a search generation's
-objective call). A process's figure for one of these is the median over
-7 runs of 300 calls (60 for the wide stacks, 30 for
-`classification_error`), after one warm-up call, at whatever BLAS
-thread count the environment sets; every process draws the same inputs.
+objective call). The search's fixed work around its objective calls is
+timed on a 50-member population of 151 weights (a 13-10-1 net): one
+generation's draws (`draw50`), one `kmeans` with k = 5 (`lloyd50`), and
+one whole generation, `_generation`, with an objective that returns
+zeros (`generation50`). A process's figure for one of these is the
+median over 7 runs of 300 calls (60 for the wide stacks and `lloyd50`,
+30 for `classification_error`), after one warm-up call, at whatever
+BLAS thread count the environment sets; every process draws the same
+inputs.
 
 With no SRC, `codel` comes from PYTHONPATH; with one, from SRC. Either
 way one process times every kernel and prints its median microseconds
@@ -41,9 +46,10 @@ import time
 import numpy as np
 
 # The timed kernels, in print order: mse_loss_and_gradient on stacks of
-# k = 1 to 6, 12 and 30 members, then one classification_error call.
+# k = 1 to 6, 12 and 30 members, one classification_error call, then the
+# search's draws, k-means and generation.
 STACKS = (1, 2, 3, 4, 5, 6, 12, 30)
-NAMES = (*(f"mse{k}" for k in STACKS), "error50")
+NAMES = (*(f"mse{k}" for k in STACKS), "error50", "draw50", "lloyd50", "generation50")
 
 # Rounds of fresh processes per kernel when comparing directories.
 ROUNDS = 10
@@ -66,6 +72,7 @@ def kernels() -> dict:
     """Name in NAMES -> (calls per run, members, the call) of each timed
     kernel. The inputs are drawn in one fixed order from one seed."""
     from codel.mlp import Dataset, MlpTopology, classification_error, mse_loss_and_gradient
+    from codel.optimizer import CodelConfig, Population, _draw_generation, _generation, kmeans
 
     rng = np.random.default_rng(1)
     topology = MlpTopology((13, 10, 1))
@@ -85,14 +92,28 @@ def kernels() -> dict:
     search = dataset(400)
     population = rng.uniform(-10.0, 10.0, (50, topology.param_count))
     table["error50"] = (30, 50, call(classification_error, population, topology, search))
+    config = CodelConfig()
+    dim = topology.param_count
+    table["draw50"] = (300, 50, call(_draw_generation, 50, dim, config.crossover_rate, rng))
+    table["lloyd50"] = (60, 50, call(kmeans, population, 5, rng))
+    table["generation50"] = (300, 50, call(_generation, Population(population, np.zeros(50), 0, 0),
+                                           config, lambda rows: np.zeros(len(rows)), rng))
     return table
+
+
+TITLES = {
+    "error50": "classification_error, 50 members, 400 rows x 13-10-1",
+    "draw50": "_draw_generation, 50 members x 151 weights",
+    "lloyd50": "kmeans, k = 5, 50 members x 151 weights",
+    "generation50": "_generation, 50 members x 151 weights, zero objective",
+}
 
 
 def title(name: str) -> str:
     if name.startswith("mse"):
         k = int(name[3:])
         return f"mse_loss_and_gradient, 240 rows x 13-10-1, {k} member{'s' if k > 1 else ''}"
-    return "classification_error, 50 members, 400 rows x 13-10-1"
+    return TITLES[name]
 
 
 def time_here() -> None:
