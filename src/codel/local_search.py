@@ -260,14 +260,6 @@ def _run(w, method: str, config: LocalSearchConfig):
     )
 
 
-def _pass_data(sets):
-    """What one stacked pass over runs on these sets reads: the one
-    `Dataset` they share, or a `DatasetStack` of theirs."""
-    if all(d is sets[0] for d in sets):
-        return sets[0]
-    return DatasetStack.of(sets)
-
-
 def refine_many(starts, methods, topology: MlpTopology, data,
                 config: LocalSearchConfig) -> list:
     """One RefineResult per start: run i refines starts[i] in lockstep
@@ -282,8 +274,8 @@ def refine_many(starts, methods, topology: MlpTopology, data,
     `stop_reason` says which.
 
     Runs are grouped by their sets' row count, and each round makes one
-    stacked pass per group. A group's pass data is rebuilt only when one
-    of its runs ends.
+    stacked pass per group, over one `DatasetStack` of its runs' sets,
+    rebuilt only when one of its runs ends.
     """
     if len(starts) != len(methods):
         raise ParameterError(f"{len(starts)} starts for {len(methods)} methods")
@@ -307,13 +299,13 @@ def refine_many(starts, methods, topology: MlpTopology, data,
     by_rows = {}
     for i, train in enumerate(sets):
         by_rows.setdefault(len(train), []).append(i)
-    groups = [(members, _pass_data([sets[i] for i in members]))
+    groups = [(members, DatasetStack.of([sets[i] for i in members]))
               for members in by_rows.values()]
     while groups:
         kept = []
-        for members, pass_data in groups:
+        for members, stack in groups:
             losses, grads, errors = mse_loss_and_gradient(
-                np.stack([requests[i] for i in members]), topology, pass_data)
+                np.stack([requests[i] for i in members]), topology, stack)
             live = []
             for i, loss, grad, error in zip(members, losses, grads, errors):
                 try:
@@ -322,8 +314,8 @@ def refine_many(starts, methods, topology: MlpTopology, data,
                 except StopIteration as stop:
                     results[i] = stop.value
             if len(live) == len(members):
-                kept.append((members, pass_data))
+                kept.append((members, stack))
             elif live:
-                kept.append((live, _pass_data([sets[i] for i in live])))
+                kept.append((live, DatasetStack.of([sets[i] for i in live])))
         groups = kept
     return results

@@ -8,20 +8,22 @@ refined weights: as in the paper, one global search feeds every
 boosted refiner, each base refiner starts from its own random weights,
 and all of them refine in lockstep. The `train` command runs it for
 one method. The evaluation grid has two units per cross-validation
-fold, one per form, each the six methods' runs; it deals the units into
-one shard per worker, and a shard refines all its units' runs, across
-folds, in one lockstep, or in a few when it is wider than a fixed cap.
-Shards are independent, so they can spread over
-worker processes, and results are collected by position, so the output
-never depends on the worker count or completion order. The pool's
-modules (`concurrent.futures` and `multiprocessing`) load only when a
-grid runs with more than one job, so `train` and a one-worker
-`evaluate` never load them.
+fold, (form, fold): each is the six methods' runs in one form. It deals
+the units into one shard per worker and cuts each shard into tasks of a
+fixed number of units, sized by the largest fold; a task refines all
+its units' runs, across folds, in one lockstep. Tasks are independent,
+so they can spread over worker processes, and each unit's scores go to
+its own (form, fold) place, so the output never depends on the worker
+count, the cut or completion order. The pool's modules
+(`concurrent.futures` and `multiprocessing`) load only when a grid runs
+with more than one job, so `train` and a one-worker `evaluate` never
+load them.
 `build_comparison` turns a means table into ranks, W/T/L counts and
 error enhancements, one array pass over its pairs.
 """
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -88,58 +90,53 @@ def train_methods(train: Dataset, seeds, methods, hidden, codel_config: CodelCon
                                          ls_config)
 
 
-# A shard of grid units runs as one task only while its widest
-# activation, runs x widest layer (the input included) x training rows,
-# stays within this many doubles (800 kB). A larger shard is cut into
-# tasks that do, down to one unit per task. At 13 inputs and 240 rows a
-# unit holds 6 x 13 x 240 = 18,720 doubles, so 30-run tasks stay whole
-# and the one-job grid's 60 runs split into two of them: at one job, 60
-# runs in one lockstep were slower than two 30-run tasks, and 18-run
-# tasks slower again (ROADMAP, "Larger lockstep stacks").
+# A grid task holds as many units as keep its widest activation, runs x
+# widest layer (the input included) x training rows, within this many
+# doubles (800 kB), and at least one, a unit sized by the largest
+# training set. At 13 inputs and 240 rows a unit holds 18,720 doubles,
+# so a task holds 5 units (30 runs) and the one-job grid runs as two:
+# at one job, 60 runs in one lockstep were slower than two 30-run
+# tasks, and 18-run tasks slower again (ROADMAP, "Larger lockstep stacks").
 _SHARD_DOUBLES = 100_000
 
 
-def _grid_task(units):
-    """The scores of a list of grid units, each one fold's six refiners
-    in one form: first every unit's starts (a boosted unit runs its
-    fold's search), then one `refine_many` over all their runs, each on
-    its own fold's training rows, and per unit one stacked `predict` of
-    its six refined nets on the fold's test rows and one `metrics` call.
+def _grid_task(units, pairs, seed, hidden, codel_config, ls_config):
+    """The scores of a list of grid units, each (boosted, fold index),
+    one fold's six refiners in one form: first every unit's starts (a
+    boosted unit runs its fold's search), seeded as `evaluate_grid`
+    says, then one `refine_many` over all their runs, each on its own
+    fold's training rows, and per unit one stacked `predict` of its six
+    refined nets on the fold's test rows and one `metrics` call.
     Returns one (methods, metrics) array per unit, a row per method in
-    METHODS order. The units come from one grid, so they share hidden
-    and both configs."""
+    METHODS order."""
     starts, sets = [], []
-    for boosted, train, _, seeds, hidden, codel_config, _ in units:
+    for boosted, f in units:
+        seeds = ((derive_seed(seed, len(VARIANT_NAMES), f),) if boosted else
+                 tuple(derive_seed(seed, VARIANT_NAMES.index(m), f) for m in METHODS))
+        train = pairs[f][0]
         topology, _, unit_starts = _starts(train, seeds, METHODS, hidden, codel_config, boosted)
         starts += unit_starts
         sets += [train] * len(METHODS)
-    results = refine_many(starts, METHODS * len(units), topology, sets, units[0][-1])
+    results = refine_many(starts, METHODS * len(units), topology, sets, ls_config)
     n = len(METHODS)
-    return [metrics(test.labels, predict(np.stack([r.params for r in results[u * n:(u + 1) * n]]),
-                                         topology, test.rows))
-            for u, (_, _, test, *_) in enumerate(units)]
+    return [metrics(pairs[f][1].labels,
+                    predict(np.stack([r.params for r in results[u * n:(u + 1) * n]]),
+                            topology, pairs[f][1].rows))
+            for u, (_, f) in enumerate(units)]
 
 
-def _shards(units, jobs: int):
-    """Unit indices per grid task. Unit p, in (form, fold) order with
-    the boosted form first, goes to shard p mod J, J = min(jobs, units),
-    so every shard is nonempty and mixes boosted and base units. A shard
-    whose widest activation would pass `_SHARD_DOUBLES` is cut into
-    consecutive runs of units that stay within it, each at least one."""
+def _shards(units, pairs, hidden, jobs: int):
+    """The grid's tasks, each a list of units. Unit p goes to shard
+    p mod J, J = min(jobs, units), so every shard is nonempty and, with
+    the boosted units first, mixes both forms. Each shard is cut into
+    consecutive tasks of `_SHARD_DOUBLES` // (one unit's doubles) units,
+    at least one, a unit sized by the largest training set in `pairs`."""
     n_shards = min(jobs, len(units))
-    tasks = []
-    for shard in range(n_shards):
-        task, size = [], 0
-        for p in range(shard, len(units), n_shards):
-            train, hidden = units[p][1], units[p][4]
-            doubles = len(METHODS) * max((train.n_features, *hidden)) * len(train)
-            if task and size + doubles > _SHARD_DOUBLES:
-                tasks.append(task)
-                task, size = [], 0
-            task.append(p)
-            size += doubles
-        tasks.append(task)
-    return tasks
+    unit_doubles = (len(METHODS) * max((pairs[0][0].n_features, *hidden))
+                    * max(len(train) for train, _ in pairs))
+    size = max(1, _SHARD_DOUBLES // unit_doubles)
+    return [shard[i:i + size] for shard in (units[s::n_shards] for s in range(n_shards))
+            for i in range(0, len(shard), size)]
 
 
 def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
@@ -151,35 +148,30 @@ def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
     fold index), and its best weights start all six boosted refiners of
     that fold, as in the paper. Each base variant refines from its own
     random start, seeded from (seed, variant index, fold index). A fold
-    is two units of six runs: the boosted runs after the search, and the
-    base runs. The 2k units are dealt round-robin into min(jobs, 2k)
-    shards (`_shards`), and each shard is one task that refines all its
-    units' runs in one lockstep, so a worker's stacks stay wide across
-    folds; a shard past `_SHARD_DOUBLES` is cut into several. Results are collected by position, and a run's result does
-    not depend on the runs beside it, so the scores are identical
-    whatever the worker count or completion order.
+    is two units, (boosted, fold index): the six boosted runs after the
+    search, and the six base runs. The 2k units, boosted first, are
+    dealt round-robin into min(jobs, 2k) shards, and `_shards` cuts each
+    shard into tasks of a fixed number of units, sized by the largest
+    training set. A task refines all its units' runs in one lockstep, so
+    a worker's stacks stay wide across folds. Each unit's scores fill
+    its own (form, fold) place, and a run's result does not depend on
+    the runs beside it, so the scores are identical whatever the worker
+    count, the cut or the completion order.
 
     Returns:
         C-contiguous float array (len(VARIANT_NAMES), len(METRIC_NAMES),
         k) of test-fold scores in [0, 1], in VARIANT_NAMES, METRIC_NAMES
         and fold order; `evaluation.fold_summary` reduces its fold axis.
     """
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     if len(np.unique(dataset.labels)) < 2:
         raise ParameterError("evaluation needs both classes present")
     pairs = fold_datasets(dataset, k, seed)
-    units = [
-        (True, train, test, (derive_seed(seed, len(VARIANT_NAMES), f),),
-         hidden, codel_config, ls_config)
-        for f, (train, test) in enumerate(pairs)
-    ]
-    units += [
-        (False, train, test,
-         tuple(derive_seed(seed, VARIANT_NAMES.index(m), f) for m in METHODS),
-         hidden, codel_config, ls_config)
-        for f, (train, test) in enumerate(pairs)
-    ]
-    tasks = _shards(units, jobs)
-    task_units = [[units[p] for p in task] for task in tasks]
+    tasks = _shards([(boosted, f) for boosted in (True, False) for f in range(k)],
+                    pairs, hidden, jobs)
+    task = partial(_grid_task, pairs=pairs, seed=seed, hidden=hidden,
+                   codel_config=codel_config, ls_config=ls_config)
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -187,18 +179,13 @@ def evaluate_grid(dataset: Dataset, k: int, seed: int, hidden,
         # Forked pools start every worker up front, so ask for no more
         # than there are tasks.
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            task_scores = list(pool.map(_grid_task, task_units))
+            task_scores = list(pool.map(task, tasks))
     else:
-        task_scores = [_grid_task(t) for t in task_units]
-    unit_scores = [None] * len(units)
-    for task, scores in zip(tasks, task_scores):
-        for p, score in zip(task, scores):
-            unit_scores[p] = score
-
-    # Units run (form, fold) with the boosted form first, each scoring
-    # (method, metric); VARIANT_NAMES lists each method's base form
-    # first, so the form axis is reversed before it joins the method's.
-    scores = np.reshape(unit_scores, (2, k, len(METHODS), len(METRIC_NAMES)))[::-1]
+        task_scores = [task(units) for units in tasks]
+    scores = np.empty((2, k, len(METHODS), len(METRIC_NAMES)))
+    for units, unit_scores in zip(tasks, task_scores):
+        for (boosted, f), score in zip(units, unit_scores):
+            scores[int(boosted), f] = score
     return np.ascontiguousarray(scores.transpose(2, 0, 3, 1)).reshape(
         len(VARIANT_NAMES), len(METRIC_NAMES), k)
 

@@ -197,10 +197,10 @@ class TestGridTask:
                     for _ in starts]
 
         monkeypatch.setattr(training, "refine_many", recording_refine_many)
-        for boosted, seeds in ((False, tuple(range(len(METHODS)))), (True, (0,))):
+        for boosted in (False, True):
             seen.clear()
-            a, b = (training._grid_task([(boosted, train, fold, seeds, (1,),
-                                          _TINY_CODEL, _TINY_LS)])[0]
+            a, b = (training._grid_task([(boosted, 0)], [(train, fold)], 0, (1,),
+                                        _TINY_CODEL, _TINY_LS)[0]
                     for fold in (test, poisoned))
 
             assert a.shape == b.shape == (len(METHODS), len(METRIC_NAMES))
@@ -309,35 +309,71 @@ class TestEvaluateGrid:
         monkeypatch.setattr(training, "_SHARD_DOUBLES", 1)
         calls = []
 
-        def spy_grid_task(units, _grid_task=training._grid_task):
+        def spy_grid_task(units, _grid_task=training._grid_task, **shared):
             calls.append(len(units))
-            return _grid_task(units)
+            return _grid_task(units, **shared)
 
         monkeypatch.setattr(training, "_grid_task", spy_grid_task)
         assert _tiny_grid().tobytes() == whole.tobytes()
         assert calls == [1] * 8
 
+    def test_unequal_folds_are_cut_by_the_largest(self, monkeypatch):
+        """24 rows in 5 folds give training sets of 19 and 20 rows. A cap
+        of exactly two units of the 20-row set cuts the one-job grid's 10
+        units into 5 tasks of 2, and one double less into 10 tasks of 1,
+        though two 19-row units would still fit; the scores stay the
+        same."""
+        k = 5
+        splits = fold_datasets(_TINY_DATA, k, 2)
+        assert sorted({len(train) for train, _ in splits}) == [19, 20]
+        whole = evaluate_grid(_TINY_DATA, k, 2, (3,), _TINY_CODEL, _TINY_LS)
+        calls = []
+
+        def spy_grid_task(units, _grid_task=training._grid_task, **shared):
+            calls.append(len(units))
+            return _grid_task(units, **shared)
+
+        monkeypatch.setattr(training, "_grid_task", spy_grid_task)
+        two_units = 2 * len(METHODS) * max(_TINY_DATA.n_features, 3) * 20
+        for cap, sizes in ((two_units, [2] * k), (two_units - 1, [1] * 2 * k)):
+            calls.clear()
+            monkeypatch.setattr(training, "_SHARD_DOUBLES", cap)
+            scores = evaluate_grid(_TINY_DATA, k, 2, (3,), _TINY_CODEL, _TINY_LS)
+            assert scores.tobytes() == whole.tobytes()
+            assert calls == sizes
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_fewer_than_one_job_refused_before_any_fold(self, jobs, monkeypatch):
+        def no_folds(*args):
+            raise AssertionError("folds built")
+
+        monkeypatch.setattr(training, "fold_datasets", no_folds)
+        with pytest.raises(ParameterError, match="jobs"):
+            evaluate_grid(_TINY_DATA, 2, 0, (3,), _TINY_CODEL, _TINY_LS, jobs=jobs)
+
     def test_units_are_dealt_round_robin(self):
         """Unit p, boosted units first, goes to shard p mod J: at J = 2
         and k = 5 a shard holds 3 boosted and 2 base units, the other 2
         and 3, and no shard is ever empty."""
-        units = [(boosted, _TINY_DATA, None, None, (3,), None, None)
-                 for boosted in (True, False) for _ in range(5)]
-        assert training._shards(units, 2) == [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]
+        units = [(boosted, f) for boosted in (True, False) for f in range(5)]
+        pairs = [(_TINY_DATA, None)] * 5
+        assert training._shards(units, pairs, (3,), 2) == [[units[p] for p in (0, 2, 4, 6, 8)],
+                                                           [units[p] for p in (1, 3, 5, 7, 9)]]
         for jobs in range(1, 12):
-            shards = training._shards(units, jobs)
+            shards = training._shards(units, pairs, (3,), jobs)
             assert len(shards) == min(jobs, 10) and all(shards)
-            assert sorted(sum(shards, [])) == list(range(10))
+            assert sorted(sum(shards, [])) == sorted(units)
 
     def test_bench_sized_shards_hold_thirty_runs(self):
         """At 13 inputs, 10 hidden units and 240 training rows, the two
         shards of a two-job grid stay whole, and the one-job grid's 60
         runs run as two tasks of 30."""
         train = Dataset(np.zeros((240, 13)), np.arange(240) % 2)
-        units = [(boosted, train, None, None, (10,), None, None)
-                 for boosted in (True, False) for _ in range(5)]
-        assert training._shards(units, 2) == [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]]
-        assert training._shards(units, 1) == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+        units = [(boosted, f) for boosted in (True, False) for f in range(5)]
+        pairs = [(train, None)] * 5
+        assert training._shards(units, pairs, (10,), 2) == [[units[p] for p in (0, 2, 4, 6, 8)],
+                                                            [units[p] for p in (1, 3, 5, 7, 9)]]
+        assert training._shards(units, pairs, (10,), 1) == [units[:5], units[5:]]
 
     def test_no_hidden_layer_refused(self):
         with pytest.raises(ParameterError, match="at least one hidden"):
