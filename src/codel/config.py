@@ -13,9 +13,9 @@ comment. An unknown key, or a knob set twice (`k = 5`, then `folds =
 silently fall back to a default, nor a repeat keep its last value.
 """
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
-from .errors import ParameterError
+from .errors import ParameterError, integer
 from .io import _read_text
 from .local_search import METHODS, LocalSearchConfig
 from .mlp import MlpTopology
@@ -82,17 +82,18 @@ class RunConfig:
             raise ParameterError("folds must be >= 2")
         if self.jobs < 1:
             raise ParameterError("jobs must be >= 1")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         # Delegate the checks of the layer sizes and of the optimizer
         # and refiner knobs to their owners.
-        MlpTopology((1, *self.hidden, 1))
+        object.__setattr__(self, "hidden", MlpTopology((1, *self.hidden, 1)).layer_sizes[1:-1])
         self.codel_config()
         self.local_search_config()
 
     def _owned(self, owner):
-        """`owner` built from the fields of the same name."""
+        """`owner` built from the fields of the same name; an unset seed
+        leaves the owner's default."""
         return owner(**{f.name: getattr(self, f.name) for f in fields(owner)
-                        if f.name in self.__dataclass_fields__})
+                        if f.name in self.__dataclass_fields__
+                        and (f.name != "seed" or self.seed is not None)})
 
     def codel_config(self) -> CodelConfig:
         return self._owned(CodelConfig)
@@ -125,8 +126,11 @@ _PARSERS.update(seed=int, hidden=_parse_hidden)
 
 
 def _coerce(key: str, value):
+    """Text through its field's parser, and any other value of an
+    integer knob but None (the unset seed) through `integer`, so that
+    2.5 is refused rather than truncated."""
     if not isinstance(value, str):
-        return value
+        return integer(key, value) if _PARSERS[key] is int and value is not None else value
     try:
         return _PARSERS[key](value)
     except ValueError:
@@ -170,4 +174,4 @@ def parse_config(file=None, **overrides) -> RunConfig:
     config = RunConfig(**values)
     if config.seed is None:
         raise ParameterError("a seed is required (pass --seed or set seed in the config)")
-    return replace(config, seed=int(config.seed))
+    return config

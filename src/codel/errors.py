@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for an
+integer knob."""
+
+import operator
 
 
 class CodelError(Exception):
@@ -19,3 +22,13 @@ class ShapeError(CodelError, ValueError):
 
 class ContractError(CodelError, RuntimeError):
     """A caller violated an internal precondition (e.g. non-descent direction)."""
+
+
+def integer(name: str, value) -> int:
+    """value as an int, by `operator.index`: an int or a numpy integer
+    passes, and a value it refuses, such as 2.5, 10.0 or None, raises a
+    ParameterError naming the knob `name`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None

@@ -15,8 +15,9 @@ returns when a line search finds no step. So no point, not even an
 accepted probe, is evaluated twice.
 
 The driver, `refine_many`, runs any number of starts, each with its own
-method and its own training set, in lockstep: each round it scores the
-next points of all live runs whose sets have one row count in one
+method and its own training set. The runs whose sets have one row count
+go through their own lockstep to its end, one row count after another:
+each round scores the next points of the group's live runs in one
 stacked `mse_loss_and_gradient` pass. A stacked pass gives each member
 the bits of its own call, so a run's result does not depend on the runs
 beside it.
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, ShapeError
+from .errors import ContractError, ParameterError, ShapeError, integer
 from .mlp import DatasetStack, MlpTopology, mse_loss_and_gradient
 
 __all__ = ["METHODS", "LocalSearchConfig", "RefineResult", "refine_many"]
@@ -65,6 +66,8 @@ class LocalSearchConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
+        for name in ("epochs", "patience"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         if self.epochs < 1 or self.patience < 1:
             raise ParameterError("epochs and patience must be >= 1")
         if not (0 < self.learning_rate < np.inf):
@@ -273,9 +276,11 @@ def refine_many(starts, methods, topology: MlpTopology, data,
     `patience` epochs without a drop in classification error;
     `stop_reason` says which.
 
-    Runs are grouped by their sets' row count, and each round makes one
-    stacked pass per group, over one `DatasetStack` of its runs' sets,
-    rebuilt only when one of its runs ends.
+    Runs are grouped by their sets' row count, and each group goes
+    through its own lockstep to its end, one group after another: each
+    round makes one stacked pass over one `DatasetStack` of the group's
+    live runs' sets, rebuilt only when one of its runs ends, so only one
+    group's stack is held at a time.
     """
     if len(starts) != len(methods):
         raise ParameterError(f"{len(starts)} starts for {len(methods)} methods")
@@ -296,14 +301,10 @@ def refine_many(starts, methods, topology: MlpTopology, data,
 
     results = [None] * len(runs)
     requests = [next(run) for run in runs]
-    by_rows = {}
-    for i, train in enumerate(sets):
-        by_rows.setdefault(len(train), []).append(i)
-    groups = [(members, DatasetStack.of([sets[i] for i in members]))
-              for members in by_rows.values()]
-    while groups:
-        kept = []
-        for members, stack in groups:
+    for n_rows in dict.fromkeys(map(len, sets)):
+        members = [i for i, train in enumerate(sets) if len(train) == n_rows]
+        stack = DatasetStack.of([sets[i] for i in members])
+        while members:
             losses, grads, errors = mse_loss_and_gradient(
                 np.stack([requests[i] for i in members]), topology, stack)
             live = []
@@ -313,9 +314,7 @@ def refine_many(starts, methods, topology: MlpTopology, data,
                     live.append(i)
                 except StopIteration as stop:
                     results[i] = stop.value
-            if len(live) == len(members):
-                kept.append((members, stack))
-            elif live:
-                kept.append((live, DatasetStack.of([sets[i] for i in live])))
-        groups = kept
+            if live and len(live) < len(members):
+                stack = DatasetStack.of([sets[i] for i in live])
+            members = live
     return results

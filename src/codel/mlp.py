@@ -12,16 +12,18 @@ rows as the contiguous last axis, and the input as the transposed rows,
 (n_features, rows). A layer is W @ a, so the bias add, the sigmoid and
 the backward pass's row sums all run along contiguous rows.
 
-`predict` and `mse_loss_and_gradient` run one forward pass,
+`_classes` and `mse_loss_and_gradient` run one forward pass,
 `_forward_activations`, and decide classes by one rule on the output
-sigmoid, `_class_one`. `classification_error`, the search objective,
-gives the same errors as that pass by a certificate, the filter-then-
-exact scheme of Shewchuk (1997): on a net with one hidden layer, a
-faster pass computes the output pre-activation together with a proven
-bound on its distance from the forward pass's (rounding bounds after
-Higham 2002), and a member whose every row clears that bound takes its
-classes from the sign. Every other member, and every deeper net, goes
-through the forward pass.
+sigmoid, `_class_one`. `_classes` is the one chunked class pass: it runs
+a stack in member chunks and gives its class-1 flags, which `predict`
+casts to labels. `classification_error`, the search objective, gives
+the errors of those flags by a certificate, the filter-then-exact scheme
+of Shewchuk (1997): on a net with one hidden layer, a faster pass
+computes the output pre-activation together with a proven bound on its
+distance from the forward pass's (rounding bounds after Higham 2002),
+and a member whose every row clears that bound takes its classes from
+the sign. Every other member, and every deeper net, goes through
+`_classes`.
 """
 
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, integer
 
 __all__ = [
     "MlpTopology",
@@ -50,7 +52,7 @@ class MlpTopology:
     layer_sizes: tuple
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
+        sizes = tuple(integer("layer size", s) for s in self.layer_sizes)
         if len(sizes) < 3:
             raise ParameterError(
                 "topology needs input, at least one hidden, and output layer"
@@ -224,7 +226,8 @@ def _forward_activations(layers, columns):
     return activations
 
 
-# classification_error runs a stack in chunks of as many members as keep
+# The one class pass, `_classes`, and the fast pass of
+# classification_error run a stack in chunks of as many members as keep
 # the first hidden layer near this many doubles (4 members at 400 rows x
 # 10 units), so a chunk's activations stay in cache. Chunks twice this
 # size held the fast pass's time and raised a default `train`'s peak
@@ -246,15 +249,28 @@ def _percent_wrong(ones, positives) -> np.ndarray:
     return 100.0 * np.add.reduce(ones != positives, axis=-1) / positives.shape[-1]
 
 
+def _classes(layers, columns) -> np.ndarray:
+    """The class-1 flags, (members, rows), of a decoded stack on columns,
+    (n_features, rows), from the exact forward pass, `_class_one` of
+    `_forward_activations`: the stack goes through in chunks of members,
+    and each member's products are the same BLAS calls as its own
+    unstacked pass, so the chunking changes no bit. An empty stack still
+    takes one (empty) chunk and gives (0, rows)."""
+    k, hidden = layers[0][1].shape
+    chunk = max(1, _CHUNK_DOUBLES // (columns.shape[-1] * hidden))
+    return np.concatenate([
+        _class_one(_forward_activations([(w[s:s + chunk], b[s:s + chunk]) for w, b in layers],
+                                        columns)[-1])
+        for s in range(0, max(k, 1), chunk)])
+
+
 def predict(params, topology: MlpTopology, inputs) -> np.ndarray:
     """0/1 labels of the input rows; an output sigmoid of 0.5 gives 1.
 
     params is one flat vector (D,), giving a (rows,) array, or a stack of
     them (k, D), giving one row of labels per member as a (k, rows)
-    array. The forward pass runs units-major, (k, units, rows), on the
-    transposed rows, and each member's products are the same BLAS calls
-    as its own unstacked pass, so every row equals the member's own call
-    bit for bit.
+    array: the class-1 flags of `_classes` on the transposed rows, as
+    ints, so every row equals the member's own call bit for bit.
     """
     rows = np.atleast_2d(np.asarray(inputs, dtype=float))
     if rows.ndim != 2 or rows.shape[1] != topology.n_in:
@@ -262,25 +278,9 @@ def predict(params, topology: MlpTopology, inputs) -> np.ndarray:
             f"input dimension {rows.shape} does not match n_in={topology.n_in}"
         )
     params = np.asarray(params, dtype=float)
-    labels = _class_one(_forward_activations(decode(np.atleast_2d(params), topology),
-                                             np.ascontiguousarray(rows.T))[-1]).astype(int)
+    labels = _classes(decode(np.atleast_2d(params), topology),
+                      np.ascontiguousarray(rows.T)).astype(int)
     return labels[0] if params.ndim == 1 else labels
-
-
-def _exact_errors(layers, data: Dataset) -> np.ndarray:
-    """Per member of a decoded stack, its error from the exact forward
-    pass, run units-major, (members, units, rows), on `data.columns`: the
-    stack goes through in chunks of members, and each member's products
-    are the same BLAS calls as its own unstacked pass, so the chunking
-    changes no bit."""
-    k, hidden = layers[0][1].shape
-    chunk = max(1, _CHUNK_DOUBLES // (len(data) * hidden))
-    errors = np.empty(k)
-    for start in range(0, k, chunk):
-        part = slice(start, start + chunk)
-        out = _forward_activations([(w[part], b[part]) for w, b in layers], data.columns)[-1]
-        errors[part] = _percent_wrong(_class_one(out), data.positives)
-    return errors
 
 
 def _gamma(n: int) -> float:
@@ -355,12 +355,12 @@ def classification_error(params, topology: MlpTopology, data: Dataset):
 
     params is one flat vector (D,), giving a float, or a stack of them
     (k, D), giving one percentage per row as a (k,) array. Every member
-    gets the exact pass's error, `_exact_errors`, bit for bit. A net
-    with one hidden layer goes first through `_fast_output`: a member
-    whose every row clears its rounding bound takes its decisions from
-    the sign of the fast z, and only the other members go through the
-    exact pass. A NaN z clears no bound. Deeper nets take the exact pass
-    alone.
+    gets the error of the one chunked class pass, `_classes`, bit for
+    bit. A net with one hidden layer goes first through `_fast_output`:
+    a member whose every row clears its rounding bound takes its
+    decisions from the sign of the fast z, and only the other members go
+    through `_classes`. A NaN z clears no bound. Deeper nets take
+    `_classes` alone.
     """
     _check_width(data, topology)
     params = np.asarray(params, dtype=float)
@@ -373,10 +373,11 @@ def classification_error(params, topology: MlpTopology, data: Dataset):
         np.abs(z, out=z)
         undecided = np.flatnonzero(~(z.min(axis=1) > bound))
         if undecided.size:
-            errors[undecided] = _exact_errors([(w[undecided], b[undecided])
-                                               for w, b in layers], data)
+            errors[undecided] = _percent_wrong(
+                _classes([(w[undecided], b[undecided]) for w, b in layers], data.columns),
+                data.positives)
     else:
-        errors = _exact_errors(layers, data)
+        errors = _percent_wrong(_classes(layers, data.columns), data.positives)
     return float(errors[0]) if params.ndim == 1 else errors
 
 
@@ -402,10 +403,11 @@ def mse_loss_and_gradient(params, topology: MlpTopology, data: "Dataset | Datase
     weights' part is delta @ a_prev^T and the biases' part a row sum
     along the contiguous rows, and the delta passes back as W^T @ delta.
     The gradient is returned flat in the same layout as the parameters.
-    The error applies `_class_one` to the same output activations as the
-    exact pass of classification_error(params, topology, data), which
-    returns that pass's error for every member, by its certificate where
-    its fast pass decides, so the two are equal bit for bit.
+    The error applies `_class_one` to the same output activations as
+    `_classes`, the exact pass of classification_error(params, topology,
+    data), which returns that pass's error for every member, by its
+    certificate where its fast pass decides, so the two are equal bit for
+    bit.
     """
     _check_width(data, topology)
     params = np.asarray(params, dtype=float)

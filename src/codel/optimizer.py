@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
+from .errors import ContractError, ParameterError, integer
 from .streams import named_rng
 
 __all__ = [
@@ -52,6 +52,8 @@ class CodelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("population_size", "nfe_max", "clustering_period", "seed"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         if self.population_size < 4:
             raise ParameterError("population must have at least 4 members")
         if not (0 < self.scale_factor <= 2):

@@ -60,17 +60,16 @@ def variant_name(method: str, boosted: bool) -> str:
 VARIANT_NAMES = tuple(variant_name(m, boosted) for m in METHODS for boosted in (False, True))
 
 
-def _starts(train: Dataset, seeds, methods, hidden, codel_config: CodelConfig,
-            boosted: bool):
-    """The topology, the search result or None, and one start per method
-    of `train_methods`."""
-    topology = MlpTopology((train.n_features, *hidden, 1))
+def _starts(train: Dataset, seeds, methods, topology: MlpTopology,
+            codel_config: CodelConfig, boosted: bool):
+    """The search result or None, and one start per method of
+    `train_methods`."""
     if boosted:
         search = run_codel(lambda v: classification_error(v, topology, train),
                            topology.param_count, replace(codel_config, seed=seeds[0]))
-        return topology, search, [search.best_params] * len(methods)
-    return topology, None, [named_rng(s, "init").uniform(codel_config.lower, codel_config.upper,
-                                                         topology.param_count) for s in seeds]
+        return search, [search.best_params] * len(methods)
+    return None, [named_rng(s, "init").uniform(codel_config.lower, codel_config.upper,
+                                               topology.param_count) for s in seeds]
 
 
 def train_methods(train: Dataset, seeds, methods, hidden, codel_config: CodelConfig,
@@ -85,7 +84,8 @@ def train_methods(train: Dataset, seeds, methods, hidden, codel_config: CodelCon
     Returns:
         (topology, search result or None, one RefineResult per method).
     """
-    topology, search, starts = _starts(train, seeds, methods, hidden, codel_config, boosted)
+    topology = MlpTopology((train.n_features, *hidden, 1))
+    search, starts = _starts(train, seeds, methods, topology, codel_config, boosted)
     return topology, search, refine_many(starts, methods, topology, [train] * len(methods),
                                          ls_config)
 
@@ -109,12 +109,13 @@ def _grid_task(units, pairs, seed, hidden, codel_config, ls_config):
     refined nets on the fold's test rows and one `metrics` call.
     Returns one (methods, metrics) array per unit, a row per method in
     METHODS order."""
+    topology = MlpTopology((pairs[0][0].n_features, *hidden, 1))
     starts, sets = [], []
     for boosted, f in units:
         seeds = ((derive_seed(seed, len(VARIANT_NAMES), f),) if boosted else
                  tuple(derive_seed(seed, VARIANT_NAMES.index(m), f) for m in METHODS))
         train = pairs[f][0]
-        topology, _, unit_starts = _starts(train, seeds, METHODS, hidden, codel_config, boosted)
+        _, unit_starts = _starts(train, seeds, METHODS, topology, codel_config, boosted)
         starts += unit_starts
         sets += [train] * len(METHODS)
     results = refine_many(starts, METHODS * len(units), topology, sets, ls_config)

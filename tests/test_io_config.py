@@ -766,6 +766,66 @@ class TestRunConfig:
         assert config.method == "gdm" and ls.momentum == 0.5 and ls.epochs == 40
 
 
+# Each integer knob at its owner: a builder of the owner from one value,
+# and the name the refusal gives.
+_INTEGER_KNOBS = {
+    "RunConfig.seed": (lambda v: RunConfig(seed=v), "seed"),
+    "RunConfig.folds": (lambda v: RunConfig(seed=1, folds=v), "folds"),
+    "RunConfig.jobs": (lambda v: RunConfig(seed=1, jobs=v), "jobs"),
+    "CodelConfig.population_size": (lambda v: CodelConfig(population_size=v),
+                                    "population_size"),
+    "CodelConfig.nfe_max": (lambda v: CodelConfig(nfe_max=v), "nfe_max"),
+    "CodelConfig.clustering_period": (lambda v: CodelConfig(clustering_period=v),
+                                      "clustering_period"),
+    "CodelConfig.seed": (lambda v: CodelConfig(seed=v), "seed"),
+    "LocalSearchConfig.epochs": (lambda v: LocalSearchConfig(epochs=v), "epochs"),
+    "LocalSearchConfig.patience": (lambda v: LocalSearchConfig(patience=v), "patience"),
+    "MlpTopology.layer_sizes": (lambda v: MlpTopology((3, v, 1)), "layer size"),
+}
+
+
+class TestIntegerKnobs:
+    """An integer knob takes what `operator.index` takes: a float, even a
+    whole one, is refused by name instead of truncated, and a numpy
+    integer passes as an int."""
+
+    @pytest.mark.parametrize("value", [2.5, 10.0, np.float64(4.0)])
+    @pytest.mark.parametrize("knob", _INTEGER_KNOBS)
+    def test_non_integer_refused_by_name(self, knob, value):
+        build, name = _INTEGER_KNOBS[knob]
+        with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+            build(value)
+
+    @pytest.mark.parametrize("knob", _INTEGER_KNOBS)
+    def test_numpy_integer_accepted(self, knob):
+        build, _ = _INTEGER_KNOBS[knob]
+        assert build(np.int64(5)) == build(5)
+
+    def test_run_config_knobs_of_other_owners_refused(self):
+        with pytest.raises(ParameterError, match="epochs must be an integer"):
+            RunConfig(seed=1, epochs=2.5)
+        with pytest.raises(ParameterError, match="population_size must be an integer"):
+            RunConfig(seed=1, population_size=50.0)
+        with pytest.raises(ParameterError, match="layer size must be an integer"):
+            RunConfig(seed=1, hidden=[2.7])
+
+    def test_parse_config_refuses_a_float_seed(self):
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            parse_config(seed=7.5)
+        config = parse_config(seed=np.int64(7), hidden=[np.int64(3)])
+        assert (type(config.seed), config.seed) == (int, 7)
+        assert config.hidden == (3,) and type(config.hidden[0]) is int
+
+    def test_text_parses_as_before(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 7\nnp = 20\nepochs = 30\nhidden = 4,2\n")
+        config = parse_config(path, folds="3")
+        assert (config.seed, config.population_size, config.epochs, config.folds,
+                config.hidden) == (7, 20, 30, 3, (4, 2))
+        with pytest.raises(ParameterError, match="bad value for seed"):
+            parse_config(seed="7.5")
+
+
 class TestStreams:
 
     def test_named_rng_reproducible(self):

@@ -333,16 +333,26 @@ class TestStackedForward:
     @given(seed=st.integers(0, 2**32 - 1),
            widths=st.lists(st.integers(1, 12), min_size=1, max_size=3),
            n_in=st.integers(1, 13), n_out=st.integers(1, 2), n_rows=st.integers(1, 200),
-           k=st.integers(1, 8), log_scale=st.floats(-3.0, 1.0),
+           members_per_chunk=st.one_of(st.none(), st.integers(1, 8)),
+           k_chunks=st.floats(0.01, 3.0), log_scale=st.floats(-3.0, 1.0),
            z=st.one_of(st.sampled_from(EDGE_Z), st.floats(-1e-14, 1e-14)))
-    @settings(max_examples=100)
+    @settings(max_examples=100, deadline=None)
     def test_predict_stack_rows_equal_per_member_calls(self, seed, widths, n_in, n_out,
-                                                       n_rows, k, log_scale, z):
+                                                       n_rows, members_per_chunk, k_chunks,
+                                                       log_scale, z):
+        """k spans up to three chunks of predict's class pass; a drawn
+        chunk size is set through the budget, and None keeps the
+        module's own."""
         rng = np.random.default_rng(seed)
         topo = MlpTopology((n_in, *widths, n_out))
         rows = rng.normal(0, 1, (n_rows, n_in))
+        budget = (mlp._CHUNK_DOUBLES if members_per_chunk is None
+                  else members_per_chunk * n_rows * widths[0])
+        chunk = max(1, budget // (n_rows * widths[0]))
+        k = min(max(1, round(k_chunks * chunk)), 60)
         stack = _edge_stack(rng, topo, rows, k, 10.0 ** log_scale, z)
-        labels = predict(stack, topo, rows)
+        with mock.patch.object(mlp, "_CHUNK_DOUBLES", budget):
+            labels = predict(stack, topo, rows)
         assert labels.shape == (k, n_rows)
         for member, row in zip(stack, labels):
             assert row.tobytes() == predict(member, topo, rows).tobytes()
@@ -416,7 +426,7 @@ class TestCertifiedPass:
                                                    log_scale, k, z):
         topo, data, stack = _certified_case(seed, n_in, hidden, n_out, n_rows, log_scale, k, z)
         layers = decode(stack, topo)
-        exact = mlp._exact_errors(layers, data)
+        exact = mlp._percent_wrong(mlp._classes(layers, data.columns), data.positives)
         z_fast, bound = mlp._fast_output(layers, data)
         decided = np.all(np.abs(z_fast) > bound[:, None], axis=1)
         certified = mlp._percent_wrong(z_fast > 0.0, data.labels)
@@ -449,7 +459,7 @@ class TestCertifiedPass:
         for v, z in ((clear, 5.0), (edge, -1e-17)):
             w2, b2 = decode(v, topo)[-1]
             w2[...], b2[...] = 0.0, z
-        with mock.patch.object(mlp, "_exact_errors", wraps=mlp._exact_errors) as exact:
+        with mock.patch.object(mlp, "_classes", wraps=mlp._classes) as exact:
             errors = classification_error(np.stack([clear, edge, clear]), topo, data)
         exact.assert_called_once()
         (layers, _), _ = exact.call_args
@@ -477,7 +487,7 @@ class TestCertifiedPass:
             return z, bound
 
         with (mock.patch.object(mlp, "_fast_output", nan_in_member_one),
-              mock.patch.object(mlp, "_exact_errors", wraps=mlp._exact_errors) as exact):
+              mock.patch.object(mlp, "_classes", wraps=mlp._classes) as exact):
             errors = classification_error(stack, topo, data)
         exact.assert_called_once()
         (layers, _), _ = exact.call_args
@@ -491,7 +501,7 @@ class TestCertifiedPass:
         data = _random_dataset(rng, 20, 3)
         stack = rng.uniform(-10.0, 10.0, (5, topo.param_count))
         with (mock.patch.object(mlp, "_fast_output", wraps=mlp._fast_output) as fast,
-              mock.patch.object(mlp, "_exact_errors", wraps=mlp._exact_errors) as exact):
+              mock.patch.object(mlp, "_classes", wraps=mlp._classes) as exact):
             errors = classification_error(stack, topo, data)
         fast.assert_not_called()
         exact.assert_called_once()
@@ -527,7 +537,8 @@ class TestCertifiedPass:
             reference = classification_error_reference(params, topo, data)
         with warnings.catch_warnings(record=True) as expected:
             warnings.simplefilter("always")
-            exact = mlp._exact_errors(decode(params[None], topo), data)
+            exact = mlp._percent_wrong(mlp._classes(decode(params[None], topo), data.columns),
+                                        data.positives)
         with warnings.catch_warnings(record=True) as raised:
             warnings.simplefilter("always")
             error = classification_error(params, topo, data)

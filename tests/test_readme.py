@@ -1,4 +1,5 @@
-"""Every python block of README.md, and every demo, runs as written against src/."""
+"""Every python block of README.md, and every demo, runs as written against src/,
+under the suite's warning rule: a RuntimeWarning or UserWarning is an error."""
 
 import os
 import re
@@ -24,6 +25,9 @@ def test_readme_has_python_blocks():
 def test_block_runs(args, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+    # A subprocess does not inherit pytest's filterwarnings, so it gets
+    # the suite's warning rule as flags.
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-W", "error::UserWarning", *args], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
